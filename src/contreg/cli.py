@@ -19,6 +19,7 @@ import sys
 
 from . import harness
 from .harness import ConfigError
+from .schemes import SCHEME_KINDS
 
 
 def _cmd_run(args):
@@ -112,12 +113,10 @@ def build_parser():
     p = sub.add_parser("adversarial", help="run a hard-instance scenario")
     p.add_argument("--scenario", required=True,
                    choices=["seen-task", "any-algorithm"])
-    p.add_argument("--scheme", default="regularized",
-                   choices=["regularized", "budgeted", "unregularized",
-                            "igd-of-regularized", "igd-of-budgeted"])
+    p.add_argument("--scheme", default="regularized", choices=SCHEME_KINDS)
+    # Custom schedules need per-step arrays, which this command cannot take.
     p.add_argument("--schedule", default="increasing-coefficient",
-                   choices=["fixed-coefficient", "fixed-budget",
-                            "increasing-coefficient", "increasing-budget", "none"])
+                   choices=[kind for kind in harness.SCHEDULE_KINDS if kind != "custom"])
     p.add_argument("--gamma", type=float, default=0.5,
                    help="inner step size for fixed-budget schedules")
     p.add_argument("--n-choice", type=int, default=1,

@@ -1,9 +1,11 @@
 """Experiment harness: configs, Monte Carlo sweeps, CSV output, and rate fits.
 
 A sweep is fully determined by its config: trial (k, i) draws its ordering
-from the stream ``(base_seed, k, i)``, rows are emitted sorted by (k, trial),
-and floats are serialized with 17 significant digits, so identical configs
-produce byte-identical CSV files regardless of thread count.
+from the stream ``(base_seed, k, i)``, each k-cell's trials are stepped
+together by ``schemes.run_batch`` (a trial's values do not depend on the
+others in its batch), rows are emitted sorted by (k, trial), and floats are
+serialized with 17 significant digits, so identical configs produce
+byte-identical CSV files regardless of thread count.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import numpy as np
 
 from . import schedules as sched_mod
 from .adversarial import any_alg_lb_collection, seen_task_lb_collection
-from .metrics import average_loss, seen_task_loss, summarize
-from .orderings import derived_seed, explicit_ordering, sample_ordering, stream
-from .schemes import SCHEME_KINDS, run_continual
+from .metrics import average_loss, summarize_batch
+from .orderings import (WITHOUT_REPLACEMENT, derived_seed, explicit_ordering,
+                        sample_ordering, stream)
+from .schemes import SCHEME_KINDS, run_batch, run_continual
 from .surrogates import (build_budgeted_surrogate, build_regularized_surrogate,
                          sandwich_check, value_and_grad)
 from .tasks import (collection_from_dict, generate_aligned_pairs,
@@ -38,6 +41,7 @@ _SCHEDULE_KINDS = {
     "custom": ("lam", "gamma", "n_steps", "eta"),
     "none": (),
 }
+SCHEDULE_KINDS = tuple(_SCHEDULE_KINDS)
 
 _ORDERING_KINDS = ("with-replacement", "without-replacement")
 
@@ -173,7 +177,7 @@ def build_schedule(schedule, R, k):
         raise ConfigError(f"unknown schedule kind: {kind!r}")
     if first:
         spec = sched_mod.ScheduleSpec(
-            kind=spec.kind, k=spec.k, eta=spec.eta, nu=spec.nu, lam=spec.lam,
+            kind=spec.kind, k=spec.k, eta=spec.eta, lam=spec.lam,
             gamma=spec.gamma, n_steps=spec.n_steps, unregularized_first=True,
             meta=spec.meta)
     return spec
@@ -181,6 +185,8 @@ def build_schedule(schedule, R, k):
 
 CSV_FIELDS = ("scheme", "schedule", "ordering", "M", "d", "R", "k", "trial",
               "seed", "avg_loss", "seen_loss", "degradation", "dist_to_wstar")
+METRIC_NAMES = CSV_FIELDS[-4:]
+RUN_KEY_FIELDS = ("scheme", "schedule", "ordering", "M", "d", "R")
 
 
 @dataclass(frozen=True)
@@ -218,34 +224,58 @@ def resolve_threads(threads=None):
     return max(1, threads)
 
 
+def sample_orderings(kind, M, k, trials, base_seed):
+    """(trials, k) task indices; row i is trial i's ordering, from stream (base_seed, k, i).
+
+    The result is a view of a step-major array, the layout ``run_batch`` steps
+    through, so no copy is made there.
+    """
+    idx = np.empty((k, trials), np.int64)
+    for i in range(trials):
+        idx[:, i] = sample_ordering(kind, M, k, base_seed, path=(k, i)).indices
+    return idx.T
+
+
 def run_experiment(cfg, threads=None):
-    """Run the configured sweep; one row per (k, trial), sorted by (k, trial)."""
+    """Run the configured sweep; one row per (k, trial), sorted by (k, trial).
+
+    The collection file, the schedules and the k grid against the collection
+    are checked before the first cell runs; the strength checks that depend
+    on the tasks drawn run at the start of each cell, before it steps.
+    Worker threads take whole k-cells.
+    """
     col = build_collection(cfg.collection)
     R = col.radius
+    if cfg.ordering == WITHOUT_REPLACEMENT and cfg.k_grid[-1] > col.M:
+        raise ConfigError(f"without-replacement needs k <= M, got k={cfg.k_grid[-1]}, "
+                          f"M={col.M}")
     w_star = col.w_star if col.w_star is not None else min_norm_solution(col)
     per_k = {k: build_schedule(cfg.schedule, R, k) for k in cfg.k_grid}
 
-    def one(job):
-        k, i = job
-        ordering = sample_ordering(cfg.ordering, col.M, k, cfg.base_seed, path=(k, i))
-        traj = run_continual(col, ordering, per_k[k], cfg.scheme)
-        rec = summarize(traj, col, w_star)
-        return ResultRow(
-            scheme=cfg.scheme, schedule=cfg.schedule["kind"], ordering=cfg.ordering,
-            M=col.M, d=col.d, R=R, k=k, trial=i,
-            seed=derived_seed(cfg.base_seed, k, i),
-            avg_loss=rec.avg_loss, seen_loss=rec.seen_loss,
-            degradation=rec.degradation, dist_to_wstar=rec.dist_to_wstar)
+    def cell(k):
+        idx = sample_orderings(cfg.ordering, col.M, k, cfg.trials, cfg.base_seed)
+        # Overflow shows up as a non-finite result, reported below by trial.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = summarize_batch(run_batch(col, idx, per_k[k], cfg.scheme), col, w_star)
+        rows = []
+        for i in range(cfg.trials):
+            seed = derived_seed(cfg.base_seed, k, i)
+            values = {name: float(getattr(rec, name)[i]) for name in METRIC_NAMES}
+            if not all(math.isfinite(v) for v in values.values()):
+                raise ValueError(f"non-finite result at k={k}, trial={i}, seed={seed}: "
+                                 + ", ".join(f"{n}={v}" for n, v in values.items()))
+            rows.append(ResultRow(
+                scheme=cfg.scheme, schedule=cfg.schedule["kind"], ordering=cfg.ordering,
+                M=col.M, d=col.d, R=R, k=k, trial=i, seed=seed, **values))
+        return rows
 
-    jobs = [(k, i) for k in cfg.k_grid for i in range(cfg.trials)]
-    threads = resolve_threads(threads)
+    threads = min(resolve_threads(threads), len(cfg.k_grid))
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, jobs))
+            cells = list(pool.map(cell, cfg.k_grid))
     else:
-        rows = [one(job) for job in jobs]
-    rows.sort(key=lambda r: (r.k, r.trial))
-    return rows
+        cells = [cell(k) for k in cfg.k_grid]
+    return [row for rows in cells for row in rows]
 
 
 def _fmt(value):
@@ -280,7 +310,16 @@ def read_csv(path):
 
 
 def aggregate(rows, metric="avg_loss"):
-    """Per-k Monte Carlo summaries: (k, mean, standard error, n_trials)."""
+    """Per-k Monte Carlo summaries: (k, mean, standard error, n_trials).
+
+    All rows must come from one sweep (same scheme, schedule, ordering and
+    collection); pooling rows of different sweeps is an error.
+    """
+    keys = {tuple(getattr(row, f) for f in RUN_KEY_FIELDS) for row in rows}
+    if len(keys) > 1:
+        listed = "; ".join("/".join(str(v) for v in key) for key in sorted(keys, key=str))
+        raise ValueError(f"rows mix {len(keys)} sweeps ({', '.join(RUN_KEY_FIELDS)}): "
+                         f"{listed}")
     by_k = {}
     for row in rows:
         by_k.setdefault(row.k, []).append(getattr(row, metric))
@@ -348,12 +387,9 @@ def run_seen_task_floor(k, trials, base_seed, d=2, scheme="regularized",
     params["kind"] = schedule_kind
     spec = build_schedule(params, col.radius, k)
     threshold = scenario.threshold(k)
-    hits = 0
-    for i in range(trials):
-        ordering = sample_ordering("with-replacement", col.M, k, base_seed, path=(k, i))
-        traj = run_continual(col, ordering, spec, scheme, w0=scenario.recommended_w0)
-        if seen_task_loss(traj.iterates[-1], col, ordering.indices) >= threshold:
-            hits += 1
+    idx = sample_orderings("with-replacement", col.M, k, trials, base_seed)
+    run = run_batch(col, idx, spec, scheme, w0=scenario.recommended_w0)
+    hits = int(np.count_nonzero(summarize_batch(run, col).seen_loss >= threshold))
     prob = hits / trials
     return {"scenario": "seen-task", "scheme": scheme, "schedule": schedule_kind,
             "k": k, "trials": trials, "threshold": threshold,
@@ -372,12 +408,9 @@ def run_any_alg_mean(k, trials, base_seed, d=2, scheme="regularized",
     params["kind"] = schedule_kind
     spec = build_schedule(params, col.radius, k)
     base = average_loss(col.w_star, col)
-    total = 0.0
-    for i in range(trials):
-        ordering = sample_ordering("with-replacement", col.M, k, base_seed, path=(k, i))
-        traj = run_continual(col, ordering, spec, scheme)
-        total += average_loss(traj.iterates[-1], col) - base
-    mean_excess = total / trials
+    idx = sample_orderings("with-replacement", col.M, k, trials, base_seed)
+    excess = summarize_batch(run_batch(col, idx, spec, scheme), col).avg_loss - base
+    mean_excess = float(np.mean(excess))
     threshold = scenario.threshold(k)
     return {"scenario": "any-algorithm", "scheme": scheme, "schedule": schedule_kind,
             "k": k, "trials": trials, "threshold": threshold,

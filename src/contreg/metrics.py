@@ -73,20 +73,62 @@ class MetricsRecord:
     dist_to_wstar: float
 
 
+def _reference_solution(collection, w_star):
+    if w_star is None:
+        w_star = collection.w_star
+    if w_star is None:
+        w_star = min_norm_solution(collection)
+    return np.asarray(w_star)
+
+
 def summarize(trajectory, collection, w_star=None):
     """Final-iterate metrics for a trajectory.
 
     ``w_star`` defaults to the collection's planted solution, falling back to
     the minimum-norm solution of the stacked system.
     """
-    if w_star is None:
-        w_star = collection.w_star
-    if w_star is None:
-        w_star = min_norm_solution(collection)
+    w_star = _reference_solution(collection, w_star)
     w = trajectory.iterates[-1]
     return MetricsRecord(
         avg_loss=average_loss(w, collection),
         seen_loss=seen_task_loss(w, collection, trajectory.ordering),
         degradation=loss_degradation(trajectory, collection),
-        dist_to_wstar=float(np.linalg.norm(w - np.asarray(w_star))),
+        dist_to_wstar=float(np.linalg.norm(w - w_star)),
+    )
+
+
+def task_losses(W, task):
+    """``task_loss`` of every row of a (trials, d) array of iterates.
+
+    Products are summed row by row (no BLAS call whose blocking could depend
+    on the number of rows), so each trial's value is independent of the batch.
+    """
+    r = (W[:, None, :] * task.X).sum(axis=2) - task.y
+    return 0.5 * (r * r).sum(axis=1)
+
+
+def summarize_batch(run, collection, w_star=None):
+    """``summarize`` for a ``schemes.BatchRun``: a MetricsRecord of (trials,) arrays.
+
+    One pass over the tasks accumulates the average and the seen-task loss of
+    the final iterates, in task order as the single-trial functions do.
+    """
+    w_star = _reference_solution(collection, w_star)
+    W, order = run.final, run.ordering
+    k = order.shape[1]
+    if k < 1:
+        raise ValueError("degradation needs at least one step")
+    total = np.zeros(len(W))
+    seen = np.zeros(len(W))
+    for m, task in enumerate(collection.tasks, start=1):
+        losses = task_losses(W, task)
+        total += losses
+        seen += np.count_nonzero(order == m, axis=1) * losses
+    seen /= k
+    diff = W - w_star
+    return MetricsRecord(
+        avg_loss=total / collection.M,
+        seen_loss=seen,
+        degradation=seen - run.loss_after_sum / k,
+        dist_to_wstar=np.sqrt((diff * diff).sum(axis=1)),
     )

@@ -36,13 +36,12 @@ class ScheduleSpec:
     Coefficient schedules carry ``lam``; budget schedules carry ``gamma`` and
     integer ``n_steps``.  ``eta`` is the incremental-gradient step size that
     makes the surrogate step reproduce the scheme step (iterates are invariant
-    to it); ``nu`` is the sandwich weight, equal to ``eta`` here.
+    to it).
     """
 
     kind: str
     k: int
     eta: np.ndarray
-    nu: np.ndarray
     lam: np.ndarray | None = None
     gamma: np.ndarray | None = None
     n_steps: np.ndarray | None = None
@@ -50,7 +49,7 @@ class ScheduleSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("eta", "nu", "lam", "gamma", "n_steps"):
+        for name in ("eta", "lam", "gamma", "n_steps"):
             arr = getattr(self, name)
             if arr is not None and len(arr) != self.k:
                 raise ValueError(f"{name} must have length k={self.k}, got {len(arr)}")
@@ -80,7 +79,7 @@ def fixed_coefficient(R, k):
     eta = np.ones(k)
     return ScheduleSpec(
         kind=FIXED_COEFFICIENT, k=k,
-        lam=_frozen(np.full(k, lam)), eta=_frozen(eta), nu=_frozen(eta),
+        lam=_frozen(np.full(k, lam)), eta=_frozen(eta),
         meta={"clamped": bool(clamped), "target_smoothness": 1.0 / np.log(k)},
     )
 
@@ -106,7 +105,7 @@ def fixed_budget(R, gamma, k):
     return ScheduleSpec(
         kind=FIXED_BUDGET, k=k,
         gamma=_frozen(np.full(k, gamma)), n_steps=_frozen(np.full(k, n), np.int64),
-        eta=_frozen(eta), nu=_frozen(eta),
+        eta=_frozen(eta),
         meta={"n_star": float(n_star),
               "realized_smoothness": 1.0 - (1.0 - gamma * r2) ** n,
               "target_smoothness": 1.0 / np.log(k)},
@@ -163,7 +162,7 @@ def increasing_coefficient(R, k):
     eta0 = (3.0 / (13.0 * R * R)) * (k - t + 2) / (k + 1)
     lam, eta = _exact_inverse_pairs(eta0)
     return ScheduleSpec(kind=INCREASING_COEFFICIENT, k=k,
-                        lam=_frozen(lam), eta=_frozen(eta), nu=_frozen(eta))
+                        lam=_frozen(lam), eta=_frozen(eta))
 
 
 def increasing_budget(R, k, n_choice=1):
@@ -190,7 +189,7 @@ def increasing_budget(R, k, n_choice=1):
     return ScheduleSpec(kind=INCREASING_BUDGET, k=k,
                         gamma=_frozen(gamma),
                         n_steps=_frozen(np.full(k, n_choice), np.int64),
-                        eta=_frozen(eta), nu=_frozen(eta))
+                        eta=_frozen(eta))
 
 
 def custom_schedule(k, lam=None, gamma=None, n_steps=None, eta=None,
@@ -205,7 +204,7 @@ def custom_schedule(k, lam=None, gamma=None, n_steps=None, eta=None,
         lam=None if lam is None else _frozen(lam),
         gamma=None if gamma is None else _frozen(gamma),
         n_steps=None if n_steps is None else _frozen(n_steps, np.int64),
-        eta=eta, nu=eta, unregularized_first=bool(unregularized_first),
+        eta=eta, unregularized_first=bool(unregularized_first),
     )
 
 

@@ -10,6 +10,7 @@ import numpy as np
 from .orderings import stream
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _frozen(a):
@@ -63,6 +64,28 @@ class RegressionTask:
     def pinv(self):
         return _frozen(np.linalg.pinv(self.X, rcond=max(self.X.shape) * _EPS))
 
+    @cached_property
+    def row_basis(self):
+        """Row-space basis from the SVD X = U diag(sigma) V.
+
+        Returns ``(V, sigma, target, rank, rest)`` over the directions with a
+        normal nonzero singular value: ``V`` has orthonormal rows, ``target``
+        is U^T y, so the residual of w along direction j is
+        sigma_j (V w)_j - target_j; ``rank`` counts the leading directions
+        above ``pinv``'s cutoff (those the projection acts on); ``rest`` is the
+        loss no w can remove, 0.5 * ||y - U U^T y||^2.  ``rest`` is taken here
+        rather than from ``min_loss``: when a singular value sits just above
+        the cutoff, rounding in the SVD spreads X^+ y's huge component into
+        the other directions, and ``min_loss`` with it.
+        """
+        U, sigma, Vt = np.linalg.svd(self.X, full_matrices=False)
+        q = int(np.count_nonzero(sigma > _TINY))
+        rank = min(q, int(np.count_nonzero(sigma > max(self.X.shape) * _EPS * sigma.max())))
+        target = U[:, :q].T @ self.y
+        off_range = self.y - U[:, :q] @ target
+        return (_frozen(Vt[:q]), _frozen(sigma[:q]), _frozen(target), rank,
+                0.5 * float(off_range @ off_range))
+
 
 def new_task(X, y):
     """Build a task from a data matrix and target vector, caching X^+ y."""
@@ -88,6 +111,23 @@ def new_task(X, y):
 
 
 @dataclass(frozen=True, eq=False)
+class RowBases:
+    """Every task's ``row_basis`` zero-padded to the largest size and stacked.
+
+    Padded rows of ``V`` and their other entries are 0, so every update leaves
+    the iterate unchanged along them.
+    """
+
+    V: np.ndarray          # (M, q_max, d)
+    sigma: np.ndarray      # (M, q_max)
+    target: np.ndarray     # (M, q_max) U^T y
+    inv_sigma: np.ndarray  # (M, q_max) 1 / sigma
+    on_rank: np.ndarray    # (M, q_max) 1.0 above pinv's cutoff, else 0.0
+    rest: np.ndarray       # (M,)
+    r2: np.ndarray         # (M,) squared spectral norms R_m^2
+
+
+@dataclass(frozen=True, eq=False)
 class TaskCollection:
     """M tasks sharing feature dimension d, with data radius R.
 
@@ -103,6 +143,23 @@ class TaskCollection:
     @property
     def M(self):
         return len(self.tasks)
+
+    @cached_property
+    def row_bases(self):
+        """Stacked task row bases for the batched engine (built on first use)."""
+        bases = [t.row_basis for t in self.tasks]
+        shape = (self.M, max(len(sigma) for _, sigma, _, _, _ in bases))
+        V = np.zeros(shape + (self.d,))
+        sigma, target, inv_sigma, on_rank = (np.zeros(shape) for _ in range(4))
+        for m, (Vm, sm, tm, rank, _) in enumerate(bases):
+            q = len(sm)
+            V[m, :q], sigma[m, :q], target[m, :q] = Vm, sm, tm
+            inv_sigma[m, :q] = 1.0 / sm
+            on_rank[m, :rank] = 1.0
+        return RowBases(V=_frozen(V), sigma=_frozen(sigma), target=_frozen(target),
+                        inv_sigma=_frozen(inv_sigma), on_rank=_frozen(on_rank),
+                        rest=_frozen([rest for *_, rest in bases]),
+                        r2=_frozen(np.square([t.spectral_norm for t in self.tasks])))
 
 
 def new_collection(tasks, w_star=None):
@@ -217,6 +274,15 @@ def collection_to_dict(collection):
 
 
 def collection_from_dict(data):
-    tasks = [new_task(item["X"], item["y"]) for item in data["tasks"]]
+    """Inverse of ``collection_to_dict``; malformed input raises ValueError."""
+    if not isinstance(data, dict) or not isinstance(data.get("tasks"), list):
+        raise ValueError("a collection file must be an object with a 'tasks' list")
+    for i, item in enumerate(data["tasks"]):
+        if not isinstance(item, dict) or not {"X", "y"} <= set(item):
+            raise ValueError(f"collection task {i} must be an object with 'X' and 'y'")
+    try:
+        tasks = [new_task(item["X"], item["y"]) for item in data["tasks"]]
+    except TypeError as exc:
+        raise ValueError(f"collection task data must be numeric: {exc}") from None
     w_star = data.get("w_star")
     return new_collection(tasks, w_star=None if w_star is None else np.asarray(w_star))

@@ -187,3 +187,90 @@ def test_cli_adversarial(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
     assert report["threshold"] == pytest.approx(1.0 / (144 * 16))
+
+
+def run_cli_csv(tmp_path, name, cfg, *extra):
+    cfg_path, out_path = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main(["run", "--config", str(cfg_path), "--out", str(out_path), *extra])
+    return code, out_path
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_csv_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
+    monkeypatch.delenv(harness.THREAD_ENV_VAR, raising=False)
+    cfg = base_config(k_grid=[4, 8, 16], trials=5)
+    outputs = []
+    for threads in ("1", "3"):
+        code, path = run_cli_csv(tmp_path, f"t{threads}", cfg, "--threads", threads)
+        assert code == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_rows_do_not_depend_on_the_number_of_trials(tmp_path):
+    for scheme, schedule in (("regularized", {"kind": "increasing-coefficient"}),
+                             ("budgeted", {"kind": "increasing-budget", "n_choice": 2}),
+                             ("unregularized", {"kind": "none"})):
+        lines = {}
+        for trials in (3, 7):
+            code, path = run_cli_csv(tmp_path, f"{scheme}{trials}", base_config(
+                scheme=scheme, schedule=schedule, k_grid=[4, 8], trials=trials))
+            assert code == 0
+            rows = path.read_text().splitlines()[1:]
+            lines[trials] = [r for r in rows if int(r.split(",")[7]) < 3]
+        assert lines[3] == lines[7] and len(lines[3]) == 6
+
+
+def test_custom_schedule_the_literal_rules_reject_exits_1(tmp_path, capsys):
+    cfg = base_config(scheme="igd-of-regularized", k_grid=[3],
+                      schedule={"kind": "custom", "lam": [1.0, 1.0, 1.0],
+                                "eta": [1.0, -1.0, 1.0]})
+    code, path = run_cli_csv(tmp_path, "custom", cfg)
+    assert code == 1 and not path.exists()
+    assert "step size must be positive" in one_line_error(capsys)
+
+
+def test_bad_inputs_are_rejected_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_batch", lambda *a, **kw: calls.append(a))
+    cfg = base_config(ordering="without-replacement", k_grid=[2, 3, 4])
+    assert run_cli_csv(tmp_path, "wor", cfg)[0] == 1
+    assert "without-replacement needs k <= M, got k=4, M=3" in one_line_error(capsys)
+
+    col_path = tmp_path / "col.json"
+    col_path.write_text(json.dumps({"w_star": [1.0]}))
+    assert run_cli_csv(tmp_path, "col", base_config(collection={"path": str(col_path)}))[0] == 1
+    assert "'tasks'" in one_line_error(capsys)
+    col_path.write_text(json.dumps({"tasks": [{"X": [[1.0]]}]}))
+    assert run_cli_csv(tmp_path, "col", base_config(collection={"path": str(col_path)}))[0] == 1
+    one_line_error(capsys)
+    assert calls == []
+
+
+def test_non_finite_result_names_its_trial(tmp_path, capsys):
+    col_path = tmp_path / "col.json"
+    col_path.write_text(json.dumps({"tasks": [{"X": [[1e200]], "y": [1e200]},
+                                              {"X": [[1e200]], "y": [-1e200]}]}))
+    cfg = base_config(collection={"path": str(col_path)}, scheme="unregularized",
+                      schedule={"kind": "none"})
+    assert run_cli_csv(tmp_path, "inf", cfg)[0] == 1
+    seed = harness.derived_seed(99, 4, 0)
+    assert f"non-finite result at k=4, trial=0, seed={seed}" in one_line_error(capsys)
+
+
+def test_fit_rejects_rows_of_different_sweeps(tmp_path, capsys):
+    _, a = run_cli_csv(tmp_path, "a", base_config(k_grid=[4, 8, 16], trials=3))
+    _, b = run_cli_csv(tmp_path, "b", base_config(k_grid=[4, 8, 16], trials=3,
+                                                  scheme="igd-of-regularized"))
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text(a.read_text() + "".join(b.read_text().splitlines(True)[1:]))
+    capsys.readouterr()
+    assert cli.main(["fit", str(mixed)]) == 1
+    assert "rows mix 2 sweeps" in one_line_error(capsys)
+    assert cli.main(["fit", str(a)]) == 0
