@@ -20,7 +20,7 @@ from .surrogates import (SurrogateQuadratic, build_budgeted_surrogate,
                          from_matrix, sandwich_check, value_and_grad)
 from .tasks import (RealizableSpec, RegressionTask, RowBases, TaskCollection,
                     generate_aligned_pairs, generate_realizable,
-                    min_norm_solution, new_collection, new_task, radius)
+                    min_norm_solution, new_collection, new_task)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Both constructions are ordinary jointly realizable collections; nonuniform
 sampling weights are realized by replicating tasks, so downstream code keeps
-plain uniform orderings.
+plain uniform orderings.  A replica is the same ``RegressionTask`` object
+repeated (tasks are immutable), so its cached SVD and norms are computed once.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ def seen_task_lb_collection(k, d=2):
     x = np.zeros((1, d))
     x[0, 0] = np.sqrt(1.0 - alpha ** 2)
     x[0, 1] = alpha
-    tasks = [new_task(_unit_row(d, 1), [0.0]) for _ in range(k - 1)]
-    tasks.append(new_task(x, [0.0]))
+    tasks = [new_task(_unit_row(d, 1), [0.0])] * (k - 1) + [new_task(x, [0.0])]
     w0 = np.zeros(d)
     w0[0] = 1.0
     return AdversarialScenario(
@@ -94,7 +94,8 @@ def any_alg_lb_collection(k, d, probe, probe_trials=1000):
     if probe_trials < 1:
         raise ValueError("probe_trials must be >= 1")
 
-    probe_tasks = [new_task(_unit_row(d, 0), [0.0]) for _ in range(k)]
+    e1_task = new_task(_unit_row(d, 0), [0.0])
+    probe_tasks = [e1_task] * k
     nonpositive = 0
     for _ in range(probe_trials):
         w = np.asarray(probe(probe_tasks), dtype=np.float64)
@@ -105,8 +106,7 @@ def any_alg_lb_collection(k, d, probe, probe_trials=1000):
     estimate = nonpositive / probe_trials
     a = 1.0 if estimate >= 0.5 else -1.0
 
-    tasks = [new_task(_unit_row(d, 0), [0.0]) for _ in range(k - 1)]
-    tasks.append(new_task(_unit_row(d, 1), [a]))
+    tasks = [e1_task] * (k - 1) + [new_task(_unit_row(d, 1), [a])]
     w_star = np.zeros(d)
     w_star[1] = a
     return AdversarialScenario(

@@ -66,14 +66,23 @@ class ScheduleSpec:
                 raise ValueError("step budgets must be >= 1")
 
 
+def _check_radius(R):
+    """R^2, after rejecting a radius that is not positive or whose square
+    overflows (an infinite R^2 would turn strengths into 0 or inf)."""
+    if not R > 0:
+        raise ValueError("R must be positive")
+    r2 = R * R
+    if not np.isfinite(r2):
+        raise ValueError(f"R^2 is not finite for R={R!r}")
+    return r2
+
+
 def fixed_coefficient(R, k):
     """Horizon-tuned constant coefficient R^2 * (ln k - 1), clamped positive."""
     k = int(k)
     if k < 2:
         raise ValueError(f"fixed coefficient needs k >= 2, got {k}")
-    if not R > 0:
-        raise ValueError("R must be positive")
-    r2 = R * R
+    r2 = _check_radius(R)
     clamped = np.log(k) <= 1.0
     lam = LAMBDA_CLAMP_FACTOR * r2 if clamped else r2 * (np.log(k) - 1.0)
     eta = np.ones(k)
@@ -92,9 +101,7 @@ def fixed_budget(R, gamma, k):
     in ``meta['n_star']`` alongside the realized smoothness.
     """
     k = int(k)
-    if not R > 0:
-        raise ValueError("R must be positive")
-    r2 = R * R
+    r2 = _check_radius(R)
     if not (0 < gamma * r2 < 1):
         raise ValueError(f"need 0 < gamma * R^2 < 1, got {gamma * r2}")
     if np.log(k) <= 1.0:
@@ -156,9 +163,9 @@ def increasing_coefficient(R, k):
     k = int(k)
     if k < 2:
         raise ValueError(f"increasing coefficient needs k >= 2, got {k}")
-    if not R > 0:
-        raise ValueError("R must be positive")
+    _check_radius(R)
     t = np.arange(1, k + 1)
+    # Keep (13 R) R: 13 (R R) can round differently and change every output bit.
     eta0 = (3.0 / (13.0 * R * R)) * (k - t + 2) / (k + 1)
     lam, eta = _exact_inverse_pairs(eta0)
     return ScheduleSpec(kind=INCREASING_COEFFICIENT, k=k,
@@ -177,9 +184,9 @@ def increasing_budget(R, k, n_choice=1):
         raise ValueError(f"increasing budget needs k >= 2, got {k}")
     if n_choice < 1:
         raise ValueError("n_choice must be >= 1")
-    if not R > 0:
-        raise ValueError("R must be positive")
+    _check_radius(R)
     t = np.arange(1, k + 1)
+    # (13 R) R, as in increasing_coefficient.
     gamma = (3.0 / (13.0 * R * R)) * (k - t + 2) / (k + 1) / n_choice
     if np.any(gamma * R * R >= 1) or np.any(gamma <= 0):
         raise ValueError("derived inner step sizes left (0, 1/R^2)")

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import task_loss
-from .surrogates import build_budgeted_surrogate, build_regularized_surrogate
+from .surrogates import (BUDGETED, REGULARIZED, build_budgeted_surrogate,
+                         build_regularized_surrogate)
 
-REGULARIZED = "regularized"
-BUDGETED = "budgeted"
 UNREGULARIZED = "unregularized"
 IGD_REGULARIZED = "igd-of-regularized"
 IGD_BUDGETED = "igd-of-budgeted"

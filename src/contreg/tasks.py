@@ -103,7 +103,12 @@ def new_task(X, y):
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("task data contains non-finite entries")
     # Rank decision: singular values below max(n, d) * eps * sigma_max are zero.
-    p = np.linalg.pinv(X, rcond=max(n, d) * _EPS) @ y
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.linalg.pinv(X, rcond=max(n, d) * _EPS) @ y
+    if not np.all(np.isfinite(p)):
+        # Only data within eps of underflow get here (e.g. all-subnormal X):
+        # 1/sigma overflows.
+        raise ValueError("task data too close to underflow: X^+ y is not finite")
     residual = X @ p - y
     min_loss = 0.5 * float(residual @ residual)
     return RegressionTask(X=_frozen(X), y=_frozen(y), pinv_solution=_frozen(p),
@@ -177,13 +182,6 @@ def new_collection(tasks, w_star=None):
     return TaskCollection(tasks=tasks, d=d,
                           radius=max(t.spectral_norm for t in tasks),
                           w_star=w_star)
-
-
-def radius(collection):
-    """Largest spectral norm over the collection's data matrices."""
-    if not collection.tasks:
-        raise ValueError("empty collection")
-    return max(t.spectral_norm for t in collection.tasks)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from contreg.adversarial import any_alg_lb_collection, seen_task_lb_collection
 from contreg.metrics import average_loss
+from contreg.tasks import new_collection, new_task
 
 
 def test_seen_task_collection_structure():
@@ -66,7 +67,7 @@ def test_any_alg_probe_receives_replicas():
 
     def probe(tasks):
         seen["n"] = len(tasks)
-        seen["same"] = all(np.array_equal(t.X, tasks[0].X) for t in tasks)
+        seen["same"] = all(t is tasks[0] for t in tasks)
         return np.zeros(3)
 
     any_alg_lb_collection(6, 3, probe, probe_trials=1)
@@ -81,3 +82,21 @@ def test_any_alg_validation():
         any_alg_lb_collection(4, 2, probe, probe_trials=0)
     with pytest.raises(ValueError, match="length-2"):
         any_alg_lb_collection(4, 2, lambda tasks: np.zeros(3), probe_trials=1)
+
+
+def assert_same_as_distinct_copies(col):
+    distinct = new_collection([new_task(t.X, t.y) for t in col.tasks], w_star=col.w_star)
+    assert col.radius == distinct.radius
+    for field in ("V", "sigma", "target", "inv_sigma", "on_rank", "rest", "r2"):
+        assert_array_equal(getattr(col.row_bases, field),
+                           getattr(distinct.row_bases, field))
+
+
+@pytest.mark.parametrize("k", [16, 64])
+def test_scenario_replicas_are_one_shared_task(k):
+    for scenario in (seen_task_lb_collection(k, d=3),
+                     any_alg_lb_collection(k, 3, lambda tasks: np.zeros(3))):
+        col = scenario.collection
+        assert all(t is col.tasks[0] for t in col.tasks[:-1])
+        assert col.tasks[-1] is not col.tasks[0]
+        assert_same_as_distinct_copies(col)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -274,3 +275,85 @@ def test_fit_rejects_rows_of_different_sweeps(tmp_path, capsys):
     assert cli.main(["fit", str(mixed)]) == 1
     assert "rows mix 2 sweeps" in one_line_error(capsys)
     assert cli.main(["fit", str(a)]) == 0
+
+
+def test_overflowing_radius_is_rejected_before_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_batch", lambda *a, **kw: calls.append(a))
+    col_path = tmp_path / "col.json"
+    col_path.write_text(json.dumps({"tasks": [{"X": [[1e200]], "y": [1.0]},
+                                              {"X": [[1.0]], "y": [1.0]}]}))
+    for schedule in ({"kind": "increasing-coefficient"}, {"kind": "fixed-coefficient"},
+                     {"kind": "increasing-budget", "n_choice": 1},
+                     {"kind": "fixed-budget", "gamma": 0.5}):
+        code, path = run_cli_csv(tmp_path, schedule["kind"], base_config(
+            collection={"path": str(col_path)}, schedule=schedule, k_grid=[4, 8]))
+        assert code == 1 and not path.exists()
+        assert "R^2 is not finite" in one_line_error(capsys)
+    assert calls == []
+
+
+def test_write_csv_failure_keeps_the_earlier_file(tmp_path, monkeypatch):
+    rows = harness.run_experiment(harness.parse_config(base_config(trials=3)))
+    path = tmp_path / "out.csv"
+    harness.write_csv(rows, path)
+    before = path.read_bytes()
+    fmt, calls = harness._fmt, itertools.count()
+
+    def failing_fmt(value):  # fails in the second row
+        if next(calls) == len(harness.CSV_FIELDS) + 2:
+            raise OSError("disk full")
+        return fmt(value)
+
+    monkeypatch.setattr(harness, "_fmt", failing_fmt)
+    with pytest.raises(OSError, match="disk full"):
+        harness.write_csv(rows, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    missing = tmp_path / "missing" / "out.csv"
+    with pytest.raises(FileNotFoundError) as exc:
+        harness.write_csv(rows, missing)
+    assert exc.value.filename == str(missing)
+
+
+ACCEPTANCE_PAIRS = (("regularized", "fixed-coefficient", None),
+                    ("regularized", "increasing-coefficient", None),
+                    ("budgeted", "fixed-budget", {"gamma": 0.5}),
+                    ("budgeted", "increasing-budget", {"n_choice": 1}),
+                    ("unregularized", "none", None))
+
+
+def test_any_alg_mean_probing_once_matches_a_thousand_probes(monkeypatch):
+    def run(k, scheme, kind, params):
+        return harness.run_any_alg_mean(k, trials=50, base_seed=7, scheme=scheme,
+                                        schedule_kind=kind, schedule_params=params)
+
+    cases = [(k, *pair) for pair in ACCEPTANCE_PAIRS for k in (16, 64)]
+    once = [run(*case) for case in cases]
+    probed = harness.any_alg_lb_collection
+    monkeypatch.setattr(harness, "any_alg_lb_collection",
+                        lambda k, d, probe, probe_trials: probed(k, d, probe, 1000))
+    for case, rep in zip(cases, once):
+        # The whole report, adversary_sign and mean_excess included, bit for bit.
+        assert rep == run(*case)
+
+
+def test_any_alg_mean_probes_its_learner_once(monkeypatch):
+    calls = []
+    runner = harness.scheme_runner
+
+    def counting_runner(*args, **kwargs):
+        probe = runner(*args, **kwargs)
+
+        def counted(tasks):
+            calls.append(len(tasks))
+            return probe(tasks)
+
+        return counted
+
+    monkeypatch.setattr(harness, "scheme_runner", counting_runner)
+    for scheme, kind, params in ACCEPTANCE_PAIRS:
+        calls.clear()
+        harness.run_any_alg_mean(16, trials=10, base_seed=3, scheme=scheme,
+                                 schedule_kind=kind, schedule_params=params)
+        assert calls == [16]

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from contreg.tasks import (RealizableSpec, generate_aligned_pairs,
                            generate_realizable, min_norm_solution,
-                           new_collection, new_task, radius)
+                           new_collection, new_task)
 
 
 def grid_min_norm_least_squares(X, y, span=4.0, step=0.05):
@@ -58,18 +58,18 @@ def test_new_task_validation():
 
 def test_radius_examples():
     c = new_collection([new_task([[3.0]], [0.0])])
-    assert radius(c) == pytest.approx(3.0)
+    assert c.radius == pytest.approx(3.0)
     # singular value of a single row is its Euclidean norm
     c = new_collection([new_task([[1.0, 0.0]], [0.0]), new_task([[0.0, 2.0]], [0.0])])
-    assert radius(c) == pytest.approx(2.0)
+    assert c.radius == pytest.approx(2.0)
     c = new_collection([new_task(np.eye(2), [0.0, 0.0])])
-    assert radius(c) == pytest.approx(1.0)
+    assert c.radius == pytest.approx(1.0)
 
 
 def test_radius_invariant_under_smaller_append():
     big = new_task([[0.0, 2.0]], [0.0])
     small = new_task([[0.5, 0.0]], [0.0])
-    assert radius(new_collection([big])) == radius(new_collection([big, small]))
+    assert new_collection([big]).radius == new_collection([big, small]).radius
 
 
 def test_collection_dimension_check():
@@ -83,16 +83,36 @@ finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False,
                           allow_infinity=False)
 
 
+linear_systems = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda nd: st.tuples(arrays(np.float64, nd, elements=finite_floats),
+                         arrays(np.float64, nd[:1], elements=finite_floats)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_pinv_solution_satisfies_normal_equations(data):
-    n = data.draw(st.integers(1, 5))
-    d = data.draw(st.integers(1, 5))
-    X = data.draw(arrays(np.float64, (n, d), elements=finite_floats))
-    y = data.draw(arrays(np.float64, (n,), elements=finite_floats))
-    t = new_task(X, y)
+@given(linear_systems)
+# Ill-conditioned: the normal-equation residual is 4.3e-6, far above any
+# absolute bound, yet within the backward-error bound below.
+@example((np.array([[1.0, 2.0], [1e-10, 0.0]]), np.array([1.0, 1.0])))
+# All-subnormal data: 1/sigma overflows, so the task is rejected.
+@example((np.array([[2.2250738585e-313]]), np.array([9.0])))
+def test_pinv_solution_satisfies_normal_equations(system):
+    X, y = system
+    try:
+        t = new_task(X, y)
+    except ValueError as exc:
+        assert "underflow" in str(exc)
+        # Kept singular values are >= max(n, d) eps sigma_max, so X^+ y can
+        # overflow only when sigma_max itself is within eps of underflow.
+        assert np.linalg.norm(X, 2) < 1e-290
+        return
     residual = t.X @ t.pinv_solution - t.y
-    assert np.linalg.norm(t.X.T @ residual) <= 1e-8 * (1 + np.linalg.norm(y))
+    # A backward-stable least-squares solve leaves ||X^T r|| of order
+    # eps ||X|| (||X|| ||p|| + ||y||); 64 max(n, d) covers the dimension factors.
+    norm_x = np.linalg.norm(X, 2)
+    with np.errstate(over="ignore"):  # ||p|| squares past 1e308 near underflow
+        bound = (64 * max(X.shape) * np.finfo(np.float64).eps * norm_x
+                 * (norm_x * np.linalg.norm(t.pinv_solution) + np.linalg.norm(y)))
+    assert np.linalg.norm(t.X.T @ residual) <= bound
     assert t.min_loss >= 0
     assert t.min_loss == pytest.approx(0.5 * residual @ residual, rel=1e-12, abs=1e-15)
 
