@@ -16,7 +16,7 @@ import json
 import math
 import os
 import secrets
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,11 +26,12 @@ from .metrics import average_loss, summarize_batch
 from .orderings import (WITHOUT_REPLACEMENT, derived_seed, explicit_ordering,
                         sample_ordering, stream)
 from .schemes import SCHEME_KINDS, run_batch, run_continual
-from .surrogates import (build_budgeted_surrogate, build_regularized_surrogate,
-                         sandwich_check, value_and_grad)
+from .surrogates import (budgeted_spectral_map, build_budgeted_surrogate,
+                         build_regularized_surrogate, build_spectral_surrogate,
+                         from_matrix, sandwich_check, value_and_grad)
 from .tasks import (collection_from_dict, generate_aligned_pairs,
                     generate_realizable, min_norm_solution, new_collection,
-                    RealizableSpec)
+                    new_task, RealizableSpec)
 
 THREAD_ENV_VAR = "CONTREG_MAX_THREADS"
 
@@ -177,10 +178,7 @@ def build_schedule(schedule, R, k):
     else:
         raise ConfigError(f"unknown schedule kind: {kind!r}")
     if first:
-        spec = sched_mod.ScheduleSpec(
-            kind=spec.kind, k=spec.k, eta=spec.eta, lam=spec.lam,
-            gamma=spec.gamma, n_steps=spec.n_steps, unregularized_first=True,
-            meta=spec.meta)
+        spec = replace(spec, unregularized_first=True)
     return spec
 
 
@@ -463,83 +461,135 @@ class SuiteReport:
 SUITE_NAMES = ("reductions", "sandwich", "certificate", "schedules", "adversarial")
 
 
-def _random_realizable(rng, d_max=10):
-    d = int(rng.integers(2, d_max + 1))
-    M = int(rng.integers(2, 7))
-    n = int(rng.integers(1, d + 1))
-    return generate_realizable(RealizableSpec(
-        d=d, M=M, n=n, radius=float(rng.uniform(0.5, 3.0)),
-        seed=int(rng.integers(0, 2 ** 32))))
+# The checks below are the only copy of acceptance criteria 1, 2, 8 and 9; the
+# suites further down run them at smaller sizes on their own seeds.
+
+
+def _random_task(rng):
+    """A Gaussian task, d in 1..10 and n in 1..d+2 (inconsistent when n > d)."""
+    d = int(rng.integers(1, 11))
+    n = int(rng.integers(1, d + 3))
+    return new_task(rng.standard_normal((n, d)), rng.standard_normal(n))
+
+
+def reduction_gaps(rng, configs):
+    """How far each scheme strays from its surrogate-step twin, over random configs.
+
+    Each config is a realizable collection, an ordering of k = 100 steps and
+    random strengths.  Returns the worst regularized and budgeted deviations
+    as fractions of the tolerance 1e-8 (1 + ||w*||), and the worst change in
+    the igd-of-regularized iterates when the bookkeeping step size goes from
+    1 to 7 (their strengths fixed).
+    """
+    k = 100
+    worst_reg = worst_bud = worst_eta = 0.0
+    for _ in range(configs):
+        d = int(rng.integers(2, 11))
+        col = generate_realizable(RealizableSpec(
+            d=d, M=int(rng.integers(2, 7)), n=int(rng.integers(1, d + 1)),
+            radius=float(rng.uniform(0.5, 2.0)), seed=int(rng.integers(2 ** 32))))
+        order = sample_ordering("with-replacement", col.M, k,
+                                int(rng.integers(2 ** 32)))
+        tol = 1e-8 * (1.0 + float(np.linalg.norm(col.w_star)))
+
+        def gap(scheme_a, sched_a, scheme_b, sched_b):
+            a = run_continual(col, order, sched_a, scheme_a).iterates
+            b = run_continual(col, order, sched_b, scheme_b).iterates
+            return float(np.abs(a - b).max())
+
+        lam = rng.uniform(1e-2, 1e2, k)
+        sched = sched_mod.custom_schedule(k, lam=lam, eta=rng.uniform(1e-2, 1e1, k))
+        worst_reg = max(worst_reg, gap("regularized", sched,
+                                       "igd-of-regularized", sched) / tol)
+        sched = sched_mod.custom_schedule(
+            k, gamma=rng.uniform(1e-4, 0.9 / col.radius ** 2, k),
+            n_steps=rng.integers(1, 11, k), eta=rng.uniform(1e-2, 1e1, k))
+        worst_bud = max(worst_bud, gap("budgeted", sched, "igd-of-budgeted", sched) / tol)
+        worst_eta = max(worst_eta, gap(
+            "igd-of-regularized", sched_mod.custom_schedule(k, lam=lam, eta=np.ones(k)),
+            "igd-of-regularized", sched_mod.custom_schedule(k, lam=lam, eta=np.full(k, 7.0))))
+    return worst_reg, worst_bud, worst_eta
+
+
+def sandwich_failures(rng, triples):
+    """Count random (task, surrogate, w) triples that break the excess-loss sandwich."""
+    failures = 0
+    for _ in range(triples):
+        task = _random_task(rng)
+        w = rng.standard_normal(task.d) * float(rng.uniform(0.1, 10.0))
+        if rng.random() < 0.5 or task.spectral_norm == 0:
+            s = build_regularized_surrogate(task, float(rng.uniform(1e-2, 1e2)),
+                                            float(rng.uniform(1e-2, 1e1)))
+        else:
+            s = build_budgeted_surrogate(
+                task, float(rng.uniform(1e-3, 0.9)) / task.spectral_norm ** 2,
+                int(rng.integers(1, 11)), float(rng.uniform(1e-2, 1e1)))
+        rep = sandwich_check(s, task, w)
+        if not (rep.lower_ok and rep.upper_ok):
+            failures += 1
+    return failures
+
+
+def certificate_failures():
+    """(k, beta) pairs, k in 2..500 and beta in {0.5, 1, 4}, whose weight
+    certificate fails at eta = 3 / (13 beta)."""
+    return [(k, beta) for beta in (0.5, 1.0, 4.0) for k in range(2, 501)
+            if not sched_mod.certificate_check(k, beta, 3.0 / (13.0 * beta)).passed]
+
+
+def gradient_error(seed, draws):
+    """Worst relative error of surrogate gradients against central differences.
+
+    One task (d = 6, four rows) from the streams (seed, 90) and (seed, 91)
+    backs a regularized, a budgeted, a spectral and a verbatim surrogate;
+    each is checked at ``draws`` points from the stream (seed, 9).
+    """
+    d = 6
+    task = new_task(stream(seed, 90).standard_normal((4, d)),
+                    stream(seed, 91).standard_normal(4))
+    gamma = 0.4 / task.spectral_norm ** 2
+    kinds = (
+        build_regularized_surrogate(task, 2.0, 0.7),
+        build_budgeted_surrogate(task, gamma, 4, 0.7),
+        build_spectral_surrogate(task, budgeted_spectral_map(gamma, 2, 1.3), 1.3),
+        from_matrix(np.diag([0.5, 1.0, 2.0, 0.1, 3.0, 0.0]), np.arange(d, dtype=float)),
+    )
+    rng = stream(seed, 9)
+    h = 1e-6
+    worst = 0.0
+    for s in kinds:
+        for _ in range(draws):
+            w = rng.standard_normal(d) * float(rng.uniform(0.5, 3.0))
+            _, grad = value_and_grad(s, w)
+            for j in range(d):
+                e = np.zeros(d)
+                e[j] = h
+                fd = (value_and_grad(s, w + e)[0] - value_and_grad(s, w - e)[0]) / (2 * h)
+                worst = max(worst, abs(fd - grad[j]) / (1.0 + abs(grad[j])))
+    return worst
 
 
 def _suite_reductions(seed):
-    rng = stream(seed, 101)
-    checks = []
-    worst_reg = worst_bud = worst_eta = 0.0
-    configs = 20
-    k = 100
-    for _ in range(configs):
-        col = _random_realizable(rng)
-        tol = 1e-8 * (1.0 + float(np.linalg.norm(col.w_star)))
-        order = sample_ordering("with-replacement", col.M, k,
-                                int(rng.integers(0, 2 ** 32)))
-        lam = rng.uniform(1e-2, 1e2, size=k)
-        eta = rng.uniform(1e-2, 1e1, size=k)
-        sched_reg = sched_mod.custom_schedule(k, lam=lam, eta=eta)
-        a = run_continual(col, order, sched_reg, "regularized")
-        b = run_continual(col, order, sched_reg, "igd-of-regularized")
-        worst_reg = max(worst_reg, float(np.abs(a.iterates - b.iterates).max()) / tol)
-
-        n_steps = rng.integers(1, 11, size=k)
-        gamma = rng.uniform(1e-6, 0.9 / col.radius ** 2, size=k)
-        sched_bud = sched_mod.custom_schedule(k, gamma=gamma, n_steps=n_steps, eta=eta)
-        a = run_continual(col, order, sched_bud, "budgeted")
-        b = run_continual(col, order, sched_bud, "igd-of-budgeted")
-        worst_bud = max(worst_bud, float(np.abs(a.iterates - b.iterates).max()) / tol)
-
-        sched1 = sched_mod.custom_schedule(k, lam=lam, eta=np.ones(k))
-        sched7 = sched_mod.custom_schedule(k, lam=lam, eta=np.full(k, 7.0))
-        a = run_continual(col, order, sched1, "igd-of-regularized")
-        b = run_continual(col, order, sched7, "igd-of-regularized")
-        worst_eta = max(worst_eta, float(np.abs(a.iterates - b.iterates).max()))
-    checks.append(CheckResult(
-        "regularized scheme matches its surrogate-step twin",
-        worst_reg <= 1.0, f"worst deviation {worst_reg:.3e} of tolerance"))
-    checks.append(CheckResult(
-        "budgeted scheme matches its surrogate-step twin",
-        worst_bud <= 1.0, f"worst deviation {worst_bud:.3e} of tolerance"))
-    checks.append(CheckResult(
-        "surrogate iterates invariant to bookkeeping step size",
-        worst_eta <= 1e-12, f"worst deviation {worst_eta:.3e}"))
-    return checks
+    worst_reg, worst_bud, worst_eta = reduction_gaps(stream(seed, 101), 20)
+    return [
+        CheckResult("regularized scheme matches its surrogate-step twin",
+                    worst_reg <= 1.0, f"worst deviation {worst_reg:.3e} of tolerance"),
+        CheckResult("budgeted scheme matches its surrogate-step twin",
+                    worst_bud <= 1.0, f"worst deviation {worst_bud:.3e} of tolerance"),
+        CheckResult("surrogate iterates invariant to bookkeeping step size",
+                    worst_eta <= 1e-12, f"worst deviation {worst_eta:.3e}"),
+    ]
 
 
 def _suite_sandwich(seed):
     rng = stream(seed, 102)
-    failures = 0
-    total = 200
-    for _ in range(total):
-        col = _random_realizable(rng, d_max=8)
-        task = col.tasks[int(rng.integers(0, col.M))]
-        w = rng.standard_normal(col.d) * rng.uniform(0.1, 10)
-        if rng.random() < 0.5:
-            s = build_regularized_surrogate(task, float(rng.uniform(1e-2, 1e2)),
-                                            float(rng.uniform(1e-2, 1e1)))
-        else:
-            r2 = task.spectral_norm ** 2
-            s = build_budgeted_surrogate(task, float(rng.uniform(1e-6, 0.9 / max(r2, 1e-12))),
-                                         int(rng.integers(1, 11)),
-                                         float(rng.uniform(1e-2, 1e1)))
-        rep = sandwich_check(s, task, w)
-        if not (rep.lower_ok and rep.upper_ok):
-            failures += 1
+    failures = sandwich_failures(rng, 200)
     checks = [CheckResult("two-sided excess-loss bounds hold",
-                          failures == 0, f"{failures}/{total} triples failed")]
+                          failures == 0, f"{failures}/200 triples failed")]
 
     worst = 0.0
     for _ in range(50):
-        col = _random_realizable(rng, d_max=8)
-        task = col.tasks[0]
+        task = _random_task(rng)
         r2 = task.spectral_norm ** 2
         eta = float(rng.uniform(1e-2, 1e1))
         s = build_regularized_surrogate(task, 1.0 / eta, eta)
@@ -555,33 +605,15 @@ def _suite_sandwich(seed):
         "upper constant obeys R^2/beta <= 1 + eta R^2 at the tied settings",
         worst <= 1e-9, f"worst slack {worst:.3e}"))
 
-    worst_fd = 0.0
-    for _ in range(20):
-        col = _random_realizable(rng, d_max=6)
-        task = col.tasks[0]
-        s = build_regularized_surrogate(task, 1.0, 1.0)
-        w = rng.standard_normal(col.d)
-        _, g = value_and_grad(s, w)
-        h = 1e-6
-        for j in range(col.d):
-            e = np.zeros(col.d)
-            e[j] = h
-            fp, _ = value_and_grad(s, w + e)
-            fm, _ = value_and_grad(s, w - e)
-            fd = (fp - fm) / (2 * h)
-            worst_fd = max(worst_fd, abs(fd - g[j]) / (1.0 + abs(g[j])))
-    checks.append(CheckResult("gradients match central finite differences",
+    worst_fd = gradient_error(seed, 5)
+    checks.append(CheckResult("gradients match central finite differences "
+                              "(all surrogate kinds)",
                               worst_fd <= 1e-6, f"worst relative error {worst_fd:.3e}"))
     return checks
 
 
 def _suite_certificate(_seed):
-    failures = []
-    for beta in (0.5, 1.0, 4.0):
-        for k in range(2, 501):
-            rep = sched_mod.certificate_check(k, beta, 3.0 / (13.0 * beta))
-            if not rep.passed:
-                failures.append((k, beta))
+    failures = certificate_failures()
     return [CheckResult("weight certificate nonnegative with c_k >= eta/k "
                         "for k in 2..500, beta in {0.5, 1, 4}",
                         not failures, f"failures: {failures[:5]}")]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import task_loss
 from .surrogates import (BUDGETED, REGULARIZED, build_budgeted_surrogate,
                          build_regularized_surrogate)
 
@@ -76,24 +75,12 @@ def igd_step(w, surrogate, eta):
     return w - eta * (surrogate.A @ (w - surrogate.anchor))
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Bookkeeping for one continual step (1-based task index)."""
-
-    task: int
-    params: tuple
-    eta: float
-    loss_before: float
-    loss_after: float
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Iterates w_0..w_k plus the realized ordering and per-step records."""
+    """Iterates w_0..w_k plus the realized ordering."""
 
     iterates: np.ndarray
     ordering: np.ndarray
-    per_step: tuple
     scheme: str
 
     @property
@@ -152,38 +139,28 @@ def run_continual(collection, ordering, schedule, scheme, w0=None):
     skip_first = schedule is not None and schedule.unregularized_first
     iterates = np.empty((k + 1, collection.d))
     iterates[0] = w
-    records = []
     for t in range(1, k + 1):
-        m = int(idx[t - 1])
-        task = collection.tasks[m - 1]
-        before = task_loss(w, task)
-        params = ()
-        eta = 1.0
+        task = collection.tasks[int(idx[t - 1]) - 1]
         if scheme == UNREGULARIZED or (t == 1 and skip_first):
             w = unregularized_step(w, task)
         elif scheme == REGULARIZED:
-            params = (float(schedule.lam[t - 1]),)
-            w = regularized_step(w, task, params[0])
+            w = regularized_step(w, task, float(schedule.lam[t - 1]))
         elif scheme == BUDGETED:
-            params = (float(schedule.gamma[t - 1]), int(schedule.n_steps[t - 1]))
-            w = budgeted_step(w, task, *params)
+            w = budgeted_step(w, task, float(schedule.gamma[t - 1]),
+                              int(schedule.n_steps[t - 1]))
         elif scheme == IGD_REGULARIZED:
-            params = (float(schedule.lam[t - 1]),)
             eta = float(schedule.eta[t - 1])
-            s = build_regularized_surrogate(task, params[0], eta)
+            s = build_regularized_surrogate(task, float(schedule.lam[t - 1]), eta)
             w = igd_step(w, s, eta)
         else:  # IGD_BUDGETED
-            params = (float(schedule.gamma[t - 1]), int(schedule.n_steps[t - 1]))
             eta = float(schedule.eta[t - 1])
-            s = build_budgeted_surrogate(task, params[0], params[1], eta)
+            s = build_budgeted_surrogate(task, float(schedule.gamma[t - 1]),
+                                         int(schedule.n_steps[t - 1]), eta)
             w = igd_step(w, s, eta)
         iterates[t] = w
-        records.append(StepRecord(task=m, params=params, eta=eta,
-                                  loss_before=before, loss_after=task_loss(w, task)))
 
     iterates.flags.writeable = False
-    return Trajectory(iterates=iterates, ordering=idx, per_step=tuple(records),
-                      scheme=scheme)
+    return Trajectory(iterates=iterates, ordering=idx, scheme=scheme)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .metrics import task_loss
+from .metrics import excess_loss
 
 REGULARIZED = "regularized"
 BUDGETED = "budgeted"
@@ -170,7 +170,7 @@ def sandwich_check(surrogate, task, w, collection_radius=None):
     else:
         raise ValueError(f"no excess-loss constants defined for kind {kind!r}")
     value, _ = value_and_grad(surrogate, w)
-    excess = task_loss(w, task) - task.min_loss
+    excess = excess_loss(w, task)
     r = collection_radius if collection_radius is not None else task.spectral_norm
     upper = (r * r / surrogate.beta) * value if surrogate.beta > 0 else 0.0
     lower = c_low * value

@@ -13,6 +13,24 @@ _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
 
+def _rcond(shape):
+    """pinv's rank cutoff relative to sigma_max: singular values at or below
+    max(n, d) * eps * sigma_max count as zero."""
+    return max(shape) * _EPS
+
+
+def _min_norm_lstsq(X, y):
+    """X^+ y from one SVD, as V_r ((U_r^T y) / sigma_r) over pinv's rank r.
+
+    Applying the factors to y is backward stable; forming X^+ and then
+    multiplying is not when y is nearly orthogonal to the smallest kept
+    singular direction.
+    """
+    U, sigma, Vt = np.linalg.svd(X, full_matrices=False)
+    r = int(np.count_nonzero(sigma > _rcond(X.shape) * sigma.max()))
+    return Vt[:r].T @ ((U[:, :r].T @ y) / sigma[:r])
+
+
 def _frozen(a):
     a = np.asarray(a, dtype=np.float64).copy()
     a.flags.writeable = False
@@ -62,7 +80,7 @@ class RegressionTask:
 
     @cached_property
     def pinv(self):
-        return _frozen(np.linalg.pinv(self.X, rcond=max(self.X.shape) * _EPS))
+        return _frozen(np.linalg.pinv(self.X, rcond=_rcond(self.X.shape)))
 
     @cached_property
     def row_basis(self):
@@ -80,7 +98,7 @@ class RegressionTask:
         """
         U, sigma, Vt = np.linalg.svd(self.X, full_matrices=False)
         q = int(np.count_nonzero(sigma > _TINY))
-        rank = min(q, int(np.count_nonzero(sigma > max(self.X.shape) * _EPS * sigma.max())))
+        rank = min(q, int(np.count_nonzero(sigma > _rcond(self.X.shape) * sigma.max())))
         target = U[:, :q].T @ self.y
         off_range = self.y - U[:, :q] @ target
         return (_frozen(Vt[:q]), _frozen(sigma[:q]), _frozen(target), rank,
@@ -102,12 +120,11 @@ def new_task(X, y):
         raise ValueError(f"row count mismatch: X has {n} rows, y has {y.shape[0]} entries")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("task data contains non-finite entries")
-    # Rank decision: singular values below max(n, d) * eps * sigma_max are zero.
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.linalg.pinv(X, rcond=max(n, d) * _EPS) @ y
+        p = _min_norm_lstsq(X, y)
     if not np.all(np.isfinite(p)):
         # Only data within eps of underflow get here (e.g. all-subnormal X):
-        # 1/sigma overflows.
+        # (U^T y) / sigma overflows.
         raise ValueError("task data too close to underflow: X^+ y is not finite")
     residual = X @ p - y
     min_loss = 0.5 * float(residual @ residual)
@@ -258,7 +275,7 @@ def min_norm_solution(collection):
     """Minimum-norm least-squares solution of the stacked system."""
     X = np.vstack([t.X for t in collection.tasks])
     y = np.concatenate([t.y for t in collection.tasks])
-    return np.linalg.pinv(X, rcond=max(X.shape) * _EPS) @ y
+    return _min_norm_lstsq(X, y)
 
 
 def collection_to_dict(collection):

@@ -14,14 +14,7 @@ import numpy as np
 import pytest
 
 from contreg import harness
-from contreg.orderings import sample_ordering, stream
-from contreg.schedules import certificate_check, custom_schedule
-from contreg.schemes import run_continual
-from contreg.surrogates import (budgeted_spectral_map, build_budgeted_surrogate,
-                                build_regularized_surrogate,
-                                build_spectral_surrogate, from_matrix,
-                                sandwich_check, value_and_grad)
-from contreg.tasks import RealizableSpec, generate_realizable, new_task
+from contreg.orderings import stream
 
 K_GRID = [64, 128, 256, 512, 1024]
 TRIALS = 200
@@ -68,27 +61,8 @@ def sweep():
 def test_criterion_1_reduction_equivalence():
     rng = stream(BASE_SEED, 1)
     t0 = time.perf_counter()
-    k = 100
-    worst = 0.0
-    for _ in range(50):
-        d = int(rng.integers(2, 11))
-        col = generate_realizable(RealizableSpec(
-            d=d, M=int(rng.integers(2, 7)), n=int(rng.integers(1, d + 1)),
-            radius=float(rng.uniform(0.5, 2.0)), seed=int(rng.integers(2 ** 32))))
-        order = sample_ordering("with-replacement", col.M, k,
-                                int(rng.integers(2 ** 32)))
-        tol = 1e-8 * (1.0 + float(np.linalg.norm(col.w_star)))
-        sched = custom_schedule(k, lam=rng.uniform(1e-2, 1e2, k),
-                                eta=rng.uniform(1e-2, 1e1, k))
-        a = run_continual(col, order, sched, "regularized")
-        b = run_continual(col, order, sched, "igd-of-regularized")
-        worst = max(worst, float(np.abs(a.iterates - b.iterates).max()) / tol)
-        sched = custom_schedule(k, gamma=rng.uniform(1e-4, 0.9 / col.radius ** 2, k),
-                                n_steps=rng.integers(1, 11, k),
-                                eta=rng.uniform(1e-2, 1e1, k))
-        a = run_continual(col, order, sched, "budgeted")
-        b = run_continual(col, order, sched, "igd-of-budgeted")
-        worst = max(worst, float(np.abs(a.iterates - b.iterates).max()) / tol)
+    worst_reg, worst_bud, _ = harness.reduction_gaps(rng, 50)
+    worst = max(worst_reg, worst_bud)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1.0 and elapsed <= 10.0
     assert report(1, "reduction equivalence", ok,
@@ -99,22 +73,7 @@ def test_criterion_1_reduction_equivalence():
 def test_criterion_2_sandwich_inequalities():
     rng = stream(BASE_SEED, 2)
     t0 = time.perf_counter()
-    failures = 0
-    for _ in range(1000):
-        d = int(rng.integers(1, 11))
-        n = int(rng.integers(1, d + 3))
-        task = new_task(rng.standard_normal((n, d)), rng.standard_normal(n))
-        w = rng.standard_normal(d) * float(rng.uniform(0.1, 10.0))
-        if rng.random() < 0.5 or task.spectral_norm == 0:
-            s = build_regularized_surrogate(task, float(rng.uniform(1e-2, 1e2)),
-                                            float(rng.uniform(1e-2, 1e1)))
-        else:
-            s = build_budgeted_surrogate(
-                task, float(rng.uniform(1e-3, 0.9)) / task.spectral_norm ** 2,
-                int(rng.integers(1, 11)), float(rng.uniform(1e-2, 1e1)))
-        rep = sandwich_check(s, task, w)
-        if not (rep.lower_ok and rep.upper_ok):
-            failures += 1
+    failures = harness.sandwich_failures(rng, 1000)
     elapsed = time.perf_counter() - t0
     ok = failures == 0 and elapsed <= 5.0
     assert report(2, "sandwich inequalities", ok,
@@ -204,12 +163,7 @@ def test_criterion_7_any_algorithm_lower_bound():
 
 def test_criterion_8_certificate_grid():
     t0 = time.perf_counter()
-    failures = []
-    for beta in (0.5, 1.0, 4.0):
-        for k in range(2, 501):
-            rep = certificate_check(k, beta, 3.0 / (13.0 * beta))
-            if not rep.passed:
-                failures.append((k, beta))
+    failures = harness.certificate_failures()
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed <= 2.0
     assert report(8, "step-size weight certificate", ok,
@@ -217,38 +171,8 @@ def test_criterion_8_certificate_grid():
 
 
 def test_criterion_9_gradient_consistency():
-    rng = stream(BASE_SEED, 9)
     t0 = time.perf_counter()
-    worst = 0.0
-
-    def fd_worst(surrogate, d):
-        out = 0.0
-        for _ in range(10):
-            w = rng.standard_normal(d) * float(rng.uniform(0.5, 3.0))
-            _, grad = value_and_grad(surrogate, w)
-            h = 1e-6
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = h
-                fd = (value_and_grad(surrogate, w + e)[0]
-                      - value_and_grad(surrogate, w - e)[0]) / (2 * h)
-                out = max(out, abs(fd - grad[j]) / (1.0 + abs(grad[j])))
-        return out
-
-    d = 6
-    task = new_task(stream(BASE_SEED, 90).standard_normal((4, d)),
-                    stream(BASE_SEED, 91).standard_normal(4))
-    gamma = 0.4 / task.spectral_norm ** 2
-    kinds = {
-        "regularized": build_regularized_surrogate(task, 2.0, 0.7),
-        "budgeted": build_budgeted_surrogate(task, gamma, 4, 0.7),
-        "spectral": build_spectral_surrogate(
-            task, budgeted_spectral_map(gamma, 2, 1.3), 1.3),
-        "verbatim": from_matrix(np.diag([0.5, 1.0, 2.0, 0.1, 3.0, 0.0]),
-                                np.arange(d, dtype=float)),
-    }
-    for kind, s in kinds.items():
-        worst = max(worst, fd_worst(s, d))
+    worst = harness.gradient_error(BASE_SEED, 10)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed <= 1.0
     assert report(9, "gradient consistency (all surrogate kinds)", ok,

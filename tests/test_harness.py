@@ -168,7 +168,8 @@ def test_cli_run_fit_verify(tmp_path):
     summary = json.loads(fit_path.read_text())
     assert summary["n_points"] == 3
     assert len(summary["points"]) == 3
-    assert cli.main(["verify", "--suite", "certificate"]) == 0
+    for suite in harness.SUITE_NAMES:
+        assert cli.main(["verify", "--suite", suite]) == 0, suite
 
 
 def test_cli_validation_errors(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import optimize
 
-from contreg.metrics import average_loss
+from contreg.metrics import average_loss, task_loss
 from contreg.orderings import explicit_ordering, sample_ordering, stream
 from contreg.schedules import custom_schedule, increasing_budget, increasing_coefficient
 from contreg.schemes import (budgeted_step, igd_step, regularized_step,
@@ -190,15 +190,15 @@ def test_unregularized_first_flag():
     assert_allclose(traj.iterates[2], later, atol=1e-14)
 
 
-def test_per_step_records():
+def test_regularized_step_never_raises_its_task_loss():
     col = generate_realizable(RealizableSpec(d=3, M=2, n=1, radius=1.0, seed=13))
     k = 4
     order = explicit_ordering([2, 1, 2, 2], 2)
-    sched = increasing_coefficient(col.radius, k)
-    traj = run_continual(col, order, sched, "regularized")
-    assert [r.task for r in traj.per_step] == [2, 1, 2, 2]
-    assert all(r.loss_after <= r.loss_before + 1e-15 for r in traj.per_step)
-    assert traj.per_step[0].params == (float(sched.lam[0]),)
+    traj = run_continual(col, order, increasing_coefficient(col.radius, k), "regularized")
+    assert traj.ordering.tolist() == [2, 1, 2, 2]
+    for t, m in enumerate(traj.ordering, start=1):
+        task = col.tasks[m - 1]
+        assert task_loss(traj.iterates[t], task) <= task_loss(traj.iterates[t - 1], task) + 1e-15
 
 
 def test_run_continual_validation():

@@ -93,6 +93,11 @@ linear_systems = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 # Ill-conditioned: the normal-equation residual is 4.3e-6, far above any
 # absolute bound, yet within the backward-error bound below.
 @example((np.array([[1.0, 2.0], [1e-10, 0.0]]), np.array([1.0, 1.0])))
+# Near-duplicate rows with y nearly orthogonal to the smallest singular
+# direction: forming X^+ and then multiplying by y leaves 5.6e7 times the
+# backward-error scale here; applying the SVD factors to y leaves 0.27.
+@example((np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.000000001], [4.0, 5.0, 7.0]]),
+          np.array([1.0, 1.0, 2.0])))
 # All-subnormal data: 1/sigma overflows, so the task is rejected.
 @example((np.array([[2.2250738585e-313]]), np.array([9.0])))
 def test_pinv_solution_satisfies_normal_equations(system):
