@@ -64,6 +64,29 @@ class ExperimentConfig:
     out: str | None = None
 
 
+# Typed config fields, wherever they appear: JSON type(s) and how to name them.
+_INT, _REAL = ((int,), "an integer"), ((int, float), "a finite number")
+_FIELD_TYPES = {**dict.fromkeys(("d", "M", "n", "pairs", "seed", "n_choice", "trials",
+                                 "base_seed"), _INT),
+                **dict.fromkeys(("radius", "angle", "gamma"), _REAL),
+                "path": ((str,), "a string"), "out": ((str,), "a string"),
+                "unregularized_first": ((bool,), "true or false")}
+
+
+def _check_types(fields, where, skip=()):
+    """Reject a typed field of the wrong JSON type (bools are not numbers)."""
+    for name, value in fields.items():
+        if name not in _FIELD_TYPES or name in skip:
+            continue
+        types, what = _FIELD_TYPES[name]
+        try:
+            ok = type(value) in types and (float not in types or math.isfinite(value))
+        except OverflowError:  # an int too large for a float
+            ok = False
+        if not ok:
+            raise ConfigError(f"{where} field {name!r} must be {what}, got {value!r:.40}")
+
+
 def _require_keys(d, required, optional, where):
     unknown = set(d) - set(required) - set(optional)
     if unknown:
@@ -95,6 +118,7 @@ def parse_config(data):
                           ["generator"], "collection")
         else:
             raise ConfigError(f"unknown collection generator: {gen!r}")
+    _check_types(col, "collection")
 
     if data["scheme"] not in SCHEME_KINDS:
         raise ConfigError(f"unknown scheme kind: {data['scheme']!r}")
@@ -103,7 +127,7 @@ def parse_config(data):
     if not isinstance(sch, dict) or "kind" not in sch:
         raise ConfigError("schedule must be an object with a 'kind' field")
     kind = sch["kind"]
-    if kind not in _SCHEDULE_KINDS:
+    if not isinstance(kind, str) or kind not in _SCHEDULE_KINDS:
         raise ConfigError(f"unknown schedule kind: {kind!r}")
     allowed = set(_SCHEDULE_KINDS[kind]) | {"kind", "unregularized_first"}
     unknown = set(sch) - allowed
@@ -111,24 +135,27 @@ def parse_config(data):
         raise ConfigError(f"unknown schedule fields for {kind!r}: {sorted(unknown)}")
     if kind == "fixed-budget" and "gamma" not in sch:
         raise ConfigError("fixed-budget schedule needs 'gamma'")
+    # A custom schedule's strengths are per-step arrays.
+    _check_types(sch, "schedule", skip=_SCHEDULE_KINDS["custom"] if kind == "custom" else ())
 
     if data["ordering"] not in _ORDERING_KINDS:
         raise ConfigError(f"unknown ordering kind: {data['ordering']!r}")
 
     k_grid = data["k_grid"]
     if (not isinstance(k_grid, (list, tuple)) or not k_grid
-            or any(not isinstance(k, int) or k < 1 for k in k_grid)
+            or any(type(k) is not int or k < 1 for k in k_grid)
             or any(b <= a for a, b in zip(k_grid, k_grid[1:]))):
         raise ConfigError("k_grid must be a nonempty strictly increasing list "
                           "of positive integers")
     if kind == "custom" and len(k_grid) != 1:
         raise ConfigError("custom schedules support a single-k grid only")
 
+    _check_types(data, "config")
     trials = data["trials"]
-    if not isinstance(trials, int) or trials < 1:
+    if trials < 1:
         raise ConfigError("trials must be an integer >= 1")
     base_seed = data["base_seed"]
-    if not isinstance(base_seed, int) or base_seed < 0:
+    if base_seed < 0:
         raise ConfigError("base_seed must be a nonnegative integer (up to 64 bits)")
 
     return ExperimentConfig(
@@ -310,19 +337,26 @@ def write_csv(rows, path):
         raise
 
 
+# How to read each of CSV_FIELDS.
+_CSV_PARSERS = (str, str, str, int, int, float, int, int, int, float, float, float, float)
+
+
 def read_csv(path):
+    """Rows of a ``write_csv`` file; a malformed file raises ValueError naming the line."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        if next(reader, None) != list(CSV_FIELDS):
+            raise ValueError(f"{path}, line 1: header is not {','.join(CSV_FIELDS)}")
         rows = []
         for rec in reader:
-            rows.append(ResultRow(
-                scheme=rec["scheme"], schedule=rec["schedule"],
-                ordering=rec["ordering"], M=int(rec["M"]), d=int(rec["d"]),
-                R=float(rec["R"]), k=int(rec["k"]), trial=int(rec["trial"]),
-                seed=int(rec["seed"]), avg_loss=float(rec["avg_loss"]),
-                seen_loss=float(rec["seen_loss"]),
-                degradation=float(rec["degradation"]),
-                dist_to_wstar=float(rec["dist_to_wstar"])))
+            where = f"{path}, line {reader.line_num}"
+            if len(rec) != len(CSV_FIELDS):
+                raise ValueError(f"{where}: expected {len(CSV_FIELDS)} fields, got {len(rec)}")
+            try:
+                rows.append(ResultRow(**{name: parse(v) for name, parse, v
+                                         in zip(CSV_FIELDS, _CSV_PARSERS, rec)}))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return rows
 
 

@@ -45,11 +45,19 @@ def budgeted_spectral_map(gamma, n_steps, eta):
 
 
 def _spectral_matrix(task, g):
-    xi, V = task.gram_eigh
-    A = (V * np.asarray(g(xi), dtype=np.float64)) @ V.T
+    """A = V^T diag(g(sigma^2)) V from the task's SVD; g(0) = 0 off the row space."""
+    V, sigma, *_ = task.row_basis
+    A = (V.T * np.asarray(g(sigma * sigma), dtype=np.float64)) @ V
     A = 0.5 * (A + A.T)  # re-symmetrize after the congruence
     A.flags.writeable = False
     return A
+
+
+def _surrogate(task, g, kind, params):
+    """The surrogate of spectral map g: A from ``_spectral_matrix``, beta = g(R_m^2)."""
+    return SurrogateQuadratic(A=_spectral_matrix(task, g), anchor=task.pinv_solution,
+                              beta=float(g(task.spectral_norm ** 2)), kind=kind,
+                              params=params)
 
 
 def build_regularized_surrogate(task, lam, eta):
@@ -58,14 +66,8 @@ def build_regularized_surrogate(task, lam, eta):
         raise ValueError(f"regularization coefficient must be positive, got {lam}")
     if not eta > 0:
         raise ValueError(f"step size must be positive, got {eta}")
-    r2 = task.spectral_norm ** 2
-    return SurrogateQuadratic(
-        A=_spectral_matrix(task, regularized_spectral_map(lam, eta)),
-        anchor=task.pinv_solution,
-        beta=(r2 / (r2 + lam)) / eta,
-        kind=REGULARIZED,
-        params={"lam": float(lam), "eta": float(eta)},
-    )
+    return _surrogate(task, regularized_spectral_map(lam, eta), REGULARIZED,
+                      {"lam": float(lam), "eta": float(eta)})
 
 
 def build_budgeted_surrogate(task, gamma, n_steps, eta):
@@ -79,13 +81,8 @@ def build_budgeted_surrogate(task, gamma, n_steps, eta):
     if not (gamma > 0 and gamma * r2 < 1):
         raise ValueError(f"inner step size must satisfy 0 < gamma * R_m^2 < 1, "
                          f"got gamma={gamma}, R_m^2={r2}")
-    return SurrogateQuadratic(
-        A=_spectral_matrix(task, budgeted_spectral_map(gamma, n_steps, eta)),
-        anchor=task.pinv_solution,
-        beta=(1.0 - (1.0 - gamma * r2) ** n_steps) / eta,
-        kind=BUDGETED,
-        params={"gamma": float(gamma), "n_steps": n_steps, "eta": float(eta)},
-    )
+    return _surrogate(task, budgeted_spectral_map(gamma, n_steps, eta), BUDGETED,
+                      {"gamma": float(gamma), "n_steps": n_steps, "eta": float(eta)})
 
 
 def build_spectral_surrogate(task, g: Callable, eta, gprime0=None):
@@ -99,14 +96,7 @@ def build_spectral_surrogate(task, g: Callable, eta, gprime0=None):
         raise ValueError("spectral map must vanish at zero")
     if not eta > 0:
         raise ValueError(f"step size must be positive, got {eta}")
-    r2 = task.spectral_norm ** 2
-    return SurrogateQuadratic(
-        A=_spectral_matrix(task, g),
-        anchor=task.pinv_solution,
-        beta=float(g(r2)),
-        kind=SPECTRAL,
-        params={"g": g, "eta": float(eta), "gprime0": gprime0},
-    )
+    return _surrogate(task, g, SPECTRAL, {"g": g, "eta": float(eta), "gprime0": gprime0})
 
 
 def from_matrix(A, anchor, eta=1.0):

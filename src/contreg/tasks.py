@@ -19,15 +19,22 @@ def _rcond(shape):
     return max(shape) * _EPS
 
 
-def _min_norm_lstsq(X, y):
-    """X^+ y from one SVD, as V_r ((U_r^T y) / sigma_r) over pinv's rank r.
+def _svd(X):
+    """Thin SVD ``(U, sigma, Vt, r)`` of X, frozen in place; pinv keeps sigma[:r]."""
+    U, sigma, Vt = np.linalg.svd(X, full_matrices=False)
+    for a in (U, sigma, Vt):
+        a.flags.writeable = False
+    return U, sigma, Vt, int(np.count_nonzero(sigma > _rcond(X.shape) * sigma.max()))
+
+
+def _min_norm_lstsq(svd, y):
+    """X^+ y from X's ``_svd``, as V_r ((U_r^T y) / sigma_r).
 
     Applying the factors to y is backward stable; forming X^+ and then
     multiplying is not when y is nearly orthogonal to the smallest kept
     singular direction.
     """
-    U, sigma, Vt = np.linalg.svd(X, full_matrices=False)
-    r = int(np.count_nonzero(sigma > _rcond(X.shape) * sigma.max()))
+    U, sigma, Vt, r = svd
     return Vt[:r].T @ ((U[:, :r].T @ y) / sigma[:r])
 
 
@@ -41,38 +48,30 @@ def _frozen(a):
 class RegressionTask:
     """One linear regression task with cached least-squares quantities.
 
-    ``pinv_solution`` is the minimum-norm least-squares solution X^+ y and
-    ``min_loss`` the squared residual 0.5 * ||X pinv_solution - y||^2 at that
-    point.  Immutable after construction; safe to share across threads.
+    ``svd`` is the thin SVD ``(U, sigma, Vt, r)``, r the rank above pinv's
+    cutoff, and the task's only decomposition: ``pinv_solution`` (X^+ y),
+    ``spectral_norm``, ``pinv`` and ``row_basis`` are all read from it.
+    ``min_loss`` is 0.5 * ||X pinv_solution - y||^2.  Immutable after
+    construction; safe to share across threads.
     """
 
     X: np.ndarray
     y: np.ndarray
     pinv_solution: np.ndarray
     min_loss: float
-
-    @property
-    def n_rows(self):
-        return self.X.shape[0]
+    svd: tuple
 
     @property
     def d(self):
         return self.X.shape[1]
 
-    @cached_property
+    @property
     def spectral_norm(self):
-        # Full SVD: no iterative-method tolerance to reason about.
-        return float(np.linalg.norm(self.X, 2))
+        return float(self.svd[1][0])
 
     @cached_property
     def gram(self):
         return _frozen(self.X.T @ self.X)
-
-    @cached_property
-    def gram_eigh(self):
-        """Eigenvalues (clipped at 0) and eigenvectors of X^T X."""
-        xi, V = np.linalg.eigh(self.gram)
-        return _frozen(np.clip(xi, 0.0, None)), _frozen(V)
 
     @cached_property
     def xty(self):
@@ -80,7 +79,11 @@ class RegressionTask:
 
     @cached_property
     def pinv(self):
-        return _frozen(np.linalg.pinv(self.X, rcond=_rcond(self.X.shape)))
+        """X^+ by numpy's own formula on the stored factors."""
+        U, sigma, Vt, r = self.svd
+        s_inv = np.zeros_like(sigma)
+        s_inv[:r] = 1.0 / sigma[:r]
+        return _frozen(Vt.T @ (s_inv[:, None] * U.T))
 
     @cached_property
     def row_basis(self):
@@ -91,22 +94,22 @@ class RegressionTask:
         is U^T y, so the residual of w along direction j is
         sigma_j (V w)_j - target_j; ``rank`` counts the leading directions
         above ``pinv``'s cutoff (those the projection acts on); ``rest`` is the
-        loss no w can remove, 0.5 * ||y - U U^T y||^2.  ``rest`` is taken here
-        rather than from ``min_loss``: when a singular value sits just above
-        the cutoff, rounding in the SVD spreads X^+ y's huge component into
-        the other directions, and ``min_loss`` with it.
+        loss no w can remove, 0.5 * ||y - U U^T y||^2.  ``V`` and ``sigma`` are
+        views of ``svd``.  ``rest`` is taken here rather than from
+        ``min_loss``: when a singular value sits just above the cutoff,
+        rounding in the SVD spreads X^+ y's huge component into the other
+        directions, and ``min_loss`` with it.
         """
-        U, sigma, Vt = np.linalg.svd(self.X, full_matrices=False)
+        U, sigma, Vt, r = self.svd
         q = int(np.count_nonzero(sigma > _TINY))
-        rank = min(q, int(np.count_nonzero(sigma > _rcond(self.X.shape) * sigma.max())))
         target = U[:, :q].T @ self.y
         off_range = self.y - U[:, :q] @ target
-        return (_frozen(Vt[:q]), _frozen(sigma[:q]), _frozen(target), rank,
+        return (Vt[:q], sigma[:q], _frozen(target), min(q, r),
                 0.5 * float(off_range @ off_range))
 
 
 def new_task(X, y):
-    """Build a task from a data matrix and target vector, caching X^+ y."""
+    """Build a task from a data matrix and target vector, caching its SVD and X^+ y."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
@@ -120,16 +123,19 @@ def new_task(X, y):
         raise ValueError(f"row count mismatch: X has {n} rows, y has {y.shape[0]} entries")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("task data contains non-finite entries")
+    svd = _svd(X)
+    _, sigma, _, r = svd
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _min_norm_lstsq(X, y)
-    if not np.all(np.isfinite(p)):
+        p = _min_norm_lstsq(svd, y)
+        inv_sigma = 1.0 / sigma[:r]
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(inv_sigma))):
         # Only data within eps of underflow get here (e.g. all-subnormal X):
-        # (U^T y) / sigma overflows.
-        raise ValueError("task data too close to underflow: X^+ y is not finite")
+        # 1 / sigma, and so X^+, or (U^T y) / sigma overflows.
+        raise ValueError("task data too close to underflow: X^+ or X^+ y is not finite")
     residual = X @ p - y
     min_loss = 0.5 * float(residual @ residual)
     return RegressionTask(X=_frozen(X), y=_frozen(y), pinv_solution=_frozen(p),
-                          min_loss=min_loss)
+                          min_loss=min_loss, svd=svd)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +281,7 @@ def min_norm_solution(collection):
     """Minimum-norm least-squares solution of the stacked system."""
     X = np.vstack([t.X for t in collection.tasks])
     y = np.concatenate([t.y for t in collection.tasks])
-    return _min_norm_lstsq(X, y)
+    return _min_norm_lstsq(_svd(X), y)
 
 
 def collection_to_dict(collection):

@@ -23,6 +23,35 @@ def base_config(**overrides):
     return cfg
 
 
+PAIRS_COLLECTION = {"generator": "aligned-pairs", "d": 4, "pairs": 2, "angle": 0.1,
+                    "radius": 1.0, "seed": 7}
+GAUSSIAN_COLLECTION = base_config()["collection"]
+# Configs whose fields have the wrong JSON type; each must be a ConfigError.
+MISTYPED_CONFIGS = [
+    base_config(schedule={"kind": "fixed-budget", "gamma": "0.5"}),
+    base_config(schedule={"kind": "fixed-budget", "gamma": float("inf")}),
+    base_config(schedule={"kind": "fixed-budget", "gamma": True}),
+    base_config(collection={**GAUSSIAN_COLLECTION, "radius": "1"}),
+    base_config(collection={**GAUSSIAN_COLLECTION, "radius": float("nan")}),
+    base_config(collection={**GAUSSIAN_COLLECTION, "radius": 10 ** 400}),
+    base_config(collection={**GAUSSIAN_COLLECTION, "d": 2.5}),
+    base_config(collection={**GAUSSIAN_COLLECTION, "M": True}),
+    base_config(collection={**GAUSSIAN_COLLECTION, "seed": None}),
+    base_config(collection={**PAIRS_COLLECTION, "angle": None}),
+    base_config(collection={**PAIRS_COLLECTION, "pairs": "5"}),
+    base_config(collection={"path": 3}),
+    base_config(trials=True),
+    base_config(trials=2.0),
+    base_config(base_seed=False),
+    base_config(k_grid=[4, True]),
+    base_config(out=7),
+    base_config(schedule={"kind": "increasing-budget", "n_choice": 1.5}),
+    base_config(schedule={"kind": "increasing-coefficient", "unregularized_first": "no"}),
+    base_config(schedule={"kind": "increasing-coefficient", "unregularized_first": 1}),
+    base_config(schedule={"kind": ["none"]}),
+]
+
+
 def test_parse_config_strictness():
     harness.parse_config(base_config())  # sanity: valid config parses
     with pytest.raises(ConfigError, match="unknown config fields"):
@@ -48,6 +77,13 @@ def test_parse_config_strictness():
         harness.parse_config(base_config(k_grid=[]))
     with pytest.raises(ConfigError, match="trials"):
         harness.parse_config(base_config(trials=0))
+    for cfg in MISTYPED_CONFIGS:
+        with pytest.raises(ConfigError):
+            harness.parse_config(cfg)
+    # A custom schedule's strengths are arrays; well-typed flags still parse.
+    harness.parse_config(base_config(schedule={"kind": "custom", "gamma": [0.5] * 4,
+                                               "unregularized_first": True}))
+    harness.parse_config(base_config(collection={**PAIRS_COLLECTION, "radius": 2}))
 
 
 def test_run_experiment_shape_and_determinism(tmp_path):
@@ -180,6 +216,24 @@ def test_cli_validation_errors(tmp_path, capsys):
     missing_out = tmp_path / "no_out.json"
     missing_out.write_text(json.dumps(base_config()))
     assert cli.main(["run", "--config", str(missing_out)]) == 1
+    capsys.readouterr()
+    for cfg in MISTYPED_CONFIGS:
+        bad.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+        err = one_line_error(capsys)
+        assert "must be" in err or "unknown schedule kind" in err, err
+    assert not (tmp_path / "x.csv").exists()
+
+    good = tmp_path / "good.csv"
+    harness.write_csv(harness.run_experiment(harness.parse_config(base_config())), good)
+    lines = good.read_text().splitlines(True)
+    missing_column = tmp_path / "missing_column.csv"
+    missing_column.write_text("".join(",".join(line.split(",")[:-1]) + "\n" for line in lines))
+    short_row = tmp_path / "short_row.csv"
+    short_row.write_text(lines[0] + lines[1] + lines[2].split(",", 1)[1])
+    for path, where in ((missing_column, "line 1"), (short_row, "line 3")):
+        assert cli.main(["fit", str(path)]) == 1
+        assert f"{path}, {where}:" in one_line_error(capsys)
 
 
 def test_cli_adversarial(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+from contreg.surrogates import build_budgeted_surrogate, build_regularized_surrogate
 from contreg.tasks import (RealizableSpec, generate_aligned_pairs,
                            generate_realizable, min_norm_solution,
                            new_collection, new_task)
@@ -98,8 +99,13 @@ linear_systems = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 # backward-error scale here; applying the SVD factors to y leaves 0.27.
 @example((np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.000000001], [4.0, 5.0, 7.0]]),
           np.array([1.0, 1.0, 2.0])))
-# All-subnormal data: 1/sigma overflows, so the task is rejected.
+# All-subnormal data: 1/sigma overflows, so the task is rejected, also when
+# X^+ y = 0 is finite.
 @example((np.array([[2.2250738585e-313]]), np.array([9.0])))
+@example((np.array([[2.2250738585e-313]]), np.array([0.0])))
+@example((np.zeros((2, 3)), np.array([1.0, -1.0])))
+# Singular values just above and just below pinv's cutoff 3 eps sigma_max.
+@example((np.diag([1.0, 6.7e-16, 6.6e-16]), np.array([1.0, 1.0, 1.0])))
 def test_pinv_solution_satisfies_normal_equations(system):
     X, y = system
     try:
@@ -110,6 +116,9 @@ def test_pinv_solution_satisfies_normal_equations(system):
         # overflow only when sigma_max itself is within eps of underflow.
         assert np.linalg.norm(X, 2) < 1e-290
         return
+    # X^+ is numpy's pinv, bit for bit, at the same cutoff.
+    eps = np.finfo(np.float64).eps
+    assert_array_equal(t.pinv, np.linalg.pinv(X, rcond=max(X.shape) * eps), strict=True)
     residual = t.X @ t.pinv_solution - t.y
     # A backward-stable least-squares solve leaves ||X^T r|| of order
     # eps ||X|| (||X|| ||p|| + ||y||); 64 max(n, d) covers the dimension factors.
@@ -120,6 +129,33 @@ def test_pinv_solution_satisfies_normal_equations(system):
     assert np.linalg.norm(t.X.T @ residual) <= bound
     assert t.min_loss >= 0
     assert t.min_loss == pytest.approx(0.5 * residual @ residual, rel=1e-12, abs=1e-15)
+
+
+def test_each_task_is_decomposed_once(monkeypatch):
+    """new_task's SVD is the only decomposition of a task's data."""
+    svd, shapes = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def second_decomposition(*args, **kwargs):
+        raise AssertionError("a task's data was decomposed again")
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for name in ("eigh", "eigvalsh", "pinv", "norm"):
+        monkeypatch.setattr(np.linalg, name, second_decomposition)
+    rng = np.random.default_rng(3)
+    tasks = [new_task(rng.standard_normal((n, 4)), rng.standard_normal(n)) for n in (1, 3, 4, 6)]
+    tasks.append(new_task(np.zeros((2, 4)), np.ones(2)))
+    col = new_collection(tasks)
+    col.row_bases
+    for t in tasks:
+        t.pinv, t.row_basis
+        build_regularized_surrogate(t, 0.5, 1.0)
+        r2 = t.spectral_norm ** 2
+        build_budgeted_surrogate(t, 0.5 / r2 if r2 else 0.5, 3, 1.0)
+    assert shapes == [t.X.shape for t in tasks]
 
 
 def test_generator_is_deterministic():
