@@ -87,6 +87,17 @@ def _cmd_adversarial(args):
     return 0 if report["passed"] else 2
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= ``low``, so bad values fail at parse time."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="contreg",
                                      description="Continual linear regression lab")
@@ -122,8 +133,8 @@ def build_parser():
     p.add_argument("--n-choice", type=int, default=1,
                    help="integer budget for increasing-budget schedules")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_at_least(1), default=2000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_adversarial)
     return parser

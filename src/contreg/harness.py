@@ -16,7 +16,7 @@ import json
 import math
 import os
 import secrets
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -329,8 +329,7 @@ def write_csv(rows, path):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_FIELDS)
             for row in rows:
-                d = asdict(row)
-                writer.writerow([_fmt(d[f]) for f in CSV_FIELDS])
+                writer.writerow([_fmt(getattr(row, f)) for f in CSV_FIELDS])
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

@@ -97,33 +97,42 @@ def summarize(trajectory, collection, w_star=None):
     )
 
 
-def task_losses(W, task):
-    """``task_loss`` of every row of a (trials, d) array of iterates.
-
-    Products are summed row by row (no BLAS call whose blocking could depend
-    on the number of rows), so each trial's value is independent of the batch.
-    """
-    r = (W[:, None, :] * task.X).sum(axis=2) - task.y
-    return 0.5 * (r * r).sum(axis=1)
+# Trials per block of the batched metric pass: enough that each block's
+# temporaries hold about this many float64s.
+_BLOCK_ELEMS = 1 << 14
 
 
 def summarize_batch(run, collection, w_star=None):
     """``summarize`` for a ``schemes.BatchRun``: a MetricsRecord of (trials,) arrays.
 
-    One pass over the tasks accumulates the average and the seen-task loss of
-    the final iterates, in task order as the single-trial functions do.
+    Trials are scored in fixed-size blocks, so no (trials, M), (trials, rows)
+    or (trials, k) array is built.  For a block, one matmul of the collection's
+    stacked task rows against the stack of iterates forms every residual;
+    numpy makes one BLAS gemv per iterate, so a trial's values do not depend
+    on which other trials share the batch.  Each trial's per-task losses are
+    averaged over the collection and gathered along its ordering for the
+    seen-task loss.
     """
     w_star = _reference_solution(collection, w_star)
     W, order = run.final, run.ordering
-    k = order.shape[1]
+    trials, k = order.shape
     if k < 1:
         raise ValueError("degradation needs at least one step")
-    total = np.zeros(len(W))
-    seen = np.zeros(len(W))
-    for m, task in enumerate(collection.tasks, start=1):
-        losses = task_losses(W, task)
-        total += losses
-        seen += np.count_nonzero(order == m, axis=1) * losses
+    X, y, starts = collection.stacked_rows
+    block = max(1, _BLOCK_ELEMS // max(len(y), k))
+    total = np.empty(trials)
+    seen = np.empty(trials)
+    for a in range(0, trials, block):
+        b = min(a + block, trials)
+        r = np.matmul(X, W[a:b, :, None])[:, :, 0]
+        r -= y
+        r *= r
+        losses = 0.5 * np.add.reduceat(r, starts, axis=1)
+        total[a:b] = losses.sum(axis=1)
+        # A C-ordered gather sums each trial's row in the same order for any
+        # batch; ``order`` is often a transposed view.
+        drawn = np.ascontiguousarray(order[a:b]) - 1
+        seen[a:b] = np.take_along_axis(losses, drawn, axis=1).sum(axis=1)
     seen /= k
     diff = W - w_star
     return MetricsRecord(

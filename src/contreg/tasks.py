@@ -173,6 +173,17 @@ class TaskCollection:
         return len(self.tasks)
 
     @cached_property
+    def stacked_rows(self):
+        """``(X, y, starts)``: every task's rows stacked in task order, and the
+        row at which each task starts (built on first use)."""
+        X = np.vstack([t.X for t in self.tasks])
+        y = np.concatenate([t.y for t in self.tasks])
+        starts = np.cumsum([0] + [len(t.y) for t in self.tasks[:-1]])
+        for a in (X, y, starts):
+            a.flags.writeable = False
+        return X, y, starts
+
+    @cached_property
     def row_bases(self):
         """Stacked task row bases for the batched engine (built on first use)."""
         bases = [t.row_basis for t in self.tasks]
@@ -239,7 +250,7 @@ def generate_realizable(spec):
             raise ValueError(f"w_star must have length {spec.d}")
     mats = [rng.standard_normal((spec.n, spec.d)) for _ in range(spec.M)]
     if spec.radius > 0:
-        r0 = max(np.linalg.norm(X, 2) for X in mats)
+        r0 = np.linalg.norm(np.stack(mats), 2, axis=(1, 2)).max()
         if r0 > 0:
             mats = [X * (spec.radius / r0) for X in mats]
     tasks = [new_task(X, X @ w_star) for X in mats]
@@ -279,8 +290,7 @@ def generate_aligned_pairs(pairs, angle, d, target_radius=1.0, seed=0):
 
 def min_norm_solution(collection):
     """Minimum-norm least-squares solution of the stacked system."""
-    X = np.vstack([t.X for t in collection.tasks])
-    y = np.concatenate([t.y for t in collection.tasks])
+    X, y, _ = collection.stacked_rows
     return _min_norm_lstsq(_svd(X), y)
 
 

@@ -235,6 +235,19 @@ def test_cli_validation_errors(tmp_path, capsys):
         assert cli.main(["fit", str(path)]) == 1
         assert f"{path}, {where}:" in one_line_error(capsys)
 
+    for scenario, flag, value, message in (
+            ("seen-task", "--trials", "0", "must be >= 1, got 0"),
+            ("any-algorithm", "--trials", "0", "must be >= 1, got 0"),
+            ("seen-task", "--trials", "-3", "must be >= 1, got -3"),
+            ("any-algorithm", "--seed", "-1", "must be >= 0, got -1"),
+            ("seen-task", "--seed", "x", "invalid int value: 'x'")):
+        assert cli.main(["adversarial", "--scenario", scenario, "--k", "16",
+                         flag, value]) == 1
+        out, err = capsys.readouterr()
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert out == "" and error_lines == [
+            f"contreg adversarial: error: argument {flag}: {message}"], err
+
 
 def test_cli_adversarial(tmp_path, capsys):
     code = cli.main(["adversarial", "--scenario", "seen-task", "--k", "16",
@@ -311,13 +324,15 @@ def test_bad_inputs_are_rejected_before_any_cell_runs(tmp_path, capsys, monkeypa
 
 def test_non_finite_result_names_its_trial(tmp_path, capsys):
     col_path = tmp_path / "col.json"
-    col_path.write_text(json.dumps({"tasks": [{"X": [[1e200]], "y": [1e200]},
-                                              {"X": [[1e200]], "y": [-1e200]}]}))
     cfg = base_config(collection={"path": str(col_path)}, scheme="unregularized",
                       schedule={"kind": "none"})
-    assert run_cli_csv(tmp_path, "inf", cfg)[0] == 1
     seed = harness.derived_seed(99, 4, 0)
-    assert f"non-finite result at k=4, trial=0, seed={seed}" in one_line_error(capsys)
+    for rows in (1, 3):  # also with unequal row counts
+        col_path.write_text(json.dumps({"tasks": [
+            {"X": [[1e200]], "y": [1e200]},
+            {"X": [[1e200]] * rows, "y": [-1e200] * rows}]}))
+        assert run_cli_csv(tmp_path, "inf", cfg)[0] == 1
+        assert f"non-finite result at k=4, trial=0, seed={seed}" in one_line_error(capsys)
 
 
 def test_fit_rejects_rows_of_different_sweeps(tmp_path, capsys):

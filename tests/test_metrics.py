@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from contreg import metrics
+from contreg.harness import METRIC_NAMES, build_schedule, sample_orderings
 from contreg.metrics import (average_loss, excess_loss, loss_degradation,
-                             seen_task_loss, summarize, task_loss)
+                             seen_task_loss, summarize, summarize_batch, task_loss)
 from contreg.orderings import explicit_ordering, sample_ordering, stream
 from contreg.schedules import custom_schedule
-from contreg.schemes import run_continual
+from contreg.schemes import BatchRun, run_batch, run_continual
 from contreg.tasks import (RealizableSpec, generate_realizable, new_collection,
                            new_task)
 
@@ -104,3 +108,56 @@ def test_task_loss_is_half_squared_residual():
     t = new_task([[2.0, 0.0]], [4.0])
     assert task_loss(np.zeros(2), t) == pytest.approx(8.0)
     assert excess_loss(np.zeros(2), t) == pytest.approx(8.0)
+
+
+def wide_cell(trials=200, k=16):
+    """A sweep-wide cell: 400 Gaussian tasks of 5 rows in d=10, without replacement."""
+    col = generate_realizable(RealizableSpec(d=10, M=400, n=5, radius=1.0, seed=7))
+    idx = sample_orderings("without-replacement", col.M, k, trials, 11)
+    schedule = build_schedule({"kind": "increasing-coefficient"}, col.radius, k)
+    return col, run_batch(col, idx, schedule, "regularized")
+
+
+def test_summarize_batch_is_the_same_across_block_edges():
+    col, run = wide_cell()
+    block = metrics._BLOCK_ELEMS // len(col.stacked_rows[1])
+    assert 2 < block < len(run.final) // 2
+    full = summarize_batch(run, col)
+    last = len(run.final) - 1
+    for rows in ([0], [block - 1], [block], [last], slice(block - 2, block + 3),
+                 slice(1, 2 * block + 1), [last, block, 0]):
+        part = summarize_batch(BatchRun(final=run.final[rows], ordering=run.ordering[rows],
+                                        loss_after_sum=run.loss_after_sum[rows]), col)
+        for name in METRIC_NAMES:
+            assert np.array_equal(getattr(part, name), getattr(full, name)[rows]), (rows, name)
+
+
+def test_summarize_batch_adds_nothing_for_unequal_row_counts():
+    """Integer data make every sum exact, so the batched pass must equal the
+    single-trial functions bit for bit; a non-finite iterate spoils only its
+    own trial."""
+    rng = np.random.default_rng(4)
+    col = new_collection([new_task(rng.integers(-3, 4, (n, 3)), rng.integers(-3, 4, n))
+                          for n in (1, 4, 2, 3, 1)], w_star=np.zeros(3))
+    W = rng.integers(-5, 6, (4, 3)).astype(float)
+    W[2, 1] = np.inf
+    order = rng.integers(1, col.M + 1, (4, 7))
+    with np.errstate(invalid="ignore"):
+        got = summarize_batch(BatchRun(final=W, ordering=order, loss_after_sum=np.zeros(4)),
+                              col)
+    for i in (0, 1, 3):
+        assert got.avg_loss[i] == average_loss(W[i], col)
+        assert got.seen_loss[i] == got.degradation[i] == seen_task_loss(W[i], col, order[i])
+    assert not np.isfinite(got.avg_loss[2]) and not np.isfinite(got.seen_loss[2])
+
+
+def test_summarize_batch_working_set_stays_small():
+    col, run = wide_cell()
+    summarize_batch(run, col)  # builds the collection's cached rows
+    tracemalloc.start()
+    try:
+        summarize_batch(run, col)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024, peak

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+from contreg.orderings import stream
 from contreg.surrogates import build_budgeted_surrogate, build_regularized_surrogate
 from contreg.tasks import (RealizableSpec, generate_aligned_pairs,
                            generate_realizable, min_norm_solution,
@@ -174,6 +175,19 @@ def test_generator_exact_realizability_and_radius():
         assert np.linalg.norm(t.X @ col.w_star - t.y) == 0.0
         assert t.min_loss <= 1e-18
     assert abs(col.radius - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("d, M, n, radius, seed", [
+    (10, 400, 5, 1.0, 7), (3, 6, 8, 2.5, 1), (1, 5, 1, 0.3, 2), (6, 1, 2, 1.0, 0)])
+def test_generator_scale_is_the_largest_per_matrix_norm(d, M, n, radius, seed):
+    """The one batched norm call rescales exactly as M separate calls would."""
+    rng = stream(seed)
+    rng.standard_normal(d)  # the planted solution comes first
+    mats = [rng.standard_normal((n, d)) for _ in range(M)]
+    scale = radius / max(np.linalg.norm(X, 2) for X in mats)
+    col = generate_realizable(RealizableSpec(d=d, M=M, n=n, radius=radius, seed=seed))
+    for X, t in zip(mats, col.tasks):
+        assert_array_equal(t.X, X * scale)
 
 
 def test_generator_validation():
