@@ -7,7 +7,6 @@ Subcommands:
   adversarial  run a hard-instance scenario against a scheme
 
 Exit codes: 0 success, 1 validation error, 2 check failure.
-Thread count is capped by the CONTREG_MAX_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ def _cmd_run(args):
     out = args.out or cfg.out
     if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
-    rows = harness.run_experiment(cfg, threads=args.threads)
+    rows = harness.run_experiment(cfg)
     harness.write_csv(rows, out)
     for k, mean, se, n in harness.aggregate(rows):
         print(f"k={k:6d}  mean avg_loss = {mean:.6e} +/- {se:.2e}  (n={n})")
@@ -106,8 +105,10 @@ def build_parser():
     p = sub.add_parser("run", help="run a configured Monte Carlo sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="CSV output path (overrides config)")
-    p.add_argument("--seed", type=int, help="override the config base seed")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), help="override the config base seed")
+    # Accepted for old command lines and ignored: a sweep's cells are stepped
+    # together, so there are no cells left to spread over threads.
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("fit", help="fit a rate exponent to per-k mean losses")

@@ -1,16 +1,15 @@
 """Experiment harness: configs, Monte Carlo sweeps, CSV output, and rate fits.
 
 A sweep is fully determined by its config: trial (k, i) draws its ordering
-from the stream ``(base_seed, k, i)``, each k-cell's trials are stepped
-together by ``schemes.run_batch`` (a trial's values do not depend on the
-others in its batch), rows are emitted sorted by (k, trial), and floats are
-serialized with 17 significant digits, so identical configs produce
-byte-identical CSV files regardless of thread count.
+from the stream ``(base_seed, k, i)``, the trials of all k-cells are stepped
+together by one ``schemes.run_batch`` call (a trial's values do not depend on
+the others in its batch), rows are emitted sorted by (k, trial), and floats
+are serialized with 17 significant digits, so identical configs produce
+byte-identical CSV files.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
@@ -23,8 +22,8 @@ import numpy as np
 from . import schedules as sched_mod
 from .adversarial import any_alg_lb_collection, seen_task_lb_collection
 from .metrics import average_loss, summarize_batch
-from .orderings import (WITHOUT_REPLACEMENT, derived_seed, explicit_ordering,
-                        sample_ordering, stream)
+from .orderings import (WITHOUT_REPLACEMENT, explicit_ordering, sample_ordering,
+                        sample_orderings, stream)
 from .schemes import SCHEME_KINDS, run_batch, run_continual
 from .surrogates import (budgeted_spectral_map, build_budgeted_surrogate,
                          build_regularized_surrogate, build_spectral_surrogate,
@@ -32,8 +31,6 @@ from .surrogates import (budgeted_spectral_map, build_budgeted_surrogate,
 from .tasks import (collection_from_dict, generate_aligned_pairs,
                     generate_realizable, min_norm_solution, new_collection,
                     new_task, RealizableSpec)
-
-THREAD_ENV_VAR = "CONTREG_MAX_THREADS"
 
 _SCHEDULE_KINDS = {
     "fixed-coefficient": (),
@@ -240,35 +237,12 @@ class ResultRow:
             raise ValueError(f"degradation must be finite, got {self.degradation}")
 
 
-def resolve_threads(threads=None):
-    cap = os.environ.get(THREAD_ENV_VAR)
-    cap = int(cap) if cap else None
-    if threads is None:
-        threads = cap or 1
-    if cap is not None:
-        threads = min(threads, cap)
-    return max(1, threads)
-
-
-def sample_orderings(kind, M, k, trials, base_seed):
-    """(trials, k) task indices; row i is trial i's ordering, from stream (base_seed, k, i).
-
-    The result is a view of a step-major array, the layout ``run_batch`` steps
-    through, so no copy is made there.
-    """
-    idx = np.empty((k, trials), np.int64)
-    for i in range(trials):
-        idx[:, i] = sample_ordering(kind, M, k, base_seed, path=(k, i)).indices
-    return idx.T
-
-
-def run_experiment(cfg, threads=None):
+def run_experiment(cfg):
     """Run the configured sweep; one row per (k, trial), sorted by (k, trial).
 
     The collection file, the schedules and the k grid against the collection
-    are checked before the first cell runs; the strength checks that depend
-    on the tasks drawn run at the start of each cell, before it steps.
-    Worker threads take whole k-cells.
+    are checked before any trial steps, and so are the strength checks that
+    depend on the tasks drawn: ``run_batch`` makes them for every cell first.
     """
     col = build_collection(cfg.collection)
     R = col.radius
@@ -276,16 +250,17 @@ def run_experiment(cfg, threads=None):
         raise ConfigError(f"without-replacement needs k <= M, got k={cfg.k_grid[-1]}, "
                           f"M={col.M}")
     w_star = col.w_star if col.w_star is not None else min_norm_solution(col)
-    per_k = {k: build_schedule(cfg.schedule, R, k) for k in cfg.k_grid}
-
-    def cell(k):
-        idx = sample_orderings(cfg.ordering, col.M, k, cfg.trials, cfg.base_seed)
-        # Overflow shows up as a non-finite result, reported below by trial.
-        with np.errstate(over="ignore", invalid="ignore"):
-            rec = summarize_batch(run_batch(col, idx, per_k[k], cfg.scheme), col, w_star)
-        rows = []
-        for i in range(cfg.trials):
-            seed = derived_seed(cfg.base_seed, k, i)
+    schedules = [build_schedule(cfg.schedule, R, k) for k in cfg.k_grid]
+    drawn = [sample_orderings(cfg.ordering, col.M, k, cfg.trials, cfg.base_seed,
+                              with_seeds=True) for k in cfg.k_grid]
+    # Overflow shows up as a non-finite result, reported below by trial.
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = run_batch(col, [(idx, spec) for (idx, _), spec in zip(drawn, schedules)],
+                         cfg.scheme)
+        recs = [summarize_batch(run, col, w_star) for run in runs]
+    rows = []
+    for k, (_, seeds), rec in zip(cfg.k_grid, drawn, recs):
+        for i, seed in enumerate(seeds):
             values = {name: float(getattr(rec, name)[i]) for name in METRIC_NAMES}
             if not all(math.isfinite(v) for v in values.values()):
                 raise ValueError(f"non-finite result at k={k}, trial={i}, seed={seed}: "
@@ -293,15 +268,7 @@ def run_experiment(cfg, threads=None):
             rows.append(ResultRow(
                 scheme=cfg.scheme, schedule=cfg.schedule["kind"], ordering=cfg.ordering,
                 M=col.M, d=col.d, R=R, k=k, trial=i, seed=seed, **values))
-        return rows
-
-    threads = min(resolve_threads(threads), len(cfg.k_grid))
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(cell, cfg.k_grid))
-    else:
-        cells = [cell(k) for k in cfg.k_grid]
-    return [row for rows in cells for row in rows]
+    return rows
 
 
 def _fmt(value):
@@ -438,7 +405,7 @@ def run_seen_task_floor(k, trials, base_seed, d=2, scheme="regularized",
     spec = build_schedule(params, col.radius, k)
     threshold = scenario.threshold(k)
     idx = sample_orderings("with-replacement", col.M, k, trials, base_seed)
-    run = run_batch(col, idx, spec, scheme, w0=scenario.recommended_w0)
+    (run,) = run_batch(col, [(idx, spec)], scheme, w0=scenario.recommended_w0)
     hits = int(np.count_nonzero(summarize_batch(run, col).seen_loss >= threshold))
     prob = hits / trials
     return {"scenario": "seen-task", "scheme": scheme, "schedule": schedule_kind,
@@ -461,7 +428,8 @@ def run_any_alg_mean(k, trials, base_seed, d=2, scheme="regularized",
     spec = build_schedule(params, col.radius, k)
     base = average_loss(col.w_star, col)
     idx = sample_orderings("with-replacement", col.M, k, trials, base_seed)
-    excess = summarize_batch(run_batch(col, idx, spec, scheme), col).avg_loss - base
+    (run,) = run_batch(col, [(idx, spec)], scheme)
+    excess = summarize_batch(run, col).avg_loss - base
     mean_excess = float(np.mean(excess))
     threshold = scenario.threshold(k)
     return {"scenario": "any-algorithm", "scheme": scheme, "schedule": schedule_kind,

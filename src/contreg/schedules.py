@@ -120,37 +120,34 @@ def fixed_budget(R, gamma, k):
 
 
 def _neighbors(x, width):
+    """x and its 2 * width nearest doubles, along a new last axis:
+    x, then one ulp up, one down, two up, two down, ..."""
     vals = [x]
     lo = hi = x
     for _ in range(width):
         lo = np.nextafter(lo, -np.inf)
         hi = np.nextafter(hi, np.inf)
         vals += [hi, lo]
-    return vals
+    return np.stack(vals, axis=-1)
 
 
 def _exact_inverse_pairs(eta0):
     """Pairs (lam, eta) within a few ulps of (1/eta0, eta0) with lam * eta == 1.
 
     For some doubles no single-sided partner exists (the rounded products skip
-    over 1), so both factors are searched jointly; the iterates do not depend
-    on eta, only the recorded identity does.
+    over 1), so both factors are searched jointly: eta's neighbours outer,
+    lam's neighbours of 1/eta inner, first hit wins.  The iterates do not
+    depend on eta, only the recorded identity does.
     """
-    lam = np.empty_like(eta0)
-    eta = np.empty_like(eta0)
-    for i, e0 in enumerate(np.atleast_1d(eta0)):
-        hit = None
-        for e in _neighbors(float(e0), 2):
-            for l in _neighbors(1.0 / e, 3):
-                if l * e == 1.0:
-                    hit = (l, e)
-                    break
-            if hit:
-                break
-        if hit is None:
-            raise ArithmeticError(f"no exactly invertible pair near {e0!r}")
-        lam[i], eta[i] = hit
-    return lam, eta
+    eta = _neighbors(np.atleast_1d(np.asarray(eta0, dtype=np.float64)), 2)
+    lam = _neighbors(1.0 / eta, 3)
+    n, width = len(eta), lam.shape[-1]
+    hit = (lam * eta[:, :, None] == 1.0).reshape(n, -1)
+    found = hit.any(axis=1)
+    if not found.all():
+        raise ArithmeticError(f"no exactly invertible pair near {eta[np.argmin(found), 0]!r}")
+    first = hit.argmax(axis=1)
+    return lam.reshape(n, -1)[np.arange(n), first], eta[np.arange(n), first // width]
 
 
 def increasing_coefficient(R, k):

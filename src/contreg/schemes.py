@@ -15,7 +15,7 @@ them step for step, which the tests check rather than assume.
 ``run_continual`` applies these literal rules one trial at a time and is the
 reference.  ``run_batch`` is the fast path: every rule is the same affine map
 w' = p + V^T s(xi) V (w - p) in the task's row basis, with a per-scheme
-multiplier s, so it steps all trials of one (k, schedule) cell together.
+multiplier s, so it steps all trials of a sweep's (k, schedule) cells together.
 """
 
 from __future__ import annotations
@@ -216,27 +216,37 @@ def _check_strengths(rows, order, schedule, scheme, t0):
                              f"got gamma={g}, R_m^2={r2}")
 
 
-def _gains(scheme, schedule, t, sigma, inv_sigma):
+def _gains(scheme, strengths, sigma, inv_sigma):
     """(g, s) on each direction: the step maps the residual r to s * r, moving
     w by V^T (g * r) with g = (1 - s) / sigma.
 
+    ``strengths`` holds the step strengths, as (rows, 1) columns or as
+    scalars all rows share: lam for the coefficient schemes, (gamma, n_steps)
+    for the budget schemes.
     g is formed from 1 - s computed directly (never by subtracting s from 1),
     so it keeps full relative accuracy when it is tiny.
     """
     xi = sigma * sigma
     if scheme in _COEFFICIENT_SCHEMES:
-        lam = schedule.lam[t]
+        (lam,) = strengths
         den = xi + lam
         return sigma / den, lam / den
-    log_s = schedule.n_steps[t] * np.log1p(-schedule.gamma[t] * xi)
+    gamma, n_steps = strengths
+    log_s = n_steps * np.log1p(-gamma * xi)
     return -np.expm1(log_s) * inv_sigma, np.exp(log_s)
 
 
-def run_batch(collection, indices, schedule, scheme, w0=None):
-    """Run one (k, schedule) cell: every trial of ``indices`` at once.
+def run_batch(collection, cells, scheme, w0=None):
+    """Run (k, schedule) cells together: every trial of every cell at once.
 
-    ``indices`` is (trials, k) with 1-based task indices, one row per trial;
-    the transpose of a C-ordered (k, trials) array is used without a copy.
+    ``cells`` is a list of ``(indices, schedule)`` pairs, one per cell, and
+    one BatchRun is returned per cell, in order.  ``indices`` is (trials, k)
+    with 1-based task indices, one row per trial; k may differ between cells.
+    Every cell is checked before any cell steps.  The trials are laid out
+    longest cell first, so the ones still running at step t are a prefix of
+    the batch, and each reads its cell's step-t strengths from a
+    (k_max, cells) table.
+
     Each step gathers the drawn task's row basis (see
     ``TaskCollection.row_bases``) per trial, forms the residual coordinates
     r = sigma * (V w) - U^T y and applies w <- w - V^T (g * r), which maps
@@ -251,34 +261,72 @@ def run_batch(collection, indices, schedule, scheme, w0=None):
     (trials, d) iterates are kept; the loss each trial needs for degradation,
     rest + 0.5 * ||s * r||^2 just after each step, is summed on the way.
     Every operation acts row by row, so a trial's result does not depend on
-    which other trials share the batch.
+    which other trials, or which other cells, share the batch.
     """
-    indices = np.asarray(indices)
-    if indices.ndim != 2:
-        raise ValueError(f"indices must be (trials, k), got shape {indices.shape}")
-    trials, k = indices.shape
-    _check_run(collection, indices, schedule, scheme)
+    cells = [(np.asarray(indices), schedule) for indices, schedule in cells]
+    for indices, schedule in cells:
+        if indices.ndim != 2:
+            raise ValueError(f"indices must be (trials, k), got shape {indices.shape}")
+        _check_run(collection, indices, schedule, scheme)
     w = _start(collection, w0)
 
-    order = np.ascontiguousarray(indices.T)  # step-major, 1-based
     rows = collection.row_bases
     projection_only = scheme == UNREGULARIZED
-    t0 = int(schedule is not None and schedule.unregularized_first)
-    if not projection_only and trials:
-        _check_strengths(rows, order, schedule, scheme, t0)
+    firsts = {schedule is not None and schedule.unregularized_first for _, schedule in cells}
+    t0 = int(any(firsts))
+    if not projection_only:
+        if len(firsts) > 1:
+            raise ValueError("cells must agree on unregularized_first")
+        for indices, schedule in cells:
+            if len(indices):
+                _check_strengths(rows, indices.T, schedule, scheme, t0)
+    if not cells:
+        return []
 
-    W = np.tile(w, (trials, 1))
-    loss_after = np.zeros(trials)
-    for t in range(k):
-        m_idx = order[t] - 1
+    ranked = sorted(range(len(cells)), key=lambda c: -cells[c][0].shape[1])
+    steps = [cells[c][0].T for c in ranked]  # step-major (k, trials) views
+    ks = [len(order) for order in steps]
+    sizes = [order.shape[1] for order in steps]
+    ends = np.cumsum(sizes).tolist()
+    row_cell = np.repeat(np.arange(len(cells)), sizes)
+    k_max = ks[0]
+    fields = () if projection_only else (
+        ("lam",) if scheme in _COEFFICIENT_SCHEMES else ("gamma", "n_steps"))
+    tables = []
+    for name in fields:
+        table = np.zeros((k_max, len(cells)), getattr(cells[0][1], name).dtype)
+        for j, c in enumerate(ranked):
+            table[:ks[j], j] = getattr(cells[c][1], name)
+        tables.append(table)
+
+    W = np.tile(w, (ends[-1], 1))
+    loss_after = np.zeros(len(W))
+    active = len(cells)
+    for t in range(k_max):
+        while ks[active - 1] <= t:
+            active -= 1
+        n = ends[active - 1]
+        if active == 1:
+            m_idx, pick = steps[0][t] - 1, 0
+        else:
+            m_idx = np.concatenate([order[t] for order in steps[:active]]) - 1
+            pick = row_cell[:n, None]
+        Wt = W[:n]
         V, sigma = rows.V[m_idx], rows.sigma[m_idx]
-        r = sigma * (V * W[:, None, :]).sum(axis=2) - rows.target[m_idx]
+        r = sigma * (V * Wt[:, None, :]).sum(axis=2) - rows.target[m_idx]
         if projection_only or t < t0:
             on_rank = rows.on_rank[m_idx]
             g, s = on_rank * rows.inv_sigma[m_idx], 1.0 - on_rank
         else:
-            g, s = _gains(scheme, schedule, t, sigma, rows.inv_sigma[m_idx])
-        W -= (V * (g * r)[:, :, None]).sum(axis=1)
+            g, s = _gains(scheme, [table[t, pick] for table in tables], sigma,
+                          rows.inv_sigma[m_idx])
+        Wt -= (V * (g * r)[:, :, None]).sum(axis=1)
         r *= s
-        loss_after += rows.rest[m_idx] + 0.5 * (r * r).sum(axis=1)
-    return BatchRun(final=W, ordering=indices, loss_after_sum=loss_after)
+        loss_after[:n] += rows.rest[m_idx] + 0.5 * (r * r).sum(axis=1)
+
+    runs = [None] * len(cells)
+    for j, c in enumerate(ranked):
+        span = slice(ends[j] - sizes[j], ends[j])
+        runs[c] = BatchRun(final=W[span], ordering=cells[c][0],
+                           loss_after_sum=loss_after[span])
+    return runs

@@ -18,12 +18,17 @@ budgeted rules) by ~sigma * ||y|| per step; for the X^+ rules that task gets
 a consistent target y = X v, for which that term vanishes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contreg import schemes
+from contreg.harness import build_collection, build_schedule
 from contreg.metrics import summarize, summarize_batch
+from contreg.orderings import sample_orderings
 from contreg.schedules import custom_schedule
 from contreg.schemes import SCHEME_KINDS, run_batch, run_continual
 from contreg.tasks import new_collection, new_task
@@ -92,7 +97,7 @@ def close(a, b, scale):
 
 
 def assert_matches_literal(col, idx, schedule, scheme, w0=None):
-    batch = run_batch(col, idx, schedule, scheme, w0=w0)
+    (batch,) = run_batch(col, [(idx, schedule)], scheme, w0=w0)
     got = summarize_batch(batch, col)
     y_max = max(float(np.linalg.norm(t.y)) for t in col.tasks)
     for i in range(len(idx)):
@@ -163,20 +168,66 @@ def test_anchor_just_above_the_cutoff_does_not_leak():
         assert_matches_literal(col, idx, schedule_for(rng, 12, col.radius, False), scheme)
 
 
-def test_trial_values_do_not_depend_on_the_batch():
+def assert_same_trials(col, got, want, rows=slice(None)):
+    """``got`` holds bit for bit the values of rows ``rows`` of ``want``."""
+    assert np.array_equal(got.final, want.final[rows])
+    assert np.array_equal(got.loss_after_sum, want.loss_after_sum[rows])
+    a, b = summarize_batch(got, col), summarize_batch(want, col)
+    for name in ("avg_loss", "seen_loss", "degradation", "dist_to_wstar"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)[rows]), name
+
+
+def test_trial_values_do_not_depend_on_the_batch(monkeypatch):
     rng = np.random.default_rng(5)
     col = new_collection([make_task(rng, "wide", 6) for _ in range(4)])
-    idx = rng.integers(1, col.M + 1, size=(9, 40))
-    schedule = schedule_for(rng, 40, col.radius, False)
-    for scheme in SCHEME_KINDS:
-        full = run_batch(col, idx, schedule, scheme)
-        for rows in ([0], [0, 1, 2], [8, 3]):
-            part = run_batch(col, idx[rows], schedule, scheme)
-            assert np.array_equal(part.final, full.final[rows])
-            assert np.array_equal(part.loss_after_sum, full.loss_after_sum[rows])
-            a, b = summarize_batch(part, col), summarize_batch(full, col)
-            for name in ("avg_loss", "seen_loss", "degradation", "dist_to_wstar"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)[rows])
+    # (k, trials) per cell: unequal trial counts, k = 1, a tie and a
+    # non-doubling grid, the longest cell neither first nor last.
+    grid = ((3, 4), (40, 9), (1, 2), (8, 3), (8, 2), (5, 1))
+    for first in (False, True):
+        cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
+                  schedule_for(rng, k, col.radius, first)) for k, trials in grid]
+        for scheme in SCHEME_KINDS:
+            together = run_batch(col, cells, scheme)
+            for (idx, schedule), run in zip(cells, together):
+                assert run.ordering is idx
+                (alone,) = run_batch(col, [(idx, schedule)], scheme)
+                assert_same_trials(col, run, alone)
+            idx, schedule = cells[1]
+            for rows in ([0], [0, 1, 2], [8, 3]):
+                (part,) = run_batch(col, [(idx[rows], schedule)], scheme)
+                assert_same_trials(col, part, together[1], rows)
+
+    with pytest.raises(ValueError, match="cells must agree on unregularized_first"):
+        run_batch(col, [cells[0], (cells[0][0], schedule_for(rng, 3, col.radius, False))],
+                  "regularized")
+
+    # A strength error in the last cell is raised before any cell steps.
+    stepped = []
+    monkeypatch.setattr(schemes, "_gains", lambda *args: stepped.append(args))
+    bad = Strengths(5, lam=[1.0, 1.0, 0.0, 1.0, 1.0], first=True)
+    with pytest.raises(ValueError, match="coefficient must be positive"):
+        run_batch(col, cells[:-1] + [(cells[-1][0], bad)], "regularized")
+    assert stepped == []
+
+
+def test_run_batch_working_set_stays_small():
+    """On the sweep-hard grid (k = 64..1024, 40 trials per cell) the engine
+    holds the (trials, d) iterates, a (k_max, cells) strength table and one
+    step's temporaries: no (k_max, trials) array of orderings or strengths."""
+    col = build_collection({"generator": "aligned-pairs", "d": 20, "pairs": 5,
+                            "angle": 0.04, "radius": 1.0, "seed": 11})
+    for scheme, kind in (("regularized", {"kind": "increasing-coefficient"}),
+                         ("budgeted", {"kind": "increasing-budget"})):
+        cells = [(sample_orderings("with-replacement", col.M, k, 40, 0),
+                  build_schedule(kind, col.radius, k)) for k in (64, 128, 256, 512, 1024)]
+        run_batch(col, cells[:1], scheme)  # builds the collection's cached row bases
+        tracemalloc.start()
+        try:
+            run_batch(col, cells, scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 320 * 1024, (scheme, peak)
 
 
 class Strengths:
@@ -210,14 +261,14 @@ def test_strength_checks_raise_the_literal_errors(scheme, fields, message):
     with pytest.raises(ValueError) as literal:
         run_continual(col, idx[0], schedule, scheme)
     with pytest.raises(ValueError) as batch:
-        run_batch(col, idx, schedule, scheme)
+        run_batch(col, [(idx, schedule)], scheme)
     assert message in str(literal.value)
     assert str(batch.value) == str(literal.value)
     # The literal rules skip every check on an unregularized first step.
     moved = Strengths(3, first=True, **{name: [v[1], v[0], v[2]]
                                         for name, v in fields.items()})
     run_continual(col, idx[0], moved, scheme)
-    run_batch(col, idx, moved, scheme)
+    run_batch(col, [(idx, moved)], scheme)
 
 
 def test_gamma_check_covers_only_the_tasks_drawn():
@@ -225,11 +276,11 @@ def test_gamma_check_covers_only_the_tasks_drawn():
     schedule = custom_schedule(4, gamma=np.full(4, 0.5), n_steps=np.ones(4))
     only_first = np.ones((3, 4), np.int64)
     for scheme in ("budgeted", "igd-of-budgeted"):
-        run_batch(col, only_first, schedule, scheme)
+        run_batch(col, [(only_first, schedule)], scheme)
         drawn = only_first.copy()
         drawn[2, 3] = 2
         with pytest.raises(ValueError) as batch:
-            run_batch(col, drawn, schedule, scheme)
+            run_batch(col, [(drawn, schedule)], scheme)
         with pytest.raises(ValueError) as literal:
             run_continual(col, drawn[2], schedule, scheme)
         assert str(batch.value) == str(literal.value)

@@ -7,6 +7,7 @@ import pytest
 
 from contreg import cli, harness
 from contreg.harness import ConfigError
+from contreg.orderings import derived_seed
 
 
 def base_config(**overrides):
@@ -98,13 +99,6 @@ def test_run_experiment_shape_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_run_experiment_threaded_output_is_identical(tmp_path):
-    cfg = harness.parse_config(base_config(k_grid=[4, 8], trials=3))
-    seq = harness.run_experiment(cfg, threads=1)
-    par = harness.run_experiment(cfg, threads=4)
-    assert seq == par
-
-
 def test_run_experiment_grid_rows():
     cfg = harness.parse_config(base_config(k_grid=[4, 8], trials=1))
     rows = harness.run_experiment(cfg)
@@ -185,14 +179,6 @@ def test_seed_override(tmp_path):
     assert any(x.seed != y.seed for x, y in zip(a, b))
 
 
-def test_thread_env_cap(monkeypatch):
-    monkeypatch.setenv(harness.THREAD_ENV_VAR, "2")
-    assert harness.resolve_threads(8) == 2
-    assert harness.resolve_threads(None) == 2
-    monkeypatch.delenv(harness.THREAD_ENV_VAR)
-    assert harness.resolve_threads(None) == 1
-
-
 def test_cli_run_fit_verify(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     out_path = tmp_path / "rows.csv"
@@ -235,18 +221,23 @@ def test_cli_validation_errors(tmp_path, capsys):
         assert cli.main(["fit", str(path)]) == 1
         assert f"{path}, {where}:" in one_line_error(capsys)
 
-    for scenario, flag, value, message in (
-            ("seen-task", "--trials", "0", "must be >= 1, got 0"),
-            ("any-algorithm", "--trials", "0", "must be >= 1, got 0"),
-            ("seen-task", "--trials", "-3", "must be >= 1, got -3"),
-            ("any-algorithm", "--seed", "-1", "must be >= 0, got -1"),
-            ("seen-task", "--seed", "x", "invalid int value: 'x'")):
-        assert cli.main(["adversarial", "--scenario", scenario, "--k", "16",
-                         flag, value]) == 1
+    good_cfg = tmp_path / "good.json"
+    good_cfg.write_text(json.dumps(base_config()))
+    adversarial = ["adversarial", "--k", "16", "--scenario"]
+    for argv, flag, value, message in (
+            (adversarial + ["seen-task"], "--trials", "0", "must be >= 1, got 0"),
+            (adversarial + ["any-algorithm"], "--trials", "0", "must be >= 1, got 0"),
+            (adversarial + ["seen-task"], "--trials", "-3", "must be >= 1, got -3"),
+            (adversarial + ["any-algorithm"], "--seed", "-1", "must be >= 0, got -1"),
+            (adversarial + ["seen-task"], "--seed", "x", "invalid int value: 'x'"),
+            (["run", "--config", str(good_cfg), "--out", str(tmp_path / "x.csv")],
+             "--seed", "-1", "must be >= 0, got -1")):
+        assert cli.main(argv + [flag, value]) == 1
         out, err = capsys.readouterr()
         error_lines = [line for line in err.splitlines() if "error:" in line]
         assert out == "" and error_lines == [
-            f"contreg adversarial: error: argument {flag}: {message}"], err
+            f"contreg {argv[0]}: error: argument {flag}: {message}"], err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_adversarial(tmp_path, capsys):
@@ -271,15 +262,15 @@ def one_line_error(capsys):
     return err
 
 
-def test_csv_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
-    monkeypatch.delenv(harness.THREAD_ENV_VAR, raising=False)
+def test_csv_bytes_do_not_depend_on_threads(tmp_path):
+    """``--threads`` is accepted for old command lines and changes nothing."""
     cfg = base_config(k_grid=[4, 8, 16], trials=5)
     outputs = []
-    for threads in ("1", "3"):
-        code, path = run_cli_csv(tmp_path, f"t{threads}", cfg, "--threads", threads)
+    for extra in ((), ("--threads", "1"), ("--threads", "3")):
+        code, path = run_cli_csv(tmp_path, f"t{len(outputs)}", cfg, *extra)
         assert code == 0
         outputs.append(path.read_bytes())
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_rows_do_not_depend_on_the_number_of_trials(tmp_path):
@@ -326,7 +317,7 @@ def test_non_finite_result_names_its_trial(tmp_path, capsys):
     col_path = tmp_path / "col.json"
     cfg = base_config(collection={"path": str(col_path)}, scheme="unregularized",
                       schedule={"kind": "none"})
-    seed = harness.derived_seed(99, 4, 0)
+    seed = derived_seed(99, 4, 0)
     for rows in (1, 3):  # also with unequal row counts
         col_path.write_text(json.dumps({"tasks": [
             {"X": [[1e200]], "y": [1e200]},

@@ -115,7 +115,8 @@ def wide_cell(trials=200, k=16):
     col = generate_realizable(RealizableSpec(d=10, M=400, n=5, radius=1.0, seed=7))
     idx = sample_orderings("without-replacement", col.M, k, trials, 11)
     schedule = build_schedule({"kind": "increasing-coefficient"}, col.radius, k)
-    return col, run_batch(col, idx, schedule, "regularized")
+    (run,) = run_batch(col, [(idx, schedule)], "regularized")
+    return col, run
 
 
 def test_summarize_batch_is_the_same_across_block_edges():

@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy import stats
 
-from contreg.orderings import (explicit_ordering, sample_ordering, stream,
-                               WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
+from contreg.orderings import (derived_seed, explicit_ordering, sample_ordering,
+                               sample_orderings, stream, WITH_REPLACEMENT,
+                               WITHOUT_REPLACEMENT)
 
 
 def test_single_task_collection_is_constant():
@@ -28,6 +29,17 @@ def test_determinism_across_calls_and_paths():
     c = sample_ordering(WITH_REPLACEMENT, 5, 100, seed=77, path=(64, 4))
     assert_array_equal(a.indices, b.indices)
     assert np.any(a.indices != c.indices)
+
+
+@pytest.mark.parametrize("kind", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
+def test_sample_orderings_match_one_trial_at_a_time(kind):
+    seed = 2 ** 63 + 5
+    idx, seeds = sample_orderings(kind, 9, 6, 5, seed, with_seeds=True)
+    assert_array_equal(sample_orderings(kind, 9, 6, 5, seed), idx)
+    assert idx.shape == (5, 6) and len(seeds) == 5
+    for i in range(5):
+        assert_array_equal(idx[i], sample_ordering(kind, 9, 6, seed, path=(6, i)).indices)
+        assert seeds[i] == derived_seed(seed, 6, i)
 
 
 def test_streams_are_independent_per_trial():

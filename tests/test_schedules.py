@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from contreg import schedules
 from contreg.schedules import (certificate_check, custom_schedule, fixed_budget,
                                fixed_coefficient, increasing_budget,
                                increasing_coefficient, linear_decay_steps)
@@ -78,6 +79,50 @@ def test_increasing_coefficient_values():
     assert np.all(spec.lam * spec.eta == 1.0)
     with pytest.raises(ValueError):
         increasing_coefficient(1.0, 1)
+
+
+def scalar_inverse_pairs(eta0):
+    """The element-by-element search ``schedules._exact_inverse_pairs`` replaces."""
+    def neighbors(x, width):
+        vals = [x]
+        lo = hi = x
+        for _ in range(width):
+            lo = np.nextafter(lo, -np.inf)
+            hi = np.nextafter(hi, np.inf)
+            vals += [hi, lo]
+        return vals
+
+    lam = np.empty_like(eta0)
+    eta = np.empty_like(eta0)
+    for i, e0 in enumerate(np.atleast_1d(eta0)):
+        hit = None
+        for e in neighbors(float(e0), 2):
+            for l in neighbors(1.0 / e, 3):
+                if l * e == 1.0:
+                    hit = (l, e)
+                    break
+            if hit:
+                break
+        if hit is None:
+            raise ArithmeticError(f"no exactly invertible pair near {e0!r}")
+        lam[i], eta[i] = hit
+    return lam, eta
+
+
+@pytest.mark.parametrize("R", [1.0, 0.3, 1.7, math.pi, 1e-3, 1e3])
+def test_exact_inverse_pairs_match_the_scalar_search(R):
+    for k in (2, 3, 64, 1000, 1024):
+        t = np.arange(1, k + 1)
+        eta0 = (3.0 / (13.0 * R * R)) * (k - t + 2) / (k + 1)
+        want = scalar_inverse_pairs(eta0)
+        got = schedules._exact_inverse_pairs(eta0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), k
+    bad = np.array([0.25, np.nan])
+    with pytest.raises(ArithmeticError) as want:
+        scalar_inverse_pairs(bad)
+    with pytest.raises(ArithmeticError) as got:
+        schedules._exact_inverse_pairs(bad)
+    assert str(got.value) == str(want.value)
 
 
 def test_increasing_budget_values():
