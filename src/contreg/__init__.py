@@ -6,7 +6,7 @@ from .harness import (ExperimentConfig, RateFit, ResultRow, aggregate, fit_rate,
                       write_csv)
 from .metrics import (MetricsRecord, average_loss, excess_loss, loss_degradation,
                       seen_task_loss, summarize, summarize_batch, task_loss)
-from .orderings import Ordering, explicit_ordering, sample_ordering, stream
+from .orderings import sample_ordering, stream
 from .schedules import (CertificateReport, ScheduleSpec, certificate_check,
                         custom_schedule, fixed_budget, fixed_coefficient,
                         increasing_budget, increasing_coefficient,

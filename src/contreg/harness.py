@@ -22,8 +22,7 @@ import numpy as np
 from . import schedules as sched_mod
 from .adversarial import any_alg_lb_collection, seen_task_lb_collection
 from .metrics import average_loss, summarize_batch
-from .orderings import (WITHOUT_REPLACEMENT, explicit_ordering, sample_ordering,
-                        sample_orderings, stream)
+from .orderings import WITHOUT_REPLACEMENT, sample_ordering, sample_orderings, stream
 from .schemes import SCHEME_KINDS, run_batch, run_continual
 from .surrogates import (budgeted_spectral_map, build_budgeted_surrogate,
                          build_regularized_surrogate, build_spectral_surrogate,
@@ -116,6 +115,10 @@ def parse_config(data):
         else:
             raise ConfigError(f"unknown collection generator: {gen!r}")
     _check_types(col, "collection")
+    if "radius" in col and not col["radius"] > 0:
+        raise ConfigError(f"collection field 'radius' must be > 0, got {col['radius']!r}")
+    if "seed" in col and col["seed"] < 0:
+        raise ConfigError(f"collection field 'seed' must be >= 0, got {col['seed']!r}")
 
     if data["scheme"] not in SCHEME_KINDS:
         raise ConfigError(f"unknown scheme kind: {data['scheme']!r}")
@@ -132,7 +135,7 @@ def parse_config(data):
         raise ConfigError(f"unknown schedule fields for {kind!r}: {sorted(unknown)}")
     if kind == "fixed-budget" and "gamma" not in sch:
         raise ConfigError("fixed-budget schedule needs 'gamma'")
-    # A custom schedule's strengths are per-step arrays.
+    # A custom schedule's strengths are per-step arrays, checked when it is built.
     _check_types(sch, "schedule", skip=_SCHEDULE_KINDS["custom"] if kind == "custom" else ())
 
     if data["ordering"] not in _ORDERING_KINDS:
@@ -144,8 +147,13 @@ def parse_config(data):
             or any(b <= a for a, b in zip(k_grid, k_grid[1:]))):
         raise ConfigError("k_grid must be a nonempty strictly increasing list "
                           "of positive integers")
-    if kind == "custom" and len(k_grid) != 1:
-        raise ConfigError("custom schedules support a single-k grid only")
+    if kind == "custom":
+        if len(k_grid) != 1:
+            raise ConfigError("custom schedules support a single-k grid only")
+        try:  # the schedule's own checks, before any work
+            build_schedule(sch, None, k_grid[0])
+        except ValueError as exc:
+            raise ConfigError(f"custom schedule: {exc}") from None
 
     _check_types(data, "config")
     trials = data["trials"]
@@ -195,10 +203,8 @@ def build_schedule(schedule, R, k):
     elif kind == "increasing-budget":
         spec = sched_mod.increasing_budget(R, k, schedule.get("n_choice", 1))
     elif kind == "custom":
-        return sched_mod.custom_schedule(
-            k, lam=schedule.get("lam"), gamma=schedule.get("gamma"),
-            n_steps=schedule.get("n_steps"), eta=schedule.get("eta"),
-            unregularized_first=first)
+        return sched_mod.custom_schedule(k, unregularized_first=first, **{
+            name: schedule[name] for name in _SCHEDULE_KINDS[kind] if name in schedule})
     else:
         raise ConfigError(f"unknown schedule kind: {kind!r}")
     if first:
@@ -387,8 +393,7 @@ def scheme_runner(scheme, schedule_kind, schedule_params=None, w0=None):
         col = new_collection(tasks)
         k = len(tasks)
         spec = build_schedule(params, col.radius, k)
-        ordering = explicit_ordering(np.arange(1, k + 1), k)
-        traj = run_continual(col, ordering, spec, scheme, w0=w0)
+        traj = run_continual(col, np.arange(1, k + 1), spec, scheme, w0=w0)
         return traj.iterates[-1]
 
     return probe

@@ -1,5 +1,9 @@
 """Task orderings with deterministic, splittable seeding.
 
+An ordering tau_1..tau_k is a plain read-only int64 array of 1-based task
+indices in [1..M]; the runners in ``schemes`` take any index sequence and
+check its range against the collection.
+
 All randomness in this package flows through :func:`stream` (or, in
 :func:`sample_orderings`, the same construction), a Philox4x64 counter-based
 bit generator keyed by
@@ -12,15 +16,10 @@ e.g. ``stream(base_seed, k, trial)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 WITH_REPLACEMENT = "with-replacement"
 WITHOUT_REPLACEMENT = "without-replacement"
-EXPLICIT = "explicit"
-
-_KINDS = (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, EXPLICIT)
 
 
 def _seed_sequence(seed, path):
@@ -45,20 +44,6 @@ def derived_seed(seed, *path):
     return _fingerprint(_seed_sequence(seed, path))
 
 
-@dataclass(frozen=True, eq=False)
-class Ordering:
-    """A realized task ordering tau_1..tau_k with 1-based indices in [1..M]."""
-
-    indices: np.ndarray
-    kind: str
-    M: int
-    seed: int | None = None
-    path: tuple = ()
-
-    def __len__(self):
-        return len(self.indices)
-
-
 def _checked_sizes(kind, M, k):
     if kind not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
         raise ValueError(f"unknown ordering kind: {kind!r}")
@@ -80,7 +65,8 @@ def _draw(rng, kind, M, k):
 
 
 def sample_ordering(kind, M, k, seed, path=()):
-    """Sample a uniform task ordering of length k over tasks 1..M.
+    """Sample a uniform task ordering of length k over tasks 1..M, as a
+    read-only int64 array.
 
     ``path`` selects an independent sub-stream of ``seed`` (one per trial),
     so concurrent trials never share generator state.
@@ -88,13 +74,13 @@ def sample_ordering(kind, M, k, seed, path=()):
     M, k = _checked_sizes(kind, M, k)
     idx = np.asarray(_draw(stream(seed, *path), kind, M, k), dtype=np.int64)
     idx.flags.writeable = False
-    return Ordering(indices=idx, kind=kind, M=M, seed=int(seed), path=tuple(path))
+    return idx
 
 
 def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
     """Orderings of trials 0..trials-1 of one k-cell, as (trials, k) task indices.
 
-    Row i is ``sample_ordering(kind, M, k, base_seed, path=(k, i)).indices``.
+    Row i is ``sample_ordering(kind, M, k, base_seed, path=(k, i))``.
     With ``with_seeds``, returns ``(indices, seeds)``, where ``seeds`` lists
     each trial's ``derived_seed(base_seed, k, i)``, taken from the same
     SeedSequence as its stream.  The indices are a view of a step-major
@@ -111,15 +97,3 @@ def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
             seeds.append(_fingerprint(seq))
     return (idx.T, seeds) if with_seeds else idx.T
 
-
-def explicit_ordering(indices, M):
-    """Wrap a user-provided index sequence (1-based) as an Ordering."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("explicit ordering must be a 1-D index sequence")
-    M = int(M)
-    if len(idx) and (idx.min() < 1 or idx.max() > M):
-        raise ValueError(f"ordering entries must lie in [1..{M}]")
-    idx = idx.copy()
-    idx.flags.writeable = False
-    return Ordering(indices=idx, kind=EXPLICIT, M=M)

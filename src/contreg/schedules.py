@@ -10,6 +10,7 @@ argument relies on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,13 @@ def _frozen(a, dtype=np.float64):
     return a
 
 
+# The rule each entry of a per-step array obeys, in the literal rules' words.
+_STEP_RULES = {"eta": "step size must be positive",
+               "lam": "regularization coefficient must be positive",
+               "gamma": "inner step size must satisfy 0 < gamma",
+               "n_steps": "budget must be >= 1"}
+
+
 @dataclass(frozen=True, eq=False)
 class ScheduleSpec:
     """Per-iteration strengths and bookkeeping step sizes over a horizon k.
@@ -36,7 +44,9 @@ class ScheduleSpec:
     Coefficient schedules carry ``lam``; budget schedules carry ``gamma`` and
     integer ``n_steps``.  ``eta`` is the incremental-gradient step size that
     makes the surrogate step reproduce the scheme step (iterates are invariant
-    to it).
+    to it).  Construction is the one check of these values: each array must
+    be 1-D of length k, finite and positive (NaN fails), so the runners check
+    only what depends on the tasks drawn, 0 < gamma_t R_m^2 < 1.
     """
 
     kind: str
@@ -49,21 +59,20 @@ class ScheduleSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("eta", "lam", "gamma", "n_steps"):
-            arr = getattr(self, name)
-            if arr is not None and len(arr) != self.k:
-                raise ValueError(f"{name} must have length k={self.k}, got {len(arr)}")
         if self.lam is None and self.gamma is None:
             raise ValueError("a schedule needs either coefficients or budgets")
-        if self.lam is not None and np.any(self.lam <= 0):
-            raise ValueError("coefficients must be positive")
-        if self.gamma is not None:
-            if self.n_steps is None:
-                raise ValueError("budget schedules need integer step counts")
-            if np.any(self.gamma <= 0):
-                raise ValueError("inner step sizes must be positive")
-            if np.any(self.n_steps < 1):
-                raise ValueError("step budgets must be >= 1")
+        if self.gamma is not None and self.n_steps is None:
+            raise ValueError("budget schedules need integer step counts")
+        for name, rule in _STEP_RULES.items():
+            v = getattr(self, name)
+            if v is None:
+                continue
+            if v.shape != (self.k,):
+                raise ValueError(f"{name} must be 1-D of length k={self.k}, got shape {v.shape}")
+            if not np.all(v > 0):
+                raise ValueError(f"{rule}, got {v[np.argmax(~(v > 0))]}")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite, got {v[np.argmax(~np.isfinite(v))]}")
 
 
 def _check_radius(R):
@@ -196,20 +205,29 @@ def increasing_budget(R, k, n_choice=1):
                         eta=_frozen(eta))
 
 
+def _custom_array(name, values):
+    """A caller's per-step array, frozen.  Bools, scalars, nested lists and,
+    for ``n_steps``, non-integers are rejected, not converted."""
+    kind, what = (numbers.Integral, "integers") if name == "n_steps" else (numbers.Real, "numbers")
+    items = np.asarray(values, dtype=object)
+    if items.ndim != 1 or not all(isinstance(v, kind) and not isinstance(v, bool)
+                                  for v in items):
+        raise ValueError(f"{name} must be a 1-D array of {what}, got {values!r:.40}")
+    try:
+        return _frozen(items, np.int64 if name == "n_steps" else np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} entries must be 64-bit {what}, got {values!r:.40}") from None
+
+
 def custom_schedule(k, lam=None, gamma=None, n_steps=None, eta=None,
                     unregularized_first=False):
-    """Escape hatch for explicit per-step strengths."""
+    """Escape hatch for explicit per-step strengths (eta defaults to ones)."""
     k = int(k)
-    if eta is None:
-        eta = np.ones(k)
-    eta = _frozen(eta)
-    return ScheduleSpec(
-        kind=CUSTOM, k=k,
-        lam=None if lam is None else _frozen(lam),
-        gamma=None if gamma is None else _frozen(gamma),
-        n_steps=None if n_steps is None else _frozen(n_steps, np.int64),
-        eta=eta, unregularized_first=bool(unregularized_first),
-    )
+    arrays = {name: _custom_array(name, values) for name, values in
+              (("lam", lam), ("gamma", gamma), ("n_steps", n_steps), ("eta", eta))
+              if values is not None}
+    return ScheduleSpec(kind=CUSTOM, k=k, eta=arrays.pop("eta", _frozen(np.ones(k))),
+                        unregularized_first=bool(unregularized_first), **arrays)
 
 
 def linear_decay_steps(eta, k, beta):

@@ -88,10 +88,6 @@ class Trajectory:
         return len(self.ordering)
 
 
-def _indices(ordering):
-    return ordering.indices if hasattr(ordering, "indices") else np.asarray(ordering, np.int64)
-
-
 def _check_run(collection, idx, schedule, scheme):
     """Checks shared by both runners; ``idx`` holds 1-based indices, k last."""
     if scheme not in SCHEME_KINDS:
@@ -100,18 +96,14 @@ def _check_run(collection, idx, schedule, scheme):
     if idx.size and (idx.min() < 1 or idx.max() > collection.M):
         raise ValueError(f"ordering entries must lie in [1..{collection.M}]")
 
-    if scheme == UNREGULARIZED:
-        if schedule is not None and schedule.k != k:
-            raise ValueError(f"schedule length {schedule.k} != ordering length {k}")
-    else:
-        if schedule is None:
-            raise ValueError(f"scheme {scheme!r} needs a schedule")
-        if schedule.k != k:
-            raise ValueError(f"schedule length {schedule.k} != ordering length {k}")
-        if scheme in _COEFFICIENT_SCHEMES and schedule.lam is None:
-            raise ValueError(f"scheme {scheme!r} needs a coefficient schedule")
-        if scheme in _BUDGET_SCHEMES and schedule.gamma is None:
-            raise ValueError(f"scheme {scheme!r} needs a budget schedule")
+    if schedule is None and scheme != UNREGULARIZED:
+        raise ValueError(f"scheme {scheme!r} needs a schedule")
+    if schedule is not None and schedule.k != k:
+        raise ValueError(f"schedule length {schedule.k} != ordering length {k}")
+    if scheme in _COEFFICIENT_SCHEMES and schedule.lam is None:
+        raise ValueError(f"scheme {scheme!r} needs a coefficient schedule")
+    if scheme in _BUDGET_SCHEMES and schedule.gamma is None:
+        raise ValueError(f"scheme {scheme!r} needs a budget schedule")
 
 
 def _start(collection, w0):
@@ -126,12 +118,13 @@ def _start(collection, w0):
 def run_continual(collection, ordering, schedule, scheme, w0=None):
     """Run one continual trajectory of a given scheme kind.
 
-    ``schedule`` supplies per-step strengths; it may be None only for the
-    unregularized scheme.  For the igd-of-* kinds the surrogate is rebuilt at
+    ``ordering`` is any sequence of 1-based task indices.  ``schedule``
+    supplies per-step strengths; it may be None only for the unregularized
+    scheme.  For the igd-of-* kinds the surrogate is rebuilt at
     every step from the current task and the step-t schedule entries, and the
     update is taken through it (never through the scheme's own closed form).
     """
-    idx = _indices(ordering)
+    idx = np.asarray(ordering, np.int64)
     k = len(idx)
     _check_run(collection, idx, schedule, scheme)
     w = _start(collection, w0)
@@ -177,43 +170,17 @@ class BatchRun:
     loss_after_sum: np.ndarray
 
 
-def _check_strengths(rows, order, schedule, scheme, t0):
-    """The literal rules' strength checks, over every step from ``t0`` on.
-
-    ``order`` is (k, trials) with 1-based task indices; the gamma check covers
-    only the tasks actually drawn, as the literal rules do.
-    """
-    igd = scheme in (IGD_REGULARIZED, IGD_BUDGETED)
-    if scheme in _COEFFICIENT_SCHEMES:
-        lam = schedule.lam[t0:]
-        if not np.all(lam > 0):
-            bad = lam[np.argmax(~(lam > 0))]
-            raise ValueError(f"regularization coefficient must be positive, got {bad}")
-    if scheme in _BUDGET_SCHEMES:
-        n_steps = schedule.n_steps[t0:]
-        if not np.all(n_steps >= 1):
-            bad = n_steps[np.argmax(n_steps < 1)]
-            raise ValueError(f"budget must be a positive integer, got {bad}" if igd
-                             else f"budget must be >= 1, got {bad}")
-    if igd:
-        eta = schedule.eta[t0:]
-        if not np.all(eta > 0):
-            raise ValueError(f"step size must be positive, got {eta[np.argmax(~(eta > 0))]}")
-    if scheme in _BUDGET_SCHEMES:
-        gamma, drawn = schedule.gamma[t0:], order[t0:]
-        # Largest inner step each task is trained with (0 if never drawn).
-        worst = np.zeros(len(rows.r2) + 1)
-        np.maximum.at(worst, drawn, np.broadcast_to(gamma[:, None], drawn.shape))
-        too_big = worst[1:] * rows.r2 >= 1
-        if not np.all(gamma > 0) or too_big.any():
-            if np.all(gamma > 0):
-                m = int(np.argmax(too_big))
-                g, r2 = worst[m + 1], rows.r2[m]
-            else:
-                t = int(np.argmax(~(gamma > 0)))
-                g, r2 = gamma[t], rows.r2[drawn[t, 0] - 1]
-            raise ValueError(f"inner step size must satisfy 0 < gamma * R_m^2 < 1, "
-                             f"got gamma={g}, R_m^2={r2}")
+def _check_inner_steps(r2, drawn, gamma):
+    """0 < gamma_t R_m^2 < 1 on every task in ``drawn`` (k, trials), as the
+    literal budget rules require; gamma_t > 0 is the schedule's own check."""
+    # Largest inner step each task is trained with (0 if never drawn).
+    worst = np.zeros(len(r2) + 1)
+    np.maximum.at(worst, drawn, np.broadcast_to(gamma[:, None], drawn.shape))
+    too_big = worst[1:] * r2 >= 1
+    if too_big.any():
+        m = int(np.argmax(too_big))
+        raise ValueError(f"inner step size must satisfy 0 < gamma * R_m^2 < 1, "
+                         f"got gamma={worst[m + 1]}, R_m^2={r2[m]}")
 
 
 def _gains(scheme, strengths, sigma, inv_sigma):
@@ -242,7 +209,10 @@ def run_batch(collection, cells, scheme, w0=None):
     ``cells`` is a list of ``(indices, schedule)`` pairs, one per cell, and
     one BatchRun is returned per cell, in order.  ``indices`` is (trials, k)
     with 1-based task indices, one row per trial; k may differ between cells.
-    Every cell is checked before any cell steps.  The trials are laid out
+    Every cell is checked before any cell steps.  A schedule's own strengths
+    were checked when it was built, so the one strength check left is
+    0 < gamma_t R_m^2 < 1 for the budget schemes, over the tasks drawn (an
+    unregularized first step is exempt).  The trials are laid out
     longest cell first, so the ones still running at step t are a prefix of
     the batch, and each reads its cell's step-t strengths from a
     (k_max, cells) table.
@@ -274,12 +244,11 @@ def run_batch(collection, cells, scheme, w0=None):
     projection_only = scheme == UNREGULARIZED
     firsts = {schedule is not None and schedule.unregularized_first for _, schedule in cells}
     t0 = int(any(firsts))
-    if not projection_only:
-        if len(firsts) > 1:
-            raise ValueError("cells must agree on unregularized_first")
+    if not projection_only and len(firsts) > 1:
+        raise ValueError("cells must agree on unregularized_first")
+    if scheme in _BUDGET_SCHEMES:
         for indices, schedule in cells:
-            if len(indices):
-                _check_strengths(rows, indices.T, schedule, scheme, t0)
+            _check_inner_steps(rows.r2, indices.T[t0:], schedule.gamma[t0:])
     if not cells:
         return []
 

@@ -74,7 +74,7 @@ def build_budgeted_surrogate(task, gamma, n_steps, eta):
     """Surrogate whose eta-step equals n_steps plain gradient steps of size gamma."""
     n_steps = int(n_steps)
     if n_steps < 1:
-        raise ValueError(f"budget must be a positive integer, got {n_steps}")
+        raise ValueError(f"budget must be >= 1, got {n_steps}")
     if not eta > 0:
         raise ValueError(f"step size must be positive, got {eta}")
     r2 = task.spectral_norm ** 2

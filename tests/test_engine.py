@@ -30,7 +30,9 @@ from contreg.harness import build_collection, build_schedule
 from contreg.metrics import summarize, summarize_batch
 from contreg.orderings import sample_orderings
 from contreg.schedules import custom_schedule
-from contreg.schemes import SCHEME_KINDS, run_batch, run_continual
+from contreg.schemes import (SCHEME_KINDS, budgeted_step, igd_step, regularized_step,
+                             run_batch, run_continual)
+from contreg.surrogates import build_budgeted_surrogate, build_regularized_surrogate
 from contreg.tasks import new_collection, new_task
 
 RTOL = 1e-12
@@ -201,12 +203,16 @@ def test_trial_values_do_not_depend_on_the_batch(monkeypatch):
         run_batch(col, [cells[0], (cells[0][0], schedule_for(rng, 3, col.radius, False))],
                   "regularized")
 
-    # A strength error in the last cell is raised before any cell steps.
+    # A drawn task's 0 < gamma R_m^2 < 1 error in the last cell (at step 3,
+    # past the exempt first step) is raised before any cell steps.
     stepped = []
     monkeypatch.setattr(schemes, "_gains", lambda *args: stepped.append(args))
-    bad = Strengths(5, lam=[1.0, 1.0, 0.0, 1.0, 1.0], first=True)
-    with pytest.raises(ValueError, match="coefficient must be positive"):
-        run_batch(col, cells[:-1] + [(cells[-1][0], bad)], "regularized")
+    idx = cells[-1][0]
+    gamma = np.full(5, 0.1 / col.radius ** 2)
+    gamma[2] = 1.5 / col.tasks[idx[0, 2] - 1].spectral_norm ** 2
+    bad = custom_schedule(5, gamma=gamma, n_steps=[1] * 5, unregularized_first=True)
+    with pytest.raises(ValueError, match=r"0 < gamma \* R_m\^2 < 1"):
+        run_batch(col, cells[:-1] + [(idx, bad)], "budgeted")
     assert stepped == []
 
 
@@ -230,16 +236,16 @@ def test_run_batch_working_set_stays_small():
         assert peak <= 320 * 1024, (scheme, peak)
 
 
-class Strengths:
-    """A schedule that skips ScheduleSpec's own checks (both runners read fields only)."""
-
-    def __init__(self, k, lam=None, gamma=None, n_steps=None, eta=None, first=False):
-        self.k = k
-        self.lam = None if lam is None else np.asarray(lam, dtype=float)
-        self.gamma = None if gamma is None else np.asarray(gamma, dtype=float)
-        self.n_steps = None if n_steps is None else np.asarray(n_steps, dtype=np.int64)
-        self.eta = np.ones(k) if eta is None else np.asarray(eta, dtype=float)
-        self.unregularized_first = first
+def literal_step(scheme, task, lam=None, gamma=None, n_steps=None, eta=1.0):
+    """One step of ``scheme``'s literal rule from w = 0."""
+    w = np.zeros(task.d)
+    if scheme == "regularized":
+        return regularized_step(w, task, lam)
+    if scheme == "budgeted":
+        return budgeted_step(w, task, gamma, n_steps)
+    if scheme == "igd-of-regularized":
+        return igd_step(w, build_regularized_surrogate(task, lam, eta), eta)
+    return igd_step(w, build_budgeted_surrogate(task, gamma, n_steps, eta), eta)
 
 
 @pytest.mark.parametrize("scheme, fields, message", [
@@ -248,32 +254,25 @@ class Strengths:
     ("igd-of-regularized", {"lam": [1.0] * 3, "eta": [1.0, -2.0, 1.0]},
      "step size must be positive"),
     ("budgeted", {"gamma": [0.1] * 3, "n_steps": [1, 0, 1]}, "budget must be >= 1"),
-    ("igd-of-budgeted", {"gamma": [0.1] * 3, "n_steps": [1, 0, 1]},
-     "budget must be a positive integer"),
+    ("igd-of-budgeted", {"gamma": [0.1] * 3, "n_steps": [1, 0, 1]}, "budget must be >= 1"),
     ("igd-of-budgeted", {"gamma": [0.1] * 3, "n_steps": [1] * 3, "eta": [1.0, 0.0, 1.0]},
      "step size must be positive"),
     ("budgeted", {"gamma": [0.1, np.nan, 0.1], "n_steps": [1] * 3}, "0 < gamma"),
 ])
 def test_strength_checks_raise_the_literal_errors(scheme, fields, message):
-    col = new_collection([new_task([[1.0, 0.0]], [1.0]), new_task([[0.0, 2.0]], [1.0])])
-    idx = np.array([[1, 2, 1], [2, 2, 1]])
-    schedule = Strengths(3, **fields)
+    """A schedule rejects, when it is built, each strength that its scheme's
+    literal rule rejects at the step that uses it, in the same words."""
+    with pytest.raises(ValueError) as built:
+        custom_schedule(3, **fields)
     with pytest.raises(ValueError) as literal:
-        run_continual(col, idx[0], schedule, scheme)
-    with pytest.raises(ValueError) as batch:
-        run_batch(col, [(idx, schedule)], scheme)
-    assert message in str(literal.value)
-    assert str(batch.value) == str(literal.value)
-    # The literal rules skip every check on an unregularized first step.
-    moved = Strengths(3, first=True, **{name: [v[1], v[0], v[2]]
-                                        for name, v in fields.items()})
-    run_continual(col, idx[0], moved, scheme)
-    run_batch(col, [(idx, moved)], scheme)
+        literal_step(scheme, new_task([[1.0, 0.0]], [1.0]),
+                     **{name: values[1] for name, values in fields.items()})
+    assert message in str(built.value) and message in str(literal.value)
 
 
 def test_gamma_check_covers_only_the_tasks_drawn():
     col = new_collection([new_task([[1.0, 0.0]], [1.0]), new_task([[0.0, 3.0]], [1.0])])
-    schedule = custom_schedule(4, gamma=np.full(4, 0.5), n_steps=np.ones(4))
+    schedule = custom_schedule(4, gamma=np.full(4, 0.5), n_steps=[1] * 4)
     only_first = np.ones((3, 4), np.int64)
     for scheme in ("budgeted", "igd-of-budgeted"):
         run_batch(col, [(only_first, schedule)], scheme)

@@ -51,6 +51,25 @@ MISTYPED_CONFIGS = [
     base_config(schedule={"kind": "increasing-coefficient", "unregularized_first": 1}),
     base_config(schedule={"kind": ["none"]}),
 ]
+# Well-typed configs with a value out of range; each must be a ConfigError.
+BAD_VALUE_CONFIGS = [
+    base_config(collection={**GAUSSIAN_COLLECTION, "seed": -1}),
+    base_config(collection={**GAUSSIAN_COLLECTION, "radius": -5}),
+    base_config(collection={**GAUSSIAN_COLLECTION, "radius": 0.0}),
+    base_config(collection={**PAIRS_COLLECTION, "radius": -2}),
+    base_config(collection={**PAIRS_COLLECTION, "seed": -3}),
+    base_config(k_grid=[3], schedule={"kind": "custom", "lam": 5}),
+    base_config(k_grid=[3], schedule={"kind": "custom", "lam": [[1, 1, 1]]}),
+    base_config(k_grid=[3], schedule={"kind": "custom", "lam": [True, True, True]}),
+    base_config(k_grid=[3], schedule={"kind": "custom", "lam": [1, True, 1]}),
+    base_config(k_grid=[3], schedule={"kind": "custom", "lam": [float("inf"), 1, 1]}),
+    base_config(k_grid=[3], schedule={"kind": "custom", "lam": [1, 1], "eta": [1, 1, 1]}),
+    base_config(k_grid=[3], schedule={"kind": "custom", "lam": [1, 0, 1]}),
+    base_config(k_grid=[3], schedule={"kind": "custom", "gamma": [0.1] * 3,
+                                      "n_steps": [1.5, 2.7, 1]}),
+    base_config(k_grid=[3], schedule={"kind": "custom", "gamma": [0.1] * 3,
+                                      "n_steps": [1, 2 ** 70, 1]}),
+]
 
 
 def test_parse_config_strictness():
@@ -78,11 +97,15 @@ def test_parse_config_strictness():
         harness.parse_config(base_config(k_grid=[]))
     with pytest.raises(ConfigError, match="trials"):
         harness.parse_config(base_config(trials=0))
-    for cfg in MISTYPED_CONFIGS:
+    for cfg in MISTYPED_CONFIGS + BAD_VALUE_CONFIGS:
         with pytest.raises(ConfigError):
             harness.parse_config(cfg)
+    for name, value in (("seed", -1), ("radius", -5)):
+        with pytest.raises(ConfigError, match=f"collection field '{name}' must be"):
+            harness.parse_config(base_config(collection={**GAUSSIAN_COLLECTION, name: value}))
     # A custom schedule's strengths are arrays; well-typed flags still parse.
     harness.parse_config(base_config(schedule={"kind": "custom", "gamma": [0.5] * 4,
+                                               "n_steps": [1] * 4,
                                                "unregularized_first": True}))
     harness.parse_config(base_config(collection={**PAIRS_COLLECTION, "radius": 2}))
 
@@ -203,8 +226,11 @@ def test_cli_validation_errors(tmp_path, capsys):
     missing_out.write_text(json.dumps(base_config()))
     assert cli.main(["run", "--config", str(missing_out)]) == 1
     capsys.readouterr()
-    for cfg in MISTYPED_CONFIGS:
-        bad.write_text(json.dumps(cfg))
+    # JSON reads 1e400 as inf.
+    too_big = json.dumps(base_config(k_grid=[3], schedule={"kind": "custom", "lam": [7, 1, 1]}))
+    for text in [json.dumps(cfg) for cfg in MISTYPED_CONFIGS + BAD_VALUE_CONFIGS] + [
+            too_big.replace("[7, 1, 1]", "[1e400, 1, 1]")]:
+        bad.write_text(text)
         assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
         err = one_line_error(capsys)
         assert "must be" in err or "unknown schedule kind" in err, err

@@ -7,7 +7,7 @@ from contreg import metrics
 from contreg.harness import METRIC_NAMES, build_schedule, sample_orderings
 from contreg.metrics import (average_loss, excess_loss, loss_degradation,
                              seen_task_loss, summarize, summarize_batch, task_loss)
-from contreg.orderings import explicit_ordering, sample_ordering, stream
+from contreg.orderings import sample_ordering, stream
 from contreg.schedules import custom_schedule
 from contreg.schemes import BatchRun, run_batch, run_continual
 from contreg.tasks import (RealizableSpec, generate_realizable, new_collection,
@@ -60,8 +60,7 @@ def test_excess_linearity_identity():
 
 def test_degradation_zero_at_single_step():
     col = generate_realizable(RealizableSpec(d=3, M=2, n=1, radius=1.0, seed=9))
-    traj = run_continual(col, explicit_ordering([2], 2),
-                         custom_schedule(1, lam=[1.0]), "regularized")
+    traj = run_continual(col, [2], custom_schedule(1, lam=[1.0]), "regularized")
     assert loss_degradation(traj, col) == pytest.approx(0.0, abs=1e-18)
 
 
@@ -70,7 +69,7 @@ def test_degradation_equals_seen_loss_for_projections():
     col = generate_realizable(RealizableSpec(d=6, M=3, n=2, radius=1.0, seed=10))
     order = sample_ordering("with-replacement", 3, 25, seed=11)
     traj = run_continual(col, order, None, "unregularized")
-    seen = seen_task_loss(traj.iterates[-1], col, order.indices)
+    seen = seen_task_loss(traj.iterates[-1], col, order)
     assert loss_degradation(traj, col) == pytest.approx(seen, rel=1e-10, abs=1e-18)
 
 
@@ -81,7 +80,7 @@ def test_degradation_negative_on_slow_two_task_instance():
                           new_task([[0.0, 1.0]], [1.0])],
                          w_star=np.array([1.0, 1.0]))
     k = 30
-    order = explicit_ordering([1, 2] * 15, 2)
+    order = [1, 2] * 15
     traj = run_continual(col, order, custom_schedule(k, lam=np.full(k, 5.0)),
                          "regularized")
     value = loss_degradation(traj, col)

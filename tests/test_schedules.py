@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,3 +198,20 @@ def test_custom_schedule_validation():
         custom_schedule(2, gamma=[0.1, 0.1])
     with pytest.raises(ValueError, match=">= 1"):
         custom_schedule(2, gamma=[0.1, 0.1], n_steps=[1, 0])
+    # Values are rejected as given, never converted: no scalars, nesting,
+    # bools (alone or mixed with numbers), non-finite strengths or
+    # non-integer step counts.
+    numbers, integers = "must be a 1-D array of numbers", "must be a 1-D array of integers"
+    for fields, message in (
+            ({"lam": 5.0}, numbers), ({"lam": [[1.0, 2.0]]}, numbers),
+            ({"lam": [True, True]}, numbers), ({"lam": [1.0, True]}, numbers),
+            ({"lam": np.ones(2, bool)}, numbers), ({"lam": [1.0, "2"]}, numbers),
+            ({"lam": [1.0, math.inf]}, "lam must be finite, got inf"),
+            ({"lam": [1.0, 1.0], "eta": [1.0, math.inf]}, "eta must be finite, got inf"),
+            ({"gamma": [0.1, math.nan], "n_steps": [1, 1]}, "0 < gamma, got nan"),
+            ({"gamma": [0.1, 0.1], "n_steps": [1.5, 2.7]}, integers),
+            ({"gamma": [0.1, 0.1], "n_steps": np.ones(2)}, integers),
+            ({"gamma": [0.1, 0.1], "n_steps": [1, 2 ** 64]}, "must be 64-bit integers"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            custom_schedule(2, **fields)

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy import optimize
 
 from contreg.metrics import average_loss, task_loss
-from contreg.orderings import explicit_ordering, sample_ordering, stream
+from contreg.orderings import sample_ordering, stream
 from contreg.schedules import custom_schedule, increasing_budget, increasing_coefficient
 from contreg.schemes import (budgeted_step, igd_step, regularized_step,
                              run_continual, unregularized_step)
@@ -91,7 +91,7 @@ def test_igd_step_matches_scheme_steps():
 
 def test_run_continual_trivial_horizon():
     col = generate_realizable(RealizableSpec(d=3, M=2, n=1, radius=1.0, seed=1))
-    traj = run_continual(col, explicit_ordering([], 2), None, "unregularized")
+    traj = run_continual(col, [], None, "unregularized")
     assert traj.iterates.shape == (1, 3)
     assert_allclose(traj.iterates[0], np.zeros(3))
 
@@ -112,7 +112,7 @@ def test_run_continual_fixed_point_at_solution():
 
 def test_single_task_unregularized_solves_in_one_step():
     col = generate_realizable(RealizableSpec(d=3, M=1, n=2, radius=1.0, seed=3))
-    traj = run_continual(col, explicit_ordering([1], 1), None, "unregularized")
+    traj = run_continual(col, [1], None, "unregularized")
     assert average_loss(traj.iterates[-1], col) <= 1e-18
 
 
@@ -181,7 +181,7 @@ def test_distance_to_solution_non_increasing_under_regularized():
 def test_unregularized_first_flag():
     col = generate_realizable(RealizableSpec(d=4, M=2, n=1, radius=1.0, seed=12))
     k = 3
-    order = explicit_ordering([1, 2, 1], 2)
+    order = [1, 2, 1]
     sched = custom_schedule(k, lam=np.full(k, 5.0), unregularized_first=True)
     traj = run_continual(col, order, sched, "regularized")
     first = unregularized_step(np.zeros(4), col.tasks[0])
@@ -193,7 +193,7 @@ def test_unregularized_first_flag():
 def test_regularized_step_never_raises_its_task_loss():
     col = generate_realizable(RealizableSpec(d=3, M=2, n=1, radius=1.0, seed=13))
     k = 4
-    order = explicit_ordering([2, 1, 2, 2], 2)
+    order = [2, 1, 2, 2]
     traj = run_continual(col, order, increasing_coefficient(col.radius, k), "regularized")
     assert traj.ordering.tolist() == [2, 1, 2, 2]
     for t, m in enumerate(traj.ordering, start=1):
@@ -203,7 +203,7 @@ def test_regularized_step_never_raises_its_task_loss():
 
 def test_run_continual_validation():
     col = generate_realizable(RealizableSpec(d=3, M=2, n=1, radius=1.0, seed=14))
-    order = explicit_ordering([1, 2], 2)
+    order = [1, 2]
     with pytest.raises(ValueError, match="length"):
         run_continual(col, order, increasing_coefficient(1.0, 3), "regularized")
     with pytest.raises(ValueError, match="coefficient schedule"):
@@ -214,8 +214,8 @@ def test_run_continual_validation():
         run_continual(col, order, None, "regularized")
     with pytest.raises(ValueError, match="unknown scheme"):
         run_continual(col, order, None, "cyclic")
-    bad = explicit_ordering([1, 5], 5)
-    with pytest.raises(ValueError, match=r"\[1\.\.2\]"):
-        run_continual(col, bad, None, "unregularized")
+    for bad in ([1, 5], [0, 1]):
+        with pytest.raises(ValueError, match=r"\[1\.\.2\]"):
+            run_continual(col, bad, None, "unregularized")
     with pytest.raises(ValueError, match="w0"):
         run_continual(col, order, None, "unregularized", w0=np.zeros(5))
