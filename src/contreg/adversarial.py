@@ -26,8 +26,6 @@ class AdversarialScenario:
     """
 
     collection: object
-    description: str
-    target_rate: str
     threshold: Callable[[int], float]
     success_prob_floor: float | None
     recommended_w0: np.ndarray | None = None
@@ -65,12 +63,9 @@ def seen_task_lb_collection(k, d=2):
     w0[0] = 1.0
     return AdversarialScenario(
         collection=new_collection(tasks, w_star=np.zeros(d)),
-        description=f"{k - 1} replicas of (e_2, 0) plus one ((sqrt(1/2), sqrt(1/2)), 0)",
-        target_rate="seen-task loss is Omega(1/k) with probability >= 0.15",
         threshold=lambda kk: 1.0 / (144.0 * kk),
         success_prob_floor=0.15,
         recommended_w0=w0,
-        meta={"alpha": float(alpha)},
     )
 
 
@@ -111,10 +106,7 @@ def any_alg_lb_collection(k, d, probe, probe_trials=1000):
     w_star[1] = a
     return AdversarialScenario(
         collection=new_collection(tasks, w_star=w_star),
-        description=f"{k - 1} replicas of (e_1, 0) plus one (e_2, {a:+g})",
-        target_rate="mean excess average loss is Omega(1/k) for any algorithm",
         threshold=lambda kk: 1.0 / (64.0 * kk),
         success_prob_floor=None,
-        meta={"adversary_sign": a, "probe_trials": probe_trials,
-              "estimated_prob_nonpositive": estimate},
+        meta={"adversary_sign": a, "estimated_prob_nonpositive": estimate},
     )

@@ -18,6 +18,7 @@ import sys
 
 from . import harness
 from .harness import ConfigError
+from .schedules import KINDS
 from .schemes import SCHEME_KINDS
 
 
@@ -66,11 +67,10 @@ def _cmd_verify(args):
 
 
 def _cmd_adversarial(args):
-    schedule_params = {}
-    if args.schedule == "fixed-budget":
-        schedule_params["gamma"] = args.gamma
-    if args.schedule == "increasing-budget":
-        schedule_params["n_choice"] = args.n_choice
+    options = {"gamma": args.gamma, "n_choice": args.n_choice}
+    kind = KINDS[args.schedule]
+    schedule_params = {name: options[name] for name in kind.required + kind.optional
+                       if name in options}
     common = dict(k=args.k, trials=args.trials, base_seed=args.seed,
                   scheme=args.scheme, schedule_kind=args.schedule,
                   schedule_params=schedule_params)
@@ -128,7 +128,7 @@ def build_parser():
     p.add_argument("--scheme", default="regularized", choices=SCHEME_KINDS)
     # Custom schedules need per-step arrays, which this command cannot take.
     p.add_argument("--schedule", default="increasing-coefficient",
-                   choices=[kind for kind in harness.SCHEDULE_KINDS if kind != "custom"])
+                   choices=[kind for kind in KINDS if kind != "custom"])
     p.add_argument("--gamma", type=float, default=0.5,
                    help="inner step size for fixed-budget schedules")
     p.add_argument("--n-choice", type=int, default=1,

@@ -15,33 +15,23 @@ import json
 import math
 import os
 import secrets
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import schedules as sched_mod
 from .adversarial import any_alg_lb_collection, seen_task_lb_collection
 from .metrics import average_loss, summarize_batch
-from .orderings import WITHOUT_REPLACEMENT, sample_ordering, sample_orderings, stream
-from .schemes import SCHEME_KINDS, run_batch, run_continual
+from .orderings import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, sample_ordering,
+                        sample_orderings, stream)
+from .schedules import KINDS, build_schedule
+from .schemes import READS, run_batch, run_continual
 from .surrogates import (budgeted_spectral_map, build_budgeted_surrogate,
                          build_regularized_surrogate, build_spectral_surrogate,
                          from_matrix, sandwich_check, value_and_grad)
 from .tasks import (collection_from_dict, generate_aligned_pairs,
                     generate_realizable, min_norm_solution, new_collection,
-                    new_task, RealizableSpec)
-
-_SCHEDULE_KINDS = {
-    "fixed-coefficient": (),
-    "fixed-budget": ("gamma",),
-    "increasing-coefficient": (),
-    "increasing-budget": ("n_choice",),
-    "custom": ("lam", "gamma", "n_steps", "eta"),
-    "none": (),
-}
-SCHEDULE_KINDS = tuple(_SCHEDULE_KINDS)
-
-_ORDERING_KINDS = ("with-replacement", "without-replacement")
+                    new_task, RealizableSpec, TaskCollection)
 
 
 class ConfigError(ValueError):
@@ -50,9 +40,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    collection: dict
+    """A checked config, with its collection and one schedule per k built."""
+
+    collection: TaskCollection
     scheme: str
-    schedule: dict
+    kind: str  # the schedule kind, the CSV's ``schedule`` label
+    schedules: tuple
     ordering: str
     k_grid: tuple
     trials: int
@@ -92,8 +85,39 @@ def _require_keys(d, required, optional, where):
         raise ConfigError(f"missing {where} fields: {sorted(missing)}")
 
 
+def _check_schedule(sch, scheme):
+    """Check a schedule dict against its ``schedules.KINDS`` entry and ``schemes.READS``."""
+    if not isinstance(scheme, str) or scheme not in READS:
+        raise ConfigError(f"unknown scheme kind: {scheme!r}")
+    if not isinstance(sch, dict) or "kind" not in sch:
+        raise ConfigError("schedule must be an object with a 'kind' field")
+    kind = sch["kind"]
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ConfigError(f"unknown schedule kind: {kind!r}")
+    entry = KINDS[kind]
+    allowed = {"kind", *entry.required, *entry.optional}
+    unknown = set(sch) - allowed
+    if unknown:
+        raise ConfigError(f"unknown schedule fields for {kind!r} with scheme {scheme!r}: "
+                          f"{sorted(unknown)} (fields must be among {sorted(allowed)})")
+    for name in entry.required:
+        if name not in sch:
+            raise ConfigError(f"{kind} schedule needs {name!r}")
+    sets = sorted(set(sch) & {"lam", "gamma", "n_steps"} if entry.strengths is None
+                  else entry.strengths)
+    if sets != sorted(READS[scheme]):
+        raise ConfigError(f"scheme {scheme!r} cannot run a {kind!r} schedule: the strengths "
+                          f"it sets must be those the scheme reads, {list(READS[scheme])}, "
+                          f"got {sets}")
+    # A custom schedule's gamma is a per-step array, checked when it is built.
+    _check_types(sch, "schedule", skip=("gamma",) if entry.strengths is None else ())
+
+
 def parse_config(data):
-    """Validate a raw config mapping; unknown fields are errors."""
+    """Check a raw config mapping (unknown fields are errors; the schedule as
+    ``_check_schedule`` says) and build what it names: the collection and one
+    schedule per k.  So every config error is a ConfigError raised here,
+    before any trial is sampled."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(data, ["collection", "scheme", "schedule", "ordering",
@@ -120,25 +144,10 @@ def parse_config(data):
     if "seed" in col and col["seed"] < 0:
         raise ConfigError(f"collection field 'seed' must be >= 0, got {col['seed']!r}")
 
-    if data["scheme"] not in SCHEME_KINDS:
-        raise ConfigError(f"unknown scheme kind: {data['scheme']!r}")
+    scheme, sch = data["scheme"], data["schedule"]
+    _check_schedule(sch, scheme)
 
-    sch = data["schedule"]
-    if not isinstance(sch, dict) or "kind" not in sch:
-        raise ConfigError("schedule must be an object with a 'kind' field")
-    kind = sch["kind"]
-    if not isinstance(kind, str) or kind not in _SCHEDULE_KINDS:
-        raise ConfigError(f"unknown schedule kind: {kind!r}")
-    allowed = set(_SCHEDULE_KINDS[kind]) | {"kind", "unregularized_first"}
-    unknown = set(sch) - allowed
-    if unknown:
-        raise ConfigError(f"unknown schedule fields for {kind!r}: {sorted(unknown)}")
-    if kind == "fixed-budget" and "gamma" not in sch:
-        raise ConfigError("fixed-budget schedule needs 'gamma'")
-    # A custom schedule's strengths are per-step arrays, checked when it is built.
-    _check_types(sch, "schedule", skip=_SCHEDULE_KINDS["custom"] if kind == "custom" else ())
-
-    if data["ordering"] not in _ORDERING_KINDS:
+    if data["ordering"] not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
         raise ConfigError(f"unknown ordering kind: {data['ordering']!r}")
 
     k_grid = data["k_grid"]
@@ -147,13 +156,6 @@ def parse_config(data):
             or any(b <= a for a, b in zip(k_grid, k_grid[1:]))):
         raise ConfigError("k_grid must be a nonempty strictly increasing list "
                           "of positive integers")
-    if kind == "custom":
-        if len(k_grid) != 1:
-            raise ConfigError("custom schedules support a single-k grid only")
-        try:  # the schedule's own checks, before any work
-            build_schedule(sch, None, k_grid[0])
-        except ValueError as exc:
-            raise ConfigError(f"custom schedule: {exc}") from None
 
     _check_types(data, "config")
     trials = data["trials"]
@@ -163,8 +165,16 @@ def parse_config(data):
     if base_seed < 0:
         raise ConfigError("base_seed must be a nonnegative integer (up to 64 bits)")
 
+    collection = build_collection(col)
+    if data["ordering"] == WITHOUT_REPLACEMENT and k_grid[-1] > collection.M:
+        raise ConfigError(f"without-replacement needs k <= M, got k={k_grid[-1]}, "
+                          f"M={collection.M}")
+    try:
+        schedules = tuple(build_schedule(sch, collection.radius, k) for k in k_grid)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{sch['kind']} schedule: {exc}") from None
     return ExperimentConfig(
-        collection=dict(col), scheme=data["scheme"], schedule=dict(sch),
+        collection=collection, scheme=scheme, kind=sch["kind"], schedules=schedules,
         ordering=data["ordering"], k_grid=tuple(k_grid), trials=trials,
         base_seed=base_seed, out=data.get("out"),
     )
@@ -186,30 +196,6 @@ def build_collection(spec):
     return generate_realizable(RealizableSpec(
         d=spec["d"], M=spec["M"], n=spec["n"], radius=spec["radius"],
         seed=spec["seed"]))
-
-
-def build_schedule(schedule, R, k):
-    """Instantiate a schedule dict for one horizon k (None for kind 'none')."""
-    kind = schedule["kind"]
-    first = bool(schedule.get("unregularized_first", False))
-    if kind == "none":
-        return None
-    if kind == "fixed-coefficient":
-        spec = sched_mod.fixed_coefficient(R, k)
-    elif kind == "fixed-budget":
-        spec = sched_mod.fixed_budget(R, schedule["gamma"], k)
-    elif kind == "increasing-coefficient":
-        spec = sched_mod.increasing_coefficient(R, k)
-    elif kind == "increasing-budget":
-        spec = sched_mod.increasing_budget(R, k, schedule.get("n_choice", 1))
-    elif kind == "custom":
-        return sched_mod.custom_schedule(k, unregularized_first=first, **{
-            name: schedule[name] for name in _SCHEDULE_KINDS[kind] if name in schedule})
-    else:
-        raise ConfigError(f"unknown schedule kind: {kind!r}")
-    if first:
-        spec = replace(spec, unregularized_first=True)
-    return spec
 
 
 CSV_FIELDS = ("scheme", "schedule", "ordering", "M", "d", "R", "k", "trial",
@@ -244,24 +230,16 @@ class ResultRow:
 
 
 def run_experiment(cfg):
-    """Run the configured sweep; one row per (k, trial), sorted by (k, trial).
-
-    The collection file, the schedules and the k grid against the collection
-    are checked before any trial steps, and so are the strength checks that
-    depend on the tasks drawn: ``run_batch`` makes them for every cell first.
-    """
-    col = build_collection(cfg.collection)
-    R = col.radius
-    if cfg.ordering == WITHOUT_REPLACEMENT and cfg.k_grid[-1] > col.M:
-        raise ConfigError(f"without-replacement needs k <= M, got k={cfg.k_grid[-1]}, "
-                          f"M={col.M}")
+    """Sample, step and score a parsed config's sweep: one row per (k, trial),
+    sorted by (k, trial).  ``run_batch`` checks the strengths that depend on
+    the tasks drawn for every cell before any trial steps."""
+    col = cfg.collection
     w_star = col.w_star if col.w_star is not None else min_norm_solution(col)
-    schedules = [build_schedule(cfg.schedule, R, k) for k in cfg.k_grid]
     drawn = [sample_orderings(cfg.ordering, col.M, k, cfg.trials, cfg.base_seed,
                               with_seeds=True) for k in cfg.k_grid]
     # Overflow shows up as a non-finite result, reported below by trial.
     with np.errstate(over="ignore", invalid="ignore"):
-        runs = run_batch(col, [(idx, spec) for (idx, _), spec in zip(drawn, schedules)],
+        runs = run_batch(col, [(idx, spec) for (idx, _), spec in zip(drawn, cfg.schedules)],
                          cfg.scheme)
         recs = [summarize_batch(run, col, w_star) for run in runs]
     rows = []
@@ -272,8 +250,8 @@ def run_experiment(cfg):
                 raise ValueError(f"non-finite result at k={k}, trial={i}, seed={seed}: "
                                  + ", ".join(f"{n}={v}" for n, v in values.items()))
             rows.append(ResultRow(
-                scheme=cfg.scheme, schedule=cfg.schedule["kind"], ordering=cfg.ordering,
-                M=col.M, d=col.d, R=R, k=k, trial=i, seed=seed, **values))
+                scheme=cfg.scheme, schedule=cfg.kind, ordering=cfg.ordering,
+                M=col.M, d=col.d, R=col.radius, k=k, trial=i, seed=seed, **values))
     return rows
 
 
@@ -384,32 +362,30 @@ def fit_rate(points):
 # Lower-bound scenario runners
 
 
-def scheme_runner(scheme, schedule_kind, schedule_params=None, w0=None):
-    """Probe that runs a scheme over an explicit task sequence and returns w_k."""
-    params = dict(schedule_params or {})
-    params["kind"] = schedule_kind
+def scheme_runner(scheme, schedule):
+    """Probe that runs a scheme with a schedule dict over a task sequence; returns w_k."""
 
     def probe(tasks):
         col = new_collection(tasks)
         k = len(tasks)
-        spec = build_schedule(params, col.radius, k)
-        traj = run_continual(col, np.arange(1, k + 1), spec, scheme, w0=w0)
+        traj = run_continual(col, np.arange(1, k + 1),
+                             build_schedule(schedule, col.radius, k), scheme)
         return traj.iterates[-1]
 
     return probe
 
 
-def run_seen_task_floor(k, trials, base_seed, d=2, scheme="regularized",
+def run_seen_task_floor(k, trials, base_seed, scheme="regularized",
                         schedule_kind="increasing-coefficient",
                         schedule_params=None):
     """Empirical Pr[seen-task loss >= 1/(144 k)] on the hard seen-task collection."""
-    scenario = seen_task_lb_collection(k, d)
+    schedule = {**(schedule_params or {}), "kind": schedule_kind}
+    _check_schedule(schedule, scheme)
+    scenario = seen_task_lb_collection(k)
     col = scenario.collection
-    params = dict(schedule_params or {})
-    params["kind"] = schedule_kind
-    spec = build_schedule(params, col.radius, k)
+    spec = build_schedule(schedule, col.radius, k)
     threshold = scenario.threshold(k)
-    idx = sample_orderings("with-replacement", col.M, k, trials, base_seed)
+    idx = sample_orderings(WITH_REPLACEMENT, col.M, k, trials, base_seed)
     (run,) = run_batch(col, [(idx, spec)], scheme, w0=scenario.recommended_w0)
     hits = int(np.count_nonzero(summarize_batch(run, col).seen_loss >= threshold))
     prob = hits / trials
@@ -419,20 +395,19 @@ def run_seen_task_floor(k, trials, base_seed, d=2, scheme="regularized",
             "passed": bool(prob >= scenario.success_prob_floor)}
 
 
-def run_any_alg_mean(k, trials, base_seed, d=2, scheme="regularized",
+def run_any_alg_mean(k, trials, base_seed, scheme="regularized",
                      schedule_kind="increasing-coefficient",
                      schedule_params=None):
     """Mean excess average loss on the adversarial collection built against the scheme."""
-    probe = scheme_runner(scheme, schedule_kind, schedule_params)
+    schedule = {**(schedule_params or {}), "kind": schedule_kind}
+    _check_schedule(schedule, scheme)
     # The scheme_runner learner is deterministic, so one run is its whole
     # outcome distribution.
-    scenario = any_alg_lb_collection(k, d, probe, probe_trials=1)
+    scenario = any_alg_lb_collection(k, 2, scheme_runner(scheme, schedule), probe_trials=1)
     col = scenario.collection
-    params = dict(schedule_params or {})
-    params["kind"] = schedule_kind
-    spec = build_schedule(params, col.radius, k)
+    spec = build_schedule(schedule, col.radius, k)
     base = average_loss(col.w_star, col)
-    idx = sample_orderings("with-replacement", col.M, k, trials, base_seed)
+    idx = sample_orderings(WITH_REPLACEMENT, col.M, k, trials, base_seed)
     (run,) = run_batch(col, [(idx, spec)], scheme)
     excess = summarize_batch(run, col).avg_loss - base
     mean_excess = float(np.mean(excess))
@@ -462,9 +437,6 @@ class SuiteReport:
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
-
-
-SUITE_NAMES = ("reductions", "sandwich", "certificate", "schedules", "adversarial")
 
 
 # The checks below are the only copy of acceptance criteria 1, 2, 8 and 9; the
@@ -686,15 +658,14 @@ def _suite_adversarial(seed):
     return checks
 
 
+_SUITES = {"reductions": _suite_reductions, "sandwich": _suite_sandwich,
+           "certificate": _suite_certificate, "schedules": _suite_schedules,
+           "adversarial": _suite_adversarial}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def verify_suite(name, seed=20240801):
     """Run one of the named property suites and report per-check results."""
-    suites = {
-        "reductions": _suite_reductions,
-        "sandwich": _suite_sandwich,
-        "certificate": _suite_certificate,
-        "schedules": _suite_schedules,
-        "adversarial": _suite_adversarial,
-    }
-    if name not in suites:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite: {name!r} (choose from {SUITE_NAMES})")
-    return SuiteReport(name=name, checks=tuple(suites[name](seed)))
+    return SuiteReport(name=name, checks=tuple(_SUITES[name](seed)))

@@ -6,20 +6,18 @@ schedules tie the strength to a linearly decaying step sequence
 eta_t = eta * (k - t + 2) / (k + 1), keeping the exact identities
 lam_t * eta_t = 1 and eta_t / (gamma_t * N_t) = 1 that the optimal-rate
 argument relies on.
+
+``KINDS`` is the one table of the schedule kinds a config names; both
+``build_schedule`` and ``harness.parse_config`` read it.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-FIXED_COEFFICIENT = "fixed-coefficient"
-FIXED_BUDGET = "fixed-budget"
-INCREASING_COEFFICIENT = "increasing-coefficient"
-INCREASING_BUDGET = "increasing-budget"
-CUSTOM = "custom"
 
 LAMBDA_CLAMP_FACTOR = 1e-6  # floor for the fixed coefficient when ln k <= 1
 
@@ -49,7 +47,6 @@ class ScheduleSpec:
     only what depends on the tasks drawn, 0 < gamma_t R_m^2 < 1.
     """
 
-    kind: str
     k: int
     eta: np.ndarray
     lam: np.ndarray | None = None
@@ -77,12 +74,15 @@ class ScheduleSpec:
 
 def _check_radius(R):
     """R^2, after rejecting a radius that is not positive or whose square
-    overflows (an infinite R^2 would turn strengths into 0 or inf)."""
+    overflows or underflows (strengths scale with R^2 or 1/R^2, and would
+    turn into 0, inf or subnormals)."""
     if not R > 0:
         raise ValueError("R must be positive")
     r2 = R * R
     if not np.isfinite(r2):
         raise ValueError(f"R^2 is not finite for R={R!r}")
+    if r2 < np.finfo(float).tiny:
+        raise ValueError(f"R^2 is below the smallest normal float for R={R!r}")
     return r2
 
 
@@ -95,19 +95,16 @@ def fixed_coefficient(R, k):
     clamped = np.log(k) <= 1.0
     lam = LAMBDA_CLAMP_FACTOR * r2 if clamped else r2 * (np.log(k) - 1.0)
     eta = np.ones(k)
-    return ScheduleSpec(
-        kind=FIXED_COEFFICIENT, k=k,
-        lam=_frozen(np.full(k, lam)), eta=_frozen(eta),
-        meta={"clamped": bool(clamped), "target_smoothness": 1.0 / np.log(k)},
-    )
+    return ScheduleSpec(k=k, lam=_frozen(np.full(k, lam)), eta=_frozen(eta),
+                        meta={"clamped": bool(clamped)})
 
 
 def fixed_budget(R, gamma, k):
     """Horizon-tuned constant budget; realized smoothness targets 1/ln k.
 
     The exact budget N = ln(1 - 1/ln k) / ln(1 - gamma R^2) is generally not
-    an integer; it is rounded to the nearest integer with floor 1 and recorded
-    in ``meta['n_star']`` alongside the realized smoothness.
+    an integer; it is recorded in ``meta['n_star']`` and rounded to the
+    nearest integer with floor 1.
     """
     k = int(k)
     r2 = _check_radius(R)
@@ -118,14 +115,9 @@ def fixed_budget(R, gamma, k):
     n_star = np.log(1.0 - 1.0 / np.log(k)) / np.log(1.0 - gamma * r2)
     n = max(1, round(n_star))
     eta = np.ones(k)
-    return ScheduleSpec(
-        kind=FIXED_BUDGET, k=k,
-        gamma=_frozen(np.full(k, gamma)), n_steps=_frozen(np.full(k, n), np.int64),
-        eta=_frozen(eta),
-        meta={"n_star": float(n_star),
-              "realized_smoothness": 1.0 - (1.0 - gamma * r2) ** n,
-              "target_smoothness": 1.0 / np.log(k)},
-    )
+    return ScheduleSpec(k=k, gamma=_frozen(np.full(k, gamma)),
+                        n_steps=_frozen(np.full(k, n), np.int64), eta=_frozen(eta),
+                        meta={"n_star": float(n_star)})
 
 
 def _neighbors(x, width):
@@ -174,8 +166,7 @@ def increasing_coefficient(R, k):
     # Keep (13 R) R: 13 (R R) can round differently and change every output bit.
     eta0 = (3.0 / (13.0 * R * R)) * (k - t + 2) / (k + 1)
     lam, eta = _exact_inverse_pairs(eta0)
-    return ScheduleSpec(kind=INCREASING_COEFFICIENT, k=k,
-                        lam=_frozen(lam), eta=_frozen(eta))
+    return ScheduleSpec(k=k, lam=_frozen(lam), eta=_frozen(eta))
 
 
 def increasing_budget(R, k, n_choice=1):
@@ -199,10 +190,8 @@ def increasing_budget(R, k, n_choice=1):
     # eta is stored as the rounded product, so eta_t / (gamma_t * N_t) == 1
     # bit-exactly (one ulp from the closed form at most).
     eta = gamma * n_choice
-    return ScheduleSpec(kind=INCREASING_BUDGET, k=k,
-                        gamma=_frozen(gamma),
-                        n_steps=_frozen(np.full(k, n_choice), np.int64),
-                        eta=_frozen(eta))
+    return ScheduleSpec(k=k, gamma=_frozen(gamma),
+                        n_steps=_frozen(np.full(k, n_choice), np.int64), eta=_frozen(eta))
 
 
 def _custom_array(name, values):
@@ -226,8 +215,39 @@ def custom_schedule(k, lam=None, gamma=None, n_steps=None, eta=None,
     arrays = {name: _custom_array(name, values) for name, values in
               (("lam", lam), ("gamma", gamma), ("n_steps", n_steps), ("eta", eta))
               if values is not None}
-    return ScheduleSpec(kind=CUSTOM, k=k, eta=arrays.pop("eta", _frozen(np.ones(k))),
+    return ScheduleSpec(k=k, eta=arrays.pop("eta", _frozen(np.ones(k))),
                         unregularized_first=bool(unregularized_first), **arrays)
+
+
+# A config's schedule kind: build(R, k, **fields) makes its schedule (None for
+# 'none', which runs without one); strengths names the arrays that schedule
+# sets (None for 'custom', which sets the arrays it is given); required and
+# optional are its config fields besides 'kind'.
+Kind = namedtuple("Kind", "build strengths required optional",
+                  defaults=((), ("unregularized_first",)))
+
+
+KINDS = {
+    "fixed-coefficient": Kind(fixed_coefficient, ("lam",)),
+    "fixed-budget": Kind(fixed_budget, ("gamma", "n_steps"), required=("gamma",)),
+    "increasing-coefficient": Kind(increasing_coefficient, ("lam",)),
+    "increasing-budget": Kind(increasing_budget, ("gamma", "n_steps"),
+                              optional=("n_choice", "unregularized_first")),
+    "custom": Kind(lambda R, k, **arrays: custom_schedule(k, **arrays), None,
+                   optional=("lam", "gamma", "n_steps", "eta", "unregularized_first")),
+    "none": Kind(None, (), optional=()),
+}
+
+
+def build_schedule(schedule, R, k):
+    """The ScheduleSpec (None for kind 'none') a config's schedule dict gives at R and k."""
+    kind = KINDS[schedule["kind"]]
+    if kind.build is None:
+        return None
+    fields = {name: schedule[name] for name in kind.required + kind.optional if name in schedule}
+    first = fields.pop("unregularized_first", False)
+    spec = kind.build(R=R, k=k, **fields)
+    return replace(spec, unregularized_first=True) if first else spec
 
 
 def linear_decay_steps(eta, k, beta):

@@ -31,7 +31,10 @@ UNREGULARIZED = "unregularized"
 IGD_REGULARIZED = "igd-of-regularized"
 IGD_BUDGETED = "igd-of-budgeted"
 
-SCHEME_KINDS = (REGULARIZED, BUDGETED, UNREGULARIZED, IGD_REGULARIZED, IGD_BUDGETED)
+# The strengths each scheme reads from its schedule.
+READS = {REGULARIZED: ("lam",), BUDGETED: ("gamma", "n_steps"), UNREGULARIZED: (),
+         IGD_REGULARIZED: ("lam",), IGD_BUDGETED: ("gamma", "n_steps")}
+SCHEME_KINDS = tuple(READS)
 
 _COEFFICIENT_SCHEMES = (REGULARIZED, IGD_REGULARIZED)
 _BUDGET_SCHEMES = (BUDGETED, IGD_BUDGETED)
@@ -81,7 +84,6 @@ class Trajectory:
 
     iterates: np.ndarray
     ordering: np.ndarray
-    scheme: str
 
     @property
     def k(self):
@@ -96,14 +98,11 @@ def _check_run(collection, idx, schedule, scheme):
     if idx.size and (idx.min() < 1 or idx.max() > collection.M):
         raise ValueError(f"ordering entries must lie in [1..{collection.M}]")
 
-    if schedule is None and scheme != UNREGULARIZED:
-        raise ValueError(f"scheme {scheme!r} needs a schedule")
+    missing = [name for name in READS[scheme] if getattr(schedule, name, None) is None]
+    if missing:
+        raise ValueError(f"scheme {scheme!r} needs a schedule that sets {missing}")
     if schedule is not None and schedule.k != k:
         raise ValueError(f"schedule length {schedule.k} != ordering length {k}")
-    if scheme in _COEFFICIENT_SCHEMES and schedule.lam is None:
-        raise ValueError(f"scheme {scheme!r} needs a coefficient schedule")
-    if scheme in _BUDGET_SCHEMES and schedule.gamma is None:
-        raise ValueError(f"scheme {scheme!r} needs a budget schedule")
 
 
 def _start(collection, w0):
@@ -153,7 +152,7 @@ def run_continual(collection, ordering, schedule, scheme, w0=None):
         iterates[t] = w
 
     iterates.flags.writeable = False
-    return Trajectory(iterates=iterates, ordering=idx, scheme=scheme)
+    return Trajectory(iterates=iterates, ordering=idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,10 +258,8 @@ def run_batch(collection, cells, scheme, w0=None):
     ends = np.cumsum(sizes).tolist()
     row_cell = np.repeat(np.arange(len(cells)), sizes)
     k_max = ks[0]
-    fields = () if projection_only else (
-        ("lam",) if scheme in _COEFFICIENT_SCHEMES else ("gamma", "n_steps"))
     tables = []
-    for name in fields:
+    for name in READS[scheme]:
         table = np.zeros((k_max, len(cells)), getattr(cells[0][1], name).dtype)
         for j, c in enumerate(ranked):
             table[:ks[j], j] = getattr(cells[c][1], name)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ PAIRS_COLLECTION = {"generator": "aligned-pairs", "d": 4, "pairs": 2, "angle": 0
 GAUSSIAN_COLLECTION = base_config()["collection"]
 # Configs whose fields have the wrong JSON type; each must be a ConfigError.
 MISTYPED_CONFIGS = [
-    base_config(schedule={"kind": "fixed-budget", "gamma": "0.5"}),
-    base_config(schedule={"kind": "fixed-budget", "gamma": float("inf")}),
-    base_config(schedule={"kind": "fixed-budget", "gamma": True}),
+    base_config(scheme="budgeted", schedule={"kind": "fixed-budget", "gamma": "0.5"}),
+    base_config(scheme="budgeted", schedule={"kind": "fixed-budget", "gamma": float("inf")}),
+    base_config(scheme="budgeted", schedule={"kind": "fixed-budget", "gamma": True}),
     base_config(collection={**GAUSSIAN_COLLECTION, "radius": "1"}),
     base_config(collection={**GAUSSIAN_COLLECTION, "radius": float("nan")}),
     base_config(collection={**GAUSSIAN_COLLECTION, "radius": 10 ** 400}),
@@ -46,10 +47,11 @@ MISTYPED_CONFIGS = [
     base_config(base_seed=False),
     base_config(k_grid=[4, True]),
     base_config(out=7),
-    base_config(schedule={"kind": "increasing-budget", "n_choice": 1.5}),
+    base_config(scheme="budgeted", schedule={"kind": "increasing-budget", "n_choice": 1.5}),
     base_config(schedule={"kind": "increasing-coefficient", "unregularized_first": "no"}),
     base_config(schedule={"kind": "increasing-coefficient", "unregularized_first": 1}),
     base_config(schedule={"kind": ["none"]}),
+    base_config(scheme=["regularized"]),
 ]
 # Well-typed configs with a value out of range; each must be a ConfigError.
 BAD_VALUE_CONFIGS = [
@@ -65,11 +67,28 @@ BAD_VALUE_CONFIGS = [
     base_config(k_grid=[3], schedule={"kind": "custom", "lam": [float("inf"), 1, 1]}),
     base_config(k_grid=[3], schedule={"kind": "custom", "lam": [1, 1], "eta": [1, 1, 1]}),
     base_config(k_grid=[3], schedule={"kind": "custom", "lam": [1, 0, 1]}),
-    base_config(k_grid=[3], schedule={"kind": "custom", "gamma": [0.1] * 3,
-                                      "n_steps": [1.5, 2.7, 1]}),
-    base_config(k_grid=[3], schedule={"kind": "custom", "gamma": [0.1] * 3,
-                                      "n_steps": [1, 2 ** 70, 1]}),
+    base_config(k_grid=[3], scheme="budgeted",
+                schedule={"kind": "custom", "gamma": [0.1] * 3, "n_steps": [1.5, 2.7, 1]}),
+    base_config(k_grid=[3], scheme="budgeted",
+                schedule={"kind": "custom", "gamma": [0.1] * 3, "n_steps": [1, 2 ** 70, 1]}),
 ]
+# A scheme paired with a schedule kind it does not read; each must be a
+# ConfigError that names both.
+MISMATCHED_CONFIGS = [
+    base_config(scheme="unregularized", schedule={"kind": "increasing-coefficient"}),
+    base_config(scheme="unregularized", k_grid=[3], schedule={"kind": "custom", "lam": [1] * 3}),
+    base_config(scheme="unregularized", schedule={"kind": "fixed-budget", "gamma": 5}),
+    base_config(scheme="unregularized", schedule={"kind": "none", "unregularized_first": True}),
+    base_config(scheme="regularized", schedule={"kind": "none"}),
+    base_config(scheme="regularized", schedule={"kind": "fixed-budget", "gamma": 0.5}),
+    base_config(scheme="igd-of-regularized", schedule={"kind": "increasing-budget"}),
+    base_config(scheme="budgeted", schedule={"kind": "increasing-coefficient"}),
+    base_config(scheme="igd-of-budgeted", k_grid=[3], schedule={"kind": "custom",
+                                                                "lam": [1] * 3}),
+    base_config(scheme="budgeted", k_grid=[3], schedule={"kind": "custom", "lam": [1] * 3,
+                                                         "gamma": [0.1] * 3, "n_steps": [1] * 3}),
+]
+BAD_VALUE_CONFIGS += MISMATCHED_CONFIGS
 
 
 def test_parse_config_strictness():
@@ -97,17 +116,47 @@ def test_parse_config_strictness():
         harness.parse_config(base_config(k_grid=[]))
     with pytest.raises(ConfigError, match="trials"):
         harness.parse_config(base_config(trials=0))
-    for cfg in MISTYPED_CONFIGS + BAD_VALUE_CONFIGS:
+    # A mistyped config must fail its type check, not an earlier check.
+    for cfg in MISTYPED_CONFIGS:
+        with pytest.raises(ConfigError, match=r"(field '\w+'|k_grid) must be|unknown sche"):
+            harness.parse_config(cfg)
+    for cfg in BAD_VALUE_CONFIGS:
         with pytest.raises(ConfigError):
             harness.parse_config(cfg)
     for name, value in (("seed", -1), ("radius", -5)):
         with pytest.raises(ConfigError, match=f"collection field '{name}' must be"):
             harness.parse_config(base_config(collection={**GAUSSIAN_COLLECTION, name: value}))
     # A custom schedule's strengths are arrays; well-typed flags still parse.
-    harness.parse_config(base_config(schedule={"kind": "custom", "gamma": [0.5] * 4,
+    harness.parse_config(base_config(scheme="budgeted",
+                                     schedule={"kind": "custom", "gamma": [0.5] * 4,
                                                "n_steps": [1] * 4,
                                                "unregularized_first": True}))
     harness.parse_config(base_config(collection={**PAIRS_COLLECTION, "radius": 2}))
+
+
+def test_scheme_and_schedule_kind_must_fit():
+    for cfg in MISMATCHED_CONFIGS:
+        with pytest.raises(ConfigError) as exc:
+            harness.parse_config(cfg)
+        assert f"{cfg['scheme']!r}" in str(exc.value), exc.value
+        assert f"{cfg['schedule']['kind']!r}" in str(exc.value), exc.value
+
+
+def test_run_builds_the_collection_and_each_schedule_once(tmp_path, monkeypatch):
+    calls = []
+    for name in ("build_collection", "build_schedule"):
+        def counted(*args, build=getattr(harness, name), name=name):
+            calls.append(name)
+            return build(*args)
+        monkeypatch.setattr(harness, name, counted)
+    for cfg, schedules in ((base_config(k_grid=[4, 8, 16]), 3),
+                           (base_config(k_grid=[3], schedule={"kind": "custom",
+                                                              "lam": [1.0] * 3}), 1),
+                           (base_config(scheme="unregularized", schedule={"kind": "none"},
+                                        k_grid=[4, 8]), 2)):
+        calls.clear()
+        assert run_cli_csv(tmp_path, "once", cfg)[0] == 0
+        assert calls == ["build_collection"] + ["build_schedule"] * schedules
 
 
 def test_run_experiment_shape_and_determinism(tmp_path):
@@ -233,7 +282,7 @@ def test_cli_validation_errors(tmp_path, capsys):
         bad.write_text(text)
         assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
         err = one_line_error(capsys)
-        assert "must be" in err or "unknown schedule kind" in err, err
+        assert re.search("must be|unknown (scheme|schedule) kind", err), err
     assert not (tmp_path / "x.csv").exists()
 
     good = tmp_path / "good.csv"
@@ -273,6 +322,23 @@ def test_cli_adversarial(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
     assert report["threshold"] == pytest.approx(1.0 / (144 * 16))
+
+
+def test_cli_adversarial_rejects_a_schedule_its_scheme_does_not_read(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the scenario was built before the pairing was checked")
+
+    monkeypatch.setattr(harness, "seen_task_lb_collection", no_work)
+    monkeypatch.setattr(harness, "any_alg_lb_collection", no_work)
+    for scenario, scheme, schedule in itertools.product(
+            ("seen-task", "any-algorithm"), ("unregularized", "budgeted"),
+            ("increasing-coefficient", "fixed-coefficient", "fixed-budget")):
+        if scheme == "budgeted" and schedule == "fixed-budget":
+            continue
+        code = cli.main(["adversarial", "--scenario", scenario, "--k", "16", "--scheme", scheme,
+                         "--schedule", schedule, "--gamma", "5"])
+        assert code == 1
+        assert f"scheme {scheme!r} cannot run a {schedule!r}" in one_line_error(capsys)
 
 
 def run_cli_csv(tmp_path, name, cfg, *extra):
@@ -365,18 +431,26 @@ def test_fit_rejects_rows_of_different_sweeps(tmp_path, capsys):
 
 
 def test_overflowing_radius_is_rejected_before_work(tmp_path, capsys, monkeypatch):
+    """A radius whose square overflows, or falls below the smallest normal
+    float, is a one-line error naming the schedule kind."""
     calls = []
     monkeypatch.setattr(harness, "run_batch", lambda *a, **kw: calls.append(a))
     col_path = tmp_path / "col.json"
-    col_path.write_text(json.dumps({"tasks": [{"X": [[1e200]], "y": [1.0]},
-                                              {"X": [[1.0]], "y": [1.0]}]}))
-    for schedule in ({"kind": "increasing-coefficient"}, {"kind": "fixed-coefficient"},
-                     {"kind": "increasing-budget", "n_choice": 1},
-                     {"kind": "fixed-budget", "gamma": 0.5}):
-        code, path = run_cli_csv(tmp_path, schedule["kind"], base_config(
-            collection={"path": str(col_path)}, schedule=schedule, k_grid=[4, 8]))
-        assert code == 1 and not path.exists()
-        assert "R^2 is not finite" in one_line_error(capsys)
+    for tasks, message in (([{"X": [[1e200]], "y": [1.0]}, {"X": [[1.0]], "y": [1.0]}],
+                            "R^2 is not finite"),
+                           ([{"X": [[1e-160]], "y": [1.0]}, {"X": [[1e-161]], "y": [1.0]}],
+                            "R^2 is below the smallest normal float")):
+        col_path.write_text(json.dumps({"tasks": tasks}))
+        for scheme, schedule in (("regularized", {"kind": "increasing-coefficient"}),
+                                 ("regularized", {"kind": "fixed-coefficient"}),
+                                 ("budgeted", {"kind": "increasing-budget", "n_choice": 1}),
+                                 ("budgeted", {"kind": "fixed-budget", "gamma": 0.5})):
+            code, path = run_cli_csv(tmp_path, schedule["kind"], base_config(
+                collection={"path": str(col_path)}, scheme=scheme, schedule=schedule,
+                k_grid=[4, 8]))
+            assert code == 1 and not path.exists()
+            err = one_line_error(capsys)
+            assert f"{schedule['kind']} schedule: {message}" in err, err
     assert calls == []
 
 

@@ -206,9 +206,9 @@ def test_run_continual_validation():
     order = [1, 2]
     with pytest.raises(ValueError, match="length"):
         run_continual(col, order, increasing_coefficient(1.0, 3), "regularized")
-    with pytest.raises(ValueError, match="coefficient schedule"):
+    with pytest.raises(ValueError, match=r"sets \['lam'\]"):
         run_continual(col, order, increasing_budget(1.0, 2, 1), "regularized")
-    with pytest.raises(ValueError, match="budget schedule"):
+    with pytest.raises(ValueError, match=r"sets \['gamma', 'n_steps'\]"):
         run_continual(col, order, increasing_coefficient(1.0, 2), "budgeted")
     with pytest.raises(ValueError, match="needs a schedule"):
         run_continual(col, order, None, "regularized")
