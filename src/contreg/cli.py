@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -97,7 +98,9 @@ def _int_at_least(low):
     return parse
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(prog="contreg",
                                      description="Continual linear regression lab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -142,9 +145,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse usage errors count as validation errors
         return 0 if exc.code in (0, None) else 1
     try:

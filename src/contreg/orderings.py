@@ -4,14 +4,33 @@ An ordering tau_1..tau_k is a plain read-only int64 array of 1-based task
 indices in [1..M]; the runners in ``schemes`` take any index sequence and
 check its range against the collection.
 
-All randomness in this package flows through :func:`stream` (or, in
-:func:`sample_orderings`, the same construction), a Philox4x64 counter-based
-bit generator keyed by
+All randomness in this package flows through :func:`stream`, a Philox4x64
+counter-based bit generator keyed by
 ``numpy.random.SeedSequence(seed, spawn_key=path)``.  Philox streams are fixed
 by the algorithm (not by platform state), and SeedSequence hashing is stable
 across platforms and numpy releases, so any ``(seed, path)`` pair reproduces
 the same draws everywhere.  Parallel Monte Carlo trials use disjoint paths,
 e.g. ``stream(base_seed, k, trial)``.
+
+:func:`sample_orderings` draws all trials of one k-cell at once.  It
+reproduces numpy's algorithms with array arithmetic over the trial axis
+rather than building a generator per trial:
+
+- ``SeedSequence`` hashing: numpy's own pool for ``(seed, spawn_key=(k,))``,
+  then the trial index mixed in and ``generate_state``, which give each
+  trial's Philox key and its ``derived_seed`` fingerprint;
+- Philox4x64-10, whose counter is incremented before each block is
+  generated, with each 64-bit output split into two 32-bit outputs, low half
+  first;
+- ``Generator.integers``' 32-bit Lemire bounded integers.  A trial where
+  Lemire would reject a draw, or any trial when M > 2**32 (numpy then draws
+  64-bit words), is redrawn from its own :func:`stream`.
+
+Without-replacement orderings keep numpy's own ``permutation``, on one Philox
+whose state is set from each trial's key.  :func:`sample_ordering` stays on
+numpy's ``SeedSequence`` and ``Generator``; it is the oracle the vectorized
+pass is tested against, so a numpy release that changed ``Generator.integers``
+would fail that test rather than silently move CSV bytes.
 """
 
 from __future__ import annotations
@@ -77,23 +96,142 @@ def sample_ordering(kind, M, k, seed, path=()):
     return idx
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hash of a uint32 array: xor with the running constant,
+    then multiply by its successor."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _words(n):
+    """How many uint32 words SeedSequence makes of a non-negative int."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _trial_keys(seed, k, trials):
+    """Philox keys of ``SeedSequence(seed, spawn_key=(k, i))`` for every
+    trial i, as a (2, trials) uint64 array.  The first row is also each
+    trial's fingerprint: ``generate_state(1)`` is the first word of
+    ``generate_state(2)``.
+
+    Trial i's entropy is that of ``SeedSequence(seed, spawn_key=(k,))`` with
+    one more word, i, so that sequence's pool is the pool before i is mixed
+    in.  Its entropy is the seed's words, padded to the pool size of 4, then
+    k's; the mix takes 4 hashes per word before i.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=(k,))  # rejects negative seeds
+    n_words = max(4, _words(seed)) + _words(k)
+    xor = _INIT_A * pow(_MULT_A, 4 * n_words, 2 ** 32) & _MASK32
+    # One word: a (k, trials) int64 array cannot hold 2**32 trials.
+    i = np.arange(trials, dtype=np.uint32)
+    pool = []
+    for word in seq.pool.tolist():  # SeedSequence's mix of each pool word with i
+        mult = xor * _MULT_A & _MASK32
+        mixed = (_MIX_MULT_L * word & _MASK32) - _MIX_MULT_R * _hashmix(i, xor, mult)
+        pool.append(mixed ^ (mixed >> 16))
+        xor = mult
+    state, xor = [], _INIT_B
+    for word in pool:
+        mult = xor * _MULT_B & _MASK32
+        state.append(_hashmix(word, xor, mult).astype(np.uint64))
+        xor = mult
+    return np.stack((state[0] | state[1] << 32, state[2] | state[3] << 32))
+
+
+# Trials per block of the with-replacement pass: enough that each block holds
+# about this many draws, as ``metrics._BLOCK_ELEMS`` does for the metric pass.
+# A block makes about 250 numpy calls; its temporaries take about 0.35 MiB.
+_BLOCK_DRAWS = 1 << 14
+
+# Philox4x64-10 constants (Random123, as in numpy/random/src/philox/philox.h),
+# one per pair of counter words (0 and 1, 2 and 3), shaped to broadcast over
+# (pair, block, trial).
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
+_PHILOX_ROUNDS = 10
+
+
+def _mulhi(x):
+    """High words of the 128-bit products ``_PHILOX_M * x``, from 32-bit
+    halves as in Hacker's Delight's ``mulhu`` (the low words are numpy's
+    wrapping uint64 products).  No partial sum overflows 64 bits."""
+    x_lo, x_hi = x & _MASK32, x >> 32
+    mid = x_hi * _PHILOX_M_LO + (x_lo * _PHILOX_M_LO >> 32)
+    low = (mid & _MASK32) + x_lo * _PHILOX_M_HI
+    return x_hi * _PHILOX_M_HI + (mid >> 32) + (low >> 32)
+
+
+def _philox_words(keys, n_blocks):
+    """Philox4x64-10 outputs for counters 1..n_blocks under each of the
+    (2, trials) keys, as (4, n_blocks, trials) uint64 words."""
+    # Counter words 0 and 2 are multiplied; words 1 and 3 are XORed in.
+    even = np.zeros((2, n_blocks, keys.shape[1]), np.uint64)
+    even[0] = np.arange(1, n_blocks + 1, dtype=np.uint64)[:, None]
+    odd = np.zeros_like(even)
+    key = keys[:, None, :].copy()
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += _PHILOX_W
+        even, odd = _mulhi(even)[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
+    return np.stack((even, odd), axis=1).reshape(4, n_blocks, keys.shape[1])
+
+
+def _bounded(keys, M, k):
+    """``Generator.integers(1, M + 1, size=k)`` of each keyed Philox, for M <=
+    2**32, as a (k, trials) uint64 array, and a (trials,) mask of the trials
+    whose draws Lemire's method would have rejected (those rows are wrong)."""
+    words = _philox_words(keys, -(-k // 8))
+    # Block-major 32-bit outputs: each block's four words, low half first.
+    draws = np.stack((words & _MASK32, words >> 32), axis=1)
+    draws = np.moveaxis(draws, 2, 0).reshape(-1, keys.shape[1])[:k]
+    # Lemire: m = u32 * M gives 1 + (m >> 32), unless m's low word falls
+    # below the threshold, where numpy draws again.
+    draws *= np.uint64(M)
+    rejected = ((draws & _MASK32) < (2 ** 32 - M) % M).any(axis=0)
+    draws >>= 32
+    draws += np.uint64(1)
+    return draws, rejected
+
+
 def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
     """Orderings of trials 0..trials-1 of one k-cell, as (trials, k) task indices.
 
     Row i is ``sample_ordering(kind, M, k, base_seed, path=(k, i))``.
     With ``with_seeds``, returns ``(indices, seeds)``, where ``seeds`` lists
-    each trial's ``derived_seed(base_seed, k, i)``, taken from the same
-    SeedSequence as its stream.  The indices are a view of a step-major
-    array, the layout ``schemes.run_batch`` steps through, so no copy is made
-    there.
+    each trial's ``derived_seed(base_seed, k, i)``.  The indices are a view of
+    a step-major array, the layout ``schemes.run_batch`` steps through, so no
+    copy is made there.  Trials are drawn in blocks of about ``_BLOCK_DRAWS``
+    draws, so the temporaries stay small next to the result.
     """
     M, k = _checked_sizes(kind, M, k)
+    keys = _trial_keys(int(base_seed), k, trials)
     idx = np.empty((k, trials), np.int64)
-    seeds = []
-    for i in range(trials):
-        seq = _seed_sequence(base_seed, (k, i))
-        idx[:, i] = _draw(_generator(seq), kind, M, k)
-        if with_seeds:
-            seeds.append(_fingerprint(seq))
-    return (idx.T, seeds) if with_seeds else idx.T
-
+    if kind == WITHOUT_REPLACEMENT:
+        bitgen = np.random.Philox(key=0)
+        rng = np.random.Generator(bitgen)
+        state = bitgen.state
+        for i in range(trials):
+            state["state"]["key"] = keys[:, i]
+            bitgen.state = state
+            idx[:, i] = _draw(rng, kind, M, k)
+    else:
+        # Above 2**32 numpy draws 64-bit words, so every trial is redone.
+        redo = range(trials)
+        if M <= 2 ** 32:
+            block = max(1, _BLOCK_DRAWS // max(k, 1))
+            redo = []
+            for a in range(0, trials, block):
+                b = min(a + block, trials)
+                idx[:, a:b], rejected = _bounded(keys[:, a:b], M, k)
+                redo.extend(a + np.flatnonzero(rejected))
+        for i in redo:
+            idx[:, i] = _draw(stream(base_seed, k, i), kind, M, k)
+    return (idx.T, keys[0].tolist()) if with_seeds else idx.T

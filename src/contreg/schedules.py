@@ -112,7 +112,12 @@ def fixed_budget(R, gamma, k):
         raise ValueError(f"need 0 < gamma * R^2 < 1, got {gamma * r2}")
     if np.log(k) <= 1.0:
         raise ValueError(f"budget formula needs ln k > 1, got k={k}")
-    n_star = np.log(1.0 - 1.0 / np.log(k)) / np.log(1.0 - gamma * r2)
+    denom = np.log(1.0 - gamma * r2)
+    if denom == 0.0:
+        raise ValueError(f"gamma * R^2 must be above 2**-54, got {gamma * r2} (gamma={gamma}): "
+                         "1 - gamma * R^2 rounds to 1, so the budget ln(1 - 1/ln k) / "
+                         "ln(1 - gamma * R^2) divides by zero")
+    n_star = np.log(1.0 - 1.0 / np.log(k)) / denom
     n = max(1, round(n_star))
     eta = np.ones(k)
     return ScheduleSpec(k=k, gamma=_frozen(np.full(k, gamma)),

@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +92,10 @@ MISMATCHED_CONFIGS = [
                                                          "gamma": [0.1] * 3, "n_steps": [1] * 3}),
 ]
 BAD_VALUE_CONFIGS += MISMATCHED_CONFIGS
+# gamma * R^2 so small that 1 - gamma * R^2 rounds to 1: the budget formula
+# would divide by zero.
+BAD_VALUE_CONFIGS.append(base_config(scheme="budgeted",
+                                     schedule={"kind": "fixed-budget", "gamma": 1e-20}))
 
 
 def test_parse_config_strictness():
@@ -339,6 +346,41 @@ def test_cli_adversarial_rejects_a_schedule_its_scheme_does_not_read(monkeypatch
                          "--schedule", schedule, "--gamma", "5"])
         assert code == 1
         assert f"scheme {scheme!r} cannot run a {schedule!r}" in one_line_error(capsys)
+
+
+def test_cli_adversarial_rejects_a_vanishing_gamma(capsys):
+    for scenario in ("seen-task", "any-algorithm"):
+        code = cli.main(["adversarial", "--scenario", scenario, "--k", "16", "--scheme",
+                         "budgeted", "--schedule", "fixed-budget", "--gamma", "1e-20"])
+        assert code == 1
+        err = one_line_error(capsys)
+        assert "gamma * R^2 must be above 2**-54, got 1e-20 (gamma=1e-20)" in err, err
+
+
+def test_cli_main_reused_in_one_process_matches_fresh_processes(tmp_path, capsys):
+    """The parser is built once per process; calls after a usage error, with
+    other subcommands, still print what a fresh process prints."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(k_grid=[4, 8, 16], trials=2)))
+    calls = [["run", "--config", str(cfg_path), "--out", str(tmp_path / "a.csv")],
+             ["adversarial", "--scenario", "seen-task", "--k", "16", "--trials", "0"],
+             ["adversarial", "--scenario", "any-algorithm", "--k", "16", "--trials", "20"],
+             ["fit", str(tmp_path / "a.csv")],
+             ["verify", "--help"]]
+    in_process = []
+    for argv in calls:
+        code = cli.main(argv)
+        in_process.append((code, *capsys.readouterr()))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")])}
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-c", "import sys; from contreg import cli; "
+                               "sys.exit(cli.main(sys.argv[1:]))", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [c for c, _, _ in in_process] == [0, 1, 0, 0, 0]
+    assert in_process == fresh
 
 
 def run_cli_csv(tmp_path, name, cfg, *extra):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy import stats
 
@@ -40,6 +44,63 @@ def test_sample_orderings_match_one_trial_at_a_time(kind):
     for i in range(5):
         assert_array_equal(idx[i], sample_ordering(kind, 9, 6, seed, path=(6, i)))
         assert seeds[i] == derived_seed(seed, 6, i)
+
+
+# M values for the with-replacement property: powers of two never reject a
+# draw, 3 * 2**30 and 2**31 + 5 reject often (the redo path), and above 2**32
+# numpy draws 64-bit words, so every trial is redone.
+WITH_REPLACEMENT_M = [2 ** e for e in range(41)] + [10, 2 ** 31 + 5, 3 * 2 ** 30, 2 ** 32 + 3]
+
+
+@st.composite
+def ordering_cells(draw):
+    kind = draw(st.sampled_from([WITH_REPLACEMENT, WITHOUT_REPLACEMENT]))
+    if kind == WITH_REPLACEMENT:
+        M = draw(st.sampled_from(WITH_REPLACEMENT_M))
+        k = draw(st.integers(0, 300))
+    else:
+        M = draw(st.sampled_from([1, 2, 10, 16, 300, 400]))
+        k = draw(st.integers(0, min(M, 300)))
+    # Up to 70 trials spans more than one block of draws once k > 234.
+    return kind, M, k, draw(st.integers(1, 70)), draw(st.integers(0, 2 ** 128))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ordering_cells())
+@example((WITH_REPLACEMENT, 3 * 2 ** 30, 255, 70, 2 ** 70 + 3))
+@example((WITH_REPLACEMENT, 10, 300, 70, 2 ** 128))
+@example((WITHOUT_REPLACEMENT, 400, 16, 9, 2 ** 64))
+def test_vectorized_pass_matches_numpy_per_trial(cell):
+    """Every row and fingerprint equals numpy's own per-trial SeedSequence,
+    Philox and Generator, which ``sample_ordering`` uses."""
+    kind, M, k, trials, seed = cell
+    idx, seeds = sample_orderings(kind, M, k, trials, seed, with_seeds=True)
+    assert idx.shape == (trials, k) and idx.dtype == np.int64
+    for i in range(trials):
+        assert_array_equal(idx[i], sample_ordering(kind, M, k, seed, path=(k, i)))
+        assert seeds[i] == derived_seed(seed, k, i)
+
+
+def test_negative_seed_fails_as_for_one_ordering():
+    for kind in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
+        with pytest.raises(ValueError) as one:
+            sample_ordering(kind, 4, 3, -1, path=(3, 0))
+        with pytest.raises(ValueError) as many:
+            sample_orderings(kind, 4, 3, 5, -1)
+        assert str(many.value) == str(one.value)
+
+
+@pytest.mark.parametrize("kind", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
+def test_vectorized_pass_working_set_stays_small(kind):
+    """Trials are drawn in blocks: beyond the result itself, a 2000-trial
+    cell at k = 256 allocates under 1 MiB at its peak."""
+    tracemalloc.start()
+    try:
+        idx, _ = sample_orderings(kind, 256, 256, 2000, 7, with_seeds=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - idx.nbytes < 1 << 20
 
 
 def test_streams_are_independent_per_trial():
