@@ -18,7 +18,7 @@ from .surrogates import (SurrogateQuadratic, build_budgeted_surrogate,
                          build_regularized_surrogate, build_spectral_surrogate,
                          from_matrix, sandwich_check, value_and_grad)
 from .tasks import (RealizableSpec, RegressionTask, RowBases, TaskCollection,
-                    generate_aligned_pairs, generate_realizable,
+                    build_tasks, generate_aligned_pairs, generate_realizable,
                     min_norm_solution, new_collection, new_task)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -36,9 +36,6 @@ READS = {REGULARIZED: ("lam",), BUDGETED: ("gamma", "n_steps"), UNREGULARIZED: (
          IGD_REGULARIZED: ("lam",), IGD_BUDGETED: ("gamma", "n_steps")}
 SCHEME_KINDS = tuple(READS)
 
-_COEFFICIENT_SCHEMES = (REGULARIZED, IGD_REGULARIZED)
-_BUDGET_SCHEMES = (BUDGETED, IGD_BUDGETED)
-
 
 def regularized_step(w, task, lam):
     """Minimize the task loss plus (lam/2) * ||w' - w||^2 in closed form."""
@@ -186,14 +183,14 @@ def _gains(scheme, strengths, sigma, inv_sigma):
     """(g, s) on each direction: the step maps the residual r to s * r, moving
     w by V^T (g * r) with g = (1 - s) / sigma.
 
-    ``strengths`` holds the step strengths, as (rows, 1) columns or as
-    scalars all rows share: lam for the coefficient schemes, (gamma, n_steps)
-    for the budget schemes.
+    ``strengths`` holds the step strengths the scheme reads (``READS``), as
+    (rows, 1) columns or as scalars all rows share: lam for the coefficient
+    schemes, (gamma, n_steps) for the budget schemes.
     g is formed from 1 - s computed directly (never by subtracting s from 1),
     so it keeps full relative accuracy when it is tiny.
     """
     xi = sigma * sigma
-    if scheme in _COEFFICIENT_SCHEMES:
+    if READS[scheme] == ("lam",):
         (lam,) = strengths
         den = xi + lam
         return sigma / den, lam / den
@@ -245,7 +242,7 @@ def run_batch(collection, cells, scheme, w0=None):
     t0 = int(any(firsts))
     if not projection_only and len(firsts) > 1:
         raise ValueError("cells must agree on unregularized_first")
-    if scheme in _BUDGET_SCHEMES:
+    if "gamma" in READS[scheme]:
         for indices, schedule in cells:
             _check_inner_steps(rows.r2, indices.T[t0:], schedule.gamma[t0:])
     if not cells:

@@ -447,6 +447,38 @@ def test_bad_inputs_are_rejected_before_any_cell_runs(tmp_path, capsys, monkeypa
     assert calls == []
 
 
+def test_bad_collection_file_is_rejected_naming_the_task(tmp_path, capsys, monkeypatch):
+    """A bad collection file is a one-line error when the config is parsed,
+    before any cell runs; an error in one task names that task."""
+    calls = []
+    monkeypatch.setattr(harness, "run_batch", lambda *a, **kw: calls.append(a))
+    col_path = tmp_path / "tasks.json"
+    cfg = base_config(collection={"path": str(col_path)})
+    row, square = {"X": [[1.0, 0.0]], "y": [1.0]}, {"X": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 1.0]}
+    for tasks, w_star, message in (
+            ([row, row], [float("nan"), 0.0], "error: w_star contains non-finite entries"),
+            ([row, square], [1.0, float("-inf")], "error: w_star contains non-finite entries"),
+            ([row, row], [{}, 0.0], "error: collection w_star must be numeric"),
+            ([row, {"X": [[1.0, 0.0], [1.0]], "y": [1.0, 2.0]}], None,
+             "error: collection task 1: setting an array element with a sequence"),
+            ([row, {"X": [[1.0, {}]], "y": [1.0]}], None,
+             "error: collection task 1: float() argument must be"),
+            ([row, {"X": [[1.0, 0.0]], "y": [1.0, 2.0]}], None,
+             "error: collection task 1: row count mismatch"),
+            # Built in a stack of the two square tasks; named by its place in the file.
+            ([row, square, {"X": [[float("nan"), 0.0], [0.0, 1.0]], "y": [1.0, 1.0]}], None,
+             "error: collection task 2: task data contains non-finite entries"),
+            ([row, square, row, {"X": [[1e-310, 0.0]], "y": [1.0]}], None,
+             "error: collection task 3: task data too close to underflow"),
+            ([row, square, {"X": [[1.0]], "y": [1.0]}], None,
+             "error: tasks disagree on dimension: task 2 has 1, task 0 has 2")):
+        data = {"tasks": tasks} if w_star is None else {"tasks": tasks, "w_star": w_star}
+        col_path.write_text(json.dumps(data))
+        assert run_cli_csv(tmp_path, "col", cfg)[0] == 1
+        assert one_line_error(capsys).startswith(message)
+    assert calls == []
+
+
 def test_non_finite_result_names_its_trial(tmp_path, capsys):
     col_path = tmp_path / "col.json"
     cfg = base_config(collection={"path": str(col_path)}, scheme="unregularized",

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from contreg.orderings import stream
 from contreg.surrogates import build_budgeted_surrogate, build_regularized_surrogate
-from contreg.tasks import (RealizableSpec, generate_aligned_pairs,
-                           generate_realizable, min_norm_solution,
-                           new_collection, new_task)
+from contreg.tasks import (RealizableSpec, build_tasks, collection_from_dict,
+                           generate_aligned_pairs, generate_realizable,
+                           min_norm_solution, new_collection, new_task)
 
 
 def grid_min_norm_least_squares(X, y, span=4.0, step=0.05):
@@ -133,7 +133,8 @@ def test_pinv_solution_satisfies_normal_equations(system):
 
 
 def test_each_task_is_decomposed_once(monkeypatch):
-    """new_task's SVD is the only decomposition of a task's data."""
+    """A task's data is decomposed once, by the batched SVD of the stack it is
+    built in: one stack per new_task, one per task shape in a collection file."""
     svd, shapes = np.linalg.svd, []
 
     def counting_svd(a, *args, **kwargs):
@@ -149,14 +150,39 @@ def test_each_task_is_decomposed_once(monkeypatch):
     rng = np.random.default_rng(3)
     tasks = [new_task(rng.standard_normal((n, 4)), rng.standard_normal(n)) for n in (1, 3, 4, 6)]
     tasks.append(new_task(np.zeros((2, 4)), np.ones(2)))
-    col = new_collection(tasks)
+    loaded = collection_from_dict({"tasks": [{"X": t.X.tolist(), "y": t.y.tolist()}
+                                             for t in tasks + tasks[:2]]})
+    for col in (new_collection(tasks), loaded):
+        col.row_bases
+        for t in col.tasks:
+            t.pinv, t.row_basis
+            build_regularized_surrogate(t, 0.5, 1.0)
+            r2 = t.spectral_norm ** 2
+            build_budgeted_surrogate(t, 0.5 / r2 if r2 else 0.5, 3, 1.0)
+    assert shapes == ([(1,) + t.X.shape for t in tasks]
+                      + [(2, 1, 4), (2, 3, 4), (1, 4, 4), (1, 6, 4), (1, 2, 4)])
+
+
+@pytest.mark.parametrize("d, M, n", [(10, 400, 5), (3, 6, 8), (1, 5, 1)])
+def test_generator_makes_one_batched_svd_and_one_norm_call(monkeypatch, d, M, n):
+    """generate_realizable draws, measures and decomposes its M matrices as one
+    (M, n, d) stack; row bases and surrogates decompose nothing more."""
+    calls = []
+
+    def recording(name):
+        real = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return real(a, *args, **kwargs)
+        return call
+
+    for name in ("svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    col = generate_realizable(RealizableSpec(d=d, M=M, n=n, radius=1.0, seed=7))
     col.row_bases
-    for t in tasks:
-        t.pinv, t.row_basis
-        build_regularized_surrogate(t, 0.5, 1.0)
-        r2 = t.spectral_norm ** 2
-        build_budgeted_surrogate(t, 0.5 / r2 if r2 else 0.5, 3, 1.0)
-    assert shapes == [t.X.shape for t in tasks]
+    build_regularized_surrogate(col.tasks[-1], 0.5, 1.0)
+    assert calls == [("norm", (M, n, d)), ("svd", (M, n, d))]
 
 
 def test_generator_is_deterministic():
@@ -234,3 +260,140 @@ def test_task_arrays_are_immutable():
     t = new_task([[1.0, 2.0]], [3.0])
     with pytest.raises(ValueError):
         t.X[0, 0] = 5.0
+
+
+# Matrices for the stacked builder's property tests: each kind stresses a
+# different part of the one batched pass.
+EPS = float(np.finfo(np.float64).eps)
+MATRIX_KINDS = ("gaussian", "zero", "duplicated", "rank-one", "above-cutoff",
+                "below-cutoff", "tiny", "subnormal")
+
+
+def kind_matrix(kind, rng, n, d):
+    if kind == "gaussian":
+        return rng.standard_normal((n, d))
+    if kind == "zero":
+        return np.zeros((n, d))
+    if kind == "duplicated":
+        return np.repeat(rng.standard_normal((1, d)), n, axis=0)
+    if kind == "rank-one":
+        return rng.standard_normal((n, 1)) * rng.standard_normal((1, d))
+    if kind == "subnormal":
+        return rng.standard_normal((n, d)) * 1e-310
+    if kind == "tiny":  # one singular value kept by pinv, yet below the normal range
+        X = np.zeros((n, d))
+        X[0, rng.integers(d)] = 1.5e-308
+        return X
+    # Diagonal, largest singular value 1, the others 1% above or below pinv's
+    # cutoff max(n, d) eps; the rows are shuffled.
+    X = np.zeros((n, d))
+    factor = 1.01 if kind == "above-cutoff" else 0.99
+    k = min(n, d)
+    X[np.arange(k), np.arange(k)] = [1.0] + [factor * max(n, d) * EPS] * (k - 1)
+    return X[rng.permutation(n)]
+
+
+def per_matrix(X, y):
+    """Plain numpy on one matrix: its SVD, pinv's rank, X^+ y as
+    V_r ((U_r^T y) / sigma_r), and 0.5 ||X X^+ y - y||^2."""
+    U, sigma, Vt = np.linalg.svd(X, full_matrices=False)
+    r = int(np.count_nonzero(sigma > max(X.shape) * EPS * sigma.max()))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p = Vt[:r].T @ ((U[:, :r].T @ y) / sigma[:r])
+        finite = np.isfinite(p).all() and np.isfinite(1.0 / sigma[:r]).all()
+        residual = X @ p - y
+        loss = 0.5 * float(residual @ residual)
+    return (U, sigma, Vt, r, p, loss), finite
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+stacks = st.tuples(st.integers(1, 5), st.integers(1, 5),
+                   st.lists(st.sampled_from(MATRIX_KINDS), min_size=1, max_size=6),
+                   st.integers(0, 2 ** 32 - 1), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks)
+@example((3, 3, ["gaussian", "above-cutoff", "below-cutoff", "zero"], 0, True))
+@example((4, 2, ["duplicated", "rank-one", "gaussian"], 1, False))  # n > d
+@example((1, 1, ["subnormal"], 2, False))
+@example((2, 3, ["gaussian", "gaussian", "subnormal", "subnormal"], 3, True))
+def test_build_tasks_matches_per_matrix_numpy(stack):
+    """Every field of every task of a stack is bit for bit what plain numpy
+    gives on each matrix alone, ranks mixed in one stack; a stack holding
+    data too close to underflow is rejected, naming its first such task."""
+    n, d, kinds, seed, realizable = stack
+    rng = np.random.default_rng(seed)
+    X = np.stack([kind_matrix(kind, rng, n, d) for kind in kinds])
+    y = X @ rng.standard_normal(d) if realizable else rng.standard_normal((len(kinds), n))
+    expected = [per_matrix(Xm, ym) for Xm, ym in zip(X, y)]
+    bad = [not finite for _, finite in expected]
+    if any(bad):
+        with pytest.raises(ValueError, match=f"^collection task {bad.index(True) + 10}: "
+                                             "task data too close to underflow"):
+            build_tasks(X, y, index=range(10, 10 + len(kinds)))
+        return
+    tasks = build_tasks(X, y)
+    for m, (t, ((U, sigma, Vt, r, p, loss), _)) in enumerate(zip(tasks, expected)):
+        for got, want in zip(t.svd[:3] + (t.pinv_solution, t.X, t.y),
+                             (U, sigma, Vt, p, X[m], y[m])):
+            assert_same_bits(got, want)
+            assert not got.flags.writeable
+        assert type(t.svd[3]) is int and t.svd[3] == r
+        assert type(t.min_loss) is float and t.min_loss == loss
+        # Fields are views of the stacked arrays.
+        assert t.X.base is tasks[0].X.base and t.svd[0].base is tasks[0].svd[0].base
+
+
+def per_task_row_bases(col):
+    """Every task's row_basis, zero-padded and stacked one task at a time."""
+    bases = [t.row_basis for t in col.tasks]
+    shape = (col.M, max(len(sigma) for _, sigma, _, _, _ in bases))
+    V = np.zeros(shape + (col.d,))
+    sigma, target, inv_sigma, on_rank = (np.zeros(shape) for _ in range(4))
+    for m, (Vm, sm, tm, rank, _) in enumerate(bases):
+        q = len(sm)
+        V[m, :q], sigma[m, :q], target[m, :q] = Vm, sm, tm
+        inv_sigma[m, :q] = 1.0 / sm
+        on_rank[m, :rank] = 1.0
+    return {"V": V, "sigma": sigma, "target": target, "inv_sigma": inv_sigma,
+            "on_rank": on_rank, "rest": np.array([rest for *_, rest in bases]),
+            "r2": np.square([t.spectral_norm for t in col.tasks])}
+
+
+collections = st.tuples(
+    st.integers(1, 5),
+    st.lists(st.tuples(st.integers(1, 6), st.sampled_from(MATRIX_KINDS[:-1])),
+             min_size=1, max_size=8),
+    st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(collections)
+@example((3, [(2, "zero"), (1, "gaussian"), (3, "above-cutoff"), (2, "duplicated"),
+              (5, "below-cutoff"), (1, "zero"), (2, "tiny")], 0))
+def test_row_bases_match_each_tasks_row_basis(collection):
+    """A collection file builds one stack per task shape, each task bit for bit
+    its new_task; its row_bases equal each task's row_basis stacked as before."""
+    d, shapes, seed = collection
+    rng = np.random.default_rng(seed)
+    mats = [kind_matrix(kind, rng, n, d) for n, kind in shapes]
+    # A tiny task's targets are realizable, so its X^+ y stays finite.
+    data = [(X, X @ rng.standard_normal(d) if kind == "tiny" else rng.standard_normal(n))
+            for X, (n, kind) in zip(mats, shapes)]
+    col = collection_from_dict({"tasks": [{"X": X.tolist(), "y": y.tolist()}
+                                          for X, y in data]})
+    for t, (X, y) in zip(col.tasks, data):
+        alone = new_task(X, y)
+        for got, want in zip(t.svd[:3] + (t.pinv_solution,),
+                             alone.svd[:3] + (alone.pinv_solution,)):
+            assert_same_bits(got, want)
+        assert (t.svd[3], t.min_loss) == (alone.svd[3], alone.min_loss)
+    want = per_task_row_bases(col)
+    for name, value in want.items():
+        assert_same_bits(getattr(col.row_bases, name), value)
+        assert not getattr(col.row_bases, name).flags.writeable
