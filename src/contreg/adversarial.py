@@ -69,37 +69,28 @@ def seen_task_lb_collection(k, d=2):
     )
 
 
-def any_alg_lb_collection(k, d, probe, probe_trials=1000):
+def any_alg_lb_collection(k, d, probe):
     """Collection on which any fixed learner loses >= Omega(1/k) on average.
 
     The adversary first watches the learner on k replicas of (e_1, 0): the
     ``probe`` callable receives that task sequence and returns the learner's
     final vector.  The sign a of the held-out target is then chosen against
-    the majority sign of the learner's second coordinate, and the returned
-    collection is k-1 replicas of (e_1, 0) plus one (e_2, a).  It is solved
-    exactly by a * e_2.  The finite-sample estimate of the majority sign can
-    only weaken the adversary, never flip the direction of the claim.
+    the sign of the learner's second coordinate, and the returned collection
+    is k-1 replicas of (e_1, 0) plus one (e_2, a).  It is solved exactly by
+    a * e_2.  The learner is probed once, so the probe must be deterministic:
+    one run is then its whole outcome distribution.
     """
     k = int(k)
-    probe_trials = int(probe_trials)
     if k < 2:
         raise ValueError(f"construction needs k >= 2, got {k}")
     if d < 2:
         raise ValueError("construction needs d >= 2")
-    if probe_trials < 1:
-        raise ValueError("probe_trials must be >= 1")
 
     e1_task = new_task(_unit_row(d, 0), [0.0])
-    probe_tasks = [e1_task] * k
-    nonpositive = 0
-    for _ in range(probe_trials):
-        w = np.asarray(probe(probe_tasks), dtype=np.float64)
-        if w.shape != (d,):
-            raise ValueError(f"probe must return a length-{d} vector, got {w.shape}")
-        if w[1] <= 0:
-            nonpositive += 1
-    estimate = nonpositive / probe_trials
-    a = 1.0 if estimate >= 0.5 else -1.0
+    w = np.asarray(probe([e1_task] * k), dtype=np.float64)
+    if w.shape != (d,):
+        raise ValueError(f"probe must return a length-{d} vector, got {w.shape}")
+    a = 1.0 if w[1] <= 0 else -1.0
 
     tasks = [e1_task] * (k - 1) + [new_task(_unit_row(d, 1), [a])]
     w_star = np.zeros(d)
@@ -108,5 +99,5 @@ def any_alg_lb_collection(k, d, probe, probe_trials=1000):
         collection=new_collection(tasks, w_star=w_star),
         threshold=lambda kk: 1.0 / (64.0 * kk),
         success_prob_floor=None,
-        meta={"adversary_sign": a, "estimated_prob_nonpositive": estimate},
+        meta={"adversary_sign": a},
     )

@@ -363,7 +363,7 @@ def fit_rate(points):
 
 
 def scheme_runner(scheme, schedule):
-    """Probe that runs a scheme with a schedule dict over a task sequence; returns w_k."""
+    """Deterministic probe: runs a scheme with a schedule dict over tasks; returns w_k."""
 
     def probe(tasks):
         col = new_collection(tasks)
@@ -401,9 +401,7 @@ def run_any_alg_mean(k, trials, base_seed, scheme="regularized",
     """Mean excess average loss on the adversarial collection built against the scheme."""
     schedule = {**(schedule_params or {}), "kind": schedule_kind}
     _check_schedule(schedule, scheme)
-    # The scheme_runner learner is deterministic, so one run is its whole
-    # outcome distribution.
-    scenario = any_alg_lb_collection(k, 2, scheme_runner(scheme, schedule), probe_trials=1)
+    scenario = any_alg_lb_collection(k, 2, scheme_runner(scheme, schedule))
     col = scenario.collection
     spec = build_schedule(schedule, col.radius, k)
     base = average_loss(col.w_star, col)

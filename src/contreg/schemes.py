@@ -14,8 +14,9 @@ them step for step, which the tests check rather than assume.
 
 ``run_continual`` applies these literal rules one trial at a time and is the
 reference.  ``run_batch`` is the fast path: every rule is the same affine map
-w' = p + V^T s(xi) V (w - p) in the task's row basis, with a per-scheme
-multiplier s, so it steps all trials of a sweep's (k, schedule) cells together.
+w' = p + V^T s(xi) V (w - p) in the task's row basis, with the multiplier s
+that ``surrogates.spectral_multiplier`` computes from the step's strengths, so
+it steps all trials of a sweep's (k, schedule) cells together.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .surrogates import (BUDGETED, REGULARIZED, build_budgeted_surrogate,
-                         build_regularized_surrogate)
+                         build_regularized_surrogate, spectral_multiplier)
 
 UNREGULARIZED = "unregularized"
 IGD_REGULARIZED = "igd-of-regularized"
@@ -179,26 +180,6 @@ def _check_inner_steps(r2, drawn, gamma):
                          f"got gamma={worst[m + 1]}, R_m^2={r2[m]}")
 
 
-def _gains(scheme, strengths, sigma, inv_sigma):
-    """(g, s) on each direction: the step maps the residual r to s * r, moving
-    w by V^T (g * r) with g = (1 - s) / sigma.
-
-    ``strengths`` holds the step strengths the scheme reads (``READS``), as
-    (rows, 1) columns or as scalars all rows share: lam for the coefficient
-    schemes, (gamma, n_steps) for the budget schemes.
-    g is formed from 1 - s computed directly (never by subtracting s from 1),
-    so it keeps full relative accuracy when it is tiny.
-    """
-    xi = sigma * sigma
-    if READS[scheme] == ("lam",):
-        (lam,) = strengths
-        den = xi + lam
-        return sigma / den, lam / den
-    gamma, n_steps = strengths
-    log_s = n_steps * np.log1p(-gamma * xi)
-    return -np.expm1(log_s) * inv_sigma, np.exp(log_s)
-
-
 def run_batch(collection, cells, scheme, w0=None):
     """Run (k, schedule) cells together: every trial of every cell at once.
 
@@ -216,12 +197,11 @@ def run_batch(collection, cells, scheme, w0=None):
     Each step gathers the drawn task's row basis (see
     ``TaskCollection.row_bases``) per trial, forms the residual coordinates
     r = sigma * (V w) - U^T y and applies w <- w - V^T (g * r), which maps
-    r to s(xi) * r, i.e. w' = p + V^T s(xi) V (w - p) with p = X^+ y:
-
-    * regularized and igd-of-regularized: s = lam / (xi + lam);
-    * budgeted and igd-of-budgeted: s = (1 - gamma xi)^N;
-    * unregularized, and the first step under ``unregularized_first``:
-      s = 0 on the rank (pinv's cutoff) and 1 off it.
+    r to s(xi) * r, i.e. w' = p + V^T s(xi) V (w - p) with p = X^+ y.  One
+    ``spectral_multiplier`` call per step gives (g, s) from the strengths
+    the step carries: the scheme's ``READS``, or none (a projection) under
+    the unregularized scheme and on the first step under
+    ``unregularized_first``.
 
     Padded basis rows are zero, so they leave w unchanged.  Only the
     (trials, d) iterates are kept; the loss each trial needs for degradation,
@@ -237,10 +217,9 @@ def run_batch(collection, cells, scheme, w0=None):
     w = _start(collection, w0)
 
     rows = collection.row_bases
-    projection_only = scheme == UNREGULARIZED
     firsts = {schedule is not None and schedule.unregularized_first for _, schedule in cells}
     t0 = int(any(firsts))
-    if not projection_only and len(firsts) > 1:
+    if READS[scheme] and len(firsts) > 1:
         raise ValueError("cells must agree on unregularized_first")
     if "gamma" in READS[scheme]:
         for indices, schedule in cells:
@@ -277,12 +256,9 @@ def run_batch(collection, cells, scheme, w0=None):
         Wt = W[:n]
         V, sigma = rows.V[m_idx], rows.sigma[m_idx]
         r = sigma * (V * Wt[:, None, :]).sum(axis=2) - rows.target[m_idx]
-        if projection_only or t < t0:
-            on_rank = rows.on_rank[m_idx]
-            g, s = on_rank * rows.inv_sigma[m_idx], 1.0 - on_rank
-        else:
-            g, s = _gains(scheme, [table[t, pick] for table in tables], sigma,
-                          rows.inv_sigma[m_idx])
+        strengths = [table[t, pick] for table in tables] if t >= t0 else []
+        g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma[m_idx],
+                                   None if strengths else rows.on_rank[m_idx])
         Wt -= (V * (g * r)[:, :, None]).sum(axis=1)
         r *= s
         loss_after[:n] += rows.rest[m_idx] + 0.5 * (r * r).sum(axis=1)

@@ -1,11 +1,12 @@
 """Quadratic surrogate objectives for the continual update rules.
 
 A surrogate is f(w) = 0.5 * (w - p)^T A (w - p) with anchor p = X^+ y.  One
-gradient step of size eta on f reproduces one full regularized task update
-(A built from the regularization coefficient) or one budgeted inner loop
-(A built from the inner step size and count).  Both A's are scalar maps of
-the eigenvalues of X^T X, so a single spectral builder serves both plus any
-concave nondecreasing map with g(0) = 0.
+gradient step of size eta on f reproduces one full regularized task update or
+one budgeted inner loop.  Every rule is the map w' = p + V^T s(xi) V (w - p)
+on the row basis of X = U diag(sigma) V, xi = sigma^2, and the multiplier s
+has one copy, ``spectral_multiplier``: ``schemes.run_batch`` steps with it and
+both builders take A = V^T diag((1 - s) / eta) V from it.  Any concave
+nondecreasing map of xi vanishing at 0 gives a surrogate too.
 """
 
 from __future__ import annotations
@@ -34,30 +35,60 @@ class SurrogateQuadratic:
     params: dict
 
 
+def spectral_multiplier(strengths, sigma, inv_sigma, on_rank=None):
+    """(g, s) on each row-basis direction: a step maps the residual
+    r = sigma (V w) - U^T y to s * r by moving w by -V^T (g * r), with
+    g = (1 - s) / sigma and xi = sigma^2.  The rule is read from ``strengths``,
+    the step strengths the scheme reads (``schemes.READS``), as arrays that
+    broadcast against ``sigma`` or as scalars:
+
+    * ``()``: train to convergence, s = 1 - on_rank (0 on the rank, 1 off it);
+    * ``(lam,)``: proximal coefficient, s = lam / (xi + lam);
+    * ``(gamma, n_steps)``: inner-loop budget, s = (1 - gamma xi)^N, with
+      1 - s = -expm1(N log1p(-gamma xi)) formed directly, never as 1 minus
+      s, so g keeps full relative accuracy when it is tiny.
+    """
+    if not strengths:
+        return on_rank * inv_sigma, 1.0 - on_rank
+    xi = sigma * sigma
+    if len(strengths) == 1:
+        (lam,) = strengths
+        den = xi + lam
+        return sigma / den, lam / den
+    gamma, n_steps = strengths
+    log_s = n_steps * np.log1p(-gamma * xi)
+    return -np.expm1(log_s) * inv_sigma, np.exp(log_s)
+
+
 def regularized_spectral_map(lam, eta):
-    """Scalar map xi -> (1/eta) * xi / (xi + lam) applied to Gram eigenvalues."""
+    """Scalar map xi -> (1/eta) * xi / (xi + lam) applied to Gram eigenvalues: the
+    paper's form, kept only as a reference for criterion 9 and the tests."""
     return lambda xi: (xi / (xi + lam)) / eta
 
 
 def budgeted_spectral_map(gamma, n_steps, eta):
-    """Scalar map xi -> (1/eta) * (1 - (1 - gamma*xi)^n) applied to Gram eigenvalues."""
+    """Scalar map xi -> (1/eta) * (1 - (1 - gamma*xi)^n) applied to Gram eigenvalues:
+    the paper's form, kept only as a reference for criterion 9 and the tests."""
     return lambda xi: (1.0 - (1.0 - gamma * xi) ** n_steps) / eta
 
 
-def _spectral_matrix(task, g):
-    """A = V^T diag(g(sigma^2)) V from the task's SVD; g(0) = 0 off the row space."""
-    V, sigma, *_ = task.row_basis
-    A = (V.T * np.asarray(g(sigma * sigma), dtype=np.float64)) @ V
+def _surrogate(task, gain, kind, params):
+    """A = V^T diag(gain) V on the task's row basis (0 off the row space);
+    beta is the gain at sigma_max = R_m, or 0 on a zero task."""
+    V = task.row_basis[0]
+    A = (V.T * gain) @ V
     A = 0.5 * (A + A.T)  # re-symmetrize after the congruence
     A.flags.writeable = False
-    return A
-
-
-def _surrogate(task, g, kind, params):
-    """The surrogate of spectral map g: A from ``_spectral_matrix``, beta = g(R_m^2)."""
-    return SurrogateQuadratic(A=_spectral_matrix(task, g), anchor=task.pinv_solution,
-                              beta=float(g(task.spectral_norm ** 2)), kind=kind,
+    beta = float(gain[0]) if gain.size else 0.0
+    return SurrogateQuadratic(A=A, anchor=task.pinv_solution, beta=beta, kind=kind,
                               params=params)
+
+
+def _multiplier_gain(task, strengths, eta):
+    """(1 - s) / eta = g * sigma / eta on the task's row basis."""
+    sigma = task.row_basis[1]
+    g, _ = spectral_multiplier(strengths, sigma, 1.0 / sigma)
+    return g * sigma / eta
 
 
 def build_regularized_surrogate(task, lam, eta):
@@ -66,7 +97,7 @@ def build_regularized_surrogate(task, lam, eta):
         raise ValueError(f"regularization coefficient must be positive, got {lam}")
     if not eta > 0:
         raise ValueError(f"step size must be positive, got {eta}")
-    return _surrogate(task, regularized_spectral_map(lam, eta), REGULARIZED,
+    return _surrogate(task, _multiplier_gain(task, (lam,), eta), REGULARIZED,
                       {"lam": float(lam), "eta": float(eta)})
 
 
@@ -81,7 +112,7 @@ def build_budgeted_surrogate(task, gamma, n_steps, eta):
     if not (gamma > 0 and gamma * r2 < 1):
         raise ValueError(f"inner step size must satisfy 0 < gamma * R_m^2 < 1, "
                          f"got gamma={gamma}, R_m^2={r2}")
-    return _surrogate(task, budgeted_spectral_map(gamma, n_steps, eta), BUDGETED,
+    return _surrogate(task, _multiplier_gain(task, (gamma, n_steps), eta), BUDGETED,
                       {"gamma": float(gamma), "n_steps": n_steps, "eta": float(eta)})
 
 
@@ -96,7 +127,9 @@ def build_spectral_surrogate(task, g: Callable, eta, gprime0=None):
         raise ValueError("spectral map must vanish at zero")
     if not eta > 0:
         raise ValueError(f"step size must be positive, got {eta}")
-    return _surrogate(task, g, SPECTRAL, {"g": g, "eta": float(eta), "gprime0": gprime0})
+    sigma = task.row_basis[1]
+    return _surrogate(task, np.asarray(g(sigma * sigma), dtype=np.float64), SPECTRAL,
+                      {"g": g, "eta": float(eta), "gprime0": gprime0})
 
 
 def from_matrix(A, anchor, eta=1.0):

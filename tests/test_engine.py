@@ -206,7 +206,7 @@ def test_trial_values_do_not_depend_on_the_batch(monkeypatch):
     # A drawn task's 0 < gamma R_m^2 < 1 error in the last cell (at step 3,
     # past the exempt first step) is raised before any cell steps.
     stepped = []
-    monkeypatch.setattr(schemes, "_gains", lambda *args: stepped.append(args))
+    monkeypatch.setattr(schemes, "spectral_multiplier", lambda *args: stepped.append(args))
     idx = cells[-1][0]
     gamma = np.full(5, 0.1 / col.radius ** 2)
     gamma[2] = 1.5 / col.tasks[idx[0, 2] - 1].spectral_norm ** 2
@@ -214,6 +214,29 @@ def test_trial_values_do_not_depend_on_the_batch(monkeypatch):
     with pytest.raises(ValueError, match=r"0 < gamma \* R_m\^2 < 1"):
         run_batch(col, cells[:-1] + [(idx, bad)], "budgeted")
     assert stepped == []
+
+
+def test_run_batch_steps_through_one_multiplier_call(monkeypatch):
+    """Every scheme, with and without an unregularized first step, takes each
+    step through one ``spectral_multiplier`` call, given no strengths on a
+    projection step and the scheme's ``READS`` on every other step."""
+    rng = np.random.default_rng(8)
+    col = new_collection([make_task(rng, "wide", 4) for _ in range(3)])
+    calls = []
+    multiplier = schemes.spectral_multiplier
+
+    def counted(strengths, *args):
+        calls.append(len(strengths))
+        return multiplier(strengths, *args)
+
+    monkeypatch.setattr(schemes, "spectral_multiplier", counted)
+    for first in (False, True):
+        cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
+                  schedule_for(rng, k, col.radius, first)) for k, trials in ((5, 2), (9, 3))]
+        for scheme in SCHEME_KINDS:
+            calls.clear()
+            run_batch(col, cells, scheme)
+            assert calls == [0] * first + [len(schemes.READS[scheme])] * (9 - first)
 
 
 def test_run_batch_working_set_stays_small():

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from contreg.orderings import stream
@@ -7,7 +11,7 @@ from contreg.surrogates import (budgeted_spectral_map, build_budgeted_surrogate,
                                 build_regularized_surrogate,
                                 build_spectral_surrogate, from_matrix,
                                 regularized_spectral_map, sandwich_check,
-                                value_and_grad)
+                                spectral_multiplier, value_and_grad)
 from contreg.tasks import RealizableSpec, generate_realizable, new_task
 
 
@@ -23,6 +27,9 @@ def power_oracle_budgeted(task, gamma, n, eta):
     d = task.d
     G = task.X.T @ task.X
     return (np.eye(d) - np.linalg.matrix_power(np.eye(d) - gamma * G, n)) / eta
+
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 def random_task(rng, d_max=8):
@@ -184,6 +191,51 @@ def test_beta_equals_top_eigenvalue_and_closed_form():
             assert s.beta == pytest.approx((1 - (1 - gamma * r2) ** n) / eta, rel=1e-9)
             assert s.beta == pytest.approx(np.linalg.eigvalsh(s.A).max(),
                                            rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=st.floats(1e-6, 1e4), lam=st.floats(1e-8, 1e8),
+       gamma_xi=st.floats(1e-200, 0.9), n_steps=st.integers(1, 64))
+def test_spectral_multiplier_closed_forms(sigma, lam, gamma_xi, n_steps):
+    xi = sigma * sigma
+    g, s = spectral_multiplier((lam,), sigma, 1.0 / sigma)
+    assert s == pytest.approx(lam / (xi + lam), rel=4 * EPS)
+    assert g * sigma == pytest.approx(xi / (xi + lam), rel=4 * EPS)
+    assert abs(g * sigma - (1.0 - s)) <= 4 * EPS
+
+    gamma = gamma_xi / xi
+    g, s = spectral_multiplier((gamma, n_steps), sigma, 1.0 / sigma)
+    x = Fraction(gamma * xi)  # the product the multiplier forms
+    one_minus_s = float(1 - (1 - x) ** n_steps)
+    assert s == pytest.approx(float((1 - x) ** n_steps), rel=8 * n_steps * EPS)
+    # 1 - s keeps full relative accuracy, down to tiny gamma xi where it is
+    # N gamma xi; subtracting s from 1 would lose it there.
+    assert g * sigma == pytest.approx(one_minus_s, rel=16 * EPS)
+    assert abs(g * sigma - (1.0 - s)) <= 4 * EPS
+    if gamma * xi < 1e-17:
+        assert g * sigma == pytest.approx(n_steps * gamma * xi, rel=16 * EPS)
+
+
+def test_spectral_multiplier_projection():
+    sigma = np.array([2.0, 0.5, 1e-17, 0.0])
+    on_rank = np.array([1.0, 1.0, 0.0, 0.0])
+    inv_sigma = np.array([0.5, 2.0, 1e17, 0.0])
+    g, s = spectral_multiplier((), sigma, inv_sigma, on_rank)
+    assert_allclose(s, [0.0, 0.0, 1.0, 1.0], rtol=0, atol=0)
+    assert_allclose(g, [0.5, 2.0, 0.0, 0.0], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("gamma", [1e-17, 1e-12, 1e-6, 0.3])
+def test_budgeted_surrogate_keeps_tiny_inner_steps(gamma):
+    """1 - (1 - gamma xi)^N is not lost to cancellation when gamma xi is tiny."""
+    t = new_task([[1.0]], [0.0])
+    for eta in (1.0, 0.3):
+        s = build_budgeted_surrogate(t, gamma, 3, eta)
+        want = -np.expm1(3 * np.log1p(-gamma)) / eta
+        assert abs(s.beta - want) <= 4 * np.spacing(want)
+        assert abs(s.A[0, 0] - want) <= 4 * np.spacing(want)
+        rep = sandwich_check(s, t, [1.0])
+        assert rep.lower_ok and rep.upper_ok, rep
 
 
 def test_sandwich_scalar_chord_equality():
