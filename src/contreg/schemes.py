@@ -16,7 +16,9 @@ them step for step, which the tests check rather than assume.
 reference.  ``run_batch`` is the fast path: every rule is the same affine map
 w' = p + V^T s(xi) V (w - p) in the task's row basis, with the multiplier s
 that ``surrogates.spectral_multiplier`` computes from the step's strengths, so
-it steps all trials of a sweep's (k, schedule) cells together.
+it steps all trials of a sweep's (k, schedule) cells together, in blocks of
+steps with one multiplier call per block.  The block length is a fixed memory
+budget, not an option, and results are bit for bit the same for any length.
 """
 
 from __future__ import annotations
@@ -180,6 +182,29 @@ def _check_inner_steps(r2, drawn, gamma):
                          f"got gamma={worst[m + 1]}, R_m^2={r2[m]}")
 
 
+def _step_block(rows, W, loss_after, m_idx, strengths):
+    """Take a block of steps: ``m_idx`` (steps, trials) holds the 0-based
+    tasks drawn and ``strengths`` the block's strengths, arrays that
+    broadcast against (steps, trials, q), or none on a projection block.
+    ``W`` and ``loss_after`` are updated in place."""
+    sigma, target = rows.sigma[m_idx], rows.target[m_idx]
+    g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma[m_idx],
+                               None if strengths else rows.on_rank[m_idx])
+    for m, sigma_t, target_t, g_t, s_t in zip(m_idx, sigma, target, g, s):
+        V = rows.V[m]
+        r = sigma_t * (V * W[:, None, :]).sum(axis=2) - target_t
+        W -= (V * (g_t * r)[:, :, None]).sum(axis=1)
+        np.multiply(s_t, r, out=sigma_t)  # sigma_t is spent: keep s * r there
+    sigma *= sigma
+    for loss in rows.rest[m_idx] + 0.5 * sigma.sum(axis=2):  # one add per step, in order
+        loss_after += loss
+
+
+# Steps per block of ``run_batch``: enough that each (steps, trials, q)
+# array of the block holds about this many float64s.
+_BLOCK_ELEMS = 1024
+
+
 def run_batch(collection, cells, scheme, w0=None):
     """Run (k, schedule) cells together: every trial of every cell at once.
 
@@ -194,20 +219,34 @@ def run_batch(collection, cells, scheme, w0=None):
     the batch, and each reads its cell's step-t strengths from a
     (k_max, cells) table.
 
-    Each step gathers the drawn task's row basis (see
-    ``TaskCollection.row_bases``) per trial, forms the residual coordinates
-    r = sigma * (V w) - U^T y and applies w <- w - V^T (g * r), which maps
-    r to s(xi) * r, i.e. w' = p + V^T s(xi) V (w - p) with p = X^+ y.  One
-    ``spectral_multiplier`` call per step gives (g, s) from the strengths
-    the step carries: the scheme's ``READS``, or none (a projection) under
-    the unregularized scheme and on the first step under
-    ``unregularized_first``.
+    The steps run in blocks.  Over a block the set of running cells does
+    not change: a block ends where a cell does, and after the first step
+    under ``unregularized_first``.  A block is also at most
+    ``_BLOCK_ELEMS // (trials * q)`` steps long (q the padded basis size),
+    so each of its (steps, trials, q) arrays holds about ``_BLOCK_ELEMS``
+    floats.  That length is a memory budget fixed in this module, not an
+    option, and no result depends on it.  Once per block, the drawn tasks'
+    sigma, U^T y and 1/sigma (and the rank mask on a projection block) are
+    gathered along the block's (steps, trials) task indices, its strengths
+    from the table, and one ``spectral_multiplier`` call gives (g, s) for
+    every step of the block from the strengths the steps carry: the
+    scheme's ``READS``, or none (a projection) under the unregularized
+    scheme and on the first step under ``unregularized_first``.
 
-    Padded basis rows are zero, so they leave w unchanged.  Only the
-    (trials, d) iterates are kept; the loss each trial needs for degradation,
-    rest + 0.5 * ||s * r||^2 just after each step, is summed on the way.
-    Every operation acts row by row, so a trial's result does not depend on
-    which other trials, or which other cells, share the batch.
+    Each step then gathers its drawn tasks' row bases (see
+    ``TaskCollection.row_bases``) alone, forms the residual coordinates
+    r = sigma * (V w) - U^T y and applies w <- w - V^T (g * r), which maps
+    r to s(xi) * r, i.e. w' = p + V^T s(xi) V (w - p) with p = X^+ y.
+    Padded basis rows are zero, so they leave w unchanged.
+
+    Only the (trials, d) iterates are kept.  The loss each trial needs for
+    degradation, rest + 0.5 * ||s * r||^2 just after each step, is formed
+    once per block and added to the trial's running sum one step at a time,
+    in step order: a numpy sum over the block's steps could pair the terms
+    (it does for a single trial), and the sum would then depend on the
+    block length.  Every operation acts row by row, so a trial's result
+    does not depend on which other trials, or which other cells, share the
+    batch.
     """
     cells = [(np.asarray(indices), schedule) for indices, schedule in cells]
     for indices, schedule in cells:
@@ -232,7 +271,7 @@ def run_batch(collection, cells, scheme, w0=None):
     ks = [len(order) for order in steps]
     sizes = [order.shape[1] for order in steps]
     ends = np.cumsum(sizes).tolist()
-    row_cell = np.repeat(np.arange(len(cells)), sizes)
+    cell_of = np.repeat(np.arange(len(cells)), sizes)  # each trial's cell
     k_max = ks[0]
     tables = []
     for name in READS[scheme]:
@@ -243,25 +282,22 @@ def run_batch(collection, cells, scheme, w0=None):
 
     W = np.tile(w, (ends[-1], 1))
     loss_after = np.zeros(len(W))
-    active = len(cells)
-    for t in range(k_max):
+    q = rows.V.shape[1]  # 0 when every task is zero
+    t, active = 0, len(cells)
+    while t < k_max:
         while ks[active - 1] <= t:
             active -= 1
         n = ends[active - 1]
-        if active == 1:
-            m_idx, pick = steps[0][t] - 1, 0
-        else:
-            m_idx = np.concatenate([order[t] for order in steps[:active]]) - 1
-            pick = row_cell[:n, None]
-        Wt = W[:n]
-        V, sigma = rows.V[m_idx], rows.sigma[m_idx]
-        r = sigma * (V * Wt[:, None, :]).sum(axis=2) - rows.target[m_idx]
-        strengths = [table[t, pick] for table in tables] if t >= t0 else []
-        g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma[m_idx],
-                                   None if strengths else rows.on_rank[m_idx])
-        Wt -= (V * (g * r)[:, :, None]).sum(axis=1)
-        r *= s
-        loss_after[:n] += rows.rest[m_idx] + 0.5 * (r * r).sum(axis=1)
+        # A block ends where a cell does, and after the projection step t0.
+        stop = min(t + max(1, _BLOCK_ELEMS // max(n * q, 1)), ks[active - 1],
+                   t0 if t < t0 else k_max)
+        m_idx = np.concatenate([order[t:stop] for order in steps[:active]], axis=1)
+        m_idx -= 1
+        # A lone cell's strengths are a (steps, 1, 1) view rather than a gather.
+        pick = cell_of[:n] if active > 1 else slice(1)
+        strengths = [table[t:stop, pick, None] for table in tables] if t >= t0 else []
+        _step_block(rows, W[:n], loss_after[:n], m_idx, strengths)
+        t = stop
 
     runs = [None] * len(cells)
     for j, c in enumerate(ranked):

@@ -185,6 +185,11 @@ def test_trial_values_do_not_depend_on_the_batch(monkeypatch):
     # (k, trials) per cell: unequal trial counts, k = 1, a tie and a
     # non-doubling grid, the longest cell neither first nor last.
     grid = ((3, 4), (40, 9), (1, 2), (8, 3), (8, 2), (5, 1))
+    q = col.row_bases.V.shape[1]
+    # Block budgets: one step per block; three steps per block once only the
+    # 9 trials of the k = 40 cell are left, so it ends mid-block; and every
+    # step between two cell ends in one block.
+    budgets = (1, 3 * 9 * q, 40 * 21 * q + 1)
     for first in (False, True):
         cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
                   schedule_for(rng, k, col.radius, first)) for k, trials in grid]
@@ -198,6 +203,11 @@ def test_trial_values_do_not_depend_on_the_batch(monkeypatch):
             for rows in ([0], [0, 1, 2], [8, 3]):
                 (part,) = run_batch(col, [(idx[rows], schedule)], scheme)
                 assert_same_trials(col, part, together[1], rows)
+            for budget in budgets:
+                with monkeypatch.context() as patch:
+                    patch.setattr(schemes, "_BLOCK_ELEMS", budget)
+                    for run, want in zip(run_batch(col, cells, scheme), together):
+                        assert_same_trials(col, run, want)
 
     with pytest.raises(ValueError, match="cells must agree on unregularized_first"):
         run_batch(col, [cells[0], (cells[0][0], schedule_for(rng, 3, col.radius, False))],
@@ -218,35 +228,61 @@ def test_trial_values_do_not_depend_on_the_batch(monkeypatch):
 
 def test_run_batch_steps_through_one_multiplier_call(monkeypatch):
     """Every scheme, with and without an unregularized first step, takes each
-    step through one ``spectral_multiplier`` call, given no strengths on a
-    projection step and the scheme's ``READS`` on every other step."""
+    block of steps through one ``spectral_multiplier`` call on (steps, trials,
+    q) arrays.  The calls cover steps 0..k_max-1 once, in order; a block never
+    spans a cell's end or the projection step; a projection step gets no
+    strengths and every other step the scheme's ``READS``.  Under the default
+    budget these small cells take one call per span between two cuts."""
     rng = np.random.default_rng(8)
     col = new_collection([make_task(rng, "wide", 4) for _ in range(3)])
+    q = col.row_bases.V.shape[1]
     calls = []
     multiplier = schemes.spectral_multiplier
 
-    def counted(strengths, *args):
-        calls.append(len(strengths))
-        return multiplier(strengths, *args)
+    def counted(strengths, sigma, *args):
+        calls.append((len(strengths), sigma.shape))
+        return multiplier(strengths, sigma, *args)
 
     monkeypatch.setattr(schemes, "spectral_multiplier", counted)
+    grid = ((5, 2), (9, 3))
     for first in (False, True):
         cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
-                  schedule_for(rng, k, col.radius, first)) for k, trials in ((5, 2), (9, 3))]
+                  schedule_for(rng, k, col.radius, first)) for k, trials in grid]
+        cuts = [0, 5, 9] if not first else [0, 1, 5, 9]
         for scheme in SCHEME_KINDS:
-            calls.clear()
-            run_batch(col, cells, scheme)
-            assert calls == [0] * first + [len(schemes.READS[scheme])] * (9 - first)
+            for budget in (1, schemes._BLOCK_ELEMS):
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(schemes, "_BLOCK_ELEMS", budget)
+                    run_batch(col, cells, scheme)
+                a = 0
+                for reads, (steps, trials, width) in calls:
+                    b = a + steps
+                    assert steps >= 1 and width == q
+                    assert trials == sum(n for k, n in grid if k > a)
+                    assert not any(a < cut < b for cut in cuts), (a, b)
+                    projection = scheme == "unregularized" or (first and a == 0)
+                    assert reads == (0 if projection else len(schemes.READS[scheme]))
+                    a = b
+                assert a == 9
+                if budget == 1:
+                    assert len(calls) == 9
+                else:
+                    assert len(calls) == len(cuts) - 1
 
 
 def test_run_batch_working_set_stays_small():
     """On the sweep-hard grid (k = 64..1024, 40 trials per cell) the engine
-    holds the (trials, d) iterates, a (k_max, cells) strength table and one
-    step's temporaries: no (k_max, trials) array of orderings or strengths."""
+    holds the (trials, d) iterates, a (k_max, cells) strength table, one
+    block's (steps, trials, q) arrays and one step's row bases: no
+    (k_max, trials) array of orderings or strengths."""
     col = build_collection({"generator": "aligned-pairs", "d": 20, "pairs": 5,
                             "angle": 0.04, "radius": 1.0, "seed": 11})
     for scheme, kind in (("regularized", {"kind": "increasing-coefficient"}),
-                         ("budgeted", {"kind": "increasing-budget"})):
+                         ("budgeted", {"kind": "increasing-budget"}),
+                         ("unregularized", {"kind": "none"}),
+                         ("igd-of-regularized", {"kind": "increasing-coefficient"}),
+                         ("igd-of-budgeted", {"kind": "increasing-budget"})):
         cells = [(sample_orderings("with-replacement", col.M, k, 40, 0),
                   build_schedule(kind, col.radius, k)) for k in (64, 128, 256, 512, 1024)]
         run_batch(col, cells[:1], scheme)  # builds the collection's cached row bases
