@@ -1,7 +1,7 @@
 """Desk-scale lab for realizable continual linear regression under random orderings."""
 
 from .adversarial import AdversarialScenario, any_alg_lb_collection, seen_task_lb_collection
-from .harness import (ExperimentConfig, RateFit, ResultRow, aggregate, fit_rate,
+from .harness import (ExperimentConfig, RateFit, ResultTable, aggregate, fit_rate,
                       load_config, parse_config, run_experiment, verify_suite,
                       write_csv)
 from .metrics import (MetricsRecord, average_loss, excess_loss, loss_degradation,

@@ -30,17 +30,16 @@ def _cmd_run(args):
     out = args.out or cfg.out
     if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
-    rows = harness.run_experiment(cfg)
-    harness.write_csv(rows, out)
-    for k, mean, se, n in harness.aggregate(rows):
+    table = harness.run_experiment(cfg)
+    harness.write_csv(table, out)
+    for k, mean, se, n in harness.aggregate(table):
         print(f"k={k:6d}  mean avg_loss = {mean:.6e} +/- {se:.2e}  (n={n})")
-    print(f"wrote {len(rows)} rows to {out}")
+    print(f"wrote {len(table)} rows to {out}")
     return 0
 
 
 def _cmd_fit(args):
-    rows = harness.read_csv(args.csv)
-    agg = harness.aggregate(rows, metric=args.metric)
+    agg = harness.aggregate(harness.read_csv(args.csv), metric=args.metric)
     fit = harness.fit_rate([(k, mean) for k, mean, _, _ in agg])
     summary = {
         "metric": args.metric,

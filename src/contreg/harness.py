@@ -6,11 +6,17 @@ together by one ``schemes.run_batch`` call (a trial's values do not depend on
 the others in its batch), rows are emitted sorted by (k, trial), and floats
 are serialized with 17 significant digits, so identical configs produce
 byte-identical CSV files.
+
+A sweep's results travel as one ``ResultTable``, from ``run_experiment``
+through ``write_csv`` and ``read_csv`` to ``aggregate``: the run key is held
+once and every per-row field is a numpy column, so no per-row Python object
+is built between the metric pass and the CSV line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -201,38 +207,42 @@ def build_collection(spec):
 CSV_FIELDS = ("scheme", "schedule", "ordering", "M", "d", "R", "k", "trial",
               "seed", "avg_loss", "seen_loss", "degradation", "dist_to_wstar")
 METRIC_NAMES = CSV_FIELDS[-4:]
-RUN_KEY_FIELDS = ("scheme", "schedule", "ordering", "M", "d", "R")
+RUN_KEY_FIELDS = CSV_FIELDS[:6]
+ROW_FIELDS = CSV_FIELDS[6:]
 
 
-@dataclass(frozen=True)
-class ResultRow:
+@dataclass(frozen=True, eq=False)
+class ResultTable:
+    """A sweep's results, one row per (k, trial), as columns.
+
+    The run key (``RUN_KEY_FIELDS``) is held once; ``k`` and ``trial``
+    (int64), ``seed`` (uint64) and the four ``METRIC_NAMES`` (float64) are
+    equal-length columns.  ``len(table)`` is the row count.
+    """
+
     scheme: str
     schedule: str
     ordering: str
     M: int
     d: int
     R: float
-    k: int
-    trial: int
-    seed: int
-    avg_loss: float
-    seen_loss: float
-    degradation: float
-    dist_to_wstar: float
+    k: np.ndarray
+    trial: np.ndarray
+    seed: np.ndarray
+    avg_loss: np.ndarray
+    seen_loss: np.ndarray
+    degradation: np.ndarray
+    dist_to_wstar: np.ndarray
 
-    def __post_init__(self):
-        for name in ("avg_loss", "seen_loss", "dist_to_wstar"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not math.isfinite(self.degradation):
-            raise ValueError(f"degradation must be finite, got {self.degradation}")
+    def __len__(self):
+        return len(self.k)
 
 
 def run_experiment(cfg):
-    """Sample, step and score a parsed config's sweep: one row per (k, trial),
-    sorted by (k, trial).  ``run_batch`` checks the strengths that depend on
-    the tasks drawn for every cell before any trial steps."""
+    """Sample, step and score a parsed config's sweep: a ResultTable with one
+    row per (k, trial), sorted by (k, trial).  ``run_batch`` checks the
+    strengths that depend on the tasks drawn for every cell before any trial
+    steps."""
     col = cfg.collection
     w_star = col.w_star if col.w_star is not None else min_norm_solution(col)
     drawn = [sample_orderings(cfg.ordering, col.M, k, cfg.trials, cfg.base_seed,
@@ -242,33 +252,48 @@ def run_experiment(cfg):
         runs = run_batch(col, [(idx, spec) for (idx, _), spec in zip(drawn, cfg.schedules)],
                          cfg.scheme)
         recs = [summarize_batch(run, col, w_star) for run in runs]
-    rows = []
-    for k, (_, seeds), rec in zip(cfg.k_grid, drawn, recs):
-        for i, seed in enumerate(seeds):
-            values = {name: float(getattr(rec, name)[i]) for name in METRIC_NAMES}
-            if not all(math.isfinite(v) for v in values.values()):
-                raise ValueError(f"non-finite result at k={k}, trial={i}, seed={seed}: "
-                                 + ", ".join(f"{n}={v}" for n, v in values.items()))
-            rows.append(ResultRow(
-                scheme=cfg.scheme, schedule=cfg.kind, ordering=cfg.ordering,
-                M=col.M, d=col.d, R=col.radius, k=k, trial=i, seed=seed, **values))
-    return rows
+    table = ResultTable(
+        scheme=cfg.scheme, schedule=cfg.kind, ordering=cfg.ordering,
+        M=col.M, d=col.d, R=col.radius,
+        k=np.repeat(np.asarray(cfg.k_grid, np.int64), cfg.trials),
+        trial=np.tile(np.arange(cfg.trials, dtype=np.int64), len(cfg.k_grid)),
+        seed=np.concatenate([seeds for _, seeds in drawn]),
+        **{name: np.concatenate([getattr(rec, name) for rec in recs])
+           for name in METRIC_NAMES})
+    values = np.stack([getattr(table, name) for name in METRIC_NAMES])
+    finite = np.isfinite(values).all(axis=0)
+    # Every metric but the degradation (row 2) is a loss or a norm, so >= 0.
+    bad = np.flatnonzero(~finite | (values[[0, 1, 3]] < 0).any(axis=0))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"{'non-finite' if not finite[i] else 'negative'} result at k={table.k[i]}, "
+            f"trial={table.trial[i]}, seed={table.seed[i]}: "
+            + ", ".join(f"{name}={float(v)}" for name, v in zip(METRIC_NAMES, values[:, i])))
+    return table
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+# One CSV row after its run key; "%.17g" % v is format(v, ".17g").
+_ROW_FORMAT = ",%d,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
+# Rows formatted per write, so that a large sweep is not built as one string.
+_WRITE_ROWS = 1 << 12
 
 
-def write_csv(rows, path):
-    """Write rows to ``path`` atomically.
+def write_csv(table, path):
+    """Write a ResultTable to ``path`` atomically.
 
-    The rows go to a temporary file in the target's directory, which is then
-    renamed onto ``path``; a failure mid-write leaves any earlier file intact
-    and removes the temporary file.
+    The run key is formatted once, by ``csv.writer``, and each row is then
+    one ``_ROW_FORMAT`` line.  The rows go to a temporary file in the target's
+    directory, which is then renamed onto ``path``; a failure mid-write leaves
+    any earlier file intact and removes the temporary file.
     """
     path = os.fspath(path)
+    key = io.StringIO()
+    csv.writer(key, lineterminator="\n").writerow(
+        [table.scheme, table.schedule, table.ordering, table.M, table.d,
+         format(table.R, ".17g")])
+    row_format = key.getvalue()[:-1].replace("%", "%%") + _ROW_FORMAT
+    columns = [getattr(table, name) for name in ROW_FIELDS]
     tmp = os.path.join(os.path.dirname(path) or ".",
                        f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
     try:
@@ -277,58 +302,116 @@ def write_csv(rows, path):
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_FIELDS)
-            for row in rows:
-                writer.writerow([_fmt(getattr(row, f)) for f in CSV_FIELDS])
+            fh.write(",".join(CSV_FIELDS) + "\n")
+            for a in range(0, len(table), _WRITE_ROWS):
+                rows = zip(*[c[a:a + _WRITE_ROWS].tolist() for c in columns])
+                fh.write("".join([row_format % row for row in rows]))
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
 
 
-# How to read each of CSV_FIELDS.
-_CSV_PARSERS = (str, str, str, int, int, float, int, int, int, float, float, float, float)
+_I63, _I64 = 2 ** 63, 2 ** 64
+
+
+def _parse_run_key(fields):
+    """(scheme, schedule, ordering, M, d, R) from a row's first six fields."""
+    scheme, schedule, ordering = fields[:3]
+    M, d, R = int(fields[3]), int(fields[4]), float(fields[5])
+    for name, v in (("M", M), ("d", d)):
+        if v < 1:
+            raise ValueError(f"{name} must be >= 1, got {v}")
+    if not 0 < R < math.inf:
+        raise ValueError(f"R must be finite and > 0, got {R}")
+    return scheme, schedule, ordering, M, d, R
+
+
+def _row_error(k, trial, seed, *metrics):
+    """Why a parsed row's (k, trial, seed, metrics...) are out of range."""
+    for name, v, low, high in (("k", k, 1, _I63), ("trial", trial, 0, _I63),
+                               ("seed", seed, 0, _I64)):
+        if not low <= v < high:
+            return f"{name} must be >= {low} and < 2**{high.bit_length() - 1}, got {v}"
+    values = dict(zip(METRIC_NAMES, metrics))
+    for name in ("avg_loss", "seen_loss", "dist_to_wstar"):
+        if not (math.isfinite(values[name]) and values[name] >= 0):
+            return f"{name} must be finite and >= 0, got {values[name]}"
+    return f"degradation must be finite, got {values['degradation']}"
 
 
 def read_csv(path):
-    """Rows of a ``write_csv`` file; a malformed file raises ValueError naming the line."""
+    """A ``write_csv`` file as a ResultTable.
+
+    A malformed file raises ValueError naming the file and, for a bad row,
+    its line: a header or field count not of the schema, a field that does
+    not parse, a value out of range (k >= 1; trial, seed >= 0; M, d >= 1; R
+    finite and > 0; the metrics as ``run_experiment`` checks them), rows of
+    more than one sweep, or a repeated (k, trial).  The sweep check comes
+    before the repeat check, since rows of two sweeps share (k, trial) pairs.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(CSV_FIELDS):
             raise ValueError(f"{path}, line 1: header is not {','.join(CSV_FIELDS)}")
+        keys = {}  # a run key's fields as read -> the run key
         rows = []
+        first_line = {}  # (k, trial) -> the line it first appears on
+        repeat = None
         for rec in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(rec) != len(CSV_FIELDS):
-                raise ValueError(f"{where}: expected {len(CSV_FIELDS)} fields, got {len(rec)}")
             try:
-                rows.append(ResultRow(**{name: parse(v) for name, parse, v
-                                         in zip(CSV_FIELDS, _CSV_PARSERS, rec)}))
+                if len(rec) != len(CSV_FIELDS):
+                    raise ValueError(f"expected {len(CSV_FIELDS)} fields, got {len(rec)}")
+                fields = tuple(rec[:6])
+                if fields not in keys:
+                    keys[fields] = _parse_run_key(fields)
+                row = (int(rec[6]), int(rec[7]), int(rec[8]), float(rec[9]),
+                       float(rec[10]), float(rec[11]), float(rec[12]))
+                k, trial, seed, avg, seen, deg, dist = row
+                if not (1 <= k < _I63 and 0 <= trial < _I63 and 0 <= seed < _I64
+                        and 0 <= avg < math.inf and 0 <= seen < math.inf
+                        and -math.inf < deg < math.inf and 0 <= dist < math.inf):
+                    raise ValueError(_row_error(*row))
             except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-    return rows
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            rows.append(row)
+            line = first_line.setdefault((k, trial), reader.line_num)
+            if repeat is None and line != reader.line_num:
+                repeat = (reader.line_num, k, trial, line)
+    run_keys = set(keys.values())
+    if len(run_keys) > 1:
+        listed = "; ".join("/".join(str(v) for v in key) for key in sorted(run_keys, key=str))
+        raise ValueError(f"{path}: rows mix {len(run_keys)} sweeps "
+                         f"({', '.join(RUN_KEY_FIELDS)}): {listed}")
+    if repeat is not None:
+        raise ValueError("{}, line {}: repeats k={}, trial={} of line {} (one row per "
+                         "(k, trial))".format(path, *repeat))
+    if not rows:
+        raise ValueError(f"{path}: no rows after the header")
+    columns = list(zip(*rows))
+    return ResultTable(
+        *run_keys.pop(),
+        k=np.array(columns[0], np.int64), trial=np.array(columns[1], np.int64),
+        seed=np.array(columns[2], np.uint64),
+        **{name: np.array(c, np.float64) for name, c in zip(METRIC_NAMES, columns[3:])})
 
 
-def aggregate(rows, metric="avg_loss"):
-    """Per-k Monte Carlo summaries: (k, mean, standard error, n_trials).
+def aggregate(table, metric="avg_loss"):
+    """Per-k Monte Carlo summaries of a ResultTable: (k, mean, standard error,
+    n_trials), by increasing k.
 
-    All rows must come from one sweep (same scheme, schedule, ordering and
-    collection); pooling rows of different sweeps is an error.
+    Each k's values are gathered, in row order, into an array of their own, so
+    the mean and standard error do not depend on the rows of other k (numpy
+    sums in pairs, and the pairs follow the array's length and layout).
     """
-    keys = {tuple(getattr(row, f) for f in RUN_KEY_FIELDS) for row in rows}
-    if len(keys) > 1:
-        listed = "; ".join("/".join(str(v) for v in key) for key in sorted(keys, key=str))
-        raise ValueError(f"rows mix {len(keys)} sweeps ({', '.join(RUN_KEY_FIELDS)}): "
-                         f"{listed}")
-    by_k = {}
-    for row in rows:
-        by_k.setdefault(row.k, []).append(getattr(row, metric))
+    order = np.argsort(table.k, kind="stable")
+    ks = table.k[order]
+    values = getattr(table, metric)
     out = []
-    for k in sorted(by_k):
-        vals = np.asarray(by_k[k])
+    for idx in np.split(order, np.flatnonzero(ks[1:] != ks[:-1]) + 1):
+        vals = values[idx]
         se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        out.append((k, float(vals.mean()), se, len(vals)))
+        out.append((int(table.k[idx[0]]), float(vals.mean()), se, len(vals)))
     return out
 
 

@@ -205,11 +205,12 @@ def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
     """Orderings of trials 0..trials-1 of one k-cell, as (trials, k) task indices.
 
     Row i is ``sample_ordering(kind, M, k, base_seed, path=(k, i))``.
-    With ``with_seeds``, returns ``(indices, seeds)``, where ``seeds`` lists
-    each trial's ``derived_seed(base_seed, k, i)``.  The indices are a view of
-    a step-major array, the layout ``schemes.run_batch`` steps through, so no
-    copy is made there.  Trials are drawn in blocks of about ``_BLOCK_DRAWS``
-    draws, so the temporaries stay small next to the result.
+    With ``with_seeds``, returns ``(indices, seeds)``, where ``seeds`` is a
+    (trials,) uint64 array of each trial's ``derived_seed(base_seed, k, i)``.
+    The indices are a view of a step-major array, the layout
+    ``schemes.run_batch`` steps through, so no copy is made there.  Trials
+    are drawn in blocks of about ``_BLOCK_DRAWS`` draws, so the temporaries
+    stay small next to the result.
     """
     M, k = _checked_sizes(kind, M, k)
     keys = _trial_keys(int(base_seed), k, trials)
@@ -234,4 +235,4 @@ def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
                 redo.extend(a + np.flatnonzero(rejected))
         for i in redo:
             idx[:, i] = _draw(stream(base_seed, k, i), kind, M, k)
-    return (idx.T, keys[0].tolist()) if with_seeds else idx.T
+    return (idx.T, keys[0]) if with_seeds else idx.T

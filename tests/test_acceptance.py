@@ -49,10 +49,10 @@ def sweep():
             "k_grid": K_GRID, "trials": TRIALS, "base_seed": BASE_SEED,
         })
         t0 = time.perf_counter()
-        rows = harness.run_experiment(cfg)
+        table = harness.run_experiment(cfg)
         results[tag] = {
-            "avg": harness.aggregate(rows, "avg_loss"),
-            "seen": harness.aggregate(rows, "seen_loss"),
+            "avg": harness.aggregate(table, "avg_loss"),
+            "seen": harness.aggregate(table, "seen_loss"),
             "elapsed": time.perf_counter() - t0,
         }
     return {"dist2": dist2, "R": col.radius, "runs": results}

@@ -1,13 +1,19 @@
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contreg import cli, harness
 from contreg.harness import ConfigError
@@ -169,32 +175,119 @@ def test_run_builds_the_collection_and_each_schedule_once(tmp_path, monkeypatch)
 
 def test_run_experiment_shape_and_determinism(tmp_path):
     cfg = harness.parse_config(base_config())
-    rows = harness.run_experiment(cfg)
-    assert len(rows) == 2
-    assert [(r.k, r.trial) for r in rows] == [(4, 0), (4, 1)]
+    table = harness.run_experiment(cfg)
+    assert len(table) == 2
+    assert table.k.tolist() == [4, 4] and table.trial.tolist() == [0, 1]
 
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    harness.write_csv(rows, p1)
+    harness.write_csv(table, p1)
     harness.write_csv(harness.run_experiment(cfg), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_run_experiment_grid_rows():
     cfg = harness.parse_config(base_config(k_grid=[4, 8], trials=1))
-    rows = harness.run_experiment(cfg)
-    assert [r.k for r in rows] == [4, 8]
-    for r in rows:
-        assert r.avg_loss >= 0 and r.seen_loss >= 0 and r.dist_to_wstar >= 0
+    table = harness.run_experiment(cfg)
+    assert table.k.tolist() == [4, 8]
+    for name in ("avg_loss", "seen_loss", "dist_to_wstar"):
+        assert (getattr(table, name) >= 0).all()
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip(tmp_path, monkeypatch):
     cfg = harness.parse_config(base_config(k_grid=[4, 8], trials=2))
-    rows = harness.run_experiment(cfg)
+    table = harness.run_experiment(cfg)
     path = tmp_path / "rows.csv"
-    harness.write_csv(rows, path)
-    assert harness.read_csv(path) == rows
+    harness.write_csv(table, path)
+    assert_same_table(harness.read_csv(path), table)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(harness.CSV_FIELDS)
+    monkeypatch.setattr(harness, "_WRITE_ROWS", 3)  # two writes, the second of one row
+    harness.write_csv(table, tmp_path / "blocks.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == path.read_bytes()
+
+
+def table_of(key, rows):
+    """A ResultTable with run key ``key`` and rows of (k, trial, seed, metrics...)."""
+    columns = list(zip(*rows))
+    return harness.ResultTable(
+        *key, k=np.array(columns[0], np.int64), trial=np.array(columns[1], np.int64),
+        seed=np.array(columns[2], np.uint64),
+        **{name: np.array(c, np.float64) for name, c in zip(harness.METRIC_NAMES, columns[3:])})
+
+
+def reference_csv(table):
+    """The per-row writer as a string: ``csv.writer`` over every field of every
+    row, floats as ``format(v, ".17g")`` and other values as ``str``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(harness.CSV_FIELDS)
+    key = [getattr(table, name) for name in harness.RUN_KEY_FIELDS]
+    for row in zip(*[getattr(table, name).tolist() for name in harness.ROW_FIELDS]):
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v)
+                         for v in key + list(row)])
+    return buf.getvalue()
+
+
+def reference_aggregate(table, metric):
+    """Per-k summaries of per-row values grouped in a dict, in row order."""
+    by_k = {}
+    for k, v in zip(table.k.tolist(), getattr(table, metric).tolist()):
+        by_k.setdefault(k, []).append(v)
+    out = []
+    for k in sorted(by_k):
+        vals = np.asarray(by_k[k])
+        se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        out.append((k, float(vals.mean()), se, len(vals)))
+    return out
+
+
+NON_NEGATIVE = st.floats(0.0, allow_infinity=False) | st.just(-0.0)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Key text that csv.writer must quote (a comma, a quote, a newline) or that a
+# %-template would read as a directive.
+KEY_TEXT = st.text(alphabet='ab,"%\n ', max_size=6)
+
+
+@st.composite
+def result_rows(draw):
+    """Rows with distinct (k, trial); k often repeats, so that groups are long."""
+    k = st.sampled_from([1, 9, 10, 123456789]) | st.integers(1, 2 ** 63 - 1)
+    pairs = draw(st.lists(st.tuples(k, st.integers(0, 2 ** 63 - 1)),
+                          min_size=1, max_size=300, unique=True))
+    return [(k, trial, draw(st.integers(0, 2 ** 64 - 1)), draw(NON_NEGATIVE),
+             draw(NON_NEGATIVE), draw(FINITE), draw(NON_NEGATIVE)) for k, trial in pairs]
+
+
+EDGE_ROWS = [(10 ** 9, 0, 2 ** 64 - 1, 1.7976931348623157e308, 5e-324, -0.0, 0.0),
+             (10 ** 9, 1, 0, -0.0, 1.7976931348623157e308, 5e-324, 2.2250738585072014e-308),
+             (7, 2 ** 63 - 1, 2 ** 63, 0.1, 0.2, -1.7976931348623157e308, -0.0)]
+EDGE_ROWS += [(12, trial, trial, 1.0 / (trial + 1), trial / 3.0, -trial / 7.0, 1e-300 * trial)
+              for trial in range(200)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.tuples(KEY_TEXT, KEY_TEXT, KEY_TEXT, st.integers(1, 10 ** 9),
+                     st.integers(1, 10 ** 9), st.floats(5e-324, allow_infinity=False)),
+       rows=result_rows(), rng=st.randoms(use_true_random=False))
+@example(key=("regularized", "none", "with-replacement", 400, 10, 1.7976931348623157e308),
+         rows=EDGE_ROWS, rng=random.Random(0))
+@example(key=("a,b", 'say "%d"', "x\ny", 1, 1, 5e-324), rows=EDGE_ROWS[:3], rng=random.Random(1))
+def test_csv_writer_reader_and_aggregate_match_the_per_row_reference(key, rows, rng):
+    """``write_csv`` writes the per-row writer's bytes, ``read_csv`` returns the
+    written table bit for bit, and ``aggregate`` matches per-k grouping in row
+    order, also with the rows shuffled."""
+    table = table_of(key, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        harness.write_csv(table, path)
+        with open(path, newline="") as fh:
+            assert fh.read() == reference_csv(table)
+        assert_same_table(harness.read_csv(path), table)
+    shuffled = table_of(key, rng.sample(rows, len(rows)))
+    with np.errstate(over="ignore", invalid="ignore"):  # sums of huge values
+        for metric in harness.METRIC_NAMES:
+            assert (repr(harness.aggregate(shuffled, metric))
+                    == repr(reference_aggregate(shuffled, metric))), metric
 
 
 def test_collection_path_round_trip(tmp_path):
@@ -205,16 +298,15 @@ def test_collection_path_round_trip(tmp_path):
     path.write_text(json.dumps(collection_to_dict(col)))
     cfg = harness.parse_config(base_config(collection={"path": str(path)},
                                            k_grid=[3], trials=1))
-    rows = harness.run_experiment(cfg)
-    assert rows[0].d == 3 and rows[0].M == 2
+    table = harness.run_experiment(cfg)
+    assert table.d == 3 and table.M == 2
 
 
 def test_aligned_pairs_config():
     cfg = harness.parse_config(base_config(
         collection={"generator": "aligned-pairs", "d": 6, "pairs": 3,
                     "angle": 0.1, "radius": 1.0, "seed": 2}))
-    rows = harness.run_experiment(cfg)
-    assert rows[0].M == 6
+    assert harness.run_experiment(cfg).M == 6
 
 
 def test_fit_rate_exact_power_laws():
@@ -236,9 +328,9 @@ def test_fit_rate_errors():
 
 def test_aggregate_means_and_standard_errors():
     cfg = harness.parse_config(base_config(trials=5))
-    rows = harness.run_experiment(cfg)
-    (k, mean, se, n), = harness.aggregate(rows)
-    vals = [r.avg_loss for r in rows]
+    table = harness.run_experiment(cfg)
+    (k, mean, se, n), = harness.aggregate(table)
+    vals = table.avg_loss
     assert k == 4 and n == 5
     assert mean == pytest.approx(np.mean(vals))
     assert se == pytest.approx(np.std(vals, ddof=1) / np.sqrt(5))
@@ -256,7 +348,7 @@ def test_seed_override(tmp_path):
     other = dataclasses.replace(cfg, base_seed=100)
     a = harness.run_experiment(cfg)
     b = harness.run_experiment(other)
-    assert any(x.seed != y.seed for x, y in zip(a, b))
+    assert (a.seed != b.seed).any()
 
 
 def test_cli_run_fit_verify(tmp_path):
@@ -303,6 +395,38 @@ def test_cli_validation_errors(tmp_path, capsys):
     for path, where in ((missing_column, "line 1"), (short_row, "line 3")):
         assert cli.main(["fit", str(path)]) == 1
         assert f"{path}, {where}:" in one_line_error(capsys)
+
+    def with_field(name, value, at=(2,)):  # ``at`` counts lines from the header, 0
+        out = list(lines)
+        for i in at:
+            rec = out[i][:-1].split(",")
+            rec[harness.CSV_FIELDS.index(name)] = value
+            out[i] = ",".join(rec) + "\n"
+        return out
+
+    bad_rows = [(with_field(name, value), f", line 3: {message}") for name, value, message in (
+        ("k", "0", "k must be >= 1"), ("k", "-4", "k must be >= 1"),
+        ("k", str(2 ** 63), "k must be >= 1 and < 2**63"),
+        ("trial", "-1", "trial must be >= 0"), ("seed", "-1", "seed must be >= 0"),
+        ("seed", str(2 ** 64), "seed must be >= 0 and < 2**64"),
+        ("M", "0", "M must be >= 1, got 0"), ("d", "-2", "d must be >= 1, got -2"),
+        ("R", "nan", "R must be finite and > 0, got nan"),
+        ("R", "inf", "R must be finite and > 0, got inf"),
+        ("R", "0", "R must be finite and > 0, got 0.0"),
+        ("R", "-1", "R must be finite and > 0, got -1.0"),
+        ("avg_loss", "-1", "avg_loss must be finite and >= 0, got -1.0"),
+        ("degradation", "nan", "degradation must be finite, got nan"))]
+    malformed = tmp_path / "malformed.csv"
+    for text, where in bad_rows + [
+            # A bad R, not rows of different sweeps, though NaN != NaN.
+            (with_field("R", "nan", at=(1, 2)), ", line 2: R must be finite and > 0, got nan"),
+            (lines + lines[1:], ", line 4: repeats k=4, trial=0 of line 2"),
+            (lines + lines[2:], ", line 4: repeats k=4, trial=1 of line 3"),
+            (lines[:1], ": no rows after the header")]:
+        malformed.write_text("".join(text))
+        assert cli.main(["fit", str(malformed)]) == 1
+        err = one_line_error(capsys)
+        assert err.startswith(f"error: {malformed}{where}"), err
 
     good_cfg = tmp_path / "good.json"
     good_cfg.write_text(json.dumps(base_config()))
@@ -389,6 +513,14 @@ def run_cli_csv(tmp_path, name, cfg, *extra):
     cfg_path.write_text(json.dumps(cfg))
     code = cli.main(["run", "--config", str(cfg_path), "--out", str(out_path), *extra])
     return code, out_path
+
+
+def assert_same_table(got, want):
+    """``got`` holds bit for bit the run key and columns of ``want``."""
+    assert len(got) == len(want)
+    for name in harness.CSV_FIELDS:
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def one_line_error(capsys):
@@ -530,25 +662,32 @@ def test_overflowing_radius_is_rejected_before_work(tmp_path, capsys, monkeypatc
 
 
 def test_write_csv_failure_keeps_the_earlier_file(tmp_path, monkeypatch):
-    rows = harness.run_experiment(harness.parse_config(base_config(trials=3)))
+    table = harness.run_experiment(harness.parse_config(base_config(trials=3)))
     path = tmp_path / "out.csv"
-    harness.write_csv(rows, path)
+    harness.write_csv(table, path)
     before = path.read_bytes()
-    fmt, calls = harness._fmt, itertools.count()
 
-    def failing_fmt(value):  # fails in the second row
-        if next(calls) == len(harness.CSV_FIELDS) + 2:
-            raise OSError("disk full")
-        return fmt(value)
+    def failing_open(*args, **kwargs):  # its file fails in the first write of rows
+        fh = open(*args, **kwargs)
+        write, calls = fh.write, itertools.count()
 
-    monkeypatch.setattr(harness, "_fmt", failing_fmt)
+        def failing_write(text):
+            if next(calls) == 1:
+                raise OSError("disk full")
+            return write(text)
+
+        fh.write = failing_write
+        return fh
+
+    monkeypatch.setattr(harness, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="disk full"):
-        harness.write_csv(rows, path)
+        harness.write_csv(table, path)
+    monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
     missing = tmp_path / "missing" / "out.csv"
     with pytest.raises(FileNotFoundError) as exc:
-        harness.write_csv(rows, missing)
+        harness.write_csv(table, missing)
     assert exc.value.filename == str(missing)
 
 
