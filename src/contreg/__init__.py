@@ -2,8 +2,7 @@
 
 from .adversarial import AdversarialScenario, any_alg_lb_collection, seen_task_lb_collection
 from .harness import (ExperimentConfig, RateFit, ResultTable, aggregate, fit_rate,
-                      load_config, parse_config, run_experiment, verify_suite,
-                      write_csv)
+                      load_config, parse_config, run_experiment, write_csv)
 from .metrics import (MetricsRecord, average_loss, excess_loss, loss_degradation,
                       seen_task_loss, summarize, summarize_batch, task_loss)
 from .orderings import sample_ordering, stream
@@ -20,6 +19,7 @@ from .surrogates import (SurrogateQuadratic, build_budgeted_surrogate,
 from .tasks import (RealizableSpec, RegressionTask, RowBases, TaskCollection,
                     build_tasks, generate_aligned_pairs, generate_realizable,
                     min_norm_solution, new_collection, new_task)
+from .verify import verify_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 
-from . import harness
+from . import harness, verify
 from .harness import ConfigError
 from .schedules import KINDS
 from .schemes import SCHEME_KINDS
@@ -58,7 +58,7 @@ def _cmd_fit(args):
 
 
 def _cmd_verify(args):
-    report = harness.verify_suite(args.suite)
+    report = verify.verify_suite(args.suite)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.label}: {check.detail}")
@@ -121,7 +121,7 @@ def build_parser():
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("verify", help="run a named property suite")
-    p.add_argument("--suite", required=True, choices=list(harness.SUITE_NAMES))
+    p.add_argument("--suite", required=True, choices=list(verify.SUITE_NAMES))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("adversarial", help="run a hard-instance scenario")

@@ -73,21 +73,18 @@ class MetricsRecord:
     dist_to_wstar: float
 
 
-def _reference_solution(collection, w_star):
-    if w_star is None:
-        w_star = collection.w_star
-    if w_star is None:
-        w_star = min_norm_solution(collection)
-    return np.asarray(w_star)
+def reference_solution(collection):
+    """The collection's planted solution, else the minimum-norm solution of
+    the stacked system: the ``w_star`` that ``dist_to_wstar`` measures from."""
+    return collection.w_star if collection.w_star is not None else min_norm_solution(collection)
 
 
 def summarize(trajectory, collection, w_star=None):
     """Final-iterate metrics for a trajectory.
 
-    ``w_star`` defaults to the collection's planted solution, falling back to
-    the minimum-norm solution of the stacked system.
+    ``w_star`` defaults to ``reference_solution(collection)``.
     """
-    w_star = _reference_solution(collection, w_star)
+    w_star = reference_solution(collection) if w_star is None else np.asarray(w_star)
     w = trajectory.iterates[-1]
     return MetricsRecord(
         avg_loss=average_loss(w, collection),
@@ -113,7 +110,7 @@ def summarize_batch(run, collection, w_star=None):
     averaged over the collection and gathered along its ordering for the
     seen-task loss.
     """
-    w_star = _reference_solution(collection, w_star)
+    w_star = reference_solution(collection) if w_star is None else np.asarray(w_star)
     W, order = run.final, run.ordering
     trials, k = order.shape
     if k < 1:

@@ -156,6 +156,17 @@ def _exact_inverse_pairs(eta0):
     return lam.reshape(n, -1)[np.arange(n), first], eta[np.arange(n), first // width]
 
 
+def _decaying_steps(R, k, what):
+    """The increasing schedules' steps (3 / (13 R^2)) * (k - t + 2) / (k + 1),
+    t = 1..k, after checking k >= 2 (``what`` names the schedule) and R."""
+    if k < 2:
+        raise ValueError(f"{what} needs k >= 2, got {k}")
+    _check_radius(R)
+    t = np.arange(1, k + 1)
+    # Keep (13 R) R: 13 (R R) can round differently and change every output bit.
+    return (3.0 / (13.0 * R * R)) * (k - t + 2) / (k + 1)
+
+
 def increasing_coefficient(R, k):
     """Coefficients (13 R^2 / 3) * (k+1)/(k-t+2), growing toward the horizon.
 
@@ -164,13 +175,7 @@ def increasing_coefficient(R, k):
     ulps of its closed form.
     """
     k = int(k)
-    if k < 2:
-        raise ValueError(f"increasing coefficient needs k >= 2, got {k}")
-    _check_radius(R)
-    t = np.arange(1, k + 1)
-    # Keep (13 R) R: 13 (R R) can round differently and change every output bit.
-    eta0 = (3.0 / (13.0 * R * R)) * (k - t + 2) / (k + 1)
-    lam, eta = _exact_inverse_pairs(eta0)
+    lam, eta = _exact_inverse_pairs(_decaying_steps(R, k, "increasing coefficient"))
     return ScheduleSpec(k=k, lam=_frozen(lam), eta=_frozen(eta))
 
 
@@ -182,14 +187,10 @@ def increasing_budget(R, k, n_choice=1):
     """
     k = int(k)
     n_choice = int(n_choice)
-    if k < 2:
-        raise ValueError(f"increasing budget needs k >= 2, got {k}")
+    eta0 = _decaying_steps(R, k, "increasing budget")
     if n_choice < 1:
         raise ValueError("n_choice must be >= 1")
-    _check_radius(R)
-    t = np.arange(1, k + 1)
-    # (13 R) R, as in increasing_coefficient.
-    gamma = (3.0 / (13.0 * R * R)) * (k - t + 2) / (k + 1) / n_choice
+    gamma = eta0 / n_choice
     if np.any(gamma * R * R >= 1) or np.any(gamma <= 0):
         raise ValueError("derived inner step sizes left (0, 1/R^2)")
     # eta is stored as the rounded product, so eta_t / (gamma_t * N_t) == 1

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .surrogates import (BUDGETED, REGULARIZED, build_budgeted_surrogate,
-                         build_regularized_surrogate, spectral_multiplier)
+                         build_regularized_surrogate, check_budget, check_coefficient,
+                         spectral_multiplier)
 
 UNREGULARIZED = "unregularized"
 IGD_REGULARIZED = "igd-of-regularized"
@@ -42,21 +43,14 @@ SCHEME_KINDS = tuple(READS)
 
 def regularized_step(w, task, lam):
     """Minimize the task loss plus (lam/2) * ||w' - w||^2 in closed form."""
-    if not lam > 0:
-        raise ValueError(f"regularization coefficient must be positive, got {lam}")
+    check_coefficient(lam)
     lhs = task.gram + lam * np.eye(task.d)
     return np.linalg.solve(lhs, task.xty + lam * np.asarray(w, dtype=np.float64))
 
 
 def budgeted_step(w, task, gamma, n_steps):
     """Run n_steps explicit gradient steps of size gamma on the task loss."""
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError(f"budget must be >= 1, got {n_steps}")
-    r2 = task.spectral_norm ** 2
-    if not (gamma > 0 and gamma * r2 < 1):
-        raise ValueError(f"inner step size must satisfy 0 < gamma * R_m^2 < 1, "
-                         f"got gamma={gamma}, R_m^2={r2}")
+    n_steps = check_budget(gamma, n_steps, task.spectral_norm ** 2)
     w = np.asarray(w, dtype=np.float64).copy()
     X, y = task.X, task.y
     for _ in range(n_steps):
@@ -140,14 +134,13 @@ def run_continual(collection, ordering, schedule, scheme, w0=None):
         elif scheme == BUDGETED:
             w = budgeted_step(w, task, float(schedule.gamma[t - 1]),
                               int(schedule.n_steps[t - 1]))
-        elif scheme == IGD_REGULARIZED:
+        else:  # IGD_REGULARIZED or IGD_BUDGETED
             eta = float(schedule.eta[t - 1])
-            s = build_regularized_surrogate(task, float(schedule.lam[t - 1]), eta)
-            w = igd_step(w, s, eta)
-        else:  # IGD_BUDGETED
-            eta = float(schedule.eta[t - 1])
-            s = build_budgeted_surrogate(task, float(schedule.gamma[t - 1]),
-                                         int(schedule.n_steps[t - 1]), eta)
+            if scheme == IGD_REGULARIZED:
+                s = build_regularized_surrogate(task, float(schedule.lam[t - 1]), eta)
+            else:
+                s = build_budgeted_surrogate(task, float(schedule.gamma[t - 1]),
+                                             int(schedule.n_steps[t - 1]), eta)
             w = igd_step(w, s, eta)
         iterates[t] = w
 
@@ -178,8 +171,7 @@ def _check_inner_steps(r2, drawn, gamma):
     too_big = worst[1:] * r2 >= 1
     if too_big.any():
         m = int(np.argmax(too_big))
-        raise ValueError(f"inner step size must satisfy 0 < gamma * R_m^2 < 1, "
-                         f"got gamma={worst[m + 1]}, R_m^2={r2[m]}")
+        check_budget(worst[m + 1], 1, r2[m])  # raises the literal rules' error
 
 
 def _step_block(rows, W, loss_after, m_idx, strengths):

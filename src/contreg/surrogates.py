@@ -26,13 +26,14 @@ VERBATIM = "verbatim"
 
 @dataclass(frozen=True, eq=False)
 class SurrogateQuadratic:
-    """Symmetric PSD quadratic with its smoothness constant (largest eigenvalue)."""
+    """Symmetric PSD quadratic with its smoothness constant beta (largest eigenvalue) and
+    the lower constant of ``sandwich_check`` (None where none is known)."""
 
     A: np.ndarray
     anchor: np.ndarray
     beta: float
     kind: str
-    params: dict
+    lower: float | None
 
 
 def spectral_multiplier(strengths, sigma, inv_sigma, on_rank=None):
@@ -72,7 +73,24 @@ def budgeted_spectral_map(gamma, n_steps, eta):
     return lambda xi: (1.0 - (1.0 - gamma * xi) ** n_steps) / eta
 
 
-def _surrogate(task, gain, kind, params):
+def check_coefficient(lam):
+    """The regularized rule's strength check, lam > 0."""
+    if not lam > 0:
+        raise ValueError(f"regularization coefficient must be positive, got {lam}")
+
+
+def check_budget(gamma, n_steps, r2):
+    """The budgeted rule's strength checks, N >= 1 and 0 < gamma r2 < 1; N as an int."""
+    n_steps = int(n_steps)
+    if n_steps < 1:
+        raise ValueError(f"budget must be >= 1, got {n_steps}")
+    if not (gamma > 0 and gamma * r2 < 1):
+        raise ValueError(f"inner step size must satisfy 0 < gamma * R_m^2 < 1, "
+                         f"got gamma={gamma}, R_m^2={r2}")
+    return n_steps
+
+
+def _surrogate(task, gain, kind, lower):
     """A = V^T diag(gain) V on the task's row basis (0 off the row space);
     beta is the gain at sigma_max = R_m, or 0 on a zero task."""
     V = task.row_basis[0]
@@ -81,11 +99,13 @@ def _surrogate(task, gain, kind, params):
     A.flags.writeable = False
     beta = float(gain[0]) if gain.size else 0.0
     return SurrogateQuadratic(A=A, anchor=task.pinv_solution, beta=beta, kind=kind,
-                              params=params)
+                              lower=lower)
 
 
 def _multiplier_gain(task, strengths, eta):
-    """(1 - s) / eta = g * sigma / eta on the task's row basis."""
+    """(1 - s) / eta = g * sigma / eta on the task's row basis, after checking eta > 0."""
+    if not eta > 0:
+        raise ValueError(f"step size must be positive, got {eta}")
     sigma = task.row_basis[1]
     g, _ = spectral_multiplier(strengths, sigma, 1.0 / sigma)
     return g * sigma / eta
@@ -93,27 +113,16 @@ def _multiplier_gain(task, strengths, eta):
 
 def build_regularized_surrogate(task, lam, eta):
     """Surrogate whose eta-step equals one full ridge-anchored task update."""
-    if not lam > 0:
-        raise ValueError(f"regularization coefficient must be positive, got {lam}")
-    if not eta > 0:
-        raise ValueError(f"step size must be positive, got {eta}")
+    check_coefficient(lam)
     return _surrogate(task, _multiplier_gain(task, (lam,), eta), REGULARIZED,
-                      {"lam": float(lam), "eta": float(eta)})
+                      float(lam) * float(eta))
 
 
 def build_budgeted_surrogate(task, gamma, n_steps, eta):
     """Surrogate whose eta-step equals n_steps plain gradient steps of size gamma."""
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError(f"budget must be >= 1, got {n_steps}")
-    if not eta > 0:
-        raise ValueError(f"step size must be positive, got {eta}")
-    r2 = task.spectral_norm ** 2
-    if not (gamma > 0 and gamma * r2 < 1):
-        raise ValueError(f"inner step size must satisfy 0 < gamma * R_m^2 < 1, "
-                         f"got gamma={gamma}, R_m^2={r2}")
+    n_steps = check_budget(gamma, n_steps, task.spectral_norm ** 2)
     return _surrogate(task, _multiplier_gain(task, (gamma, n_steps), eta), BUDGETED,
-                      {"gamma": float(gamma), "n_steps": n_steps, "eta": float(eta)})
+                      float(eta) / (float(gamma) * n_steps))
 
 
 def build_spectral_surrogate(task, g: Callable, eta, gprime0=None):
@@ -129,10 +138,10 @@ def build_spectral_surrogate(task, g: Callable, eta, gprime0=None):
         raise ValueError(f"step size must be positive, got {eta}")
     sigma = task.row_basis[1]
     return _surrogate(task, np.asarray(g(sigma * sigma), dtype=np.float64), SPECTRAL,
-                      {"g": g, "eta": float(eta), "gprime0": gprime0})
+                      1.0 / gprime0 if gprime0 else None)
 
 
-def from_matrix(A, anchor, eta=1.0):
+def from_matrix(A, anchor):
     """Wrap an explicit symmetric PSD matrix as a surrogate (no excess-loss constants)."""
     A = np.asarray(A, dtype=np.float64)
     anchor = np.asarray(anchor, dtype=np.float64)
@@ -151,7 +160,7 @@ def from_matrix(A, anchor, eta=1.0):
     anchor = anchor.copy()
     anchor.flags.writeable = False
     return SurrogateQuadratic(A=A, anchor=anchor, beta=float(eigs.max()),
-                              kind=VERBATIM, params={"eta": float(eta)})
+                              kind=VERBATIM, lower=None)
 
 
 def value_and_grad(surrogate, w):
@@ -182,21 +191,13 @@ def sandwich_check(surrogate, task, w, collection_radius=None):
     The upper constant uses the task's own spectral norm by default (tighter);
     pass ``collection_radius`` to use the collection-level radius instead.
     """
-    kind = surrogate.kind
-    params = surrogate.params
-    if kind == REGULARIZED:
-        c_low = params["lam"] * params["eta"]
-    elif kind == BUDGETED:
-        c_low = params["eta"] / (params["gamma"] * params["n_steps"])
-    elif kind == SPECTRAL and params.get("gprime0"):
-        c_low = 1.0 / params["gprime0"]
-    else:
-        raise ValueError(f"no excess-loss constants defined for kind {kind!r}")
+    if surrogate.lower is None:
+        raise ValueError(f"no excess-loss constants defined for kind {surrogate.kind!r}")
     value, _ = value_and_grad(surrogate, w)
     excess = excess_loss(w, task)
     r = collection_radius if collection_radius is not None else task.spectral_norm
     upper = (r * r / surrogate.beta) * value if surrogate.beta > 0 else 0.0
-    lower = c_low * value
+    lower = surrogate.lower * value
     tol = 1e-9 * (1.0 + excess)
     return SandwichReport(
         lower=lower, excess=excess, upper=upper,

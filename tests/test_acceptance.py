@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from contreg import harness
+from contreg import harness, verify
 from contreg.orderings import stream
 
 K_GRID = [64, 128, 256, 512, 1024]
@@ -61,7 +61,7 @@ def sweep():
 def test_criterion_1_reduction_equivalence():
     rng = stream(BASE_SEED, 1)
     t0 = time.perf_counter()
-    worst_reg, worst_bud, _ = harness.reduction_gaps(rng, 50)
+    worst_reg, worst_bud, _ = verify.reduction_gaps(rng, 50)
     worst = max(worst_reg, worst_bud)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1.0 and elapsed <= 10.0
@@ -73,7 +73,7 @@ def test_criterion_1_reduction_equivalence():
 def test_criterion_2_sandwich_inequalities():
     rng = stream(BASE_SEED, 2)
     t0 = time.perf_counter()
-    failures = harness.sandwich_failures(rng, 1000)
+    failures = verify.sandwich_failures(rng, 1000)
     elapsed = time.perf_counter() - t0
     ok = failures == 0 and elapsed <= 5.0
     assert report(2, "sandwich inequalities", ok,
@@ -163,7 +163,7 @@ def test_criterion_7_any_algorithm_lower_bound():
 
 def test_criterion_8_certificate_grid():
     t0 = time.perf_counter()
-    failures = harness.certificate_failures()
+    failures = verify.certificate_failures()
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed <= 2.0
     assert report(8, "step-size weight certificate", ok,
@@ -172,7 +172,7 @@ def test_criterion_8_certificate_grid():
 
 def test_criterion_9_gradient_consistency():
     t0 = time.perf_counter()
-    worst = harness.gradient_error(BASE_SEED, 10)
+    worst = verify.gradient_error(BASE_SEED, 10)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed <= 1.0
     assert report(9, "gradient consistency (all surrogate kinds)", ok,

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contreg import cli, harness
+from contreg import cli, harness, verify
 from contreg.harness import ConfigError
 from contreg.orderings import derived_seed
 from contreg.tasks import new_task
@@ -217,15 +218,18 @@ def table_of(key, rows):
 
 def reference_csv(table):
     """The per-row writer as a string: ``csv.writer`` over every field of every
-    row, floats as ``format(v, ".17g")`` and other values as ``str``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(harness.CSV_FIELDS)
+    row, floats as ``format(v, ".17g")`` and other values as ``str``.  Each row
+    is quoted as a ``\\r\\n`` line, so that a carriage return is quoted as a
+    newline is, and ends in ``\\n``."""
+    def line(fields):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(fields)
+        return buf.getvalue()[:-2] + "\n"
+
     key = [getattr(table, name) for name in harness.RUN_KEY_FIELDS]
-    for row in zip(*[getattr(table, name).tolist() for name in harness.ROW_FIELDS]):
-        writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v)
-                         for v in key + list(row)])
-    return buf.getvalue()
+    return line(harness.CSV_FIELDS) + "".join(
+        line([format(v, ".17g") if isinstance(v, float) else str(v) for v in key + list(row)])
+        for row in zip(*[getattr(table, name).tolist() for name in harness.ROW_FIELDS]))
 
 
 def reference_aggregate(table, metric):
@@ -243,9 +247,9 @@ def reference_aggregate(table, metric):
 
 NON_NEGATIVE = st.floats(0.0, allow_infinity=False) | st.just(-0.0)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# Key text that csv.writer must quote (a comma, a quote, a newline) or that a
-# %-template would read as a directive.
-KEY_TEXT = st.text(alphabet='ab,"%\n ', max_size=6)
+# Key text that csv.writer must quote (a comma, a quote, a newline, a carriage
+# return) or that a %-template would read as a directive.
+KEY_TEXT = st.text(alphabet='ab,"%\n\r ', max_size=6)
 
 
 @st.composite
@@ -272,6 +276,8 @@ EDGE_ROWS += [(12, trial, trial, 1.0 / (trial + 1), trial / 3.0, -trial / 7.0, 1
 @example(key=("regularized", "none", "with-replacement", 400, 10, 1.7976931348623157e308),
          rows=EDGE_ROWS, rng=random.Random(0))
 @example(key=("a,b", 'say "%d"', "x\ny", 1, 1, 5e-324), rows=EDGE_ROWS[:3], rng=random.Random(1))
+@example(key=("reg\rularized", "a\r\nb", "\r", 2, 3, 1.0), rows=EDGE_ROWS[:3],
+         rng=random.Random(2))
 def test_csv_writer_reader_and_aggregate_match_the_per_row_reference(key, rows, rng):
     """``write_csv`` writes the per-row writer's bytes, ``read_csv`` returns the
     written table bit for bit, and ``aggregate`` matches per-k grouping in row
@@ -336,11 +342,52 @@ def test_aggregate_means_and_standard_errors():
     assert se == pytest.approx(np.std(vals, ddof=1) / np.sqrt(5))
 
 
+SUITE_LABELS = {
+    "reductions": ["regularized scheme matches its surrogate-step twin",
+                   "budgeted scheme matches its surrogate-step twin",
+                   "surrogate iterates invariant to bookkeeping step size"],
+    "sandwich": ["two-sided excess-loss bounds hold",
+                 "upper constant obeys R^2/beta <= 1 + eta R^2 at the tied settings",
+                 "gradients match central finite differences (all surrogate kinds)"],
+    "certificate": ["weight certificate nonnegative with c_k >= eta/k for k in 2..500, "
+                    "beta in {0.5, 1, 4}"],
+    "schedules": ["increasing schedules keep their exact identities",
+                  "fixed coefficient lands smoothness on 1/ln k",
+                  "exact budget grows as the inner step shrinks",
+                  "linear decay endpoints"],
+    "adversarial": ["seen-task floor at k=16",
+                    "any-algorithm mean excess at k=16 (regularized)",
+                    "any-algorithm mean excess at k=16 (unregularized)"],
+}
+
+
 def test_verify_suite_names():
     with pytest.raises(ValueError, match="unknown suite"):
-        harness.verify_suite("bogus")
-    report = harness.verify_suite("certificate")
-    assert report.passed
+        verify.verify_suite("bogus")
+    assert verify.SUITE_NAMES == tuple(SUITE_LABELS)
+    for name, labels in SUITE_LABELS.items():
+        report = verify.verify_suite(name)
+        assert report.name == name
+        assert [check.label for check in report.checks] == labels, name
+        assert report.passed, name
+
+
+def test_harness_imports_neither_the_surrogates_nor_the_suites():
+    """The harness runs sweeps and scenarios; the checks of the surrogates live
+    in ``verify``, which imports the harness and not the other way round."""
+    with open(harness.__file__) as fh:
+        tree = ast.parse(fh.read())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            if not node.module:  # from . import name
+                modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert modules, "no imports found"
+    leaves = {name.rsplit(".", 1)[-1] for name in modules}
+    assert not leaves & {"surrogates", "verify"}, sorted(modules)
 
 
 def test_seed_override(tmp_path):
@@ -362,7 +409,7 @@ def test_cli_run_fit_verify(tmp_path):
     summary = json.loads(fit_path.read_text())
     assert summary["n_points"] == 3
     assert len(summary["points"]) == 3
-    for suite in harness.SUITE_NAMES:
+    for suite in verify.SUITE_NAMES:
         assert cli.main(["verify", "--suite", suite]) == 0, suite
 
 
