@@ -239,6 +239,35 @@ class ResultTable:
         return len(self.k)
 
 
+_I63, _I64 = 2 ** 63, 2 ** 64
+# A sweep row's integer columns and their ranges [low, high).
+_INT_RANGES = (("k", 1, _I63), ("trial", 0, _I63), ("seed", 0, _I64))
+
+
+def _first_bad_row(columns):
+    """``(i, why)`` for the first row out of range in a sweep's ``ROW_FIELDS``
+    columns, or None; ``why`` names the row's first bad field.  k, trial and
+    seed must lie in ``_INT_RANGES``, the metrics that are losses or a norm
+    must be finite and >= 0, and the degradation finite.  The integer columns
+    may be object arrays of Python ints of any size."""
+    checks = []  # (bad rows, field, rule, column), in the order a row is checked
+    for (name, low, high), c in zip(_INT_RANGES, columns):
+        checks.append(((c < low) | (c >= high), name,
+                       f"must be >= {low} and < 2**{high.bit_length() - 1}", c))
+    metrics = dict(zip(METRIC_NAMES, columns[3:]))
+    for name in ("avg_loss", "seen_loss", "dist_to_wstar"):
+        c = metrics[name]
+        checks.append((~((c >= 0) & (c < math.inf)), name, "must be finite and >= 0", c))
+    c = metrics["degradation"]
+    checks.append((~np.isfinite(c), "degradation", "must be finite", c))
+    bad = np.logical_or.reduce([mask for mask, *_ in checks])
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    _, name, rule, c = next(check for check in checks if check[0][i])
+    return i, f"{name} {rule}, got {(float if name in METRIC_NAMES else int)(c[i])}"
+
+
 def run_experiment(cfg):
     """Sample, step and score a parsed config's sweep: a ResultTable with one
     row per (k, trial), sorted by (k, trial).  ``run_batch`` checks the
@@ -261,16 +290,14 @@ def run_experiment(cfg):
         seed=np.concatenate([seeds for _, seeds in drawn]),
         **{name: np.concatenate([getattr(rec, name) for rec in recs])
            for name in METRIC_NAMES})
-    values = np.stack([getattr(table, name) for name in METRIC_NAMES])
-    finite = np.isfinite(values).all(axis=0)
-    # Every metric but the degradation (row 2) is a loss or a norm, so >= 0.
-    bad = np.flatnonzero(~finite | (values[[0, 1, 3]] < 0).any(axis=0))
-    if bad.size:
+    bad = _first_bad_row([getattr(table, name) for name in ROW_FIELDS])
+    if bad is not None:
         i = bad[0]
+        values = [float(getattr(table, name)[i]) for name in METRIC_NAMES]
         raise ValueError(
-            f"{'non-finite' if not finite[i] else 'negative'} result at k={table.k[i]}, "
-            f"trial={table.trial[i]}, seed={table.seed[i]}: "
-            + ", ".join(f"{name}={float(v)}" for name, v in zip(METRIC_NAMES, values[:, i])))
+            f"{'non-finite' if not all(map(math.isfinite, values)) else 'negative'} "
+            f"result at k={table.k[i]}, trial={table.trial[i]}, seed={table.seed[i]}: "
+            + ", ".join(f"{name}={v}" for name, v in zip(METRIC_NAMES, values)))
     return table
 
 
@@ -314,9 +341,6 @@ def write_csv(table, path):
         raise
 
 
-_I63, _I64 = 2 ** 63, 2 ** 64
-
-
 def _parse_run_key(fields):
     """(scheme, schedule, ordering, M, d, R) from a row's first six fields."""
     scheme, schedule, ordering = fields[:3]
@@ -329,19 +353,6 @@ def _parse_run_key(fields):
     return scheme, schedule, ordering, M, d, R
 
 
-def _row_error(k, trial, seed, *metrics):
-    """Why a parsed row's (k, trial, seed, metrics...) are out of range."""
-    for name, v, low, high in (("k", k, 1, _I63), ("trial", trial, 0, _I63),
-                               ("seed", seed, 0, _I64)):
-        if not low <= v < high:
-            return f"{name} must be >= {low} and < 2**{high.bit_length() - 1}, got {v}"
-    values = dict(zip(METRIC_NAMES, metrics))
-    for name in ("avg_loss", "seen_loss", "dist_to_wstar"):
-        if not (math.isfinite(values[name]) and values[name] >= 0):
-            return f"{name} must be finite and >= 0, got {values[name]}"
-    return f"degradation must be finite, got {values['degradation']}"
-
-
 def read_csv(path):
     """A ``write_csv`` file as a ResultTable.
 
@@ -349,17 +360,19 @@ def read_csv(path):
     its line: a header or field count not of the schema, a field that does
     not parse, a value out of range (k >= 1; trial, seed >= 0; M, d >= 1; R
     finite and > 0; the metrics as ``run_experiment`` checks them), rows of
-    more than one sweep, or a repeated (k, trial).  The sweep check comes
-    before the repeat check, since rows of two sweeps share (k, trial) pairs.
+    more than one sweep, or a repeated (k, trial).  Of the rows that do not
+    parse or are out of range, the first in the file is reported.  The sweep
+    check comes before the repeat check, since rows of two sweeps share
+    (k, trial) pairs.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(CSV_FIELDS):
             raise ValueError(f"{path}, line 1: header is not {','.join(CSV_FIELDS)}")
         keys = {}  # a run key's fields as read -> the run key
-        rows = []
+        rows, lines = [], []
         first_line = {}  # (k, trial) -> the line it first appears on
-        repeat = None
+        repeat = unparsed = None
         for rec in reader:
             try:
                 if len(rec) != len(CSV_FIELDS):
@@ -369,17 +382,25 @@ def read_csv(path):
                     keys[fields] = _parse_run_key(fields)
                 row = (int(rec[6]), int(rec[7]), int(rec[8]), float(rec[9]),
                        float(rec[10]), float(rec[11]), float(rec[12]))
-                k, trial, seed, avg, seen, deg, dist = row
-                if not (1 <= k < _I63 and 0 <= trial < _I63 and 0 <= seed < _I64
-                        and 0 <= avg < math.inf and 0 <= seen < math.inf
-                        and -math.inf < deg < math.inf and 0 <= dist < math.inf):
-                    raise ValueError(_row_error(*row))
             except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+                unparsed = (reader.line_num, exc)
+                break
             rows.append(row)
-            line = first_line.setdefault((k, trial), reader.line_num)
+            lines.append(reader.line_num)
+            line = first_line.setdefault(row[:2], reader.line_num)
             if repeat is None and line != reader.line_num:
-                repeat = (reader.line_num, k, trial, line)
+                repeat = (reader.line_num, *row[:2], line)
+    # The first bad line in file order: an out-of-range row before the line
+    # that did not parse, if any.
+    columns = list(zip(*rows))
+    # Python ints, so that a value past 64 bits is compared rather than wrapped.
+    ints = [np.array(c, dtype=object) for c in columns[:3]]
+    metrics = [np.array(c, np.float64) for c in columns[3:]]
+    bad = _first_bad_row(ints + metrics) if rows else None
+    if bad is not None:
+        raise ValueError(f"{path}, line {lines[bad[0]]}: {bad[1]}")
+    if unparsed is not None:
+        raise ValueError("{}, line {}: {}".format(path, *unparsed))
     run_keys = set(keys.values())
     if len(run_keys) > 1:
         listed = "; ".join("/".join(str(v) for v in key) for key in sorted(run_keys, key=str))
@@ -390,12 +411,10 @@ def read_csv(path):
                          "(k, trial))".format(path, *repeat))
     if not rows:
         raise ValueError(f"{path}: no rows after the header")
-    columns = list(zip(*rows))
     return ResultTable(
         *run_keys.pop(),
         k=np.array(columns[0], np.int64), trial=np.array(columns[1], np.int64),
-        seed=np.array(columns[2], np.uint64),
-        **{name: np.array(c, np.float64) for name, c in zip(METRIC_NAMES, columns[3:])})
+        seed=np.array(columns[2], np.uint64), **dict(zip(METRIC_NAMES, metrics)))
 
 
 def aggregate(table, metric="avg_loss"):

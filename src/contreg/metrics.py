@@ -103,19 +103,24 @@ def summarize_batch(run, collection, w_star=None):
     """``summarize`` for a ``schemes.BatchRun``: a MetricsRecord of (trials,) arrays.
 
     Trials are scored in fixed-size blocks, so no (trials, M), (trials, rows)
-    or (trials, k) array is built.  For a block, one matmul of the collection's
-    stacked task rows against the stack of iterates forms every residual;
-    numpy makes one BLAS gemv per iterate, so a trial's values do not depend
-    on which other trials share the batch.  Each trial's per-task losses are
-    averaged over the collection and gathered along its ordering for the
-    seen-task loss.
+    or (trials, k) array is built.  For a block, one stacked matmul of the
+    collection's column-major stacked task rows against the iterates forms
+    every residual r, as one BLAS gemv per trial, never one product over the
+    batch.  A trial's average loss is 0.5 * sum(r^2) / M over all rows, and
+    its seen-task loss 0.5 * sum(c * r^2) / k, c the number of times the
+    row's task was drawn in the trial (one ``bincount`` per block).  Each sum
+    runs along a trial's own contiguous row, so a trial's values do not
+    depend on which other trials share the batch.
     """
     w_star = reference_solution(collection) if w_star is None else np.asarray(w_star)
     W, order = run.final, run.ordering
     trials, k = order.shape
     if k < 1:
         raise ValueError("degradation needs at least one step")
-    X, y, starts = collection.stacked_rows
+    M = collection.M
+    if order.size and (order.min() < 1 or order.max() > M):  # else bincount miscounts
+        raise ValueError(f"ordering entries must lie in [1..{M}]")
+    X, y, task = collection.stacked_rows
     block = max(1, _BLOCK_ELEMS // max(len(y), k))
     total = np.empty(trials)
     seen = np.empty(trials)
@@ -124,16 +129,21 @@ def summarize_batch(run, collection, w_star=None):
         r = np.matmul(X, W[a:b, :, None])[:, :, 0]
         r -= y
         r *= r
-        losses = 0.5 * np.add.reduceat(r, starts, axis=1)
-        total[a:b] = losses.sum(axis=1)
-        # A C-ordered gather sums each trial's row in the same order for any
-        # batch; ``order`` is often a transposed view.
-        drawn = np.ascontiguousarray(order[a:b]) - 1
-        seen[a:b] = np.take_along_axis(losses, drawn, axis=1).sum(axis=1)
+        total[a:b] = r.sum(axis=1)
+        drawn = order[a:b] + M * np.arange(b - a)[:, None]
+        drawn -= 1
+        counts = np.bincount(drawn.ravel(), minlength=(b - a) * M).reshape(b - a, M)
+        # 0 * inf is nan: an overflow on a task the trial never drew is not seen.
+        if not np.isfinite(total[a:b]).all():
+            r[counts[:, task] == 0] = 0.0
+        r *= counts.astype(np.float64).take(task, axis=1)
+        seen[a:b] = r.sum(axis=1)
+    total *= 0.5
+    seen *= 0.5
     seen /= k
     diff = W - w_star
     return MetricsRecord(
-        avg_loss=total / collection.M,
+        avg_loss=total / M,
         seen_loss=seen,
         degradation=seen - run.loss_after_sum / k,
         dist_to_wstar=np.sqrt((diff * diff).sum(axis=1)),

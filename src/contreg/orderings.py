@@ -27,10 +27,12 @@ rather than building a generator per trial:
   64-bit words), is redrawn from its own :func:`stream`.
 
 Without-replacement orderings keep numpy's own ``permutation``, on one Philox
-whose state is set from each trial's key.  :func:`sample_ordering` stays on
-numpy's ``SeedSequence`` and ``Generator``; it is the oracle the vectorized
-pass is tested against, so a numpy release that changed ``Generator.integers``
-would fail that test rather than silently move CSV bytes.
+whose state is set from each trial's key.  ``permutation(M)`` is ``shuffle``
+of ``arange(M)``, so each trial refills and shuffles one buffer of 1..M, with
+the same draws.  :func:`sample_ordering` stays on numpy's ``SeedSequence``
+and ``Generator``; it is the oracle the vectorized pass is tested against, so
+a numpy release that changed ``Generator.integers`` or ``permutation`` would
+fail that test rather than silently move CSV bytes.
 """
 
 from __future__ import annotations
@@ -219,10 +221,13 @@ def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
         bitgen = np.random.Philox(key=0)
         rng = np.random.Generator(bitgen)
         state = bitgen.state
+        start, perm = np.arange(1, M + 1), np.empty(M, np.int64)
         for i in range(trials):
             state["state"]["key"] = keys[:, i]
             bitgen.state = state
-            idx[:, i] = _draw(rng, kind, M, k)
+            perm[:] = start
+            rng.shuffle(perm)
+            idx[:, i] = perm[:k]
     else:
         # Above 2**32 numpy draws 64-bit words, so every trial is redone.
         redo = range(trials)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .surrogates import STEP_RULES
+
 LAMBDA_CLAMP_FACTOR = 1e-6  # floor for the fixed coefficient when ln k <= 1
 
 
@@ -26,13 +28,6 @@ def _frozen(a, dtype=np.float64):
     a = np.asarray(a, dtype=dtype).copy()
     a.flags.writeable = False
     return a
-
-
-# The rule each entry of a per-step array obeys, in the literal rules' words.
-_STEP_RULES = {"eta": "step size must be positive",
-               "lam": "regularization coefficient must be positive",
-               "gamma": "inner step size must satisfy 0 < gamma",
-               "n_steps": "budget must be >= 1"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +55,7 @@ class ScheduleSpec:
             raise ValueError("a schedule needs either coefficients or budgets")
         if self.gamma is not None and self.n_steps is None:
             raise ValueError("budget schedules need integer step counts")
-        for name, rule in _STEP_RULES.items():
+        for name, rule in STEP_RULES.items():
             v = getattr(self, name)
             if v is None:
                 continue

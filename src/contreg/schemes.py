@@ -17,8 +17,10 @@ reference.  ``run_batch`` is the fast path: every rule is the same affine map
 w' = p + V^T s(xi) V (w - p) in the task's row basis, with the multiplier s
 that ``surrogates.spectral_multiplier`` computes from the step's strengths, so
 it steps all trials of a sweep's (k, schedule) cells together, in blocks of
-steps with one multiplier call per block.  The block length is a fixed memory
-budget, not an option, and results are bit for bit the same for any length.
+steps with one multiplier call per block.  Each step's two inner products are
+one BLAS call per trial, never one product over the batch.  The block length
+is a fixed memory budget, not an option, and results are bit for bit the same
+for any length.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .surrogates import (BUDGETED, REGULARIZED, build_budgeted_surrogate,
                          build_regularized_surrogate, check_budget, check_coefficient,
-                         spectral_multiplier)
+                         check_step, spectral_multiplier)
 
 UNREGULARIZED = "unregularized"
 IGD_REGULARIZED = "igd-of-regularized"
@@ -66,8 +68,7 @@ def unregularized_step(w, task):
 
 def igd_step(w, surrogate, eta):
     """Single gradient step of size eta on a quadratic surrogate."""
-    if not eta > 0:
-        raise ValueError(f"step size must be positive, got {eta}")
+    check_step(eta)
     w = np.asarray(w, dtype=np.float64)
     return w - eta * (surrogate.A @ (w - surrogate.anchor))
 
@@ -164,7 +165,11 @@ class BatchRun:
 
 def _check_inner_steps(r2, drawn, gamma):
     """0 < gamma_t R_m^2 < 1 on every task in ``drawn`` (k, trials), as the
-    literal budget rules require; gamma_t > 0 is the schedule's own check."""
+    literal budget rules require; gamma_t > 0 is the schedule's own check.
+    Every task passes when the largest step does on the largest R_m^2, as
+    under every built-in budget schedule; only otherwise are the draws read."""
+    if gamma.max(initial=0.0) * r2.max() < 1:
+        return
     # Largest inner step each task is trained with (0 if never drawn).
     worst = np.zeros(len(r2) + 1)
     np.maximum.at(worst, drawn, np.broadcast_to(gamma[:, None], drawn.shape))
@@ -184,8 +189,11 @@ def _step_block(rows, W, loss_after, m_idx, strengths):
                                None if strengths else rows.on_rank[m_idx])
     for m, sigma_t, target_t, g_t, s_t in zip(m_idx, sigma, target, g, s):
         V = rows.V[m]
-        r = sigma_t * (V * W[:, None, :]).sum(axis=2) - target_t
-        W -= (V * (g_t * r)[:, :, None]).sum(axis=1)
+        # Stacked matmuls: one BLAS gemv per trial, (q, d) by w, then g * r by (q, d).
+        r = np.matmul(V, W[:, :, None])[:, :, 0]
+        r *= sigma_t
+        r -= target_t
+        W -= np.matmul((g_t * r)[:, None, :], V)[:, 0]
         np.multiply(s_t, r, out=sigma_t)  # sigma_t is spent: keep s * r there
     sigma *= sigma
     for loss in rows.rest[m_idx] + 0.5 * sigma.sum(axis=2):  # one add per step, in order
@@ -193,8 +201,9 @@ def _step_block(rows, W, loss_after, m_idx, strengths):
 
 
 # Steps per block of ``run_batch``: enough that each (steps, trials, q)
-# array of the block holds about this many float64s.
-_BLOCK_ELEMS = 1024
+# array of the block holds about this many float64s.  With no (trials, q, d)
+# product per step, 2048 keeps the sweep-hard grid under 320 KiB.
+_BLOCK_ELEMS = 2048
 
 
 def run_batch(collection, cells, scheme, w0=None):
@@ -229,16 +238,18 @@ def run_batch(collection, cells, scheme, w0=None):
     ``TaskCollection.row_bases``) alone, forms the residual coordinates
     r = sigma * (V w) - U^T y and applies w <- w - V^T (g * r), which maps
     r to s(xi) * r, i.e. w' = p + V^T s(xi) V (w - p) with p = X^+ y.
-    Padded basis rows are zero, so they leave w unchanged.
+    Both products are stacked matmuls, so numpy makes one BLAS call per
+    trial on that trial's (q, d) basis, and no (trials, q, d) product is
+    formed.  Padded basis rows are zero, so they leave w unchanged.
 
     Only the (trials, d) iterates are kept.  The loss each trial needs for
     degradation, rest + 0.5 * ||s * r||^2 just after each step, is formed
     once per block and added to the trial's running sum one step at a time,
     in step order: a numpy sum over the block's steps could pair the terms
     (it does for a single trial), and the sum would then depend on the
-    block length.  Every operation acts row by row, so a trial's result
-    does not depend on which other trials, or which other cells, share the
-    batch.
+    block length.  Every operation acts row by row, and no product spans
+    the batch, so a trial's result does not depend on which other trials,
+    or which other cells, share the batch.
     """
     cells = [(np.asarray(indices), schedule) for indices, schedule in cells]
     for indices, schedule in cells:

@@ -73,20 +73,34 @@ def budgeted_spectral_map(gamma, n_steps, eta):
     return lambda xi: (1.0 - (1.0 - gamma * xi) ** n_steps) / eta
 
 
+# The rule each strength obeys, in the words of the literal rules' errors;
+# ``schedules.ScheduleSpec`` checks every entry of a per-step array by them.
+# The gamma rule reads on as "* R_m^2 < 1" where the task is known.
+STEP_RULES = {"eta": "step size must be positive",
+              "lam": "regularization coefficient must be positive",
+              "gamma": "inner step size must satisfy 0 < gamma",
+              "n_steps": "budget must be >= 1"}
+
+
+def check_step(eta):
+    """The gradient step's check, eta > 0."""
+    if not eta > 0:
+        raise ValueError(f"{STEP_RULES['eta']}, got {eta}")
+
+
 def check_coefficient(lam):
     """The regularized rule's strength check, lam > 0."""
     if not lam > 0:
-        raise ValueError(f"regularization coefficient must be positive, got {lam}")
+        raise ValueError(f"{STEP_RULES['lam']}, got {lam}")
 
 
 def check_budget(gamma, n_steps, r2):
     """The budgeted rule's strength checks, N >= 1 and 0 < gamma r2 < 1; N as an int."""
     n_steps = int(n_steps)
     if n_steps < 1:
-        raise ValueError(f"budget must be >= 1, got {n_steps}")
+        raise ValueError(f"{STEP_RULES['n_steps']}, got {n_steps}")
     if not (gamma > 0 and gamma * r2 < 1):
-        raise ValueError(f"inner step size must satisfy 0 < gamma * R_m^2 < 1, "
-                         f"got gamma={gamma}, R_m^2={r2}")
+        raise ValueError(f"{STEP_RULES['gamma']} * R_m^2 < 1, got gamma={gamma}, R_m^2={r2}")
     return n_steps
 
 
@@ -104,8 +118,7 @@ def _surrogate(task, gain, kind, lower):
 
 def _multiplier_gain(task, strengths, eta):
     """(1 - s) / eta = g * sigma / eta on the task's row basis, after checking eta > 0."""
-    if not eta > 0:
-        raise ValueError(f"step size must be positive, got {eta}")
+    check_step(eta)
     sigma = task.row_basis[1]
     g, _ = spectral_multiplier(strengths, sigma, 1.0 / sigma)
     return g * sigma / eta
@@ -134,8 +147,7 @@ def build_spectral_surrogate(task, g: Callable, eta, gprime0=None):
     """
     if abs(float(g(0.0))) > 1e-10:
         raise ValueError("spectral map must vanish at zero")
-    if not eta > 0:
-        raise ValueError(f"step size must be positive, got {eta}")
+    check_step(eta)
     sigma = task.row_basis[1]
     return _surrogate(task, np.asarray(g(sigma * sigma), dtype=np.float64), SPECTRAL,
                       1.0 / gprime0 if gprime0 else None)

@@ -224,14 +224,15 @@ class TaskCollection:
 
     @cached_property
     def stacked_rows(self):
-        """``(X, y, starts)``: every task's rows stacked in task order, and the
-        row at which each task starts (built on first use)."""
-        X = np.vstack([t.X for t in self.tasks])
+        """``(X, y, task)``: every task's rows stacked in task order, and each
+        row's 0-based task index (built on first use).  ``X`` is column-major,
+        the layout of BLAS's fastest matrix-vector kernel."""
+        X = np.asfortranarray(np.vstack([t.X for t in self.tasks]))
         y = np.concatenate([t.y for t in self.tasks])
-        starts = np.cumsum([0] + [len(t.y) for t in self.tasks[:-1]])
-        for a in (X, y, starts):
+        task = np.repeat(np.arange(self.M), [len(t.y) for t in self.tasks])
+        for a in (X, y, task):
             a.flags.writeable = False
-        return X, y, starts
+        return X, y, task
 
     @cached_property
     def row_bases(self):

@@ -684,6 +684,45 @@ def test_fit_rejects_rows_of_different_sweeps(tmp_path, capsys):
     assert cli.main(["fit", str(a)]) == 0
 
 
+def test_read_csv_reports_the_first_bad_line_in_file_order(tmp_path):
+    """A row out of range and a row that does not parse: whichever comes first
+    is reported, and either is reported before a repeated (k, trial) further
+    up the file."""
+    good = tmp_path / "good.csv"
+    cfg = harness.parse_config(base_config(k_grid=[4, 8], trials=3))
+    harness.write_csv(harness.run_experiment(cfg), good)
+    head, *rows = good.read_text().splitlines(True)
+    fields = harness.CSV_FIELDS
+
+    def edit(line, name, value):
+        rec = line[:-1].split(",")
+        rec[fields.index(name)] = value
+        return ",".join(rec) + "\n"
+
+    out_of_range = [("k", "0", "k must be >= 1 and < 2**63, got 0"),
+                    ("seed", str(2 ** 70), f"seed must be >= 0 and < 2**64, got {2 ** 70}"),
+                    ("seen_loss", "inf", "seen_loss must be finite and >= 0, got inf"),
+                    ("dist_to_wstar", "-0.5", "dist_to_wstar must be finite and >= 0, got -0.5")]
+    unparsable = [("trial", "x", "invalid literal for int() with base 10: 'x'"),
+                  ("R", "-1", "R must be finite and > 0, got -1.0"),
+                  ("scheme", "a,b", "expected 13 fields, got 14")]
+    path = tmp_path / "bad.csv"
+    for (name, value, message), (other, bad, other_message) in itertools.product(
+            out_of_range, unparsable):
+        for first, second, want in (((name, value), (other, bad), message),
+                                    ((other, bad), (name, value), other_message)):
+            lines = [head, rows[0], rows[0], edit(rows[1], *first), rows[2],
+                     edit(rows[3], *second)] + rows[4:]
+            path.write_text("".join(lines))
+            with pytest.raises(ValueError) as err:
+                harness.read_csv(path)
+            assert str(err.value) == f"{path}, line 4: {want}"
+    # Two bad fields in one row: the first in field order.
+    path.write_text(head + edit(edit(rows[0], "avg_loss", "nan"), "trial", "-1"))
+    with pytest.raises(ValueError, match=r"line 2: trial must be >= 0 and < 2\*\*63, got -1$"):
+        harness.read_csv(path)
+
+
 def test_overflowing_radius_is_rejected_before_work(tmp_path, capsys, monkeypatch):
     """A radius whose square overflows, or falls below the smallest normal
     float, is a one-line error naming the schedule kind."""

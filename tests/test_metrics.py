@@ -132,6 +132,44 @@ def test_summarize_batch_is_the_same_across_block_edges():
             assert np.array_equal(getattr(part, name), getattr(full, name)[rows]), (rows, name)
 
 
+def test_summarize_batch_weights_repeated_tasks_the_same_across_block_edges():
+    """With-replacement orderings over dense tasks of unequal row counts, so
+    tasks repeat within a trial and the seen loss counts each row as often as
+    its task was drawn.  Any block edge gives the same bits, and every trial
+    matches ``summarize`` to 1e-12 relative to the loss or to
+    0.5 * (R * rho + max ||y_m||)^2, as in tests/test_engine.py."""
+    rng = np.random.default_rng(12)
+    col = new_collection([new_task(rng.standard_normal((n, 6)), rng.standard_normal(n))
+                          for n in rng.integers(1, 10, 60)], w_star=rng.standard_normal(6))
+    k, trials = 40, 150
+    idx = sample_orderings("with-replacement", col.M, k, trials, 5)
+    assert all(len(np.unique(row)) < k for row in idx)
+    schedule = build_schedule({"kind": "increasing-coefficient"}, col.radius, k)
+    (run,) = run_batch(col, [(idx, schedule)], "regularized")
+    X, y, task = col.stacked_rows
+    assert len(np.unique(np.bincount(task))) > 1
+    block = metrics._BLOCK_ELEMS // len(y)
+    assert 2 < block < trials // 2
+    full = summarize_batch(run, col)
+    last = trials - 1
+    for rows in ([0], [block - 1], [block], [last], slice(block - 2, block + 3),
+                 slice(1, 2 * block + 1), [last, block, 0]):
+        part = summarize_batch(BatchRun(final=run.final[rows], ordering=run.ordering[rows],
+                                        loss_after_sum=run.loss_after_sum[rows]), col)
+        for name in METRIC_NAMES:
+            assert np.array_equal(getattr(part, name), getattr(full, name)[rows]), (rows, name)
+
+    y_max = max(float(np.linalg.norm(t.y)) for t in col.tasks)
+    for i in range(trials):
+        traj = run_continual(col, idx[i], schedule, "regularized")
+        want = summarize(traj, col)
+        rho = float(np.linalg.norm(traj.iterates, axis=1).max())
+        scale = 0.5 * (col.radius * rho + y_max) ** 2
+        for name in ("avg_loss", "seen_loss", "degradation"):
+            a, b = getattr(full, name)[i], getattr(want, name)
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), scale), (i, name)
+
+
 def test_summarize_batch_adds_nothing_for_unequal_row_counts():
     """Integer data make every sum exact, so the batched pass must equal the
     single-trial functions bit for bit; a non-finite iterate spoils only its
@@ -149,6 +187,16 @@ def test_summarize_batch_adds_nothing_for_unequal_row_counts():
         assert got.avg_loss[i] == average_loss(W[i], col)
         assert got.seen_loss[i] == got.degradation[i] == seen_task_loss(W[i], col, order[i])
     assert not np.isfinite(got.avg_loss[2]) and not np.isfinite(got.seen_loss[2])
+    # A loss that overflows on a task the trial never drew is not seen.
+    col = new_collection([new_task([[1.0]], [2.0]), new_task([[1e200]], [1e300])])
+    with np.errstate(over="ignore"):
+        got = summarize_batch(BatchRun(final=np.ones((1, 1)), ordering=np.ones((1, 3), np.int64),
+                                       loss_after_sum=np.zeros(1)), col)
+    assert got.avg_loss[0] == np.inf and got.seen_loss[0] == 0.5
+    for bad in (0, 3):
+        with pytest.raises(ValueError, match=r"ordering entries must lie in \[1\.\.2\]"):
+            summarize_batch(BatchRun(final=np.ones((2, 1)), ordering=np.array([[1], [bad]]),
+                                     loss_after_sum=np.zeros(2)), col)
 
 
 def test_summarize_batch_working_set_stays_small():
