@@ -12,27 +12,20 @@ across platforms and numpy releases, so any ``(seed, path)`` pair reproduces
 the same draws everywhere.  Parallel Monte Carlo trials use disjoint paths,
 e.g. ``stream(base_seed, k, trial)``.
 
-:func:`sample_orderings` draws all trials of one k-cell at once.  It
-reproduces numpy's algorithms with array arithmetic over the trial axis
-rather than building a generator per trial:
-
-- ``SeedSequence`` hashing: numpy's own pool for ``(seed, spawn_key=(k,))``,
-  then the trial index mixed in and ``generate_state``, which give each
-  trial's Philox key and its ``derived_seed`` fingerprint;
-- Philox4x64-10, whose counter is incremented before each block is
-  generated, with each 64-bit output split into two 32-bit outputs, low half
-  first;
-- ``Generator.integers``' 32-bit Lemire bounded integers.  A trial where
-  Lemire would reject a draw, or any trial when M > 2**32 (numpy then draws
-  64-bit words), is redrawn from its own :func:`stream`.
-
-Without-replacement orderings keep numpy's own ``permutation``, on one Philox
-whose state is set from each trial's key.  ``permutation(M)`` is ``shuffle``
-of ``arange(M)``, so each trial refills and shuffles one buffer of 1..M, with
-the same draws.  :func:`sample_ordering` stays on numpy's ``SeedSequence``
-and ``Generator``; it is the oracle the vectorized pass is tested against, so
-a numpy release that changed ``Generator.integers`` or ``permutation`` would
-fail that test rather than silently move CSV bytes.
+:func:`sample_orderings` draws all trials of one k-cell without building a
+``SeedSequence`` or a generator per trial.  It hashes every trial's
+``SeedSequence(seed, spawn_key=(k, i))`` at once with array arithmetic over
+the trial axis, from numpy's own pool for ``(seed, spawn_key=(k,))``, which
+gives each trial's Philox key and its ``derived_seed`` fingerprint.  One
+numpy Philox is then keyed for each trial in turn: with replacement, its raw
+words go through ``Generator.integers``' 32-bit Lemire step vectorized over
+a block of trials, and a trial Lemire would reject (or any trial when
+M > 2**32) calls ``Generator.integers`` on it; without replacement, it
+shuffles one buffer of 1..M, as ``permutation`` does.  :func:`sample_ordering`
+stays on numpy's ``SeedSequence`` and ``Generator``; it is the oracle the
+vectorized pass is tested against, so a numpy release that changed
+``Generator.integers`` or ``permutation`` would fail that test rather than
+silently move CSV bytes.
 """
 
 from __future__ import annotations
@@ -149,58 +142,43 @@ def _trial_keys(seed, k, trials):
 
 # Trials per block of the with-replacement pass: enough that each block holds
 # about this many draws, as ``metrics._BLOCK_ELEMS`` does for the metric pass.
-# A block makes about 250 numpy calls; its temporaries take about 0.35 MiB.
+# A block's raw words and Lemire products take about 0.35 MiB.
 _BLOCK_DRAWS = 1 << 14
 
-# Philox4x64-10 constants (Random123, as in numpy/random/src/philox/philox.h),
-# one per pair of counter words (0 and 1, 2 and 3), shaped to broadcast over
-# (pair, block, trial).
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)[:, None, None]
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
-_PHILOX_ROUNDS = 10
+
+def _keyed_generator():
+    """A cell's one ``Generator`` and ``rekey(key)``, which puts its Philox in
+    the state ``Philox(key=key)`` starts in and returns the Philox: the key
+    (two Python ints), a zero counter and an empty output buffer.  Keyed by
+    a trial's column of :func:`_trial_keys`, it draws as the trial's own
+    :func:`stream` does.  The state is a dict of Python ints, which numpy
+    sets about twice as fast as one of numpy arrays."""
+    bitgen = np.random.Philox(key=0)
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def rekey(key):
+        state["state"]["key"] = key
+        bitgen.state = state
+        return bitgen
+    return np.random.Generator(bitgen), rekey
 
 
-def _mulhi(x):
-    """High words of the 128-bit products ``_PHILOX_M * x``, from 32-bit
-    halves as in Hacker's Delight's ``mulhu`` (the low words are numpy's
-    wrapping uint64 products).  No partial sum overflows 64 bits."""
-    x_lo, x_hi = x & _MASK32, x >> 32
-    mid = x_hi * _PHILOX_M_LO + (x_lo * _PHILOX_M_LO >> 32)
-    low = (mid & _MASK32) + x_lo * _PHILOX_M_HI
-    return x_hi * _PHILOX_M_HI + (mid >> 32) + (low >> 32)
-
-
-def _philox_words(keys, n_blocks):
-    """Philox4x64-10 outputs for counters 1..n_blocks under each of the
-    (2, trials) keys, as (4, n_blocks, trials) uint64 words."""
-    # Counter words 0 and 2 are multiplied; words 1 and 3 are XORed in.
-    even = np.zeros((2, n_blocks, keys.shape[1]), np.uint64)
-    even[0] = np.arange(1, n_blocks + 1, dtype=np.uint64)[:, None]
-    odd = np.zeros_like(even)
-    key = keys[:, None, :].copy()
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key += _PHILOX_W
-        even, odd = _mulhi(even)[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
-    return np.stack((even, odd), axis=1).reshape(4, n_blocks, keys.shape[1])
-
-
-def _bounded(keys, M, k):
-    """``Generator.integers(1, M + 1, size=k)`` of each keyed Philox, for M <=
-    2**32, as a (k, trials) uint64 array, and a (trials,) mask of the trials
-    whose draws Lemire's method would have rejected (those rows are wrong)."""
-    words = _philox_words(keys, -(-k // 8))
-    # Block-major 32-bit outputs: each block's four words, low half first.
-    draws = np.stack((words & _MASK32, words >> 32), axis=1)
-    draws = np.moveaxis(draws, 2, 0).reshape(-1, keys.shape[1])[:k]
+def _bounded(words, M, k):
+    """``Generator.integers(1, M + 1, size=k)`` for M <= 2**32 from each
+    trial's first raw Philox words, a (trials, ceil(k / 2)) uint64 array, as
+    a (k, trials) uint64 array, and a (trials,) mask of the trials whose
+    draws Lemire's method would have rejected (those rows are wrong)."""
+    # numpy splits each word into two 32-bit outputs, low half first: an
+    # explicit little-endian view keeps that order on any host.
+    u32 = words.astype("<u8", copy=False).view("<u4")[:, :k]
     # Lemire: m = u32 * M gives 1 + (m >> 32), unless m's low word falls
     # below the threshold, where numpy draws again.
-    draws *= np.uint64(M)
-    rejected = ((draws & _MASK32) < (2 ** 32 - M) % M).any(axis=0)
+    draws = u32 * np.uint64(M)
+    rejected = ((draws & _MASK32) < (2 ** 32 - M) % M).any(axis=1)
     draws >>= 32
     draws += np.uint64(1)
-    return draws, rejected
+    return draws.T, rejected
 
 
 def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
@@ -210,34 +188,36 @@ def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
     With ``with_seeds``, returns ``(indices, seeds)``, where ``seeds`` is a
     (trials,) uint64 array of each trial's ``derived_seed(base_seed, k, i)``.
     The indices are a view of a step-major array, the layout
-    ``schemes.run_batch`` steps through, so no copy is made there.  Trials
-    are drawn in blocks of about ``_BLOCK_DRAWS`` draws, so the temporaries
-    stay small next to the result.
+    ``schemes.run_batch`` steps through, so no copy is made there.  With
+    replacement, trials are drawn in blocks of about ``_BLOCK_DRAWS`` draws,
+    so the temporaries stay small next to the result.
     """
     M, k = _checked_sizes(kind, M, k)
     keys = _trial_keys(int(base_seed), k, trials)
+    rng, rekey = _keyed_generator()
     idx = np.empty((k, trials), np.int64)
     if kind == WITHOUT_REPLACEMENT:
-        bitgen = np.random.Philox(key=0)
-        rng = np.random.Generator(bitgen)
-        state = bitgen.state
+        # permutation(M) is shuffle(arange(M)), with the same draws.
         start, perm = np.arange(1, M + 1), np.empty(M, np.int64)
         for i in range(trials):
-            state["state"]["key"] = keys[:, i]
-            bitgen.state = state
+            rekey(keys[:, i].tolist())
             perm[:] = start
             rng.shuffle(perm)
             idx[:, i] = perm[:k]
     else:
-        # Above 2**32 numpy draws 64-bit words, so every trial is redone.
+        # Above 2**32 numpy draws 64-bit words, so every trial goes to integers.
         redo = range(trials)
         if M <= 2 ** 32:
-            block = max(1, _BLOCK_DRAWS // max(k, 1))
+            block, n_words = max(1, _BLOCK_DRAWS // max(k, 1)), -(-k // 2)
+            words = np.empty((min(block, trials), n_words), np.uint64)
             redo = []
             for a in range(0, trials, block):
                 b = min(a + block, trials)
-                idx[:, a:b], rejected = _bounded(keys[:, a:b], M, k)
+                for j, key in enumerate(keys[:, a:b].T.tolist()):
+                    words[j] = rekey(key).random_raw(n_words)
+                idx[:, a:b], rejected = _bounded(words[:b - a], M, k)
                 redo.extend(a + np.flatnonzero(rejected))
         for i in redo:
-            idx[:, i] = _draw(stream(base_seed, k, i), kind, M, k)
+            rekey(keys[:, i].tolist())
+            idx[:, i] = rng.integers(1, M + 1, size=k)
     return (idx.T, keys[0]) if with_seeds else idx.T

@@ -576,6 +576,26 @@ def one_line_error(capsys):
     return err
 
 
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 745. GiB for an array with shape (100000000000, 1) and data type int64",
+    "",
+])
+def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch, message):
+    """A k or trial count too large to allocate (k = 10**11, say) exits 1 with one
+    error line, not a traceback.  The sampler stands in for the allocation."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(harness, "sample_orderings", no_memory)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    for argv in (["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")],
+                 ["adversarial", "--scenario", "seen-task", "--k", "16"],
+                 ["adversarial", "--scenario", "any-algorithm", "--k", "16"]):
+        assert cli.main(argv) == 1
+        assert one_line_error(capsys) == f"error: {message or 'out of memory'}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_csv_bytes_do_not_depend_on_threads(tmp_path):
     """``--threads`` is accepted for old command lines and changes nothing."""
     cfg = base_config(k_grid=[4, 8, 16], trials=5)

@@ -41,6 +41,9 @@ def test_sample_orderings_match_one_trial_at_a_time(kind):
     idx, seeds = sample_orderings(kind, 9, 6, 5, seed, with_seeds=True)
     assert_array_equal(sample_orderings(kind, 9, 6, 5, seed), idx)
     assert idx.shape == (5, 6) and len(seeds) == 5
+    # schemes.run_batch steps through the (k, trials) array behind the rows
+    # without a copy.
+    assert idx.T.flags.c_contiguous
     for i in range(5):
         assert_array_equal(idx[i], sample_ordering(kind, 9, 6, seed, path=(6, i)))
         assert seeds[i] == derived_seed(seed, 6, i)
@@ -79,6 +82,31 @@ def test_vectorized_pass_matches_numpy_per_trial(cell):
     for i in range(trials):
         assert_array_equal(idx[i], sample_ordering(kind, M, k, seed, path=(k, i)))
         assert seeds[i] == derived_seed(seed, k, i)
+
+
+@pytest.mark.parametrize("kind, M", [(WITH_REPLACEMENT, 10), (WITH_REPLACEMENT, 2 ** 31 + 5),
+                                     (WITH_REPLACEMENT, 2 ** 32 + 3),
+                                     (WITHOUT_REPLACEMENT, 10)])
+def test_a_cell_builds_one_seed_sequence_and_one_generator(kind, M, monkeypatch):
+    """No trial gets its own SeedSequence, Philox or Generator: at M = 2**31 + 5
+    about half of all draws are rejected, and above 2**32 every trial is drawn
+    by ``Generator.integers``, each from the cell's one rekeyed generator."""
+    built = []
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+        return build
+    with monkeypatch.context() as patch:
+        for cls in (np.random.SeedSequence, np.random.Philox, np.random.Generator):
+            patch.setattr(np.random, cls.__name__, counting(cls))
+        idx, seeds = sample_orderings(kind, M, 9, 40, 2 ** 64 + 1, with_seeds=True)
+    assert sorted(built) == ["Generator", "Philox", "SeedSequence"]
+    assert idx.T.flags.c_contiguous
+    for i in range(40):
+        assert_array_equal(idx[i], sample_ordering(kind, M, 9, 2 ** 64 + 1, path=(9, i)))
+        assert seeds[i] == derived_seed(2 ** 64 + 1, 9, i)
 
 
 def test_negative_seed_fails_as_for_one_ordering():
