@@ -16,7 +16,7 @@ from .schemes import (BatchRun, Trajectory, budgeted_step, igd_step,
 from .surrogates import (SurrogateQuadratic, build_budgeted_surrogate,
                          build_regularized_surrogate, build_spectral_surrogate,
                          from_matrix, sandwich_check, spectral_multiplier, value_and_grad)
-from .tasks import (RealizableSpec, RegressionTask, RowBases, TaskCollection,
+from .tasks import (RealizableSpec, RegressionTask, RowBases, TaskCollection, TaskStack,
                     build_tasks, generate_aligned_pairs, generate_realizable,
                     min_norm_solution, new_collection, new_task)
 from .verify import verify_suite

@@ -51,7 +51,7 @@ def _cmd_fit(args):
     }
     text = json.dumps(summary, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
+        with harness.atomic_open(args.out) as fh:
             fh.write(text + "\n")
     print(text)
     return 0
@@ -80,7 +80,7 @@ def _cmd_adversarial(args):
         report = harness.run_any_alg_mean(**common)
     text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
+        with harness.atomic_open(args.out) as fh:
             fh.write(text + "\n")
     print(text)
     return 0 if report["passed"] else 2

@@ -16,6 +16,7 @@ is built between the metric pass and the CSV line.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -307,22 +308,14 @@ _ROW_FORMAT = ",%d,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
 _WRITE_ROWS = 1 << 12
 
 
-def write_csv(table, path):
-    """Write a ResultTable to ``path`` atomically.
-
-    The run key is formatted once, by ``csv.writer`` as a ``\\r\\n`` line so
-    that a carriage return is quoted as a newline is, and each row is then
-    one ``_ROW_FORMAT`` line.  The rows go to a temporary file in the
-    target's directory, which is then renamed onto ``path``; a failure
-    mid-write leaves any earlier file intact and removes the temporary file.
-    """
+@contextlib.contextmanager
+def atomic_open(path):
+    """Open ``path`` for writing text, atomically: the ``with`` block writes
+    to a temporary file in the target's directory, which is renamed onto
+    ``path`` when the block ends.  A failure, in the block or in the rename,
+    leaves any earlier file intact and removes the temporary file; an error
+    opening the temporary file names ``path``."""
     path = os.fspath(path)
-    key = io.StringIO()
-    csv.writer(key, lineterminator="\r\n").writerow(
-        [table.scheme, table.schedule, table.ordering, table.M, table.d,
-         format(table.R, ".17g")])
-    row_format = key.getvalue()[:-2].replace("%", "%%") + _ROW_FORMAT
-    columns = [getattr(table, name) for name in ROW_FIELDS]
     tmp = os.path.join(os.path.dirname(path) or ".",
                        f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
     try:
@@ -331,14 +324,31 @@ def write_csv(table, path):
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
-            fh.write(",".join(CSV_FIELDS) + "\n")
-            for a in range(0, len(table), _WRITE_ROWS):
-                rows = zip(*[c[a:a + _WRITE_ROWS].tolist() for c in columns])
-                fh.write("".join([row_format % row for row in rows]))
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def write_csv(table, path):
+    """Write a ResultTable to ``path`` by ``atomic_open``.
+
+    The run key is formatted once, by ``csv.writer`` as a ``\\r\\n`` line so
+    that a carriage return is quoted as a newline is, and each row is then
+    one ``_ROW_FORMAT`` line.
+    """
+    key = io.StringIO()
+    csv.writer(key, lineterminator="\r\n").writerow(
+        [table.scheme, table.schedule, table.ordering, table.M, table.d,
+         format(table.R, ".17g")])
+    row_format = key.getvalue()[:-2].replace("%", "%%") + _ROW_FORMAT
+    columns = [getattr(table, name) for name in ROW_FIELDS]
+    with atomic_open(path) as fh:
+        fh.write(",".join(CSV_FIELDS) + "\n")
+        for a in range(0, len(table), _WRITE_ROWS):
+            rows = zip(*[c[a:a + _WRITE_ROWS].tolist() for c in columns])
+            fh.write("".join([row_format % row for row in rows]))
 
 
 def _parse_run_key(fields):

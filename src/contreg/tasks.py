@@ -1,8 +1,19 @@
-"""Regression tasks, task collections, and jointly realizable generators."""
+"""Regression tasks, task collections, and jointly realizable generators.
+
+A collection holds its tasks as stacks, one ``TaskStack`` per task shape: the
+tasks' data, thin SVD factors, pinv ranks, X^+ y and minimum losses as
+stacked arrays, which the engine's row bases and the metric pass read
+directly.  The generators and collection files build the stacks, with one
+batched SVD per stack, and make no per-task object: ``RegressionTask``s,
+read-only views of a stack, are made when ``TaskCollection.tasks`` is first
+read (by the literal update rules, the verification suites and the tests).
+``new_collection`` keeps the task objects it is given and stacks them only
+when its row bases or stacked rows are first read.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,9 +43,10 @@ class RegressionTask:
     ``svd`` is the thin SVD ``(U, sigma, Vt, r)``, r the rank above pinv's
     cutoff, and the task's only decomposition: ``pinv_solution`` (X^+ y),
     ``spectral_norm``, ``pinv`` and ``row_basis`` are all read from it.
-    ``min_loss`` is 0.5 * ||X pinv_solution - y||^2.  Built by ``build_tasks``,
-    whose stacked arrays the array fields are read-only views of; immutable
-    after construction and safe to share across threads.
+    ``min_loss`` is 0.5 * ||X pinv_solution - y||^2.  One task of a
+    ``TaskStack`` (see ``TaskStack.views``): its array fields are read-only
+    views of the stacked arrays.  Immutable after construction and safe to
+    share across threads.
     """
 
     X: np.ndarray
@@ -103,12 +115,17 @@ def _by_value(keys):
     return [(int(v), np.flatnonzero(keys == v)) for v in np.unique(keys)]
 
 
+def _rank(sigma, shape):
+    """Each matrix's rank above pinv's cutoff, from the singular values
+    ``sigma`` (M, q) of a stack of (n, d) = ``shape`` matrices."""
+    return (sigma > _rcond(shape) * sigma.max(axis=1, keepdims=True)).sum(axis=1)
+
+
 def _factor(X):
     """Thin SVDs ``(U, sigma, Vt, rank)`` of a stack X (M, n, d) in one batched
     call, with each matrix's rank above pinv's cutoff."""
     U, sigma, Vt = np.linalg.svd(X, full_matrices=False)
-    rank = (sigma > _rcond(X.shape[1:]) * sigma.max(axis=1, keepdims=True)).sum(axis=1)
-    return U, sigma, Vt, rank
+    return U, sigma, Vt, _rank(sigma, X.shape[1:])
 
 
 def _min_norm_lstsq(U, sigma, Vt, rank, y):
@@ -128,13 +145,48 @@ def _min_norm_lstsq(U, sigma, Vt, rank, y):
     return p[..., 0]
 
 
-def build_tasks(X, y, index=None):
-    """Tasks from a stack of equal-shape data, X (M, n, d) and y (M, n), in one
-    pass: one finiteness check, one batched SVD, and ``min_loss`` by stacked
-    matmuls.  Each task is bit for bit the one a per-matrix build gives, and
-    its array fields are read-only views of the stacked arrays.  A task failing
-    a check raises ValueError, named ``collection task {index[i]}`` when
-    ``index`` is given.
+@dataclass(frozen=True, eq=False)
+class TaskStack:
+    """m tasks of one shape (n, d), each field stacked along a first axis.
+
+    ``index`` (m,) holds each task's 0-based position in its collection.
+    ``X`` (m, n, d) and ``y`` (m, n) are the data; ``U`` (m, n, q), ``sigma``
+    (m, q) and ``Vt`` (m, q, d), q = min(n, d), the thin SVD factors;
+    ``rank`` (m,) the ranks above pinv's cutoff; ``pinv_solution`` (m, d)
+    X^+ y and ``min_loss`` (m,).  Every array is made read-only.
+    """
+
+    index: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
+    U: np.ndarray
+    sigma: np.ndarray
+    Vt: np.ndarray
+    rank: np.ndarray
+    pinv_solution: np.ndarray
+    min_loss: np.ndarray
+
+    def __post_init__(self):
+        for a in vars(self).values():
+            a.flags.writeable = False
+
+    def views(self):
+        """The stack's tasks in stack order, as ``RegressionTask``s whose array
+        fields are views of the stacked arrays."""
+        rank, min_loss = self.rank.tolist(), self.min_loss.tolist()
+        return [RegressionTask(X=self.X[i], y=self.y[i], pinv_solution=self.pinv_solution[i],
+                               min_loss=min_loss[i],
+                               svd=(self.U[i], self.sigma[i], self.Vt[i], rank[i]))
+                for i in range(len(rank))]
+
+
+def _build_stack(X, y, index=None, svd=None):
+    """A TaskStack from equal-shape data, X (M, n, d) and y (M, n), in one
+    pass: one finiteness check, one batched SVD (unless the caller passes X's
+    thin SVD factors as ``svd``), X^+ y and ``min_loss`` by stacked matmuls.
+    ``index`` holds the tasks' collection positions (0..M-1 if None); a task
+    failing a check raises ValueError, named ``collection task {index[i]}``
+    when ``index`` is given.
     """
     X, y = _frozen(X), _frozen(y)
     M = len(X)
@@ -146,7 +198,7 @@ def build_tasks(X, y, index=None):
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         reject(~(np.isfinite(X).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)),
                "task data contains non-finite entries")
-    U, sigma, Vt, rank = _factor(X)
+    U, sigma, Vt, rank = _factor(X) if svd is None else (*svd, _rank(svd[1], X.shape[1:]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         p = _min_norm_lstsq(U, sigma, Vt, rank, y)
         # The smallest kept sigma has the largest 1 / sigma.
@@ -157,12 +209,19 @@ def build_tasks(X, y, index=None):
         # 1 / sigma, and so X^+, or (U^T y) / sigma overflows.
         reject(~finite, "task data too close to underflow: X^+ or X^+ y is not finite")
     residual = X @ p[..., None] - y[..., None]
-    min_loss = (0.5 * (residual.swapaxes(1, 2) @ residual)[:, 0, 0]).tolist()
-    for a in (U, sigma, Vt, p):
-        a.flags.writeable = False
-    rank = rank.tolist()
-    return [RegressionTask(X=X[m], y=y[m], pinv_solution=p[m], min_loss=min_loss[m],
-                           svd=(U[m], sigma[m], Vt[m], rank[m])) for m in range(M)]
+    return TaskStack(index=np.arange(M) if index is None else np.array(index),
+                     X=X, y=y, U=U, sigma=sigma, Vt=Vt, rank=rank, pinv_solution=p,
+                     min_loss=0.5 * (residual.swapaxes(1, 2) @ residual)[:, 0, 0])
+
+
+def build_tasks(X, y, index=None):
+    """Tasks from a stack of equal-shape data, X (M, n, d) and y (M, n): the
+    ``views`` of the one TaskStack ``_build_stack`` makes, so there is one
+    finiteness check and one batched SVD for the stack.  Each task is bit for
+    bit the one a per-matrix build gives.  A task failing a check raises
+    ValueError, named ``collection task {index[i]}`` when ``index`` is given.
+    """
+    return _build_stack(X, y, index).views()
 
 
 def _task_arrays(X, y):
@@ -188,6 +247,25 @@ def new_task(X, y):
     return build_tasks(X[None], y[None])[0]
 
 
+def _restack(tasks):
+    """The stacks of a task list, one per task shape, in order of first
+    appearance; the tasks' fields are copied into the stacked arrays."""
+    shapes = {}
+    for m, t in enumerate(tasks):
+        shapes.setdefault(t.X.shape, []).append(m)
+    stacks = []
+    for index in shapes.values():
+        group = [tasks[m] for m in index]
+        U, sigma, Vt, rank = zip(*(t.svd for t in group))
+        stacks.append(TaskStack(
+            index=np.array(index), X=_stack([t.X for t in group]),
+            y=_stack([t.y for t in group]), U=_stack(U), sigma=_stack(sigma),
+            Vt=_stack(Vt), rank=np.array(rank),
+            pinv_solution=_stack([t.pinv_solution for t in group]),
+            min_loss=np.array([t.min_loss for t in group])))
+    return tuple(stacks)
+
+
 @dataclass(frozen=True, eq=False)
 class RowBases:
     """Every task's ``row_basis`` zero-padded to the largest size and stacked.
@@ -207,29 +285,57 @@ class RowBases:
 
 @dataclass(frozen=True, eq=False)
 class TaskCollection:
-    """M tasks sharing feature dimension d, with data radius R.
+    """M tasks sharing feature dimension d, with data radius R, the largest
+    spectral norm sigma_max of the tasks' matrices.
 
-    ``w_star``, when present, is a planted solution fitting every task
-    exactly (generator metadata; not required for arbitrary collections).
+    The tasks are held either as ``stacks`` (made by the generators and
+    ``collection_from_dict``) or as the task objects ``new_collection`` was
+    given; the other form is built on first read.  ``w_star``, when present,
+    is a planted solution fitting every task exactly (generator metadata; not
+    required for arbitrary collections).  Make collections with the functions
+    of this module, not with this constructor.
     """
 
-    tasks: tuple
+    M: int
     d: int
     radius: float
     w_star: np.ndarray | None = None
+    # Exactly one of the two is given.
+    _stacks: tuple | None = field(default=None, repr=False)
+    _tasks: tuple | None = field(default=None, repr=False)
 
-    @property
-    def M(self):
-        return len(self.tasks)
+    @cached_property
+    def stacks(self):
+        """One ``TaskStack`` per task shape, in order of first appearance."""
+        return self._stacks if self._stacks is not None else _restack(self._tasks)
+
+    @cached_property
+    def tasks(self):
+        """The tasks in collection order, as a tuple of ``RegressionTask``;
+        every read returns the same objects."""
+        if self._tasks is not None:
+            return self._tasks
+        tasks = [None] * self.M
+        for s in self.stacks:
+            for m, t in zip(s.index.tolist(), s.views()):
+                tasks[m] = t
+        return tuple(tasks)
 
     @cached_property
     def stacked_rows(self):
         """``(X, y, task)``: every task's rows stacked in task order, and each
         row's 0-based task index (built on first use).  ``X`` is column-major,
         the layout of BLAS's fastest matrix-vector kernel."""
-        X = np.asfortranarray(np.vstack([t.X for t in self.tasks]))
-        y = np.concatenate([t.y for t in self.tasks])
-        task = np.repeat(np.arange(self.M), [len(t.y) for t in self.tasks])
+        n = np.empty(self.M, np.int64)
+        for s in self.stacks:
+            n[s.index] = s.X.shape[1]
+        task = np.repeat(np.arange(self.M), n)
+        first = np.cumsum(n) - n  # each task's first row
+        X = np.empty((len(task), self.d), order="F")
+        y = np.empty(len(task))
+        for s in self.stacks:
+            rows = (first[s.index, None] + np.arange(s.X.shape[1])).ravel()
+            X[rows], y[rows] = s.X.reshape(-1, self.d), s.y.ravel()
         for a in (X, y, task):
             a.flags.writeable = False
         return X, y, task
@@ -237,39 +343,43 @@ class TaskCollection:
     @cached_property
     def row_bases(self):
         """Every task's ``row_basis``, zero-padded and stacked (built on first
-        use): the tasks' factors are stacked per task shape, and U^T y and
-        ``rest`` come from one stacked matmul per shape and basis size."""
-        shapes = {}
-        for m, t in enumerate(self.tasks):
-            shapes.setdefault(t.X.shape, []).append(m)
-        parts = []
-        for idx in shapes.values():
-            U, sigma, Vt, rank = zip(*(self.tasks[m].svd for m in idx))
-            U, sigma, Vt = _stack(U), _stack(sigma), _stack(Vt)
-            y = _stack([self.tasks[m].y for m in idx])[..., None]
-            q = (sigma > _TINY).sum(axis=1)
-            rank = np.minimum(q, rank)
-            parts.append((np.array(idx), U, sigma, Vt, y, q, rank))
-        shape = (self.M, max(int(q.max()) for *_, q, _ in parts))
+        use) from the stacks: U^T y and ``rest`` come from one stacked matmul
+        per stack and basis size."""
+        q = [(s.sigma > _TINY).sum(axis=1) for s in self.stacks]
+        shape = (self.M, max(int(qs.max()) for qs in q))
         V = np.zeros(shape + (self.d,))
         sigma, target, inv_sigma, on_rank = (np.zeros(shape) for _ in range(4))
         rest, r2 = np.empty(self.M), np.empty(self.M)
-        for idx, U, s, Vt, y, q, rank in parts:
-            on_rank[idx] = np.arange(shape[1]) < rank[:, None]
-            r2[idx] = np.square(s[:, 0])
-            for size, g in _by_value(q):
-                m, Uq, sq = idx[g], U[g][..., :size], s[g][:, :size]
+        for s, qs in zip(self.stacks, q):
+            idx, y = s.index, s.y[..., None]
+            on_rank[idx] = np.arange(shape[1]) < np.minimum(qs, s.rank)[:, None]
+            r2[idx] = np.square(s.sigma[:, 0])
+            for size, g in _by_value(qs):
+                m, Uq, sq = idx[g], s.U[g][..., :size], s.sigma[g][:, :size]
                 tq = Uq.swapaxes(1, 2) @ y[g]
                 off_range = y[g] - Uq @ tq
                 rest[m] = 0.5 * (off_range.swapaxes(1, 2) @ off_range)[:, 0, 0]
-                V[m, :size], sigma[m, :size] = Vt[g][:, :size], sq
+                V[m, :size], sigma[m, :size] = s.Vt[g][:, :size], sq
                 target[m, :size], inv_sigma[m, :size] = tq[..., 0], 1.0 / sq
         return RowBases(V=_frozen(V), sigma=_frozen(sigma), target=_frozen(target),
                         inv_sigma=_frozen(inv_sigma), on_rank=_frozen(on_rank),
                         rest=_frozen(rest), r2=_frozen(r2))
 
 
+def _checked_w_star(w_star, d):
+    if w_star is None:
+        return None
+    w_star = _frozen(w_star)
+    if w_star.shape != (d,):
+        raise ValueError(f"w_star must have length {d}")
+    if not np.isfinite(w_star).all():
+        raise ValueError("w_star contains non-finite entries")
+    return w_star
+
+
 def new_collection(tasks, w_star=None):
+    """A collection of the given task objects, kept as they are (a task that
+    appears twice stays one shared object)."""
     tasks = tuple(tasks)
     if not tasks:
         raise ValueError("a collection needs at least one task")
@@ -277,15 +387,23 @@ def new_collection(tasks, w_star=None):
     for i, t in enumerate(tasks):
         if t.d != d:
             raise ValueError(f"tasks disagree on dimension: task {i} has {t.d}, task 0 has {d}")
-    if w_star is not None:
-        w_star = _frozen(w_star)
-        if w_star.shape != (d,):
-            raise ValueError(f"w_star must have length {d}")
-        if not np.isfinite(w_star).all():
-            raise ValueError("w_star contains non-finite entries")
-    return TaskCollection(tasks=tasks, d=d,
-                          radius=max(t.spectral_norm for t in tasks),
-                          w_star=w_star)
+    return TaskCollection(M=len(tasks), d=d, radius=max(t.spectral_norm for t in tasks),
+                          w_star=_checked_w_star(w_star, d), _tasks=tasks)
+
+
+def _stacked_collection(stacks, w_star=None):
+    """A collection of stacks whose indices cover 0..M-1, in order of their
+    first task."""
+    if not stacks:
+        raise ValueError("a collection needs at least one task")
+    d = stacks[0].X.shape[2]
+    for s in stacks:
+        if s.X.shape[2] != d:
+            raise ValueError(f"tasks disagree on dimension: task {s.index[0]} has "
+                             f"{s.X.shape[2]}, task 0 has {d}")
+    return TaskCollection(M=sum(len(s.index) for s in stacks), d=d,
+                          radius=max(float(s.sigma[:, 0].max()) for s in stacks),
+                          w_star=_checked_w_star(w_star, d), _stacks=tuple(stacks))
 
 
 @dataclass(frozen=True)
@@ -294,8 +412,8 @@ class RealizableSpec:
 
     ``w_star`` may be supplied; otherwise it is drawn from the seeded stream.
     ``radius`` > 0 rescales all data matrices uniformly so the largest
-    spectral norm hits that value (targets are built after rescaling, keeping
-    realizability exact).
+    spectral norm hits that value within an ulp (targets are built after
+    rescaling, keeping realizability exact).
     """
 
     d: int
@@ -307,7 +425,14 @@ class RealizableSpec:
 
 
 def generate_realizable(spec):
-    """Deterministically generate a jointly realizable Gaussian collection."""
+    """Deterministically generate a jointly realizable Gaussian collection.
+
+    The M unscaled (n, d) matrices are drawn as one stack and decomposed by
+    one batched SVD.  With ``radius`` > 0 and a draw not all zero, X and
+    sigma are then scaled by c = radius / max_m sigma_max(X_m), keeping U and
+    V: these factors are the collection's, so R is ``radius`` within an ulp
+    and no matrix is decomposed twice.
+    """
     if spec.d < 1 or spec.M < 1 or spec.n < 1:
         raise ValueError("d, M and n must all be >= 1")
     rng = stream(spec.seed)
@@ -320,11 +445,14 @@ def generate_realizable(spec):
             raise ValueError(f"w_star must have length {spec.d}")
     # One draw of M matrices reads the stream as M draws of one would.
     mats = rng.standard_normal((spec.M, spec.n, spec.d))
+    U, sigma, Vt = np.linalg.svd(mats, full_matrices=False)
     if spec.radius > 0:
-        r0 = np.linalg.norm(mats, 2, axis=(1, 2)).max()
+        r0 = sigma[:, 0].max()
         if r0 > 0:
-            mats = mats * (spec.radius / r0)
-    return new_collection(build_tasks(mats, mats @ w_star), w_star=w_star)
+            c = spec.radius / r0
+            mats, sigma = mats * c, sigma * c
+    stack = _build_stack(mats, mats @ w_star, svd=(U, sigma, Vt))
+    return _stacked_collection([stack], w_star)
 
 
 def generate_aligned_pairs(pairs, angle, d, target_radius=1.0, seed=0):
@@ -350,7 +478,7 @@ def generate_aligned_pairs(pairs, angle, d, target_radius=1.0, seed=0):
     rows[2 * j + 1, 0, 2 * j] = np.cos(angle)
     rows[2 * j + 1, 0, 2 * j + 1] = np.sin(angle)
     mats = (float(target_radius) if target_radius > 0 else 1.0) * rows
-    return new_collection(build_tasks(mats, mats @ w_star), w_star=w_star)
+    return _stacked_collection([_build_stack(mats, mats @ w_star)], w_star)
 
 
 def min_norm_solution(collection):
@@ -383,15 +511,14 @@ def collection_from_dict(data):
         except (TypeError, ValueError) as exc:  # TypeError: not numbers
             raise ValueError(f"collection task {i}: {exc}") from None
         shapes.setdefault(X.shape, []).append((i, X, y))
-    tasks = [None] * len(data["tasks"])
+    stacks = []
     for group in shapes.values():
         index, X, y = zip(*group)
-        for i, t in zip(index, build_tasks(_stack(X), _stack(y), index)):
-            tasks[i] = t
+        stacks.append(_build_stack(_stack(X), _stack(y), index))
     w_star = data.get("w_star")
     if w_star is not None:
         try:
             w_star = np.asarray(w_star, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"collection w_star must be numeric: {exc}") from None
-    return new_collection(tasks, w_star=w_star)
+    return _stacked_collection(stacks, w_star)

@@ -3,8 +3,9 @@ the literal rules (``run_continual`` + ``summarize``), trial by trial.
 
 Agreement is required to 1e-12 relative.  Iterates are compared relative to
 rho, the largest iterate norm of the trial; losses relative to the loss or to
-0.5 * (R * rho + max ||y_m||)^2, the size of the terms a residual is formed
-from (below that, both sides are rounding noise of the same residual).
+``conftest.loss_scale``, 0.5 * (R * rho + max ||y_m||)^2, the size of the terms
+a residual is formed from (below that, both sides are rounding noise of the
+same residual).
 
 The literal unregularized and igd rules go through X^+ (``pinv`` and
 ``pinv_solution``), so their own error is of order eps * sigma_max / sigma_min:
@@ -24,6 +25,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import loss_scale
 
 from contreg import schemes
 from contreg.harness import build_collection, build_schedule
@@ -101,7 +104,6 @@ def close(a, b, scale):
 def assert_matches_literal(col, idx, schedule, scheme, w0=None):
     (batch,) = run_batch(col, [(idx, schedule)], scheme, w0=w0)
     got = summarize_batch(batch, col)
-    y_max = max(float(np.linalg.norm(t.y)) for t in col.tasks)
     for i in range(len(idx)):
         traj = run_continual(col, idx[i], schedule, scheme, w0=w0)
         want = summarize(traj, col)
@@ -109,9 +111,9 @@ def assert_matches_literal(col, idx, schedule, scheme, w0=None):
                   float(np.linalg.norm(batch.final[i])))
         w_gap = float(np.linalg.norm(batch.final[i] - traj.iterates[-1]))
         assert w_gap <= RTOL * rho, (i, w_gap, rho)
-        loss_scale = 0.5 * (col.radius * rho + y_max) ** 2
+        scale = loss_scale(col, rho)
         for name in ("avg_loss", "seen_loss", "degradation"):
-            assert close(getattr(got, name)[i], getattr(want, name), loss_scale), name
+            assert close(getattr(got, name)[i], getattr(want, name), scale), name
         assert close(got.dist_to_wstar[i], want.dist_to_wstar,
                      rho + float(np.linalg.norm(col.w_star)))
 

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import errno
 import io
 import itertools
 import json
@@ -16,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import loss_scale
 from contreg import cli, harness, verify
 from contreg.harness import ConfigError
-from contreg.orderings import derived_seed
-from contreg.tasks import new_task
+from contreg.orderings import derived_seed, stream
+from contreg.tasks import RegressionTask, build_tasks, new_collection, new_task
 
 
 def base_config(**overrides):
@@ -795,6 +797,79 @@ def test_write_csv_failure_keeps_the_earlier_file(tmp_path, monkeypatch):
     with pytest.raises(FileNotFoundError) as exc:
         harness.write_csv(table, missing)
     assert exc.value.filename == str(missing)
+
+
+@pytest.mark.parametrize("command", ["fit", "adversarial"])
+def test_cli_out_failure_keeps_the_earlier_file(tmp_path, monkeypatch, capsys, command):
+    """``fit --out`` and ``adversarial --out`` write as ``write_csv`` does: a
+    write that fails part way leaves the earlier file and no temporary file."""
+    code, csv_path = run_cli_csv(tmp_path, "sweep", base_config(k_grid=[4, 8, 16]))
+    assert code == 0
+    out = tmp_path / "out.json"
+    out.write_text("earlier\n")
+    names = sorted(p.name for p in tmp_path.iterdir())
+
+    def failing_open(file, mode="r", *args, **kwargs):  # its writes stop half way
+        fh = open(file, mode, *args, **kwargs)
+        if "r" not in mode:
+            write = fh.write
+
+            def failing_write(text):
+                write(text[:len(text) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fh.write = failing_write
+        return fh
+
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "open", failing_open, raising=False)
+    argv = {"fit": ["fit", str(csv_path)],
+            "adversarial": ["adversarial", "--scenario", "seen-task", "--k", "16",
+                            "--trials", "5"]}[command]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert os.strerror(errno.ENOSPC) in one_line_error(capsys)
+    assert out.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+def test_gaussian_sweep_builds_no_task_objects(tmp_path, monkeypatch):
+    """A sweep over a 400-task Gaussian collection (the benchmark's wide
+    sweep) reads only its collection's stacks: ``run`` and ``fit`` construct
+    no RegressionTask.  Its losses are those of the same draw rescaled by the
+    largest per-matrix 2-norm and decomposed again, to 1e-12 relative to the
+    loss or to ``conftest.loss_scale``."""
+    made = []
+    init = RegressionTask.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RegressionTask, "__init__", counted)
+    spec = {"d": 10, "M": 400, "n": 5, "radius": 1.0, "seed": 7}
+    cfg = base_config(collection=spec, scheme="igd-of-budgeted",
+                      schedule={"kind": "increasing-budget", "n_choice": 2},
+                      ordering="without-replacement", k_grid=[4, 8, 16], trials=200)
+    code, path = run_cli_csv(tmp_path, "wide", cfg)
+    assert code == 0 and cli.main(["fit", str(path)]) == 0
+    assert made == []
+    monkeypatch.undo()
+
+    rng = stream(spec["seed"])
+    w_star = rng.standard_normal(spec["d"])
+    mats = rng.standard_normal((spec["M"], spec["n"], spec["d"]))
+    mats *= spec["radius"] / np.linalg.norm(mats, 2, axis=(1, 2)).max()
+    normed = new_collection(build_tasks(mats, mats @ w_star), w_star=w_star)
+    got = harness.read_csv(path)
+    want = harness.run_experiment(dataclasses.replace(harness.parse_config(cfg),
+                                                      collection=normed))
+    # From w_0 = 0 every step of a realizable sweep is non-expansive towards
+    # w_star, so no iterate is longer than 2 ||w_star||.
+    scale = loss_scale(normed, 2 * float(np.linalg.norm(w_star)))
+    for name in ("avg_loss", "seen_loss", "degradation"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (np.abs(a - b) <= 1e-12 * np.maximum(np.maximum(abs(a), abs(b)), scale)).all()
+    assert abs(got.R - want.R) <= np.spacing(1.0)
 
 
 ACCEPTANCE_PAIRS = (("regularized", "fixed-coefficient", None),

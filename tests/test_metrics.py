@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import loss_scale
 from contreg import metrics
 from contreg.harness import METRIC_NAMES, build_schedule, sample_orderings
 from contreg.metrics import (average_loss, excess_loss, loss_degradation,
@@ -137,7 +138,7 @@ def test_summarize_batch_weights_repeated_tasks_the_same_across_block_edges():
     tasks repeat within a trial and the seen loss counts each row as often as
     its task was drawn.  Any block edge gives the same bits, and every trial
     matches ``summarize`` to 1e-12 relative to the loss or to
-    0.5 * (R * rho + max ||y_m||)^2, as in tests/test_engine.py."""
+    ``conftest.loss_scale``, as in tests/test_engine.py."""
     rng = np.random.default_rng(12)
     col = new_collection([new_task(rng.standard_normal((n, 6)), rng.standard_normal(n))
                           for n in rng.integers(1, 10, 60)], w_star=rng.standard_normal(6))
@@ -159,12 +160,11 @@ def test_summarize_batch_weights_repeated_tasks_the_same_across_block_edges():
         for name in METRIC_NAMES:
             assert np.array_equal(getattr(part, name), getattr(full, name)[rows]), (rows, name)
 
-    y_max = max(float(np.linalg.norm(t.y)) for t in col.tasks)
     for i in range(trials):
         traj = run_continual(col, idx[i], schedule, "regularized")
         want = summarize(traj, col)
         rho = float(np.linalg.norm(traj.iterates, axis=1).max())
-        scale = 0.5 * (col.radius * rho + y_max) ** 2
+        scale = loss_scale(col, rho)
         for name in ("avg_loss", "seen_loss", "degradation"):
             a, b = getattr(full, name)[i], getattr(want, name)
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), scale), (i, name)

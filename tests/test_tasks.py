@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from contreg.orderings import stream
 from contreg.surrogates import build_budgeted_surrogate, build_regularized_surrogate
-from contreg.tasks import (RealizableSpec, build_tasks, collection_from_dict,
-                           generate_aligned_pairs, generate_realizable,
-                           min_norm_solution, new_collection, new_task)
+from contreg.tasks import (RealizableSpec, RegressionTask, RowBases, TaskStack, build_tasks,
+                           collection_from_dict, generate_aligned_pairs,
+                           generate_realizable, min_norm_solution, new_collection,
+                           new_task)
 
 
 def grid_min_norm_least_squares(X, y, span=4.0, step=0.05):
@@ -164,9 +167,10 @@ def test_each_task_is_decomposed_once(monkeypatch):
 
 
 @pytest.mark.parametrize("d, M, n", [(10, 400, 5), (3, 6, 8), (1, 5, 1)])
-def test_generator_makes_one_batched_svd_and_one_norm_call(monkeypatch, d, M, n):
-    """generate_realizable draws, measures and decomposes its M matrices as one
-    (M, n, d) stack; row bases and surrogates decompose nothing more."""
+def test_generator_makes_one_batched_svd_and_no_norm_call(monkeypatch, d, M, n):
+    """generate_realizable draws and decomposes its M matrices as one (M, n, d)
+    stack, and takes the scale from that SVD; row bases and surrogates
+    decompose nothing more."""
     calls = []
 
     def recording(name):
@@ -182,7 +186,7 @@ def test_generator_makes_one_batched_svd_and_one_norm_call(monkeypatch, d, M, n)
     col = generate_realizable(RealizableSpec(d=d, M=M, n=n, radius=1.0, seed=7))
     col.row_bases
     build_regularized_surrogate(col.tasks[-1], 0.5, 1.0)
-    assert calls == [("norm", (M, n, d)), ("svd", (M, n, d))]
+    assert calls == [("svd", (M, n, d))]
 
 
 def test_generator_is_deterministic():
@@ -206,14 +210,19 @@ def test_generator_exact_realizability_and_radius():
 @pytest.mark.parametrize("d, M, n, radius, seed", [
     (10, 400, 5, 1.0, 7), (3, 6, 8, 2.5, 1), (1, 5, 1, 0.3, 2), (6, 1, 2, 1.0, 0)])
 def test_generator_scale_is_the_largest_per_matrix_norm(d, M, n, radius, seed):
-    """The one batched norm call rescales exactly as M separate calls would."""
+    """The scale is radius over the largest sigma_max of the unscaled matrices'
+    thin SVDs, and it scales X and sigma exactly as M separate calls would."""
     rng = stream(seed)
     rng.standard_normal(d)  # the planted solution comes first
     mats = [rng.standard_normal((n, d)) for _ in range(M)]
-    scale = radius / max(np.linalg.norm(X, 2) for X in mats)
+    sigmas = [np.linalg.svd(X, full_matrices=False)[1] for X in mats]
+    scale = radius / max(sigma[0] for sigma in sigmas)
     col = generate_realizable(RealizableSpec(d=d, M=M, n=n, radius=radius, seed=seed))
-    for X, t in zip(mats, col.tasks):
+    for X, sigma, t in zip(mats, sigmas, col.tasks):
         assert_array_equal(t.X, X * scale)
+        assert_array_equal(t.svd[1], sigma * scale)
+    assert col.radius == max(sigma[0] * scale for sigma in sigmas)
+    assert abs(col.radius - radius) <= np.spacing(radius)  # within an ulp
 
 
 def test_generator_validation():
@@ -378,7 +387,9 @@ collections = st.tuples(
               (5, "below-cutoff"), (1, "zero"), (2, "tiny")], 0))
 def test_row_bases_match_each_tasks_row_basis(collection):
     """A collection file builds one stack per task shape, each task bit for bit
-    its new_task; its row_bases equal each task's row_basis stacked as before."""
+    its new_task; its row_bases equal each task's row_basis stacked as before.
+    The same holds for the generators' collections, and every stack-built
+    collection reads as the task-list collection of its own tasks."""
     d, shapes, seed = collection
     rng = np.random.default_rng(seed)
     mats = [kind_matrix(kind, rng, n, d) for n, kind in shapes]
@@ -393,7 +404,38 @@ def test_row_bases_match_each_tasks_row_basis(collection):
                              alone.svd[:3] + (alone.pinv_solution,)):
             assert_same_bits(got, want)
         assert (t.svd[3], t.min_loss) == (alone.svd[3], alone.min_loss)
-    want = per_task_row_bases(col)
-    for name, value in want.items():
-        assert_same_bits(getattr(col.row_bases, name), value)
-        assert not getattr(col.row_bases, name).flags.writeable
+    generated = [generate_realizable(RealizableSpec(d=d, M=len(shapes), n=shapes[0][0],
+                                                    radius=1.0, seed=seed))]
+    if d >= 2:
+        generated.append(generate_aligned_pairs(pairs=d // 2, angle=0.1, d=d, seed=seed))
+    for c in [col] + generated:
+        want = per_task_row_bases(c)
+        for name, value in want.items():
+            assert_same_bits(getattr(c.row_bases, name), value)
+            assert not getattr(c.row_bases, name).flags.writeable
+        assert_reads_as_its_task_list(c)
+
+
+def assert_reads_as_its_task_list(col):
+    """``col``, built from stacks, against ``new_collection`` of its lazily
+    built tasks (which restacks them): the same radius, row bases, stacked
+    rows and stacks, bit for bit, and the same task objects on every read."""
+    tasks = col.tasks
+    assert col.tasks is tasks and all(type(t) is RegressionTask for t in tasks)
+    listed = new_collection(list(tasks), w_star=col.w_star)
+    assert all(a is b for a, b in zip(listed.tasks, tasks))
+    assert (listed.M, listed.d, listed.radius) == (col.M, col.d, col.radius)
+    for f in dataclasses.fields(RowBases):
+        assert_same_bits(getattr(col.row_bases, f.name), getattr(listed.row_bases, f.name))
+    rows = (np.vstack([t.X for t in tasks]), np.concatenate([t.y for t in tasks]),
+            np.repeat(np.arange(col.M), [len(t.y) for t in tasks]))
+    for got, again, want in zip(col.stacked_rows, listed.stacked_rows, rows):
+        assert_same_bits(got, want)
+        assert_same_bits(again, want)
+        assert not got.flags.writeable
+    assert col.stacked_rows[0].flags.f_contiguous
+    assert len(col.stacks) == len(listed.stacks)
+    for got, want in zip(col.stacks, listed.stacks):
+        for f in dataclasses.fields(TaskStack):
+            assert_same_bits(getattr(got, f.name), getattr(want, f.name))
+            assert not getattr(got, f.name).flags.writeable
