@@ -17,8 +17,8 @@ from .surrogates import (SurrogateQuadratic, build_budgeted_surrogate,
                          build_regularized_surrogate, build_spectral_surrogate,
                          from_matrix, sandwich_check, spectral_multiplier, value_and_grad)
 from .tasks import (RealizableSpec, RegressionTask, RowBases, TaskCollection, TaskStack,
-                    build_tasks, generate_aligned_pairs, generate_realizable,
-                    min_norm_solution, new_collection, new_task)
+                    generate_aligned_pairs, generate_realizable, min_norm_solution,
+                    new_collection, new_task, stacked_collection)
 from .verify import verify_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

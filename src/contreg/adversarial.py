@@ -2,8 +2,9 @@
 
 Both constructions are ordinary jointly realizable collections; nonuniform
 sampling weights are realized by replicating tasks, so downstream code keeps
-plain uniform orderings.  A replica is the same ``RegressionTask`` object
-repeated (tasks are immutable), so its cached SVD and norms are computed once.
+plain uniform orderings.  Each is built as one stack of k one-row tasks, a
+replica being one more row of it, by one batched SVD: bit for bit the
+collection of k separately built tasks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tasks import new_collection, new_task
+from .tasks import stacked_collection
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,12 +31,6 @@ class AdversarialScenario:
     success_prob_floor: float | None
     recommended_w0: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-
-
-def _unit_row(d, coord, value=1.0):
-    x = np.zeros((1, d))
-    x[0, coord] = value
-    return x
 
 
 def seen_task_lb_collection(k, d=2):
@@ -55,14 +50,13 @@ def seen_task_lb_collection(k, d=2):
     if d < 2:
         raise ValueError("construction needs d >= 2")
     alpha = np.sqrt(0.5)
-    x = np.zeros((1, d))
-    x[0, 0] = np.sqrt(1.0 - alpha ** 2)
-    x[0, 1] = alpha
-    tasks = [new_task(_unit_row(d, 1), [0.0])] * (k - 1) + [new_task(x, [0.0])]
+    rows = np.zeros((k, 1, d))
+    rows[:-1, 0, 1] = 1.0
+    rows[-1, 0, :2] = np.sqrt(1.0 - alpha ** 2), alpha
     w0 = np.zeros(d)
     w0[0] = 1.0
     return AdversarialScenario(
-        collection=new_collection(tasks, w_star=np.zeros(d)),
+        collection=stacked_collection(rows, np.zeros((k, 1)), w_star=np.zeros(d)),
         threshold=lambda kk: 1.0 / (144.0 * kk),
         success_prob_floor=0.15,
         recommended_w0=w0,
@@ -72,9 +66,11 @@ def seen_task_lb_collection(k, d=2):
 def any_alg_lb_collection(k, d, probe):
     """Collection on which any fixed learner loses >= Omega(1/k) on average.
 
-    The adversary first watches the learner on k replicas of (e_1, 0): the
-    ``probe`` callable receives that task sequence and returns the learner's
-    final vector.  The sign a of the held-out target is then chosen against
+    The adversary first watches the learner on k uniform draws from k
+    replicas of (e_1, 0), which can only be that task k times: the ``probe``
+    callable receives ``(collection, k)``, the collection holding the one
+    task (e_1, 0), and returns the learner's final vector after training k
+    times on it.  The sign a of the held-out target is then chosen against
     the sign of the learner's second coordinate, and the returned collection
     is k-1 replicas of (e_1, 0) plus one (e_2, a).  It is solved exactly by
     a * e_2.  The learner is probed once, so the probe must be deterministic:
@@ -86,17 +82,22 @@ def any_alg_lb_collection(k, d, probe):
     if d < 2:
         raise ValueError("construction needs d >= 2")
 
-    e1_task = new_task(_unit_row(d, 0), [0.0])
-    w = np.asarray(probe([e1_task] * k), dtype=np.float64)
+    rows = np.zeros((k, 1, d))
+    rows[:-1, 0, 0] = 1.0
+    # rows[:1] is the one task (e_1, 0) the probe trains on.
+    w = np.asarray(probe(stacked_collection(rows[:1], np.zeros((1, 1))), k),
+                   dtype=np.float64)
     if w.shape != (d,):
         raise ValueError(f"probe must return a length-{d} vector, got {w.shape}")
     a = 1.0 if w[1] <= 0 else -1.0
 
-    tasks = [e1_task] * (k - 1) + [new_task(_unit_row(d, 1), [a])]
+    rows[-1, 0, 1] = 1.0
+    targets = np.zeros((k, 1))
+    targets[-1] = a
     w_star = np.zeros(d)
     w_star[1] = a
     return AdversarialScenario(
-        collection=new_collection(tasks, w_star=w_star),
+        collection=stacked_collection(rows, targets, w_star=w_star),
         threshold=lambda kk: 1.0 / (64.0 * kk),
         success_prob_floor=None,
         meta={"adversary_sign": a},

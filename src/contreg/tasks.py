@@ -3,12 +3,12 @@
 A collection holds its tasks as stacks, one ``TaskStack`` per task shape: the
 tasks' data, thin SVD factors, pinv ranks, X^+ y and minimum losses as
 stacked arrays, which the engine's row bases and the metric pass read
-directly.  The generators and collection files build the stacks, with one
-batched SVD per stack, and make no per-task object: ``RegressionTask``s,
-read-only views of a stack, are made when ``TaskCollection.tasks`` is first
-read (by the literal update rules, the verification suites and the tests).
-``new_collection`` keeps the task objects it is given and stacks them only
-when its row bases or stacked rows are first read.
+directly.  The generators, ``stacked_collection`` and collection files build
+the stacks with one batched SVD per stack; ``new_collection`` copies the
+fields of the task objects it is given into stacks.  ``RegressionTask``s,
+read-only views of a stack, are made only when ``TaskCollection.tasks`` is
+first read (by the literal update rules, the verification suites and the
+tests).
 """
 
 from __future__ import annotations
@@ -214,16 +214,6 @@ def _build_stack(X, y, index=None, svd=None):
                      min_loss=0.5 * (residual.swapaxes(1, 2) @ residual)[:, 0, 0])
 
 
-def build_tasks(X, y, index=None):
-    """Tasks from a stack of equal-shape data, X (M, n, d) and y (M, n): the
-    ``views`` of the one TaskStack ``_build_stack`` makes, so there is one
-    finiteness check and one batched SVD for the stack.  Each task is bit for
-    bit the one a per-matrix build gives.  A task failing a check raises
-    ValueError, named ``collection task {index[i]}`` when ``index`` is given.
-    """
-    return _build_stack(X, y, index).views()
-
-
 def _task_arrays(X, y):
     """X and y as float64 arrays, checked to be one task's matrix and targets."""
     X = np.asarray(X, dtype=np.float64)
@@ -241,29 +231,10 @@ def _task_arrays(X, y):
 
 
 def new_task(X, y):
-    """Build one task from a data matrix and target vector (``build_tasks`` on a
+    """Build one task from a data matrix and target vector (the view of a
     stack of one)."""
     X, y = _task_arrays(X, y)
-    return build_tasks(X[None], y[None])[0]
-
-
-def _restack(tasks):
-    """The stacks of a task list, one per task shape, in order of first
-    appearance; the tasks' fields are copied into the stacked arrays."""
-    shapes = {}
-    for m, t in enumerate(tasks):
-        shapes.setdefault(t.X.shape, []).append(m)
-    stacks = []
-    for index in shapes.values():
-        group = [tasks[m] for m in index]
-        U, sigma, Vt, rank = zip(*(t.svd for t in group))
-        stacks.append(TaskStack(
-            index=np.array(index), X=_stack([t.X for t in group]),
-            y=_stack([t.y for t in group]), U=_stack(U), sigma=_stack(sigma),
-            Vt=_stack(Vt), rank=np.array(rank),
-            pinv_solution=_stack([t.pinv_solution for t in group]),
-            min_loss=np.array([t.min_loss for t in group])))
-    return tuple(stacks)
+    return _build_stack(X[None], y[None]).views()[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,9 +259,8 @@ class TaskCollection:
     """M tasks sharing feature dimension d, with data radius R, the largest
     spectral norm sigma_max of the tasks' matrices.
 
-    The tasks are held either as ``stacks`` (made by the generators and
-    ``collection_from_dict``) or as the task objects ``new_collection`` was
-    given; the other form is built on first read.  ``w_star``, when present,
+    ``stacks`` holds the tasks, one ``TaskStack`` per task shape in order of
+    first appearance, whose indices cover 0..M-1.  ``w_star``, when present,
     is a planted solution fitting every task exactly (generator metadata; not
     required for arbitrary collections).  Make collections with the functions
     of this module, not with this constructor.
@@ -299,22 +269,14 @@ class TaskCollection:
     M: int
     d: int
     radius: float
+    stacks: tuple = field(repr=False)
     w_star: np.ndarray | None = None
-    # Exactly one of the two is given.
-    _stacks: tuple | None = field(default=None, repr=False)
-    _tasks: tuple | None = field(default=None, repr=False)
-
-    @cached_property
-    def stacks(self):
-        """One ``TaskStack`` per task shape, in order of first appearance."""
-        return self._stacks if self._stacks is not None else _restack(self._tasks)
 
     @cached_property
     def tasks(self):
-        """The tasks in collection order, as a tuple of ``RegressionTask``;
-        every read returns the same objects."""
-        if self._tasks is not None:
-            return self._tasks
+        """The tasks in collection order, as a tuple of ``RegressionTask``
+        views of the stacks (built on first use); every read returns the same
+        objects."""
         tasks = [None] * self.M
         for s in self.stacks:
             for m, t in zip(s.index.tolist(), s.views()):
@@ -366,31 +328,6 @@ class TaskCollection:
                         rest=_frozen(rest), r2=_frozen(r2))
 
 
-def _checked_w_star(w_star, d):
-    if w_star is None:
-        return None
-    w_star = _frozen(w_star)
-    if w_star.shape != (d,):
-        raise ValueError(f"w_star must have length {d}")
-    if not np.isfinite(w_star).all():
-        raise ValueError("w_star contains non-finite entries")
-    return w_star
-
-
-def new_collection(tasks, w_star=None):
-    """A collection of the given task objects, kept as they are (a task that
-    appears twice stays one shared object)."""
-    tasks = tuple(tasks)
-    if not tasks:
-        raise ValueError("a collection needs at least one task")
-    d = tasks[0].d
-    for i, t in enumerate(tasks):
-        if t.d != d:
-            raise ValueError(f"tasks disagree on dimension: task {i} has {t.d}, task 0 has {d}")
-    return TaskCollection(M=len(tasks), d=d, radius=max(t.spectral_norm for t in tasks),
-                          w_star=_checked_w_star(w_star, d), _tasks=tasks)
-
-
 def _stacked_collection(stacks, w_star=None):
     """A collection of stacks whose indices cover 0..M-1, in order of their
     first task."""
@@ -401,9 +338,42 @@ def _stacked_collection(stacks, w_star=None):
         if s.X.shape[2] != d:
             raise ValueError(f"tasks disagree on dimension: task {s.index[0]} has "
                              f"{s.X.shape[2]}, task 0 has {d}")
+    if w_star is not None:
+        w_star = _frozen(w_star)
+        if w_star.shape != (d,):
+            raise ValueError(f"w_star must have length {d}")
+        if not np.isfinite(w_star).all():
+            raise ValueError("w_star contains non-finite entries")
     return TaskCollection(M=sum(len(s.index) for s in stacks), d=d,
                           radius=max(float(s.sigma[:, 0].max()) for s in stacks),
-                          w_star=_checked_w_star(w_star, d), _stacks=tuple(stacks))
+                          stacks=tuple(stacks), w_star=w_star)
+
+
+def stacked_collection(X, y, w_star=None):
+    """The collection of the tasks of one shape, X (M, n, d) and y (M, n), as
+    one stack: one finiteness check and one batched SVD, each task bit for bit
+    the one ``new_task`` builds from its matrix alone."""
+    return _stacked_collection([_build_stack(X, y)], w_star)
+
+
+def new_collection(tasks, w_star=None):
+    """A collection of the given task objects: their fields are copied into one
+    stack per task shape, in order of first appearance (a task listed twice
+    is two rows of its stack)."""
+    shapes = {}
+    for m, t in enumerate(tasks):
+        shapes.setdefault(t.X.shape, []).append((m, t))
+    stacks = []
+    for group in shapes.values():
+        index, group = zip(*group)
+        U, sigma, Vt, rank = zip(*(t.svd for t in group))
+        stacks.append(TaskStack(
+            index=np.array(index), X=_stack([t.X for t in group]),
+            y=_stack([t.y for t in group]), U=_stack(U), sigma=_stack(sigma),
+            Vt=_stack(Vt), rank=np.array(rank),
+            pinv_solution=_stack([t.pinv_solution for t in group]),
+            min_loss=np.array([t.min_loss for t in group])))
+    return _stacked_collection(stacks, w_star)
 
 
 @dataclass(frozen=True)
@@ -478,7 +448,7 @@ def generate_aligned_pairs(pairs, angle, d, target_radius=1.0, seed=0):
     rows[2 * j + 1, 0, 2 * j] = np.cos(angle)
     rows[2 * j + 1, 0, 2 * j + 1] = np.sin(angle)
     mats = (float(target_radius) if target_radius > 0 else 1.0) * rows
-    return _stacked_collection([_build_stack(mats, mats @ w_star)], w_star)
+    return stacked_collection(mats, mats @ w_star, w_star)
 
 
 def min_norm_solution(collection):
@@ -497,28 +467,48 @@ def collection_to_dict(collection):
     return out
 
 
+def _check_numbers(raw, ndim, name):
+    """Reject an entry of the ``ndim``-deep lists ``raw`` that is not a JSON
+    number: numpy would read the string "1.5" and true/false as numbers."""
+    for _ in range(ndim - 1):
+        raw = [v for row in raw for v in row]
+    for v in raw:
+        if type(v) not in (int, float):
+            raise ValueError(f"{name} entry {v!r:.40} is not a number")
+
+
 def collection_from_dict(data):
-    """Inverse of ``collection_to_dict``; malformed input raises ValueError,
-    naming the task at fault.  Tasks of one shape are built as one stack."""
+    """Inverse of ``collection_to_dict``; malformed input (unknown fields and
+    entries that are not numbers included) raises ValueError, naming the task
+    at fault.  Tasks of one shape are built as one stack."""
     if not isinstance(data, dict) or not isinstance(data.get("tasks"), list):
         raise ValueError("a collection file must be an object with a 'tasks' list")
+    unknown = set(data) - {"tasks", "w_star"}
+    if unknown:
+        raise ValueError(f"unknown collection file fields: {sorted(unknown)}")
     shapes = {}
     for i, item in enumerate(data["tasks"]):
         if not isinstance(item, dict) or not {"X", "y"} <= set(item):
             raise ValueError(f"collection task {i} must be an object with 'X' and 'y'")
         try:
+            if len(item) > 2:
+                raise ValueError(f"unknown task fields: {sorted(set(item) - {'X', 'y'})}")
             X, y = _task_arrays(item["X"], item["y"])
+            _check_numbers(item["X"], 2, "X")
+            _check_numbers(item["y"], 1, "y")
         except (TypeError, ValueError) as exc:  # TypeError: not numbers
             raise ValueError(f"collection task {i}: {exc}") from None
         shapes.setdefault(X.shape, []).append((i, X, y))
-    stacks = []
-    for group in shapes.values():
-        index, X, y = zip(*group)
-        stacks.append(_build_stack(_stack(X), _stack(y), index))
     w_star = data.get("w_star")
     if w_star is not None:
         try:
             w_star = np.asarray(w_star, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"collection w_star must be numeric: {exc}") from None
+        if w_star.ndim == 1:  # any other shape is rejected as the wrong length
+            _check_numbers(data["w_star"], 1, "collection w_star")
+    stacks = []
+    for group in shapes.values():
+        index, X, y = zip(*group)
+        stacks.append(_build_stack(_stack(X), _stack(y), index))
     return _stacked_collection(stacks, w_star)

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from contreg.adversarial import any_alg_lb_collection, seen_task_lb_collection
 from contreg.metrics import average_loss
-from contreg.tasks import new_collection, new_task
+from contreg.tasks import TaskStack, new_collection, new_task
 
 
 def test_seen_task_collection_structure():
@@ -41,7 +43,7 @@ def test_seen_task_collection_higher_dimension():
 
 def test_any_alg_adversary_sign_against_constant_probe():
     # a probe that always answers zero has second coordinate <= 0 surely
-    scenario = any_alg_lb_collection(4, 2, lambda tasks: np.zeros(2))
+    scenario = any_alg_lb_collection(4, 2, lambda col, k: np.zeros(2))
     assert scenario.meta == {"adversary_sign": 1.0}
     col = scenario.collection
     assert col.M == 4
@@ -53,45 +55,55 @@ def test_any_alg_adversary_sign_against_constant_probe():
 
 
 def test_any_alg_adversary_flips_for_positive_probe():
-    scenario = any_alg_lb_collection(4, 2, lambda tasks: np.array([0.0, 2.0]))
+    scenario = any_alg_lb_collection(4, 2, lambda col, k: np.array([0.0, 2.0]))
     assert scenario.meta["adversary_sign"] == -1.0
     assert_allclose(scenario.collection.w_star, [0.0, -1.0])
     assert average_loss(scenario.collection.w_star, scenario.collection) == 0.0
 
 
 def test_any_alg_probe_receives_replicas():
+    """k uniform draws from k replicas of (e_1, 0) can only be that task k
+    times: the probe gets a collection of that one task, and k."""
     seen = {}
 
-    def probe(tasks):
-        seen["n"] = len(tasks)
-        seen["same"] = all(t is tasks[0] for t in tasks)
+    def probe(col, k):
+        seen["k"], seen["M"] = k, col.M
+        (task,) = col.tasks
+        seen["task"] = (task.X.tolist(), task.y.tolist())
         return np.zeros(3)
 
     any_alg_lb_collection(6, 3, probe)
-    assert seen == {"n": 6, "same": True}
+    assert seen == {"k": 6, "M": 1, "task": ([[1.0, 0.0, 0.0]], [0.0])}
 
 
 def test_any_alg_validation():
-    probe = lambda tasks: np.zeros(2)
+    probe = lambda col, k: np.zeros(2)
     with pytest.raises(ValueError, match="k >= 2"):
         any_alg_lb_collection(1, 2, probe)
     with pytest.raises(ValueError, match="length-2"):
-        any_alg_lb_collection(4, 2, lambda tasks: np.zeros(3))
+        any_alg_lb_collection(4, 2, lambda col, k: np.zeros(3))
 
 
 def assert_same_as_distinct_copies(col):
+    """The collection, built as one stack by one batched SVD, is bit for bit
+    the collection of its tasks each built alone."""
     distinct = new_collection([new_task(t.X, t.y) for t in col.tasks], w_star=col.w_star)
     assert col.radius == distinct.radius
     for field in ("V", "sigma", "target", "inv_sigma", "on_rank", "rest", "r2"):
         assert_array_equal(getattr(col.row_bases, field),
                            getattr(distinct.row_bases, field))
+    (got,), (want,) = col.stacks, distinct.stacks
+    for f in dataclasses.fields(TaskStack):
+        assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
 
 
 @pytest.mark.parametrize("k", [16, 64])
-def test_scenario_replicas_are_one_shared_task(k):
+def test_scenario_replicas_match_distinct_copies(k):
     for scenario in (seen_task_lb_collection(k, d=3),
-                     any_alg_lb_collection(k, 3, lambda tasks: np.zeros(3))):
+                     any_alg_lb_collection(k, 3, lambda col, kk: np.zeros(3))):
         col = scenario.collection
-        assert all(t is col.tasks[0] for t in col.tasks[:-1])
-        assert col.tasks[-1] is not col.tasks[0]
+        assert len(col.stacks) == 1
+        X, y = col.stacks[0].X, col.stacks[0].y
+        assert (X[:-1] == X[0]).all() and (y[:-1] == y[0]).all()
+        assert not np.array_equal(X[-1], X[0])
         assert_same_as_distinct_copies(col)

@@ -21,7 +21,7 @@ from conftest import loss_scale
 from contreg import cli, harness, verify
 from contreg.harness import ConfigError
 from contreg.orderings import derived_seed, stream
-from contreg.tasks import RegressionTask, build_tasks, new_collection, new_task
+from contreg.tasks import RegressionTask, new_collection, new_task, stacked_collection
 
 
 def base_config(**overrides):
@@ -651,34 +651,69 @@ def test_bad_inputs_are_rejected_before_any_cell_runs(tmp_path, capsys, monkeypa
 
 def test_bad_collection_file_is_rejected_naming_the_task(tmp_path, capsys, monkeypatch):
     """A bad collection file is a one-line error when the config is parsed,
-    before any cell runs; an error in one task names that task."""
+    before any cell runs; an error in one task names that task.  As in a
+    config, unknown fields are errors, and strings and true/false are not
+    numbers."""
     calls = []
     monkeypatch.setattr(harness, "run_batch", lambda *a, **kw: calls.append(a))
     col_path = tmp_path / "tasks.json"
     cfg = base_config(collection={"path": str(col_path)})
     row, square = {"X": [[1.0, 0.0]], "y": [1.0]}, {"X": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 1.0]}
-    for tasks, w_star, message in (
-            ([row, row], [float("nan"), 0.0], "error: w_star contains non-finite entries"),
-            ([row, square], [1.0, float("-inf")], "error: w_star contains non-finite entries"),
-            ([row, row], [{}, 0.0], "error: collection w_star must be numeric"),
-            ([row, {"X": [[1.0, 0.0], [1.0]], "y": [1.0, 2.0]}], None,
+    for tasks, fields, message in (
+            ([row, row], {"w_star": [float("nan"), 0.0]},
+             "error: w_star contains non-finite entries"),
+            ([row, square], {"w_star": [1.0, float("-inf")]},
+             "error: w_star contains non-finite entries"),
+            ([row, row], {"w_star": [{}, 0.0]}, "error: collection w_star must be numeric"),
+            ([row, {"X": [[1.0, 0.0], [1.0]], "y": [1.0, 2.0]}], {},
              "error: collection task 1: setting an array element with a sequence"),
-            ([row, {"X": [[1.0, {}]], "y": [1.0]}], None,
+            ([row, {"X": [[1.0, {}]], "y": [1.0]}], {},
              "error: collection task 1: float() argument must be"),
-            ([row, {"X": [[1.0, 0.0]], "y": [1.0, 2.0]}], None,
+            ([row, {"X": [[1.0, 0.0]], "y": [1.0, 2.0]}], {},
              "error: collection task 1: row count mismatch"),
             # Built in a stack of the two square tasks; named by its place in the file.
-            ([row, square, {"X": [[float("nan"), 0.0], [0.0, 1.0]], "y": [1.0, 1.0]}], None,
+            ([row, square, {"X": [[float("nan"), 0.0], [0.0, 1.0]], "y": [1.0, 1.0]}], {},
              "error: collection task 2: task data contains non-finite entries"),
-            ([row, square, row, {"X": [[1e-310, 0.0]], "y": [1.0]}], None,
+            ([row, square, row, {"X": [[1e-310, 0.0]], "y": [1.0]}], {},
              "error: collection task 3: task data too close to underflow"),
-            ([row, square, {"X": [[1.0]], "y": [1.0]}], None,
-             "error: tasks disagree on dimension: task 2 has 1, task 0 has 2")):
-        data = {"tasks": tasks} if w_star is None else {"tasks": tasks, "w_star": w_star}
-        col_path.write_text(json.dumps(data))
+            ([row, square, {"X": [[1.0]], "y": [1.0]}], {},
+             "error: tasks disagree on dimension: task 2 has 1, task 0 has 2"),
+            # numpy reads strings and true/false as numbers; a collection file may not.
+            ([row, {"X": [["1.5", "2"]], "y": [1.0]}], {},
+             "error: collection task 1: X entry '1.5' is not a number"),
+            ([row, {"X": [[1.0, 0.0]], "y": ["1"]}], {},
+             "error: collection task 1: y entry '1' is not a number"),
+            ([row, {"X": [[1.0, True]], "y": [1.0]}], {},
+             "error: collection task 1: X entry True is not a number"),
+            ([row, {"X": [[1.0, 0.0]], "y": [False]}], {},
+             "error: collection task 1: y entry False is not a number"),
+            ([row, row], {"w_star": [1.0, "0"]},
+             "error: collection w_star entry '0' is not a number"),
+            ([row, row], {"w_star": [True, 0.0]},
+             "error: collection w_star entry True is not a number"),
+            ([row, {"X": [[1.0, 0.0]], "y": [1.0], "w": [0.0]}], {},
+             "error: collection task 1: unknown task fields: ['w']"),
+            ([row, row], {"M": 2}, "error: unknown collection file fields: ['M']")):
+        col_path.write_text(json.dumps({"tasks": tasks, **fields}))
         assert run_cli_csv(tmp_path, "col", cfg)[0] == 1
         assert one_line_error(capsys).startswith(message)
     assert calls == []
+
+
+def test_file_that_is_not_json_is_an_error_naming_it(tmp_path, capsys):
+    """A truncated config or collection file is a one-line error, exit 1,
+    that names the file and where its JSON breaks off."""
+    cfg_path = tmp_path / "cut.json"
+    cfg_path.write_text('{"scheme":\n')
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a.csv")]) == 1
+    assert one_line_error(capsys) == (f"error: {cfg_path}: Expecting value: "
+                                      "line 2 column 1 (char 11)\n")
+    col_path = tmp_path / "tasks.json"
+    col_path.write_text('{"tasks": [{"X": [[1.0]], "y": [1.0]}')
+    assert run_cli_csv(tmp_path, "col", base_config(collection={"path": str(col_path)}))[0] == 1
+    assert one_line_error(capsys) == (f"error: {col_path}: Expecting ',' delimiter: "
+                                      "line 1 column 38 (char 37)\n")
+    assert not (tmp_path / "a.csv").exists() and not (tmp_path / "col.csv").exists()
 
 
 def test_non_finite_result_names_its_trial(tmp_path, capsys):
@@ -835,7 +870,8 @@ def test_cli_out_failure_keeps_the_earlier_file(tmp_path, monkeypatch, capsys, c
 def test_gaussian_sweep_builds_no_task_objects(tmp_path, monkeypatch):
     """A sweep over a 400-task Gaussian collection (the benchmark's wide
     sweep) reads only its collection's stacks: ``run`` and ``fit`` construct
-    no RegressionTask.  Its losses are those of the same draw rescaled by the
+    no RegressionTask, and neither does ``adversarial`` but for the
+    any-algorithm probe's one task.  The sweep's losses are those of the same draw rescaled by the
     largest per-matrix 2-norm and decomposed again, to 1e-12 relative to the
     loss or to ``conftest.loss_scale``."""
     made = []
@@ -853,13 +889,20 @@ def test_gaussian_sweep_builds_no_task_objects(tmp_path, monkeypatch):
     code, path = run_cli_csv(tmp_path, "wide", cfg)
     assert code == 0 and cli.main(["fit", str(path)]) == 0
     assert made == []
+    # The adversary's collections are stacks too: only the any-algorithm
+    # probe, which runs the literal rules on its one task, reads a task.
+    for scenario, objects in (("seen-task", 0), ("any-algorithm", 1)):
+        made.clear()
+        assert cli.main(["adversarial", "--scenario", scenario, "--k", "64",
+                         "--trials", "50"]) == 0
+        assert len(made) == objects
     monkeypatch.undo()
 
     rng = stream(spec["seed"])
     w_star = rng.standard_normal(spec["d"])
     mats = rng.standard_normal((spec["M"], spec["n"], spec["d"]))
     mats *= spec["radius"] / np.linalg.norm(mats, 2, axis=(1, 2)).max()
-    normed = new_collection(build_tasks(mats, mats @ w_star), w_star=w_star)
+    normed = stacked_collection(mats, mats @ w_star, w_star)
     got = harness.read_csv(path)
     want = harness.run_experiment(dataclasses.replace(harness.parse_config(cfg),
                                                       collection=normed))
@@ -883,10 +926,10 @@ ACCEPTANCE_PAIRS = (("regularized", "fixed-coefficient", None),
 def test_scheme_runner_probe_is_deterministic(scheme, kind, params):
     """The adversary probes a learner once, which is exact only because a
     ``scheme_runner`` probe returns the same bytes on every call."""
-    tasks = [new_task([[1.0, 0.5]], [1.0]), new_task([[0.2, 1.0]], [-0.5])] * 8
+    col = new_collection([new_task([[1.0, 0.5]], [1.0])])
     schedule = {**(params or {}), "kind": kind}
     probe = harness.scheme_runner(scheme, schedule)
-    runs = [probe(tasks), probe(tasks), harness.scheme_runner(scheme, schedule)(tasks)]
+    runs = [probe(col, 16), probe(col, 16), harness.scheme_runner(scheme, schedule)(col, 16)]
     assert len({w.tobytes() for w in runs}) == 1
     assert runs[0].any()
 
@@ -898,9 +941,9 @@ def test_any_alg_mean_probes_its_learner_once(monkeypatch):
     def counting_runner(*args, **kwargs):
         probe = runner(*args, **kwargs)
 
-        def counted(tasks):
-            calls.append(len(tasks))
-            return probe(tasks)
+        def counted(col, k):
+            calls.append((col.M, k))
+            return probe(col, k)
 
         return counted
 
@@ -909,4 +952,4 @@ def test_any_alg_mean_probes_its_learner_once(monkeypatch):
         calls.clear()
         harness.run_any_alg_mean(16, trials=10, base_seed=3, scheme=scheme,
                                  schedule_kind=kind, schedule_params=params)
-        assert calls == [16]
+        assert calls == [(1, 16)]

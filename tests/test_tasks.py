@@ -9,10 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from contreg.orderings import stream
 from contreg.surrogates import build_budgeted_surrogate, build_regularized_surrogate
-from contreg.tasks import (RealizableSpec, RegressionTask, RowBases, TaskStack, build_tasks,
+from contreg.tasks import (RealizableSpec, RegressionTask, RowBases, TaskStack,
                            collection_from_dict, generate_aligned_pairs,
                            generate_realizable, min_norm_solution, new_collection,
-                           new_task)
+                           new_task, stacked_collection)
 
 
 def grid_min_norm_least_squares(X, y, span=4.0, step=0.05):
@@ -331,10 +331,11 @@ stacks = st.tuples(st.integers(1, 5), st.integers(1, 5),
 @example((4, 2, ["duplicated", "rank-one", "gaussian"], 1, False))  # n > d
 @example((1, 1, ["subnormal"], 2, False))
 @example((2, 3, ["gaussian", "gaussian", "subnormal", "subnormal"], 3, True))
-def test_build_tasks_matches_per_matrix_numpy(stack):
+def test_stacked_collection_matches_per_matrix_numpy(stack):
     """Every field of every task of a stack is bit for bit what plain numpy
     gives on each matrix alone, ranks mixed in one stack; a stack holding
-    data too close to underflow is rejected, naming its first such task."""
+    data too close to underflow is rejected, and a collection file names its
+    first such task by its place in the file."""
     n, d, kinds, seed, realizable = stack
     rng = np.random.default_rng(seed)
     X = np.stack([kind_matrix(kind, rng, n, d) for kind in kinds])
@@ -342,11 +343,16 @@ def test_build_tasks_matches_per_matrix_numpy(stack):
     expected = [per_matrix(Xm, ym) for Xm, ym in zip(X, y)]
     bad = [not finite for _, finite in expected]
     if any(bad):
+        with pytest.raises(ValueError, match="^task data too close to underflow"):
+            stacked_collection(X, y)
+        # Ten tasks of another shape first: the stack's tasks are 10, 11, ...
+        other = [{"X": [[0.0] * d] * (n + 1), "y": [0.0] * (n + 1)}] * 10
         with pytest.raises(ValueError, match=f"^collection task {bad.index(True) + 10}: "
                                              "task data too close to underflow"):
-            build_tasks(X, y, index=range(10, 10 + len(kinds)))
+            collection_from_dict({"tasks": other + [{"X": Xm.tolist(), "y": ym.tolist()}
+                                                    for Xm, ym in zip(X, y)]})
         return
-    tasks = build_tasks(X, y)
+    tasks = stacked_collection(X, y).tasks
     for m, (t, ((U, sigma, Vt, r, p, loss), _)) in enumerate(zip(tasks, expected)):
         for got, want in zip(t.svd[:3] + (t.pinv_solution, t.X, t.y),
                              (U, sigma, Vt, p, X[m], y[m])):
@@ -417,13 +423,12 @@ def test_row_bases_match_each_tasks_row_basis(collection):
 
 
 def assert_reads_as_its_task_list(col):
-    """``col``, built from stacks, against ``new_collection`` of its lazily
-    built tasks (which restacks them): the same radius, row bases, stacked
-    rows and stacks, bit for bit, and the same task objects on every read."""
+    """``col`` against ``new_collection`` of its tasks (which restacks them):
+    the same radius, row bases, stacked rows and stacks, bit for bit, and the
+    same task objects on every read of ``col.tasks``."""
     tasks = col.tasks
     assert col.tasks is tasks and all(type(t) is RegressionTask for t in tasks)
     listed = new_collection(list(tasks), w_star=col.w_star)
-    assert all(a is b for a, b in zip(listed.tasks, tasks))
     assert (listed.M, listed.d, listed.radius) == (col.M, col.d, col.radius)
     for f in dataclasses.fields(RowBases):
         assert_same_bits(getattr(col.row_bases, f.name), getattr(listed.row_bases, f.name))
