@@ -18,9 +18,11 @@ w' = p + V^T s(xi) V (w - p) in the task's row basis, with the multiplier s
 that ``surrogates.spectral_multiplier`` computes from the step's strengths, so
 it steps all trials of a sweep's (k, schedule) cells together, in blocks of
 steps with one multiplier call per block.  Each step's two inner products are
-one BLAS call per trial, never one product over the batch.  The block length
-is a fixed memory budget, not an option, and results are bit for bit the same
-for any length.
+one BLAS call per trial, never one product over the batch; when every task
+has rank one, as in the acceptance and lower-bound collections, a step is one
+ddot per trial and an elementwise update, bit for bit the same arithmetic.
+The block length is a fixed memory budget, not an option, and results are
+bit for bit the same for any length.
 """
 
 from __future__ import annotations
@@ -187,14 +189,30 @@ def _step_block(rows, W, loss_after, m_idx, strengths):
     sigma, target = rows.sigma[m_idx], rows.target[m_idx]
     g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma[m_idx],
                                None if strengths else rows.on_rank[m_idx])
-    for m, sigma_t, target_t, g_t, s_t in zip(m_idx, sigma, target, g, s):
-        V = rows.V[m]
-        # Stacked matmuls: one BLAS gemv per trial, (q, d) by w, then g * r by (q, d).
-        r = np.matmul(V, W[:, :, None])[:, :, 0]
-        r *= sigma_t
-        r -= target_t
-        W -= np.matmul((g_t * r)[:, None, :], V)[:, 0]
-        np.multiply(s_t, r, out=sigma_t)  # sigma_t is spent: keep s * r there
+    if rows.V.shape[1] == 1:
+        # Rank-one rows: the stacked matmuls' arithmetic without their two
+        # calls per trial (see ``run_batch``), in one (trials, d) buffer.
+        V1, v = rows.V[:, 0], np.empty_like(W)
+        for m, sigma_t, r, g_t, s_t in zip(m_idx, sigma[..., 0], target[..., 0],
+                                           g[..., 0], s[..., 0]):
+            # mode="raise" would copy through a buffer; m is already in range.
+            V1.take(m, axis=0, out=v, mode="clip")
+            vw = np.vecdot(v, W)  # one ddot per trial, the call the (1, d) matmul makes
+            vw *= sigma_t
+            np.subtract(vw, r, out=r)  # r is the spent U^T y
+            np.multiply((g_t * r)[:, None], v, out=v)
+            v += 0.0  # a zero product is +0.0, as in the matmul's sum from 0
+            W -= v
+            np.multiply(s_t, r, out=sigma_t)
+    else:
+        for m, sigma_t, target_t, g_t, s_t in zip(m_idx, sigma, target, g, s):
+            V = rows.V[m]
+            # Stacked matmuls: one BLAS gemv per trial, (q, d) by w, then g * r by (q, d).
+            r = np.matmul(V, W[:, :, None])[:, :, 0]
+            r *= sigma_t
+            r -= target_t
+            W -= np.matmul((g_t * r)[:, None, :], V)[:, 0]
+            np.multiply(s_t, r, out=sigma_t)  # sigma_t is spent: keep s * r there
     sigma *= sigma
     for loss in rows.rest[m_idx] + 0.5 * sigma.sum(axis=2):  # one add per step, in order
         loss_after += loss
@@ -202,7 +220,8 @@ def _step_block(rows, W, loss_after, m_idx, strengths):
 
 # Steps per block of ``run_batch``: enough that each (steps, trials, q)
 # array of the block holds about this many float64s.  With no (trials, q, d)
-# product per step, 2048 keeps the sweep-hard grid under 320 KiB.
+# product per step, 2048 keeps the sweep-hard grid under 320 KiB: its
+# rank-one steps peak at 314,683 B (budgeted, tracemalloc).
 _BLOCK_ELEMS = 2048
 
 
@@ -241,6 +260,18 @@ def run_batch(collection, cells, scheme, w0=None):
     Both products are stacked matmuls, so numpy makes one BLAS call per
     trial on that trial's (q, d) basis, and no (trials, q, d) product is
     formed.  Padded basis rows are zero, so they leave w unchanged.
+
+    When q = 1 (every row basis at most one row: one-row and zero tasks, as
+    in the acceptance collection and the lower-bound constructions), a
+    rank-one branch, chosen on q alone, instead gathers each step's drawn
+    rows v into one (trials, d) buffer, forms V w as ``np.vecdot(v, W)``,
+    one ddot per trial, and applies the update as the elementwise product
+    (g * r) v.  The bits are the stacked matmuls': numpy's matmul computes
+    a (1, d) by (d, 1) product with the same ddot call, and each entry of a
+    (1, 1) by (1, d) product is one multiply added to +0.0, which the branch
+    repeats by adding 0.0 (it turns a -0.0 product into +0.0, which matters
+    only where w holds -0.0).  What the branch saves is the second per-trial
+    BLAS call, gemm-sized for one multiply per entry.
 
     Only the (trials, d) iterates are kept.  The loss each trial needs for
     degradation, rest + 0.5 * ||s * r||^2 just after each step, is formed

@@ -19,6 +19,7 @@ budgeted rules) by ~sigma * ||y|| per step; for the X^+ rules that task gets
 a consistent target y = X v, for which that term vanishes.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -29,13 +30,15 @@ from hypothesis import strategies as st
 from conftest import loss_scale
 
 from contreg import schemes
+from contreg.adversarial import any_alg_lb_collection, seen_task_lb_collection
 from contreg.harness import build_collection, build_schedule
 from contreg.metrics import summarize, summarize_batch
 from contreg.orderings import sample_orderings
 from contreg.schedules import custom_schedule
 from contreg.schemes import (SCHEME_KINDS, budgeted_step, igd_step, regularized_step,
                              run_batch, run_continual)
-from contreg.surrogates import build_budgeted_surrogate, build_regularized_surrogate
+from contreg.surrogates import (build_budgeted_surrogate, build_regularized_surrogate,
+                                spectral_multiplier)
 from contreg.tasks import new_collection, new_task
 
 RTOL = 1e-12
@@ -44,12 +47,17 @@ KEPT_TINY = ("near-cutoff-above", "ill-conditioned")
 SHAPES = ("wide", "tall", "rank-deficient", "zero", "duplicated",
           "near-cutoff-below") + KEPT_TINY
 NO_PINV = ("regularized", "budgeted")
+# Every task one row or zero: the padded basis size is 1 (or 0 when all are
+# zero), so ``run_batch`` steps through its rank-one branch.
+RANK_ONE = ("one-row", "zero")
 
 
 def make_task(rng, shape, d, consistent=False):
     """A task of the given shape, with an inconsistent target unless asked."""
     if shape == "wide":
         X = rng.standard_normal((int(rng.integers(1, d)), d))
+    elif shape == "one-row":
+        X = rng.standard_normal((1, d))
     elif shape == "tall":
         X = rng.standard_normal((d + int(rng.integers(1, 4)), d))
     elif shape == "rank-deficient":
@@ -120,8 +128,15 @@ def assert_matches_literal(col, idx, schedule, scheme, w0=None):
 
 @st.composite
 def scheme_and_shapes(draw):
+    """A scheme and its collection's task shapes.  One example in three (by
+    the draw below) has only one-row and zero tasks, the rank-one branch."""
     scheme = draw(st.sampled_from(SCHEME_KINDS))
-    allowed = SHAPES if scheme in NO_PINV else tuple(s for s in SHAPES if s not in KEPT_TINY)
+    if draw(st.sampled_from(("mixed", "mixed", "rank-one"))) == "rank-one":
+        allowed = RANK_ONE
+    elif scheme in NO_PINV:
+        allowed = SHAPES
+    else:
+        allowed = tuple(s for s in SHAPES if s not in KEPT_TINY)
     return scheme, draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=4))
 
 
@@ -172,6 +187,86 @@ def test_anchor_just_above_the_cutoff_does_not_leak():
         assert_matches_literal(col, idx, schedule_for(rng, 12, col.radius, False), scheme)
 
 
+def stacked_matmul_block(rows, W, loss_after, m_idx, strengths):
+    """``schemes._step_block`` before its rank-one branch: two stacked matmuls
+    per step whatever the basis size, the arithmetic that branch keeps."""
+    sigma, target = rows.sigma[m_idx], rows.target[m_idx]
+    g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma[m_idx],
+                               None if strengths else rows.on_rank[m_idx])
+    for m, sigma_t, target_t, g_t, s_t in zip(m_idx, sigma, target, g, s):
+        V = rows.V[m]
+        r = np.matmul(V, W[:, :, None])[:, :, 0]
+        r *= sigma_t
+        r -= target_t
+        W -= np.matmul((g_t * r)[:, None, :], V)[:, 0]
+        np.multiply(s_t, r, out=sigma_t)
+    sigma *= sigma
+    for loss in rows.rest[m_idx] + 0.5 * sigma.sum(axis=2):
+        loss_after += loss
+
+
+def rank_one_collections(tmp_path):
+    """(collection, starts) pairs whose tasks are all one row."""
+    rng = np.random.default_rng(12)
+    hard = build_collection({"generator": "aligned-pairs", "d": 20, "pairs": 5,
+                             "angle": 0.04, "radius": 1.0, "seed": 11})
+    seen = seen_task_lb_collection(16, d=3).collection
+    any_alg = any_alg_lb_collection(16, 3, lambda col, k: np.array([0.5, 0.25, 0.0]))
+    path = tmp_path / "rows.json"
+    row = {"X": [[0.6, -0.8, 0.0]], "y": [1.5]}
+    path.write_text(json.dumps({"tasks": [row, {"X": [[0.0, 0.0, 0.0]], "y": [2.0]}, row,
+                                          {"X": [[0.0, 2.0, -1.0]], "y": [-0.5]}]}))
+    from_file = build_collection({"path": str(path)})
+    # From 1e308 * (1, 1), a step on the second task overflows its residual
+    # and the first task's does not.
+    overflow = new_collection([new_task([[1.0, 0.0]], [0.0]), new_task([[1.0, 1.0]], [0.0])])
+
+    def starts(d):
+        w0 = rng.standard_normal(d)
+        w0[::2] = -0.0  # kept by a step only if its zero products are +0.0
+        return (None, w0)
+
+    return [(col, starts(col.d)) for col in (hard, seen, any_alg.collection, from_file)] + [
+        (overflow, (np.full(2, 1e308),))]
+
+
+def test_rank_one_branch_is_the_stacked_matmul_arithmetic(monkeypatch, tmp_path):
+    """Bit for bit (finals and after-step loss sums as uint64, so that a -0.0
+    or a NaN's payload shows), every scheme steps one-row tasks as the
+    stacked matmuls do: on the acceptance and lower-bound collections, a file
+    collection with a zero row and a duplicated row, and one trial of a batch
+    driven to overflow."""
+    rng = np.random.default_rng(13)
+    k = 12
+    for col, starts in rank_one_collections(tmp_path):
+        assert col.row_bases.V.shape[1] == 1
+        idx = rng.integers(1, col.M + 1, size=(4, k))
+        if col.M == 2:  # the overflow collection: trial 0 never draws task 2
+            idx[0] = 1
+            idx[1:, 3] = 2
+        for scheme in SCHEME_KINDS:
+            for first in (False, True):
+                schedule = schedule_for(rng, k, col.radius, first)
+                if scheme == "unregularized" and not first:
+                    schedule = None
+                for w0 in starts:
+                    for trials in (idx[:1], idx):
+                        cells = [(trials, schedule)]
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            with monkeypatch.context() as patch:
+                                patch.setattr(np, "matmul", None)  # the branch makes none
+                                (got,) = run_batch(col, cells, scheme, w0=w0)
+                            with monkeypatch.context() as patch:
+                                patch.setattr(schemes, "_step_block", stacked_matmul_block)
+                                (want,) = run_batch(col, cells, scheme, w0=w0)
+                        for name in ("final", "loss_after_sum"):
+                            a, b = getattr(got, name), getattr(want, name)
+                            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), \
+                                (scheme, first, name)
+        if col.M == 2:
+            assert np.isfinite(got.final[0]).all() and np.isnan(got.final[1:]).any()
+
+
 def assert_same_trials(col, got, want, rows=slice(None)):
     """``got`` holds bit for bit the values of rows ``rows`` of ``want``."""
     assert np.array_equal(got.final, want.final[rows])
@@ -183,33 +278,40 @@ def assert_same_trials(col, got, want, rows=slice(None)):
 
 def test_trial_values_do_not_depend_on_the_batch(monkeypatch):
     rng = np.random.default_rng(5)
-    col = new_collection([make_task(rng, "wide", 6) for _ in range(4)])
+    wide = new_collection([make_task(rng, "wide", 6) for _ in range(4)])
+    # One-row and zero tasks (q = 1) take the step kernel's rank-one branch.
+    rng_one = np.random.default_rng(6)
+    rank_one = new_collection([make_task(rng_one, shape, 6)
+                               for shape in ("one-row", "one-row", "zero", "one-row")])
+    assert rank_one.row_bases.V.shape[1] == 1
     # (k, trials) per cell: unequal trial counts, k = 1, a tie and a
     # non-doubling grid, the longest cell neither first nor last.
     grid = ((3, 4), (40, 9), (1, 2), (8, 3), (8, 2), (5, 1))
-    q = col.row_bases.V.shape[1]
-    # Block budgets: one step per block; three steps per block once only the
-    # 9 trials of the k = 40 cell are left, so it ends mid-block; and every
-    # step between two cell ends in one block.
-    budgets = (1, 3 * 9 * q, 40 * 21 * q + 1)
-    for first in (False, True):
-        cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
-                  schedule_for(rng, k, col.radius, first)) for k, trials in grid]
-        for scheme in SCHEME_KINDS:
-            together = run_batch(col, cells, scheme)
-            for (idx, schedule), run in zip(cells, together):
-                assert run.ordering is idx
-                (alone,) = run_batch(col, [(idx, schedule)], scheme)
-                assert_same_trials(col, run, alone)
-            idx, schedule = cells[1]
-            for rows in ([0], [0, 1, 2], [8, 3]):
-                (part,) = run_batch(col, [(idx[rows], schedule)], scheme)
-                assert_same_trials(col, part, together[1], rows)
-            for budget in budgets:
-                with monkeypatch.context() as patch:
-                    patch.setattr(schemes, "_BLOCK_ELEMS", budget)
-                    for run, want in zip(run_batch(col, cells, scheme), together):
-                        assert_same_trials(col, run, want)
+    # The wide collection last: the checks after the loop use it.
+    for col, rng in ((rank_one, rng_one), (wide, rng)):
+        q = col.row_bases.V.shape[1]
+        # Block budgets: one step per block; three steps per block once only the
+        # 9 trials of the k = 40 cell are left, so it ends mid-block; and every
+        # step between two cell ends in one block.
+        budgets = (1, 3 * 9 * q, 40 * 21 * q + 1)
+        for first in (False, True):
+            cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
+                      schedule_for(rng, k, col.radius, first)) for k, trials in grid]
+            for scheme in SCHEME_KINDS:
+                together = run_batch(col, cells, scheme)
+                for (idx, schedule), run in zip(cells, together):
+                    assert run.ordering is idx
+                    (alone,) = run_batch(col, [(idx, schedule)], scheme)
+                    assert_same_trials(col, run, alone)
+                idx, schedule = cells[1]
+                for rows in ([0], [0, 1, 2], [8, 3]):
+                    (part,) = run_batch(col, [(idx[rows], schedule)], scheme)
+                    assert_same_trials(col, part, together[1], rows)
+                for budget in budgets:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(schemes, "_BLOCK_ELEMS", budget)
+                        for run, want in zip(run_batch(col, cells, scheme), together):
+                            assert_same_trials(col, run, want)
 
     with pytest.raises(ValueError, match="cells must agree on unregularized_first"):
         run_batch(col, [cells[0], (cells[0][0], schedule_for(rng, 3, col.radius, False))],
@@ -231,13 +333,17 @@ def test_trial_values_do_not_depend_on_the_batch(monkeypatch):
 def test_run_batch_steps_through_one_multiplier_call(monkeypatch):
     """Every scheme, with and without an unregularized first step, takes each
     block of steps through one ``spectral_multiplier`` call on (steps, trials,
-    q) arrays.  The calls cover steps 0..k_max-1 once, in order; a block never
-    spans a cell's end or the projection step; a projection step gets no
-    strengths and every other step the scheme's ``READS``.  Under the default
-    budget these small cells take one call per span between two cuts."""
+    q) arrays, also on one-row tasks (q = 1, the rank-one branch).  The calls
+    cover steps 0..k_max-1 once, in order; a block never spans a cell's end or
+    the projection step; a projection step gets no strengths and every other
+    step the scheme's ``READS``.  Under the default budget these small cells
+    take one call per span between two cuts."""
     rng = np.random.default_rng(8)
-    col = new_collection([make_task(rng, "wide", 4) for _ in range(3)])
-    q = col.row_bases.V.shape[1]
+    wide = new_collection([make_task(rng, "wide", 4) for _ in range(3)])
+    rng_one = np.random.default_rng(9)
+    rank_one = new_collection([make_task(rng_one, shape, 4)
+                               for shape in ("one-row", "zero", "one-row")])
+    assert rank_one.row_bases.V.shape[1] == 1
     calls = []
     multiplier = schemes.spectral_multiplier
 
@@ -247,30 +353,32 @@ def test_run_batch_steps_through_one_multiplier_call(monkeypatch):
 
     monkeypatch.setattr(schemes, "spectral_multiplier", counted)
     grid = ((5, 2), (9, 3))
-    for first in (False, True):
-        cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
-                  schedule_for(rng, k, col.radius, first)) for k, trials in grid]
-        cuts = [0, 5, 9] if not first else [0, 1, 5, 9]
-        for scheme in SCHEME_KINDS:
-            for budget in (1, schemes._BLOCK_ELEMS):
-                calls.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(schemes, "_BLOCK_ELEMS", budget)
-                    run_batch(col, cells, scheme)
-                a = 0
-                for reads, (steps, trials, width) in calls:
-                    b = a + steps
-                    assert steps >= 1 and width == q
-                    assert trials == sum(n for k, n in grid if k > a)
-                    assert not any(a < cut < b for cut in cuts), (a, b)
-                    projection = scheme == "unregularized" or (first and a == 0)
-                    assert reads == (0 if projection else len(schemes.READS[scheme]))
-                    a = b
-                assert a == 9
-                if budget == 1:
-                    assert len(calls) == 9
-                else:
-                    assert len(calls) == len(cuts) - 1
+    for col, rng in ((wide, rng), (rank_one, rng_one)):
+        q = col.row_bases.V.shape[1]
+        for first in (False, True):
+            cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
+                      schedule_for(rng, k, col.radius, first)) for k, trials in grid]
+            cuts = [0, 5, 9] if not first else [0, 1, 5, 9]
+            for scheme in SCHEME_KINDS:
+                for budget in (1, schemes._BLOCK_ELEMS):
+                    calls.clear()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(schemes, "_BLOCK_ELEMS", budget)
+                        run_batch(col, cells, scheme)
+                    a = 0
+                    for reads, (steps, trials, width) in calls:
+                        b = a + steps
+                        assert steps >= 1 and width == q
+                        assert trials == sum(n for k, n in grid if k > a)
+                        assert not any(a < cut < b for cut in cuts), (a, b)
+                        projection = scheme == "unregularized" or (first and a == 0)
+                        assert reads == (0 if projection else len(schemes.READS[scheme]))
+                        a = b
+                    assert a == 9
+                    if budget == 1:
+                        assert len(calls) == 9
+                    else:
+                        assert len(calls) == len(cuts) - 1
 
 
 def test_run_batch_working_set_stays_small():
