@@ -1,6 +1,6 @@
 """Desk-scale lab for realizable continual linear regression under random orderings."""
 
-from .adversarial import AdversarialScenario, any_alg_lb_collection, seen_task_lb_collection
+from .adversarial import any_alg_lb_collection, seen_task_lb_collection
 from .harness import (ExperimentConfig, RateFit, ResultTable, aggregate, fit_rate,
                       load_config, parse_config, run_experiment, write_csv)
 from .metrics import (MetricsRecord, average_loss, excess_loss, loss_degradation,
@@ -16,7 +16,7 @@ from .schemes import (BatchRun, Trajectory, budgeted_step, igd_step,
 from .surrogates import (SurrogateQuadratic, build_budgeted_surrogate,
                          build_regularized_surrogate, build_spectral_surrogate,
                          from_matrix, sandwich_check, spectral_multiplier, value_and_grad)
-from .tasks import (RealizableSpec, RegressionTask, RowBases, TaskCollection, TaskStack,
+from .tasks import (RegressionTask, RowBases, TaskCollection, TaskStack,
                     generate_aligned_pairs, generate_realizable, min_norm_solution,
                     new_collection, new_task, stacked_collection)
 from .verify import verify_suite

@@ -4,37 +4,21 @@ Both constructions are ordinary jointly realizable collections; nonuniform
 sampling weights are realized by replicating tasks, so downstream code keeps
 plain uniform orderings.  Each is built as one stack of k one-row tasks, a
 replica being one more row of it, by one batched SVD: bit for bit the
-collection of k separately built tasks.
+collection of k separately built tasks.  The claims the collections witness
+(their thresholds and floors) are stated by the scenario runners in
+``harness``, where they are checked and reported.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .tasks import stacked_collection
 
 
-@dataclass(frozen=True, eq=False)
-class AdversarialScenario:
-    """A hard collection plus the numeric claim it is meant to witness.
-
-    ``threshold`` maps a horizon k to the loss level the claim is about;
-    ``success_prob_floor`` is the minimum empirical probability of exceeding
-    it (None for scenarios whose claim is about the mean).
-    """
-
-    collection: object
-    threshold: Callable[[int], float]
-    success_prob_floor: float | None
-    recommended_w0: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
-
-
 def seen_task_lb_collection(k, d=2):
-    """Collection forcing seen-task loss >= 1/(144 k) with constant probability.
+    """``(collection, w0)``: a collection forcing seen-task loss >= 1/(144 k)
+    with constant probability from the start w0 = e_1.
 
     k-1 replicas of the row e_2 (target 0) plus one row
     x = (sqrt(1 - alpha^2), alpha, 0, ...) with alpha = sqrt(1/2), target 0.
@@ -55,12 +39,7 @@ def seen_task_lb_collection(k, d=2):
     rows[-1, 0, :2] = np.sqrt(1.0 - alpha ** 2), alpha
     w0 = np.zeros(d)
     w0[0] = 1.0
-    return AdversarialScenario(
-        collection=stacked_collection(rows, np.zeros((k, 1)), w_star=np.zeros(d)),
-        threshold=lambda kk: 1.0 / (144.0 * kk),
-        success_prob_floor=0.15,
-        recommended_w0=w0,
-    )
+    return stacked_collection(rows, np.zeros((k, 1)), w_star=np.zeros(d)), w0
 
 
 def any_alg_lb_collection(k, d, probe):
@@ -72,8 +51,9 @@ def any_alg_lb_collection(k, d, probe):
     task (e_1, 0), and returns the learner's final vector after training k
     times on it.  The sign a of the held-out target is then chosen against
     the sign of the learner's second coordinate, and the returned collection
-    is k-1 replicas of (e_1, 0) plus one (e_2, a).  It is solved exactly by
-    a * e_2.  The learner is probed once, so the probe must be deterministic:
+    is k-1 replicas of (e_1, 0) plus one (e_2, a).  Its planted ``w_star`` is
+    a * e_2, which solves it exactly, so ``w_star[1]`` records the adversary's
+    sign.  The learner is probed once, so the probe must be deterministic:
     one run is then its whole outcome distribution.
     """
     k = int(k)
@@ -96,9 +76,4 @@ def any_alg_lb_collection(k, d, probe):
     targets[-1] = a
     w_star = np.zeros(d)
     w_star[1] = a
-    return AdversarialScenario(
-        collection=stacked_collection(rows, targets, w_star=w_star),
-        threshold=lambda kk: 1.0 / (64.0 * kk),
-        success_prob_floor=None,
-        meta={"adversary_sign": a},
-    )
+    return stacked_collection(rows, targets, w_star=w_star)

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from . import harness, verify
@@ -23,13 +24,29 @@ from .schedules import KINDS
 from .schemes import SCHEME_KINDS
 
 
+def _check_out(path):
+    """Reject an output path that cannot be written, before any work starts:
+    one that is empty, an existing directory, or in a missing directory.
+    None (no path given) passes."""
+    if path is None:
+        return
+    if not path:
+        raise ConfigError(f"output path {path!r} is empty")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(f"output path {path!r}: directory {parent!r} does not exist")
+
+
 def _cmd_run(args):
     cfg = harness.load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, base_seed=args.seed)
-    out = args.out or cfg.out
+    out = cfg.out if args.out is None else args.out
     if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
+    _check_out(out)
     table = harness.run_experiment(cfg)
     harness.write_csv(table, out)
     for k, mean, se, n in harness.aggregate(table):
@@ -39,6 +56,7 @@ def _cmd_run(args):
 
 
 def _cmd_fit(args):
+    _check_out(args.out)
     agg = harness.aggregate(harness.read_csv(args.csv), metric=args.metric)
     fit = harness.fit_rate([(k, mean) for k, mean, _, _ in agg])
     summary = {
@@ -50,7 +68,7 @@ def _cmd_fit(args):
         "n_points": fit.n_points,
     }
     text = json.dumps(summary, indent=2)
-    if args.out:
+    if args.out is not None:
         with harness.atomic_open(args.out) as fh:
             fh.write(text + "\n")
     print(text)
@@ -67,6 +85,7 @@ def _cmd_verify(args):
 
 
 def _cmd_adversarial(args):
+    _check_out(args.out)
     options = {"gamma": args.gamma, "n_choice": args.n_choice}
     kind = KINDS[args.schedule]
     schedule_params = {name: options[name] for name in kind.required + kind.optional
@@ -79,7 +98,7 @@ def _cmd_adversarial(args):
     else:
         report = harness.run_any_alg_mean(**common)
     text = json.dumps(report, indent=2)
-    if args.out:
+    if args.out is not None:
         with harness.atomic_open(args.out) as fh:
             fh.write(text + "\n")
     print(text)

@@ -151,15 +151,21 @@ def _exact_inverse_pairs(eta0):
     return lam.reshape(n, -1)[np.arange(n), first], eta[np.arange(n), first // width]
 
 
+def _linear_decay(eta, k):
+    """eta * (k - t + 2) / (k + 1) for t = 1..k: the one decay formula, shared
+    by the increasing schedules and ``linear_decay_steps``."""
+    t = np.arange(1, k + 1)
+    return eta * (k - t + 2) / (k + 1)
+
+
 def _decaying_steps(R, k, what):
     """The increasing schedules' steps (3 / (13 R^2)) * (k - t + 2) / (k + 1),
     t = 1..k, after checking k >= 2 (``what`` names the schedule) and R."""
     if k < 2:
         raise ValueError(f"{what} needs k >= 2, got {k}")
     _check_radius(R)
-    t = np.arange(1, k + 1)
     # Keep (13 R) R: 13 (R R) can round differently and change every output bit.
-    return (3.0 / (13.0 * R * R)) * (k - t + 2) / (k + 1)
+    return _linear_decay(3.0 / (13.0 * R * R), k)
 
 
 def increasing_coefficient(R, k):
@@ -266,8 +272,7 @@ def linear_decay_steps(eta, k, beta):
         raise ValueError(f"eta={eta} exceeds 3/(13*beta)={3.0 / (13.0 * beta)}")
     if not eta > 0:
         raise ValueError("eta must be positive")
-    t = np.arange(1, k + 1)
-    return _frozen(eta * (k - t + 2) / (k + 1))
+    return _frozen(_linear_decay(eta, k))
 
 
 @dataclass(frozen=True, eq=False)

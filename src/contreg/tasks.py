@@ -3,12 +3,13 @@
 A collection holds its tasks as stacks, one ``TaskStack`` per task shape: the
 tasks' data, thin SVD factors, pinv ranks, X^+ y and minimum losses as
 stacked arrays, which the engine's row bases and the metric pass read
-directly.  The generators, ``stacked_collection`` and collection files build
-the stacks with one batched SVD per stack; ``new_collection`` copies the
-fields of the task objects it is given into stacks.  ``RegressionTask``s,
-read-only views of a stack, are made only when ``TaskCollection.tasks`` is
-first read (by the literal update rules, the verification suites and the
-tests).
+directly.  Each generator is a plain function of its config fields that
+returns its collection.  The generators, ``stacked_collection`` and
+collection files build the stacks with one batched SVD per stack;
+``new_collection`` copies the fields of the task objects it is given into
+stacks.  ``RegressionTask``s, read-only views of a stack, are made only when
+``TaskCollection.tasks`` is first read (by the literal update rules, the
+verification suites and the tests).
 """
 
 from __future__ import annotations
@@ -376,63 +377,48 @@ def new_collection(tasks, w_star=None):
     return _stacked_collection(stacks, w_star)
 
 
-@dataclass(frozen=True)
-class RealizableSpec:
-    """Recipe for a synthetic collection solved exactly by one vector.
+def generate_realizable(d, M, n, radius, seed, w_star=None):
+    """Deterministically generate a jointly realizable Gaussian collection:
+    M tasks of n rows in dimension d, solved exactly by one vector.
 
-    ``w_star`` may be supplied; otherwise it is drawn from the seeded stream.
-    ``radius`` > 0 rescales all data matrices uniformly so the largest
-    spectral norm hits that value within an ulp (targets are built after
-    rescaling, keeping realizability exact).
+    ``w_star`` may be supplied; otherwise it is drawn from the stream
+    ``seed``.  The M unscaled (n, d) matrices are drawn as one stack and
+    decomposed by one batched SVD.  With ``radius`` > 0 and a draw not all
+    zero, X and sigma are then scaled by c = radius / max_m sigma_max(X_m),
+    keeping U and V: these factors are the collection's, so R is ``radius``
+    within an ulp and no matrix is decomposed twice.  Targets are built after
+    rescaling, keeping realizability exact.
     """
-
-    d: int
-    M: int
-    n: int
-    radius: float
-    seed: int
-    w_star: np.ndarray | None = None
-
-
-def generate_realizable(spec):
-    """Deterministically generate a jointly realizable Gaussian collection.
-
-    The M unscaled (n, d) matrices are drawn as one stack and decomposed by
-    one batched SVD.  With ``radius`` > 0 and a draw not all zero, X and
-    sigma are then scaled by c = radius / max_m sigma_max(X_m), keeping U and
-    V: these factors are the collection's, so R is ``radius`` within an ulp
-    and no matrix is decomposed twice.
-    """
-    if spec.d < 1 or spec.M < 1 or spec.n < 1:
+    if d < 1 or M < 1 or n < 1:
         raise ValueError("d, M and n must all be >= 1")
-    rng = stream(spec.seed)
-    w_star = spec.w_star
+    rng = stream(seed)
     if w_star is None:
-        w_star = rng.standard_normal(spec.d)
+        w_star = rng.standard_normal(d)
     else:
         w_star = np.asarray(w_star, dtype=np.float64)
-        if w_star.shape != (spec.d,):
-            raise ValueError(f"w_star must have length {spec.d}")
+        if w_star.shape != (d,):
+            raise ValueError(f"w_star must have length {d}")
     # One draw of M matrices reads the stream as M draws of one would.
-    mats = rng.standard_normal((spec.M, spec.n, spec.d))
+    mats = rng.standard_normal((M, n, d))
     U, sigma, Vt = np.linalg.svd(mats, full_matrices=False)
-    if spec.radius > 0:
+    if radius > 0:
         r0 = sigma[:, 0].max()
         if r0 > 0:
-            c = spec.radius / r0
+            c = radius / r0
             mats, sigma = mats * c, sigma * c
     stack = _build_stack(mats, mats @ w_star, svd=(U, sigma, Vt))
     return _stacked_collection([stack], w_star)
 
 
-def generate_aligned_pairs(pairs, angle, d, target_radius=1.0, seed=0):
+def generate_aligned_pairs(pairs, angle, d, radius=1.0, seed=0):
     """Collection of nearly parallel rank-one task pairs (a hard instance).
 
     Pair j contributes two unit rows in the coordinate plane (2j, 2j+1)
     separated by ``angle`` radians.  Small angles make training-to-convergence
     grind: consecutive exact projections between almost-parallel constraints
     advance only O(angle^2) per alternation, while partial (regularized)
-    updates are unaffected.  The planted solution is Gaussian from ``seed``.
+    updates are unaffected.  Every row has length ``radius`` (1 when
+    ``radius`` <= 0).  The planted solution is Gaussian from ``seed``.
     """
     pairs = int(pairs)
     if pairs < 1:
@@ -447,7 +433,7 @@ def generate_aligned_pairs(pairs, angle, d, target_radius=1.0, seed=0):
     rows[2 * j, 0, 2 * j] = 1.0
     rows[2 * j + 1, 0, 2 * j] = np.cos(angle)
     rows[2 * j + 1, 0, 2 * j + 1] = np.sin(angle)
-    mats = (float(target_radius) if target_radius > 0 else 1.0) * rows
+    mats = (float(radius) if radius > 0 else 1.0) * rows
     return stacked_collection(mats, mats @ w_star, w_star)
 
 

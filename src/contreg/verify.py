@@ -19,7 +19,7 @@ from .schemes import run_continual
 from .surrogates import (budgeted_spectral_map, build_budgeted_surrogate,
                          build_regularized_surrogate, build_spectral_surrogate,
                          from_matrix, sandwich_check, value_and_grad)
-from .tasks import generate_realizable, new_task, RealizableSpec
+from .tasks import generate_realizable, new_task
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ def reduction_gaps(rng, configs):
     worst_reg = worst_bud = worst_eta = 0.0
     for _ in range(configs):
         d = int(rng.integers(2, 11))
-        col = generate_realizable(RealizableSpec(
+        col = generate_realizable(
             d=d, M=int(rng.integers(2, 7)), n=int(rng.integers(1, d + 1)),
-            radius=float(rng.uniform(0.5, 2.0)), seed=int(rng.integers(2 ** 32))))
+            radius=float(rng.uniform(0.5, 2.0)), seed=int(rng.integers(2 ** 32)))
         order = sample_ordering("with-replacement", col.M, k,
                                 int(rng.integers(2 ** 32)))
         tol = 1e-8 * (1.0 + float(np.linalg.norm(col.w_star)))

@@ -10,8 +10,7 @@ from contreg.tasks import TaskStack, new_collection, new_task
 
 
 def test_seen_task_collection_structure():
-    scenario = seen_task_lb_collection(9, d=2)
-    col = scenario.collection
+    col, w0 = seen_task_lb_collection(9, d=2)
     assert col.M == 9
     # eight identical replicas plus one rotated row
     first = col.tasks[0].X
@@ -22,9 +21,7 @@ def test_seen_task_collection_structure():
     # all targets zero: jointly realizable by the zero vector
     assert average_loss(np.zeros(2), col) == 0.0
     assert_allclose(col.w_star, np.zeros(2))
-    assert_allclose(scenario.recommended_w0, [1.0, 0.0])
-    assert scenario.threshold(9) == pytest.approx(1.0 / (144 * 9))
-    assert scenario.success_prob_floor == 0.15
+    assert_array_equal(w0, [1.0, 0.0])
 
 
 def test_seen_task_collection_validation():
@@ -35,30 +32,26 @@ def test_seen_task_collection_validation():
 
 
 def test_seen_task_collection_higher_dimension():
-    scenario = seen_task_lb_collection(12, d=5)
-    col = scenario.collection
+    col, w0 = seen_task_lb_collection(12, d=5)
     assert col.d == 5
+    assert_array_equal(w0, [1.0, 0.0, 0.0, 0.0, 0.0])
     assert np.all(col.tasks[0].X[0, 2:] == 0)
 
 
 def test_any_alg_adversary_sign_against_constant_probe():
     # a probe that always answers zero has second coordinate <= 0 surely
-    scenario = any_alg_lb_collection(4, 2, lambda col, k: np.zeros(2))
-    assert scenario.meta == {"adversary_sign": 1.0}
-    col = scenario.collection
+    col = any_alg_lb_collection(4, 2, lambda col, k: np.zeros(2))
     assert col.M == 4
     assert_allclose(col.w_star, [0.0, 1.0])
     assert np.linalg.norm(col.w_star) == pytest.approx(1.0)
     assert average_loss(col.w_star, col) == 0.0
     assert col.radius == pytest.approx(1.0)
-    assert scenario.threshold(4) == pytest.approx(1.0 / 256.0)
 
 
 def test_any_alg_adversary_flips_for_positive_probe():
-    scenario = any_alg_lb_collection(4, 2, lambda col, k: np.array([0.0, 2.0]))
-    assert scenario.meta["adversary_sign"] == -1.0
-    assert_allclose(scenario.collection.w_star, [0.0, -1.0])
-    assert average_loss(scenario.collection.w_star, scenario.collection) == 0.0
+    col = any_alg_lb_collection(4, 2, lambda col, k: np.array([0.0, 2.0]))
+    assert_allclose(col.w_star, [0.0, -1.0])
+    assert average_loss(col.w_star, col) == 0.0
 
 
 def test_any_alg_probe_receives_replicas():
@@ -99,9 +92,8 @@ def assert_same_as_distinct_copies(col):
 
 @pytest.mark.parametrize("k", [16, 64])
 def test_scenario_replicas_match_distinct_copies(k):
-    for scenario in (seen_task_lb_collection(k, d=3),
-                     any_alg_lb_collection(k, 3, lambda col, kk: np.zeros(3))):
-        col = scenario.collection
+    for col in (seen_task_lb_collection(k, d=3)[0],
+                any_alg_lb_collection(k, 3, lambda col, kk: np.zeros(3))):
         assert len(col.stacks) == 1
         X, y = col.stacks[0].X, col.stacks[0].y
         assert (X[:-1] == X[0]).all() and (y[:-1] == y[0]).all()

@@ -210,7 +210,7 @@ def rank_one_collections(tmp_path):
     rng = np.random.default_rng(12)
     hard = build_collection({"generator": "aligned-pairs", "d": 20, "pairs": 5,
                              "angle": 0.04, "radius": 1.0, "seed": 11})
-    seen = seen_task_lb_collection(16, d=3).collection
+    seen, _ = seen_task_lb_collection(16, d=3)
     any_alg = any_alg_lb_collection(16, 3, lambda col, k: np.array([0.5, 0.25, 0.0]))
     path = tmp_path / "rows.json"
     row = {"X": [[0.6, -0.8, 0.0]], "y": [1.5]}
@@ -226,7 +226,7 @@ def rank_one_collections(tmp_path):
         w0[::2] = -0.0  # kept by a step only if its zero products are +0.0
         return (None, w0)
 
-    return [(col, starts(col.d)) for col in (hard, seen, any_alg.collection, from_file)] + [
+    return [(col, starts(col.d)) for col in (hard, seen, any_alg, from_file)] + [
         (overflow, (np.full(2, 1e308),))]
 
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import loss_scale
-from contreg import cli, harness, verify
+from contreg import adversarial, cli, harness, schemes, verify
 from contreg.harness import ConfigError
 from contreg.orderings import derived_seed, stream
 from contreg.tasks import RegressionTask, new_collection, new_task, stacked_collection
@@ -299,9 +299,9 @@ def test_csv_writer_reader_and_aggregate_match_the_per_row_reference(key, rows, 
 
 
 def test_collection_path_round_trip(tmp_path):
-    from contreg.tasks import collection_to_dict, generate_realizable, RealizableSpec
+    from contreg.tasks import collection_to_dict, generate_realizable
 
-    col = generate_realizable(RealizableSpec(d=3, M=2, n=2, radius=1.0, seed=5))
+    col = generate_realizable(d=3, M=2, n=2, radius=1.0, seed=5)
     path = tmp_path / "col.json"
     path.write_text(json.dumps(collection_to_dict(col)))
     cfg = harness.parse_config(base_config(collection={"path": str(path)},
@@ -415,7 +415,7 @@ def test_cli_run_fit_verify(tmp_path):
         assert cli.main(["verify", "--suite", suite]) == 0, suite
 
 
-def test_cli_validation_errors(tmp_path, capsys):
+def test_cli_validation_errors(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(base_config(typo=1)))
     assert cli.main(["run", "--config", str(bad), "--out", "x.csv"]) == 1
@@ -494,6 +494,31 @@ def test_cli_validation_errors(tmp_path, capsys):
         assert out == "" and error_lines == [
             f"contreg {argv[0]}: error: argument {flag}: {message}"], err
     assert not (tmp_path / "x.csv").exists()
+
+    # An output path that cannot be written is rejected before any ordering
+    # is sampled: empty, an existing directory, or in a missing directory.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("an ordering was sampled before the output path was checked")
+
+    monkeypatch.setattr(harness, "sample_orderings", no_sampling)
+    config_out = tmp_path / "config_out.csv"
+    missing = str(tmp_path / "missing" / "x.csv")
+    bad_outs = (("", "output path '' is empty"),
+                (str(tmp_path), f"output path {str(tmp_path)!r} is a directory"),
+                (missing, f"output path {missing!r}: directory "
+                          f"{str(tmp_path / 'missing')!r} does not exist"))
+    with_out = tmp_path / "with_out.json"
+    with_out.write_text(json.dumps(base_config(out=str(config_out))))
+    for out, message in bad_outs:
+        bad.write_text(json.dumps(base_config(out=out)))
+        for argv in (["run", "--config", str(bad)],
+                     ["run", "--config", str(with_out), "--out", out],
+                     ["fit", str(good), "--out", out],
+                     adversarial + ["seen-task", "--out", out],
+                     adversarial + ["any-algorithm", "--out", out]):
+            assert cli.main(argv) == 1, argv
+            assert one_line_error(capsys) == f"error: {message}\n", argv
+    assert not config_out.exists()
 
 
 def test_cli_adversarial(tmp_path, capsys):
@@ -869,11 +894,11 @@ def test_cli_out_failure_keeps_the_earlier_file(tmp_path, monkeypatch, capsys, c
 
 def test_gaussian_sweep_builds_no_task_objects(tmp_path, monkeypatch):
     """A sweep over a 400-task Gaussian collection (the benchmark's wide
-    sweep) reads only its collection's stacks: ``run`` and ``fit`` construct
-    no RegressionTask, and neither does ``adversarial`` but for the
-    any-algorithm probe's one task.  The sweep's losses are those of the same draw rescaled by the
-    largest per-matrix 2-norm and decomposed again, to 1e-12 relative to the
-    loss or to ``conftest.loss_scale``."""
+    sweep) reads only its collection's stacks: ``run``, ``fit`` and
+    ``adversarial``, the any-algorithm probe included, construct no
+    RegressionTask.  The sweep's losses are those of the same draw rescaled
+    by the largest per-matrix 2-norm and decomposed again, to 1e-12 relative
+    to the loss or to ``conftest.loss_scale``."""
     made = []
     init = RegressionTask.__init__
 
@@ -889,13 +914,11 @@ def test_gaussian_sweep_builds_no_task_objects(tmp_path, monkeypatch):
     code, path = run_cli_csv(tmp_path, "wide", cfg)
     assert code == 0 and cli.main(["fit", str(path)]) == 0
     assert made == []
-    # The adversary's collections are stacks too: only the any-algorithm
-    # probe, which runs the literal rules on its one task, reads a task.
-    for scenario, objects in (("seen-task", 0), ("any-algorithm", 1)):
-        made.clear()
+    # The adversary's collections are stacks too, and its probe steps on them.
+    for scenario in ("seen-task", "any-algorithm"):
         assert cli.main(["adversarial", "--scenario", scenario, "--k", "64",
                          "--trials", "50"]) == 0
-        assert len(made) == objects
+        assert made == []
     monkeypatch.undo()
 
     rng = stream(spec["seed"])
@@ -953,3 +976,54 @@ def test_any_alg_mean_probes_its_learner_once(monkeypatch):
         harness.run_any_alg_mean(16, trials=10, base_seed=3, scheme=scheme,
                                  schedule_kind=kind, schedule_params=params)
         assert calls == [(1, 16)]
+
+
+def test_adversarial_never_runs_the_literal_rules(monkeypatch, capsys):
+    """Both scenarios, the any-algorithm probe included, step on ``run_batch``,
+    whose budgeted step costs the same for any inner budget N; the literal
+    rules, whose ``budgeted_step`` loops N times, are the tests' oracle."""
+    def literal(*args, **kwargs):
+        raise AssertionError("a literal update rule ran")
+
+    for name in ("regularized_step", "budgeted_step", "unregularized_step", "igd_step"):
+        monkeypatch.setattr(schemes, name, literal)
+    for scenario, (scheme, kind, option) in itertools.product(
+            ("seen-task", "any-algorithm"),
+            (("regularized", "increasing-coefficient", []),
+             ("budgeted", "fixed-budget", ["--gamma", "1e-6"]),
+             ("budgeted", "increasing-budget", ["--n-choice", "3"]),
+             ("unregularized", "none", []),
+             ("igd-of-regularized", "fixed-coefficient", []),
+             ("igd-of-budgeted", "fixed-budget", ["--gamma", "0.5"]))):
+        assert cli.main(["adversarial", "--scenario", scenario, "--k", "16", "--trials",
+                         "20", "--scheme", scheme, "--schedule", kind, *option]) == 0
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("k", [16, 64])
+def test_scenario_reports_state_their_claims(monkeypatch, k):
+    """Each runner reports the claim it checks: Pr[seen-task loss >= 1/(144 k)]
+    against the floor 0.15, and the any-algorithm mean excess against
+    1/(64 k), with the sign the adversary planted in its collection."""
+    rep = harness.run_seen_task_floor(k, trials=50, base_seed=1)
+    assert rep["threshold"] == 1.0 / (144 * k) and rep["floor"] == 0.15
+    assert rep["passed"] == (rep["empirical_probability"] >= 0.15)
+
+    built = []
+
+    def recording(*args):
+        built.append(adversarial.any_alg_lb_collection(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "any_alg_lb_collection", recording)
+    # The learner's second coordinate (None: the scheme's own probe, which
+    # stays at 0) and the sign the adversary answers it with.
+    for second, sign in ((None, 1.0), (0.0, 1.0), (-2.0, 1.0), (2.0, -1.0)):
+        if second is not None:
+            monkeypatch.setattr(harness, "scheme_runner",
+                                lambda *args: lambda col, kk: np.array([0.0, second]))
+        rep = harness.run_any_alg_mean(k, trials=50, base_seed=1)
+        assert rep["threshold"] == 1.0 / (64 * k)
+        assert rep["adversary_sign"] == built[-1].w_star[1] == sign
+        assert rep["passed"] == (rep["mean_excess"] >= rep["threshold"])
+    assert len(built) == 4

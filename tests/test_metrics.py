@@ -11,8 +11,7 @@ from contreg.metrics import (average_loss, excess_loss, loss_degradation,
 from contreg.orderings import sample_ordering, stream
 from contreg.schedules import custom_schedule
 from contreg.schemes import BatchRun, run_batch, run_continual
-from contreg.tasks import (RealizableSpec, generate_realizable, new_collection,
-                           new_task)
+from contreg.tasks import generate_realizable, new_collection, new_task
 
 
 def test_average_loss_examples():
@@ -20,7 +19,7 @@ def test_average_loss_examples():
     assert average_loss(np.array([0.0]), col) == pytest.approx(2.0)
     col = new_collection([new_task([[1.0]], [2.0]), new_task([[1.0]], [0.0])])
     assert average_loss(np.array([1.0]), col) == pytest.approx(0.5)
-    col = generate_realizable(RealizableSpec(d=4, M=3, n=2, radius=1.0, seed=2))
+    col = generate_realizable(d=4, M=3, n=2, radius=1.0, seed=2)
     assert average_loss(col.w_star, col) <= 1e-18
     with pytest.raises(ValueError, match="length"):
         average_loss(np.zeros(5), col)
@@ -32,7 +31,7 @@ def test_seen_task_loss_examples():
     # full single cover equals the average loss
     assert seen_task_loss(w, col, [1, 2]) == pytest.approx(average_loss(w, col))
     assert seen_task_loss(w, col, [1, 1]) == pytest.approx(2.0)
-    col2 = generate_realizable(RealizableSpec(d=3, M=3, n=1, radius=1.0, seed=4))
+    col2 = generate_realizable(d=3, M=3, n=1, radius=1.0, seed=4)
     assert seen_task_loss(col2.w_star, col2, [1, 2, 2]) <= 1e-18
     with pytest.raises(ValueError, match="nonempty"):
         seen_task_loss(w, col, [])
@@ -42,7 +41,7 @@ def test_seen_task_loss_examples():
 
 def test_seen_task_loss_prefix_permutation_invariant():
     rng = stream(31)
-    col = generate_realizable(RealizableSpec(d=5, M=4, n=2, radius=1.0, seed=6))
+    col = generate_realizable(d=5, M=4, n=2, radius=1.0, seed=6)
     w = rng.standard_normal(5)
     prefix = rng.integers(1, 5, size=20)
     shuffled = rng.permutation(prefix)
@@ -52,7 +51,7 @@ def test_seen_task_loss_prefix_permutation_invariant():
 
 def test_excess_linearity_identity():
     rng = stream(32)
-    col = generate_realizable(RealizableSpec(d=4, M=5, n=2, radius=1.3, seed=8))
+    col = generate_realizable(d=4, M=5, n=2, radius=1.3, seed=8)
     w = rng.standard_normal(4)
     lhs = average_loss(w, col) - average_loss(col.w_star, col)
     rhs = np.mean([excess_loss(w, t) for t in col.tasks])
@@ -60,14 +59,14 @@ def test_excess_linearity_identity():
 
 
 def test_degradation_zero_at_single_step():
-    col = generate_realizable(RealizableSpec(d=3, M=2, n=1, radius=1.0, seed=9))
+    col = generate_realizable(d=3, M=2, n=1, radius=1.0, seed=9)
     traj = run_continual(col, [2], custom_schedule(1, lam=[1.0]), "regularized")
     assert loss_degradation(traj, col) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_degradation_equals_seen_loss_for_projections():
     # training to convergence leaves zero loss at training time on realizable data
-    col = generate_realizable(RealizableSpec(d=6, M=3, n=2, radius=1.0, seed=10))
+    col = generate_realizable(d=6, M=3, n=2, radius=1.0, seed=10)
     order = sample_ordering("with-replacement", 3, 25, seed=11)
     traj = run_continual(col, order, None, "unregularized")
     seen = seen_task_loss(traj.iterates[-1], col, order)
@@ -90,7 +89,7 @@ def test_degradation_negative_on_slow_two_task_instance():
 
 
 def test_summarize_uses_planted_then_min_norm_solution():
-    col = generate_realizable(RealizableSpec(d=4, M=4, n=2, radius=1.0, seed=12))
+    col = generate_realizable(d=4, M=4, n=2, radius=1.0, seed=12)
     order = sample_ordering("with-replacement", 4, 10, seed=13)
     traj = run_continual(col, order, None, "unregularized")
     rec = summarize(traj, col)
@@ -112,7 +111,7 @@ def test_task_loss_is_half_squared_residual():
 
 def wide_cell(trials=200, k=16):
     """A sweep-wide cell: 400 Gaussian tasks of 5 rows in d=10, without replacement."""
-    col = generate_realizable(RealizableSpec(d=10, M=400, n=5, radius=1.0, seed=7))
+    col = generate_realizable(d=10, M=400, n=5, radius=1.0, seed=7)
     idx = sample_orderings("without-replacement", col.M, k, trials, 11)
     schedule = build_schedule({"kind": "increasing-coefficient"}, col.radius, k)
     (run,) = run_batch(col, [(idx, schedule)], "regularized")

@@ -9,7 +9,7 @@ from contreg.schedules import custom_schedule, increasing_budget, increasing_coe
 from contreg.schemes import (budgeted_step, igd_step, regularized_step,
                              run_continual, unregularized_step)
 from contreg.surrogates import build_budgeted_surrogate, build_regularized_surrogate
-from contreg.tasks import RealizableSpec, generate_realizable, new_task
+from contreg.tasks import generate_realizable, new_task
 
 
 def minimize_oracle(task, lam, w):
@@ -90,14 +90,14 @@ def test_igd_step_matches_scheme_steps():
 
 
 def test_run_continual_trivial_horizon():
-    col = generate_realizable(RealizableSpec(d=3, M=2, n=1, radius=1.0, seed=1))
+    col = generate_realizable(d=3, M=2, n=1, radius=1.0, seed=1)
     traj = run_continual(col, [], None, "unregularized")
     assert traj.iterates.shape == (1, 3)
     assert_allclose(traj.iterates[0], np.zeros(3))
 
 
 def test_run_continual_fixed_point_at_solution():
-    col = generate_realizable(RealizableSpec(d=4, M=3, n=2, radius=1.0, seed=2))
+    col = generate_realizable(d=4, M=3, n=2, radius=1.0, seed=2)
     order = sample_ordering("with-replacement", col.M, 12, seed=5)
     for scheme, sched in (
         ("regularized", increasing_coefficient(col.radius, 12)),
@@ -111,7 +111,7 @@ def test_run_continual_fixed_point_at_solution():
 
 
 def test_single_task_unregularized_solves_in_one_step():
-    col = generate_realizable(RealizableSpec(d=3, M=1, n=2, radius=1.0, seed=3))
+    col = generate_realizable(d=3, M=1, n=2, radius=1.0, seed=3)
     traj = run_continual(col, [1], None, "unregularized")
     assert average_loss(traj.iterates[-1], col) <= 1e-18
 
@@ -122,9 +122,9 @@ def test_reduction_equivalence_regularized():
     worst = 0.0
     for _ in range(5):
         d = int(rng.integers(2, 11))
-        col = generate_realizable(RealizableSpec(
+        col = generate_realizable(
             d=d, M=int(rng.integers(2, 6)), n=int(rng.integers(1, d + 1)),
-            radius=float(rng.uniform(0.5, 2.0)), seed=int(rng.integers(2 ** 32))))
+            radius=float(rng.uniform(0.5, 2.0)), seed=int(rng.integers(2 ** 32)))
         order = sample_ordering("with-replacement", col.M, k, int(rng.integers(2 ** 32)))
         sched = custom_schedule(k, lam=rng.uniform(1e-2, 1e2, k),
                                 eta=rng.uniform(1e-2, 1e1, k))
@@ -140,9 +140,9 @@ def test_reduction_equivalence_budgeted():
     k = 100
     for _ in range(5):
         d = int(rng.integers(2, 11))
-        col = generate_realizable(RealizableSpec(
+        col = generate_realizable(
             d=d, M=int(rng.integers(2, 6)), n=int(rng.integers(1, d + 1)),
-            radius=float(rng.uniform(0.5, 2.0)), seed=int(rng.integers(2 ** 32))))
+            radius=float(rng.uniform(0.5, 2.0)), seed=int(rng.integers(2 ** 32)))
         order = sample_ordering("with-replacement", col.M, k, int(rng.integers(2 ** 32)))
         sched = custom_schedule(k, gamma=rng.uniform(1e-4, 0.9 / col.radius ** 2, k),
                                 n_steps=rng.integers(1, 11, k),
@@ -154,7 +154,7 @@ def test_reduction_equivalence_budgeted():
 
 
 def test_igd_iterates_invariant_to_bookkeeping_step():
-    col = generate_realizable(RealizableSpec(d=5, M=3, n=2, radius=1.0, seed=9))
+    col = generate_realizable(d=5, M=3, n=2, radius=1.0, seed=9)
     k = 60
     order = sample_ordering("with-replacement", col.M, k, seed=8)
     lam = stream(25).uniform(0.1, 10.0, k)
@@ -168,8 +168,7 @@ def test_igd_iterates_invariant_to_bookkeeping_step():
 def test_distance_to_solution_non_increasing_under_regularized():
     rng = stream(26)
     for _ in range(5):
-        col = generate_realizable(RealizableSpec(
-            d=6, M=4, n=2, radius=1.5, seed=int(rng.integers(2 ** 32))))
+        col = generate_realizable(d=6, M=4, n=2, radius=1.5, seed=int(rng.integers(2 ** 32)))
         k = 50
         order = sample_ordering("with-replacement", col.M, k, int(rng.integers(2 ** 32)))
         sched = custom_schedule(k, lam=rng.uniform(1e-3, 1e2, k))
@@ -179,7 +178,7 @@ def test_distance_to_solution_non_increasing_under_regularized():
 
 
 def test_unregularized_first_flag():
-    col = generate_realizable(RealizableSpec(d=4, M=2, n=1, radius=1.0, seed=12))
+    col = generate_realizable(d=4, M=2, n=1, radius=1.0, seed=12)
     k = 3
     order = [1, 2, 1]
     sched = custom_schedule(k, lam=np.full(k, 5.0), unregularized_first=True)
@@ -191,7 +190,7 @@ def test_unregularized_first_flag():
 
 
 def test_regularized_step_never_raises_its_task_loss():
-    col = generate_realizable(RealizableSpec(d=3, M=2, n=1, radius=1.0, seed=13))
+    col = generate_realizable(d=3, M=2, n=1, radius=1.0, seed=13)
     k = 4
     order = [2, 1, 2, 2]
     traj = run_continual(col, order, increasing_coefficient(col.radius, k), "regularized")
@@ -202,7 +201,7 @@ def test_regularized_step_never_raises_its_task_loss():
 
 
 def test_run_continual_validation():
-    col = generate_realizable(RealizableSpec(d=3, M=2, n=1, radius=1.0, seed=14))
+    col = generate_realizable(d=3, M=2, n=1, radius=1.0, seed=14)
     order = [1, 2]
     with pytest.raises(ValueError, match="length"):
         run_continual(col, order, increasing_coefficient(1.0, 3), "regularized")

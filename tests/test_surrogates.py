@@ -12,7 +12,7 @@ from contreg.surrogates import (budgeted_spectral_map, build_budgeted_surrogate,
                                 build_spectral_surrogate, from_matrix,
                                 regularized_spectral_map, sandwich_check,
                                 spectral_multiplier, value_and_grad)
-from contreg.tasks import RealizableSpec, generate_realizable, new_task
+from contreg.tasks import generate_realizable, new_task
 
 
 def solve_oracle_regularized(task, lam, eta):
@@ -148,7 +148,7 @@ def test_value_and_grad_hand_arithmetic():
 
 
 def test_surrogates_vanish_at_shared_solution():
-    col = generate_realizable(RealizableSpec(d=5, M=4, n=2, radius=1.0, seed=11))
+    col = generate_realizable(d=5, M=4, n=2, radius=1.0, seed=11)
     for task in col.tasks:
         for s in (build_regularized_surrogate(task, 2.0, 1.0),
                   build_budgeted_surrogate(task, 0.5, 3, 1.0)):

@@ -9,10 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from contreg.orderings import stream
 from contreg.surrogates import build_budgeted_surrogate, build_regularized_surrogate
-from contreg.tasks import (RealizableSpec, RegressionTask, RowBases, TaskStack,
-                           collection_from_dict, generate_aligned_pairs,
-                           generate_realizable, min_norm_solution, new_collection,
-                           new_task, stacked_collection)
+from contreg.tasks import (RegressionTask, RowBases, TaskStack, collection_from_dict,
+                           generate_aligned_pairs, generate_realizable, min_norm_solution,
+                           new_collection, new_task, stacked_collection)
 
 
 def grid_min_norm_least_squares(X, y, span=4.0, step=0.05):
@@ -183,16 +182,16 @@ def test_generator_makes_one_batched_svd_and_no_norm_call(monkeypatch, d, M, n):
 
     for name in ("svd", "norm"):
         monkeypatch.setattr(np.linalg, name, recording(name))
-    col = generate_realizable(RealizableSpec(d=d, M=M, n=n, radius=1.0, seed=7))
+    col = generate_realizable(d=d, M=M, n=n, radius=1.0, seed=7)
     col.row_bases
     build_regularized_surrogate(col.tasks[-1], 0.5, 1.0)
     assert calls == [("svd", (M, n, d))]
 
 
 def test_generator_is_deterministic():
-    spec = RealizableSpec(d=6, M=4, n=3, radius=2.0, seed=123)
-    a = generate_realizable(spec)
-    b = generate_realizable(spec)
+    spec = dict(d=6, M=4, n=3, radius=2.0, seed=123)
+    a = generate_realizable(**spec)
+    b = generate_realizable(**spec)
     assert_array_equal(a.w_star, b.w_star)
     for ta, tb in zip(a.tasks, b.tasks):
         assert_array_equal(ta.X, tb.X)
@@ -200,7 +199,7 @@ def test_generator_is_deterministic():
 
 
 def test_generator_exact_realizability_and_radius():
-    col = generate_realizable(RealizableSpec(d=8, M=5, n=3, radius=1.0, seed=7))
+    col = generate_realizable(d=8, M=5, n=3, radius=1.0, seed=7)
     for t in col.tasks:
         assert np.linalg.norm(t.X @ col.w_star - t.y) == 0.0
         assert t.min_loss <= 1e-18
@@ -217,7 +216,7 @@ def test_generator_scale_is_the_largest_per_matrix_norm(d, M, n, radius, seed):
     mats = [rng.standard_normal((n, d)) for _ in range(M)]
     sigmas = [np.linalg.svd(X, full_matrices=False)[1] for X in mats]
     scale = radius / max(sigma[0] for sigma in sigmas)
-    col = generate_realizable(RealizableSpec(d=d, M=M, n=n, radius=radius, seed=seed))
+    col = generate_realizable(d=d, M=M, n=n, radius=radius, seed=seed)
     for X, sigma, t in zip(mats, sigmas, col.tasks):
         assert_array_equal(t.X, X * scale)
         assert_array_equal(t.svd[1], sigma * scale)
@@ -227,22 +226,21 @@ def test_generator_scale_is_the_largest_per_matrix_norm(d, M, n, radius, seed):
 
 def test_generator_validation():
     with pytest.raises(ValueError):
-        generate_realizable(RealizableSpec(d=0, M=1, n=1, radius=1.0, seed=0))
+        generate_realizable(d=0, M=1, n=1, radius=1.0, seed=0)
     with pytest.raises(ValueError):
-        generate_realizable(RealizableSpec(d=2, M=0, n=1, radius=1.0, seed=0))
+        generate_realizable(d=2, M=0, n=1, radius=1.0, seed=0)
 
 
 def test_generator_accepts_planted_solution():
     w = np.array([1.0, -2.0, 0.5])
-    col = generate_realizable(RealizableSpec(d=3, M=2, n=2, radius=1.0, seed=5,
-                                             w_star=w))
+    col = generate_realizable(d=3, M=2, n=2, radius=1.0, seed=5, w_star=w)
     assert_array_equal(col.w_star, w)
     for t in col.tasks:
         assert np.linalg.norm(t.X @ w - t.y) == 0.0
 
 
 def test_aligned_pairs_geometry():
-    col = generate_aligned_pairs(pairs=3, angle=0.1, d=8, target_radius=2.0, seed=1)
+    col = generate_aligned_pairs(pairs=3, angle=0.1, d=8, radius=2.0, seed=1)
     assert col.M == 6
     assert col.radius == pytest.approx(2.0, rel=1e-12)
     for t in col.tasks:
@@ -261,7 +259,7 @@ def test_aligned_pairs_validation():
 
 
 def test_min_norm_solution_recovers_plant_when_determined():
-    col = generate_realizable(RealizableSpec(d=4, M=4, n=2, radius=1.0, seed=3))
+    col = generate_realizable(d=4, M=4, n=2, radius=1.0, seed=3)
     assert_allclose(min_norm_solution(col), col.w_star, atol=1e-9)
 
 
@@ -410,8 +408,8 @@ def test_row_bases_match_each_tasks_row_basis(collection):
                              alone.svd[:3] + (alone.pinv_solution,)):
             assert_same_bits(got, want)
         assert (t.svd[3], t.min_loss) == (alone.svd[3], alone.min_loss)
-    generated = [generate_realizable(RealizableSpec(d=d, M=len(shapes), n=shapes[0][0],
-                                                    radius=1.0, seed=seed))]
+    generated = [generate_realizable(d=d, M=len(shapes), n=shapes[0][0],
+                                     radius=1.0, seed=seed)]
     if d >= 2:
         generated.append(generate_aligned_pairs(pairs=d // 2, angle=0.1, d=d, seed=seed))
     for c in [col] + generated:
