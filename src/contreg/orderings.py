@@ -26,6 +26,11 @@ stays on numpy's ``SeedSequence`` and ``Generator``; it is the oracle the
 vectorized pass is tested against, so a numpy release that changed
 ``Generator.integers`` or ``permutation`` would fail that test rather than
 silently move CSV bytes.
+
+A cell is a pure function of its key ``(kind, M, k, trials, base_seed)``, so
+:func:`sample_orderings` draws each cell once: the process keeps the cells of
+the latest base seed and hands every run of a cell the same read-only
+arrays.  A call with a new base seed drops them before it draws.
 """
 
 from __future__ import annotations
@@ -181,19 +186,36 @@ def _bounded(words, M, k):
     return draws.T, rejected
 
 
+# The cells of the latest base seed, by (kind, M, k, trials, base_seed).
+_cells = {}
+
+
 def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
     """Orderings of trials 0..trials-1 of one k-cell, as (trials, k) task indices.
 
     Row i is ``sample_ordering(kind, M, k, base_seed, path=(k, i))``.
     With ``with_seeds``, returns ``(indices, seeds)``, where ``seeds`` is a
     (trials,) uint64 array of each trial's ``derived_seed(base_seed, k, i)``.
-    The indices are a view of a step-major array, the layout
-    ``schemes.run_batch`` steps through, so no copy is made there.  With
-    replacement, trials are drawn in blocks of about ``_BLOCK_DRAWS`` draws,
-    so the temporaries stay small next to the result.
+    Both arrays are read-only and shared: every call for a cell of the latest
+    base seed returns the ones its first call drew.  The indices are a view
+    of a step-major array, the layout ``schemes.run_batch`` steps through, so
+    no copy is made there.
     """
     M, k = _checked_sizes(kind, M, k)
-    keys = _trial_keys(int(base_seed), k, trials)
+    key = (kind, M, k, int(trials), int(base_seed))
+    cell = _cells.get(key)
+    if cell is None:
+        if _cells and next(iter(_cells))[-1] != key[-1]:
+            _cells.clear()
+        cell = _cells[key] = _draw_cell(*key)
+    return cell if with_seeds else cell[0]
+
+
+def _draw_cell(kind, M, k, trials, base_seed):
+    """A cell's read-only (trials, k) indices and (trials,) seeds.  With
+    replacement, trials are drawn in blocks of about ``_BLOCK_DRAWS`` draws,
+    so the temporaries stay small next to the result."""
+    keys = _trial_keys(base_seed, k, trials)
     rng, rekey = _keyed_generator()
     idx = np.empty((k, trials), np.int64)
     if kind == WITHOUT_REPLACEMENT:
@@ -220,4 +242,5 @@ def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
         for i in redo:
             rekey(keys[:, i].tolist())
             idx[:, i] = rng.integers(1, M + 1, size=k)
-    return (idx.T, keys[0]) if with_seeds else idx.T
+    idx.flags.writeable = keys.flags.writeable = False
+    return idx.T, keys[0]

@@ -1,6 +1,31 @@
 """Helpers shared by the test modules."""
 
 import numpy as np
+import pytest
+
+from contreg import orderings
+
+
+@pytest.fixture(autouse=True)
+def no_shared_cells():
+    """Every test starts with no ordering cells kept from an earlier test, so
+    that none passes or fails on what another left behind."""
+    orderings._cells.clear()
+
+
+@pytest.fixture
+def cell_builds(monkeypatch):
+    """The (seed, k, trials) of every ordering cell ``sample_orderings``
+    builds while the test runs: it hashes one cell's trial keys per build."""
+    builds = []
+    trial_keys = orderings._trial_keys
+
+    def counting(seed, k, trials):
+        builds.append((seed, k, trials))
+        return trial_keys(seed, k, trials)
+
+    monkeypatch.setattr(orderings, "_trial_keys", counting)
+    return builds
 
 
 def loss_scale(col, rho):

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import loss_scale
-from contreg import adversarial, cli, harness, schemes, verify
+from contreg import adversarial, cli, harness, orderings, schemes, verify
 from contreg.harness import ConfigError
 from contreg.orderings import derived_seed, stream
 from contreg.tasks import RegressionTask, new_collection, new_task, stacked_collection
@@ -976,6 +976,35 @@ def test_any_alg_mean_probes_its_learner_once(monkeypatch):
         harness.run_any_alg_mean(16, trials=10, base_seed=3, scheme=scheme,
                                  schedule_kind=kind, schedule_params=params)
         assert calls == [(1, 16)]
+
+
+def test_the_acceptance_pairs_draw_each_k_cell_once(tmp_path, cell_builds):
+    """The five pairs of one sweep share its ordering cells, and a pair run on
+    shared cells writes the bytes it writes on cells drawn for it alone."""
+    def csv_bytes(scheme, kind, params, fresh):
+        if fresh:
+            orderings._cells.clear()
+        cfg = harness.parse_config(base_config(
+            collection=PAIRS_COLLECTION, scheme=scheme,
+            schedule={**(params or {}), "kind": kind}, k_grid=[4, 8, 16], trials=6))
+        path = tmp_path / f"{scheme}-{kind}-{fresh}.csv"
+        harness.write_csv(harness.run_experiment(cfg), path)
+        return path.read_bytes()
+
+    shared = [csv_bytes(*pair, fresh=False) for pair in ACCEPTANCE_PAIRS]
+    assert cell_builds == [(99, 4, 6), (99, 8, 6), (99, 16, 6)]
+    assert shared == [csv_bytes(*pair, fresh=True) for pair in ACCEPTANCE_PAIRS]
+    assert len(cell_builds) == 3 + 3 * len(ACCEPTANCE_PAIRS)
+
+
+def test_the_lower_bound_scenarios_share_their_cell(cell_builds):
+    """At one k both constructions have k tasks, so the seen-task floor and
+    the any-algorithm mean of every acceptance pair draw one cell."""
+    harness.run_seen_task_floor(16, trials=20, base_seed=5)
+    for scheme, kind, params in ACCEPTANCE_PAIRS:
+        harness.run_any_alg_mean(16, trials=20, base_seed=5, scheme=scheme,
+                                 schedule_kind=kind, schedule_params=params)
+    assert cell_builds == [(5, 16, 20)]
 
 
 def test_adversarial_never_runs_the_literal_rules(monkeypatch, capsys):

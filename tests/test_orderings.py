@@ -47,6 +47,27 @@ def test_sample_orderings_match_one_trial_at_a_time(kind):
     for i in range(5):
         assert_array_equal(idx[i], sample_ordering(kind, 9, 6, seed, path=(6, i)))
         assert seeds[i] == derived_seed(seed, 6, i)
+    # Every run of the cell reads these arrays, so none may write to them.
+    for shared in (idx, idx.T, seeds):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 99
+
+
+def test_a_cell_is_drawn_once_per_base_seed(cell_builds):
+    """Runs of a cell of the latest base seed share its arrays; a new base
+    seed drops them, so sampling an earlier seed again draws it again."""
+    first = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1, with_seeds=True)
+    again = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1, with_seeds=True)
+    assert all(a is b for a, b in zip(first, again))
+    assert sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1) is first[0]
+    sample_orderings(WITH_REPLACEMENT, 9, 6, 4, 1)
+    sample_orderings(WITHOUT_REPLACEMENT, 9, 6, 5, 1)
+    assert cell_builds == [(1, 6, 5), (1, 6, 4), (1, 6, 5)]
+    sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 2)
+    rebuilt = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1, with_seeds=True)
+    assert cell_builds[3:] == [(2, 6, 5), (1, 6, 5)]
+    for a, b in zip(first, rebuilt):
+        assert a is not b and a.tobytes() == b.tobytes()
 
 
 # M values for the with-replacement property: powers of two never reject a
