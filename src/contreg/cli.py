@@ -39,6 +39,17 @@ def _check_out(path):
         raise ConfigError(f"output path {path!r}: directory {parent!r} does not exist")
 
 
+def _emit_json(report, out):
+    """Print ``report`` as strict JSON, and write it to ``out`` too when one
+    is given.  A NaN or infinity raises ValueError, so it becomes an error
+    line rather than output that is not JSON."""
+    text = json.dumps(report, indent=2, allow_nan=False)
+    if out is not None:
+        with harness.atomic_open(out) as fh:
+            fh.write(text + "\n")
+    print(text)
+
+
 def _cmd_run(args):
     cfg = harness.load_config(args.config)
     if args.seed is not None:
@@ -67,11 +78,7 @@ def _cmd_fit(args):
         "residual": fit.residual,
         "n_points": fit.n_points,
     }
-    text = json.dumps(summary, indent=2)
-    if args.out is not None:
-        with harness.atomic_open(args.out) as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit_json(summary, args.out)
     return 0
 
 
@@ -86,22 +93,12 @@ def _cmd_verify(args):
 
 def _cmd_adversarial(args):
     _check_out(args.out)
-    options = {"gamma": args.gamma, "n_choice": args.n_choice}
-    kind = KINDS[args.schedule]
-    schedule_params = {name: options[name] for name in kind.required + kind.optional
-                       if name in options}
-    common = dict(k=args.k, trials=args.trials, base_seed=args.seed,
-                  scheme=args.scheme, schedule_kind=args.schedule,
-                  schedule_params=schedule_params)
-    if args.scenario == "seen-task":
-        report = harness.run_seen_task_floor(**common)
-    else:
-        report = harness.run_any_alg_mean(**common)
-    text = json.dumps(report, indent=2)
-    if args.out is not None:
-        with harness.atomic_open(args.out) as fh:
-            fh.write(text + "\n")
-    print(text)
+    fields = KINDS[args.schedule].required + KINDS[args.schedule].optional
+    schedule = {"kind": args.schedule, **{name: getattr(args, name)
+                                          for name in ("gamma", "n_choice") if name in fields}}
+    run = harness.run_seen_task_floor if args.scenario == "seen-task" else harness.run_any_alg_mean
+    report = run(args.k, args.trials, args.seed, scheme=args.scheme, schedule=schedule)
+    _emit_json(report, args.out)
     return 0 if report["passed"] else 2
 
 

@@ -39,7 +39,7 @@ from .schedules import KINDS, build_schedule
 # run_continual is not called here: the benchmark's tracer reads harness.run_continual.
 from .schemes import READS, run_batch, run_continual
 from .tasks import (collection_from_dict, generate_aligned_pairs, generate_realizable,
-                    TaskCollection)
+                    json_numbers, TaskCollection)
 
 
 class ConfigError(ValueError):
@@ -164,12 +164,14 @@ def parse_config(data):
     if data["ordering"] not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
         raise ConfigError(f"unknown ordering kind: {data['ordering']!r}")
 
-    k_grid = data["k_grid"]
-    if (not isinstance(k_grid, (list, tuple)) or not k_grid
-            or any(type(k) is not int or k < 1 for k in k_grid)
-            or any(b <= a for a, b in zip(k_grid, k_grid[1:]))):
+    try:
+        k_grid = json_numbers(data["k_grid"], 1, "k_grid", integral=True)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if not len(k_grid) or k_grid[0] < 1 or (k_grid[1:] <= k_grid[:-1]).any():
         raise ConfigError("k_grid must be a nonempty strictly increasing list "
                           "of positive integers")
+    k_grid = k_grid.tolist()
 
     _check_types(data, "config")
     trials = data["trials"]
@@ -200,7 +202,7 @@ def _load_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -286,8 +288,8 @@ def run_experiment(cfg):
     steps."""
     col = cfg.collection
     w_star = reference_solution(col)
-    drawn = [sample_orderings(cfg.ordering, col.M, k, cfg.trials, cfg.base_seed,
-                              with_seeds=True) for k in cfg.k_grid]
+    drawn = [sample_orderings(cfg.ordering, col.M, k, cfg.trials, cfg.base_seed)
+             for k in cfg.k_grid]
     # Overflow shows up as a non-finite result, reported below by trial.
     with np.errstate(over="ignore", invalid="ignore"):
         runs = run_batch(col, [(idx, spec) for (idx, _), spec in zip(drawn, cfg.schedules)],
@@ -437,23 +439,33 @@ def read_csv(path):
         seed=np.array(columns[2], np.uint64), **dict(zip(METRIC_NAMES, metrics)))
 
 
+def _mean_se(vals):
+    """The mean and standard error of one k's values.  A result that overflows
+    on finite values is taken of the values scaled by a power of two (which is
+    exact) and scaled back, finite as the exact one is at most the largest
+    |value|; a result that does not overflow is kept as it is."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = vals.mean()
+        se = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0
+    if np.isfinite([mean, se]).all() or not np.isfinite(vals).all():
+        return float(mean), float(se)
+    exp = np.frexp(np.abs(vals).max())[1]  # the scaled values lie in (-1, 1)
+    return tuple(float(v if np.isfinite(v) else np.ldexp(scaled, exp))
+                 for v, scaled in zip((mean, se), _mean_se(np.ldexp(vals, -exp))))
+
+
 def aggregate(table, metric="avg_loss"):
     """Per-k Monte Carlo summaries of a ResultTable: (k, mean, standard error,
-    n_trials), by increasing k.
+    n_trials), by increasing k; both are finite when the values are.
 
     Each k's values are gathered, in row order, into an array of their own, so
     the mean and standard error do not depend on the rows of other k (numpy
     sums in pairs, and the pairs follow the array's length and layout).
     """
     order = np.argsort(table.k, kind="stable")
-    ks = table.k[order]
-    values = getattr(table, metric)
-    out = []
-    for idx in np.split(order, np.flatnonzero(ks[1:] != ks[:-1]) + 1):
-        vals = values[idx]
-        se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        out.append((int(table.k[idx[0]]), float(vals.mean()), se, len(vals)))
-    return out
+    ks, values = table.k[order], getattr(table, metric)
+    return [(int(table.k[idx[0]]), *_mean_se(values[idx]), len(idx))
+            for idx in np.split(order, np.flatnonzero(ks[1:] != ks[:-1]) + 1)]
 
 
 @dataclass(frozen=True)
@@ -503,33 +515,31 @@ def _run_scenario(col, w0, k, trials, base_seed, scheme, schedule):
     """MetricsRecord of ``trials`` with-replacement runs of k steps on a
     scenario's collection from the start ``w0``."""
     spec = build_schedule(schedule, col.radius, k)
-    idx = sample_orderings(WITH_REPLACEMENT, col.M, k, trials, base_seed)
+    idx, _ = sample_orderings(WITH_REPLACEMENT, col.M, k, trials, base_seed)
     (run,) = run_batch(col, [(idx, spec)], scheme, w0=w0)
     return summarize_batch(run, col)
 
 
-def run_seen_task_floor(k, trials, base_seed, scheme="regularized",
-                        schedule_kind="increasing-coefficient",
-                        schedule_params=None):
+def run_seen_task_floor(k, trials, base_seed, scheme="regularized", schedule=None):
     """Empirical Pr[seen-task loss >= 1/(144 k)] on the hard seen-task collection,
-    started at its w0; the claim is that it is at least 0.15."""
-    schedule = {**(schedule_params or {}), "kind": schedule_kind}
+    started at its w0; the claim is that it is at least 0.15.  ``schedule`` is
+    a config's schedule dict (increasing-coefficient if None)."""
+    schedule = {"kind": "increasing-coefficient"} if schedule is None else schedule
     _check_schedule(schedule, scheme)  # before the collection is built
     col, w0 = seen_task_lb_collection(k)
     rec = _run_scenario(col, w0, k, trials, base_seed, scheme, schedule)
     threshold, floor = 1.0 / (144.0 * k), 0.15
     prob = int(np.count_nonzero(rec.seen_loss >= threshold)) / trials
-    return {"scenario": "seen-task", "scheme": scheme, "schedule": schedule_kind,
+    return {"scenario": "seen-task", "scheme": scheme, "schedule": schedule["kind"],
             "k": k, "trials": trials, "threshold": threshold,
             "empirical_probability": prob, "floor": floor, "passed": bool(prob >= floor)}
 
 
-def run_any_alg_mean(k, trials, base_seed, scheme="regularized",
-                     schedule_kind="increasing-coefficient",
-                     schedule_params=None):
+def run_any_alg_mean(k, trials, base_seed, scheme="regularized", schedule=None):
     """Mean excess average loss on the adversarial collection built against the
-    scheme, started at 0; the claim is that it is at least 1/(64 k)."""
-    schedule = {**(schedule_params or {}), "kind": schedule_kind}
+    scheme, started at 0; the claim is that it is at least 1/(64 k).
+    ``schedule`` is as for ``run_seen_task_floor``."""
+    schedule = {"kind": "increasing-coefficient"} if schedule is None else schedule
     _check_schedule(schedule, scheme)  # before the learner is probed
     col = any_alg_lb_collection(k, 2, scheme_runner(scheme, schedule))
     rec = _run_scenario(col, None, k, trials, base_seed, scheme, schedule)
@@ -537,7 +547,7 @@ def run_any_alg_mean(k, trials, base_seed, scheme="regularized",
     # planted a * e_2 has zero loss and the excess is the average loss itself.
     mean_excess = float(np.mean(rec.avg_loss))
     threshold = 1.0 / (64.0 * k)
-    return {"scenario": "any-algorithm", "scheme": scheme, "schedule": schedule_kind,
+    return {"scenario": "any-algorithm", "scheme": scheme, "schedule": schedule["kind"],
             "k": k, "trials": trials, "threshold": threshold,
             "mean_excess": mean_excess, "adversary_sign": float(col.w_star[1]),
             "passed": bool(mean_excess >= threshold)}

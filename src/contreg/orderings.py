@@ -190,11 +190,11 @@ def _bounded(words, M, k):
 _cells = {}
 
 
-def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
-    """Orderings of trials 0..trials-1 of one k-cell, as (trials, k) task indices.
+def sample_orderings(kind, M, k, trials, base_seed):
+    """Orderings of trials 0..trials-1 of one k-cell, as ``(indices, seeds)``.
 
-    Row i is ``sample_ordering(kind, M, k, base_seed, path=(k, i))``.
-    With ``with_seeds``, returns ``(indices, seeds)``, where ``seeds`` is a
+    ``indices`` is a (trials, k) array of task indices whose row i is
+    ``sample_ordering(kind, M, k, base_seed, path=(k, i))``; ``seeds`` is a
     (trials,) uint64 array of each trial's ``derived_seed(base_seed, k, i)``.
     Both arrays are read-only and shared: every call for a cell of the latest
     base seed returns the ones its first call drew.  The indices are a view
@@ -208,7 +208,7 @@ def sample_orderings(kind, M, k, trials, base_seed, *, with_seeds=False):
         if _cells and next(iter(_cells))[-1] != key[-1]:
             _cells.clear()
         cell = _cells[key] = _draw_cell(*key)
-    return cell if with_seeds else cell[0]
+    return cell
 
 
 def _draw_cell(kind, M, k, trials, base_seed):

@@ -13,21 +13,15 @@ argument relies on.
 
 from __future__ import annotations
 
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .surrogates import STEP_RULES
+from .tasks import _frozen, json_numbers
 
 LAMBDA_CLAMP_FACTOR = 1e-6  # floor for the fixed coefficient when ln k <= 1
-
-
-def _frozen(a, dtype=np.float64):
-    a = np.asarray(a, dtype=dtype).copy()
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,27 +195,13 @@ def increasing_budget(R, k, n_choice=1):
                         n_steps=_frozen(np.full(k, n_choice), np.int64), eta=_frozen(eta))
 
 
-def _custom_array(name, values):
-    """A caller's per-step array, frozen.  Bools, scalars, nested lists and,
-    for ``n_steps``, non-integers are rejected, not converted."""
-    kind, what = (numbers.Integral, "integers") if name == "n_steps" else (numbers.Real, "numbers")
-    items = np.asarray(values, dtype=object)
-    if items.ndim != 1 or not all(isinstance(v, kind) and not isinstance(v, bool)
-                                  for v in items):
-        raise ValueError(f"{name} must be a 1-D array of {what}, got {values!r:.40}")
-    try:
-        return _frozen(items, np.int64 if name == "n_steps" else np.float64)
-    except OverflowError:
-        raise ValueError(f"{name} entries must be 64-bit {what}, got {values!r:.40}") from None
-
-
 def custom_schedule(k, lam=None, gamma=None, n_steps=None, eta=None,
                     unregularized_first=False):
-    """Escape hatch for explicit per-step strengths (eta defaults to ones)."""
+    """Escape hatch for explicit per-step strengths (eta defaults to ones), each
+    read by ``tasks.json_numbers`` (``n_steps`` as integers)."""
     k = int(k)
-    arrays = {name: _custom_array(name, values) for name, values in
-              (("lam", lam), ("gamma", gamma), ("n_steps", n_steps), ("eta", eta))
-              if values is not None}
+    arrays = {name: json_numbers(v, 1, name, integral=name == "n_steps") for name, v in
+              dict(lam=lam, gamma=gamma, n_steps=n_steps, eta=eta).items() if v is not None}
     return ScheduleSpec(k=k, eta=arrays.pop("eta", _frozen(np.ones(k))),
                         unregularized_first=bool(unregularized_first), **arrays)
 

@@ -14,6 +14,7 @@ verification suites and the tests).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,8 +32,8 @@ def _rcond(shape):
     return max(shape) * _EPS
 
 
-def _frozen(a):
-    a = np.asarray(a, dtype=np.float64).copy()
+def _frozen(a, dtype=np.float64):
+    a = np.asarray(a, dtype=dtype).copy()
     a.flags.writeable = False
     return a
 
@@ -193,36 +194,59 @@ def _build_stack(X, y, index=None, svd=None):
     M = len(X)
 
     def reject(bad, why):
-        i = int(np.argmax(bad))
-        raise ValueError(why if index is None else f"collection task {index[i]}: {why}")
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(why if index is None else f"collection task {index[i]}: {why}")
 
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        reject(~(np.isfinite(X).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)),
-               "task data contains non-finite entries")
+    reject(~(np.isfinite(X).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)),
+           "task data contains non-finite entries")
     U, sigma, Vt, rank = _factor(X) if svd is None else (*svd, _rank(svd[1], X.shape[1:]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         p = _min_norm_lstsq(U, sigma, Vt, rank, y)
         # The smallest kept sigma has the largest 1 / sigma.
         inv_last = 1.0 / sigma[np.arange(M), rank - 1]
-    finite = np.isfinite(p).all(axis=1) & ((rank == 0) | np.isfinite(inv_last))
-    if not finite.all():
-        # Only data within eps of underflow get here (e.g. all-subnormal X):
-        # 1 / sigma, and so X^+, or (U^T y) / sigma overflows.
-        reject(~finite, "task data too close to underflow: X^+ or X^+ y is not finite")
-    residual = X @ p[..., None] - y[..., None]
+    # Only data within eps of underflow fail here (e.g. all-subnormal X):
+    # 1 / sigma, and so X^+, or (U^T y) / sigma overflows.
+    reject(~(np.isfinite(p).all(axis=1) & ((rank == 0) | np.isfinite(inv_last))),
+           "task data too close to underflow: X^+ or X^+ y is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = X @ p[..., None] - y[..., None]
+        min_loss = 0.5 * (residual.swapaxes(1, 2) @ residual)[:, 0, 0]
+    reject(~np.isfinite(min_loss), "task data too large: the least-squares loss overflows")
     return TaskStack(index=np.arange(M) if index is None else np.array(index),
                      X=X, y=y, U=U, sigma=sigma, Vt=Vt, rank=rank, pinv_solution=p,
-                     min_loss=0.5 * (residual.swapaxes(1, 2) @ residual)[:, 0, 0])
+                     min_loss=min_loss)
+
+
+def json_numbers(values, ndim, name, integral=False):
+    """``values``, an ``ndim``-deep list (or array) of numbers, integers where
+    ``integral``, as a read-only float64 (int64) array: the one reader of the
+    number lists in JSON inputs.  numpy would read "1.5" and true/false as
+    numbers; here a bool, string, null, object, ragged or mis-nested list, or
+    an entry past the dtype's range is a ValueError naming ``name``."""
+    what = f"a {ndim}-D array of {'integers' if integral else 'numbers'}"
+    kind, dtype = (numbers.Integral, np.int64) if integral else (numbers.Real, np.float64)
+    entries, shape = [values.tolist() if isinstance(values, np.ndarray) else values], []
+    for _ in range(ndim):
+        sizes = {len(v) if isinstance(v, (list, tuple)) else -1 for v in entries}
+        if len(sizes) > 1 or -1 in sizes:
+            raise ValueError(f"{name} must be {what}, got {values!r:.40}")
+        shape.append(sizes.pop() if sizes else 0)
+        entries = [v for row in entries for v in row]
+    for v in entries:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ValueError(f"{name} must be {what}, got entry {v!r:.40}")
+    try:
+        return _frozen(entries, dtype).reshape(shape)
+    except OverflowError:  # an int past the range: the largest |entry|, ties to the positive
+        bad = max(entries, key=lambda v: (abs(v), v))
+        raise ValueError(f"{name} must be within the {dtype.__name__} range, "
+                         f"got entry {bad!r:.40}") from None
 
 
 def _task_arrays(X, y):
-    """X and y as float64 arrays, checked to be one task's matrix and targets."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"X must be a 2-D matrix, got shape {X.shape}")
-    if y.ndim != 1:
-        raise ValueError(f"y must be a 1-D vector, got shape {y.shape}")
+    """X and y read by ``json_numbers``, checked to be one task's matrix and targets."""
+    X, y = json_numbers(X, 2, "X"), json_numbers(y, 1, "y")
     n, d = X.shape
     if n < 1 or d < 1:
         raise ValueError(f"X must be at least 1x1, got shape {X.shape}")
@@ -401,12 +425,15 @@ def generate_realizable(d, M, n, radius, seed, w_star=None):
     # One draw of M matrices reads the stream as M draws of one would.
     mats = rng.standard_normal((M, n, d))
     U, sigma, Vt = np.linalg.svd(mats, full_matrices=False)
-    if radius > 0:
-        r0 = sigma[:, 0].max()
-        if r0 > 0:
-            c = radius / r0
-            mats, sigma = mats * c, sigma * c
-    stack = _build_stack(mats, mats @ w_star, svd=(U, sigma, Vt))
+    # X or its targets may overflow near the float64 limit: _build_stack rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if radius > 0:
+            r0 = sigma[:, 0].max()
+            if r0 > 0:
+                c = radius / r0
+                mats, sigma = mats * c, sigma * c
+        y = mats @ w_star
+    stack = _build_stack(mats, y, svd=(U, sigma, Vt))
     return _stacked_collection([stack], w_star)
 
 
@@ -434,7 +461,9 @@ def generate_aligned_pairs(pairs, angle, d, radius=1.0, seed=0):
     rows[2 * j + 1, 0, 2 * j] = np.cos(angle)
     rows[2 * j + 1, 0, 2 * j + 1] = np.sin(angle)
     mats = (float(radius) if radius > 0 else 1.0) * rows
-    return stacked_collection(mats, mats @ w_star, w_star)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in generate_realizable
+        y = mats @ w_star
+    return stacked_collection(mats, y, w_star)
 
 
 def min_norm_solution(collection):
@@ -451,16 +480,6 @@ def collection_to_dict(collection):
     if collection.w_star is not None:
         out["w_star"] = collection.w_star.tolist()
     return out
-
-
-def _check_numbers(raw, ndim, name):
-    """Reject an entry of the ``ndim``-deep lists ``raw`` that is not a JSON
-    number: numpy would read the string "1.5" and true/false as numbers."""
-    for _ in range(ndim - 1):
-        raw = [v for row in raw for v in row]
-    for v in raw:
-        if type(v) not in (int, float):
-            raise ValueError(f"{name} entry {v!r:.40} is not a number")
 
 
 def collection_from_dict(data):
@@ -480,19 +499,12 @@ def collection_from_dict(data):
             if len(item) > 2:
                 raise ValueError(f"unknown task fields: {sorted(set(item) - {'X', 'y'})}")
             X, y = _task_arrays(item["X"], item["y"])
-            _check_numbers(item["X"], 2, "X")
-            _check_numbers(item["y"], 1, "y")
-        except (TypeError, ValueError) as exc:  # TypeError: not numbers
+        except ValueError as exc:
             raise ValueError(f"collection task {i}: {exc}") from None
         shapes.setdefault(X.shape, []).append((i, X, y))
     w_star = data.get("w_star")
     if w_star is not None:
-        try:
-            w_star = np.asarray(w_star, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"collection w_star must be numeric: {exc}") from None
-        if w_star.ndim == 1:  # any other shape is rejected as the wrong length
-            _check_numbers(data["w_star"], 1, "collection w_star")
+        w_star = json_numbers(w_star, 1, "collection w_star")
     stacks = []
     for group in shapes.values():
         index, X, y = zip(*group)

@@ -235,7 +235,7 @@ def _suite_adversarial(seed):
                           f">= {rep['floor']}")]
     for scheme, kind in (("regularized", "increasing-coefficient"),
                          ("unregularized", "none")):
-        rep = run_any_alg_mean(16, 400, seed, scheme=scheme, schedule_kind=kind)
+        rep = run_any_alg_mean(16, 400, seed, scheme=scheme, schedule={"kind": kind})
         checks.append(CheckResult(
             f"any-algorithm mean excess at k=16 ({scheme})", rep["passed"],
             f"mean {rep['mean_excess']:.3e} >= threshold {rep['threshold']:.3e}"))

@@ -141,19 +141,18 @@ def test_criterion_7_any_algorithm_lower_bound():
     t0 = time.perf_counter()
     ok = True
     details = []
-    for scheme, kind, params in (
-        ("regularized", "fixed-coefficient", None),
-        ("regularized", "increasing-coefficient", None),
-        ("budgeted", "fixed-budget", {"gamma": 0.5}),
-        ("budgeted", "increasing-budget", {"n_choice": 1}),
-        ("unregularized", "none", None),
+    for scheme, schedule in (
+        ("regularized", {"kind": "fixed-coefficient"}),
+        ("regularized", {"kind": "increasing-coefficient"}),
+        ("budgeted", {"kind": "fixed-budget", "gamma": 0.5}),
+        ("budgeted", {"kind": "increasing-budget", "n_choice": 1}),
+        ("unregularized", {"kind": "none"}),
     ):
         for k in (16, 64):
             rep = harness.run_any_alg_mean(k, trials=2000, base_seed=BASE_SEED,
-                                           scheme=scheme, schedule_kind=kind,
-                                           schedule_params=params)
+                                           scheme=scheme, schedule=schedule)
             ok = ok and rep["passed"]
-        details.append(f"{scheme}/{kind}: {rep['mean_excess']:.2e} "
+        details.append(f"{scheme}/{schedule['kind']}: {rep['mean_excess']:.2e} "
                        f">= {rep['threshold']:.2e} at k=64")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed <= 120.0

@@ -393,7 +393,7 @@ def test_run_batch_working_set_stays_small():
                          ("unregularized", {"kind": "none"}),
                          ("igd-of-regularized", {"kind": "increasing-coefficient"}),
                          ("igd-of-budgeted", {"kind": "increasing-budget"})):
-        cells = [(sample_orderings("with-replacement", col.M, k, 40, 0),
+        cells = [(sample_orderings("with-replacement", col.M, k, 40, 0)[0],
                   build_schedule(kind, col.radius, k)) for k in (64, 128, 256, 512, 1024)]
         run_batch(col, cells[:1], scheme)  # builds the collection's cached row bases
         tracemalloc.start()

@@ -1,16 +1,19 @@
 import ast
+import contextlib
 import csv
 import dataclasses
 import errno
 import io
 import itertools
 import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +109,13 @@ BAD_VALUE_CONFIGS += MISMATCHED_CONFIGS
 # would divide by zero.
 BAD_VALUE_CONFIGS.append(base_config(scheme="budgeted",
                                      schedule={"kind": "fixed-budget", "gamma": 1e-20}))
+# k_grid entries past the int64 range, under both fixed kinds (their schedules
+# take ln k).
+BAD_VALUE_CONFIGS += [base_config(k_grid=[k], scheme=scheme, schedule=schedule)
+                      for k in (2 ** 63, 2 ** 64)
+                      for scheme, schedule in (("regularized", {"kind": "fixed-coefficient"}),
+                                               ("budgeted", {"kind": "fixed-budget",
+                                                             "gamma": 0.5}))]
 
 
 def test_parse_config_strictness():
@@ -235,16 +245,31 @@ def reference_csv(table):
 
 
 def reference_aggregate(table, metric):
-    """Per-k summaries of per-row values grouped in a dict, in row order."""
+    """Per-k summaries of per-row values grouped in a dict, in row order.  A
+    mean or standard error that overflows is replaced by None."""
     by_k = {}
     for k, v in zip(table.k.tolist(), getattr(table, metric).tolist()):
         by_k.setdefault(k, []).append(v)
     out = []
     for k in sorted(by_k):
         vals = np.asarray(by_k[k])
-        se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        out.append((k, float(vals.mean()), se, len(vals)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+            mean = float(vals.mean())
+        out.append((k, *(v if math.isfinite(v) else None for v in (mean, se)), len(vals)))
     return out
+
+
+def assert_exact_within(vals, mean, se):
+    """``mean`` and ``se`` are finite and within 1e-12 of the largest |value|
+    of the exact rational mean and standard error of ``vals``."""
+    x = [Fraction(v) for v in vals]
+    exact_mean = sum(x) / len(x)
+    var = sum((v - exact_mean) ** 2 for v in x) / (len(x) * (len(x) - 1))
+    tol = Fraction(max(abs(v) for v in vals)) / 10 ** 12
+    assert math.isfinite(mean) and math.isfinite(se), (mean, se)
+    assert abs(Fraction(mean) - exact_mean) <= tol
+    assert max(Fraction(se) - tol, 0) ** 2 <= var <= (Fraction(se) + tol) ** 2
 
 
 NON_NEGATIVE = st.floats(0.0, allow_infinity=False) | st.just(-0.0)
@@ -292,10 +317,14 @@ def test_csv_writer_reader_and_aggregate_match_the_per_row_reference(key, rows, 
             assert fh.read() == reference_csv(table)
         assert_same_table(harness.read_csv(path), table)
     shuffled = table_of(key, rng.sample(rows, len(rows)))
-    with np.errstate(over="ignore", invalid="ignore"):  # sums of huge values
-        for metric in harness.METRIC_NAMES:
-            assert (repr(harness.aggregate(shuffled, metric))
-                    == repr(reference_aggregate(shuffled, metric))), metric
+    for metric in harness.METRIC_NAMES:
+        got, want = harness.aggregate(shuffled, metric), reference_aggregate(shuffled, metric)
+        assert [(k, n) for k, _, _, n in got] == [(k, n) for k, _, _, n in want]
+        for (k, mean, se, _), (_, *plain, _) in zip(got, want):
+            # Bit for bit where the plain formulas stay finite; else finite, and close.
+            if None in plain:
+                assert_exact_within(getattr(shuffled, metric)[shuffled.k == k], mean, se)
+            assert all(repr(p) == repr(v) for p, v in zip(plain, (mean, se)) if p is not None)
 
 
 def test_collection_path_round_trip(tmp_path):
@@ -677,8 +706,9 @@ def test_bad_inputs_are_rejected_before_any_cell_runs(tmp_path, capsys, monkeypa
 def test_bad_collection_file_is_rejected_naming_the_task(tmp_path, capsys, monkeypatch):
     """A bad collection file is a one-line error when the config is parsed,
     before any cell runs; an error in one task names that task.  As in a
-    config, unknown fields are errors, and strings and true/false are not
-    numbers."""
+    config, unknown fields are errors, strings and true/false are not
+    numbers, and an integer past the float64 range is an error, not a
+    traceback."""
     calls = []
     monkeypatch.setattr(harness, "run_batch", lambda *a, **kw: calls.append(a))
     col_path = tmp_path / "tasks.json"
@@ -689,11 +719,13 @@ def test_bad_collection_file_is_rejected_naming_the_task(tmp_path, capsys, monke
              "error: w_star contains non-finite entries"),
             ([row, square], {"w_star": [1.0, float("-inf")]},
              "error: w_star contains non-finite entries"),
-            ([row, row], {"w_star": [{}, 0.0]}, "error: collection w_star must be numeric"),
+            ([row, row], {"w_star": [{}, 0.0]},
+             "error: collection w_star must be a 1-D array of numbers, got entry {}"),
             ([row, {"X": [[1.0, 0.0], [1.0]], "y": [1.0, 2.0]}], {},
-             "error: collection task 1: setting an array element with a sequence"),
+             "error: collection task 1: X must be a 2-D array of numbers, "
+             "got [[1.0, 0.0], [1.0]]"),
             ([row, {"X": [[1.0, {}]], "y": [1.0]}], {},
-             "error: collection task 1: float() argument must be"),
+             "error: collection task 1: X must be a 2-D array of numbers, got entry {}"),
             ([row, {"X": [[1.0, 0.0]], "y": [1.0, 2.0]}], {},
              "error: collection task 1: row count mismatch"),
             # Built in a stack of the two square tasks; named by its place in the file.
@@ -705,17 +737,30 @@ def test_bad_collection_file_is_rejected_naming_the_task(tmp_path, capsys, monke
              "error: tasks disagree on dimension: task 2 has 1, task 0 has 2"),
             # numpy reads strings and true/false as numbers; a collection file may not.
             ([row, {"X": [["1.5", "2"]], "y": [1.0]}], {},
-             "error: collection task 1: X entry '1.5' is not a number"),
+             "error: collection task 1: X must be a 2-D array of numbers, got entry '1.5'"),
             ([row, {"X": [[1.0, 0.0]], "y": ["1"]}], {},
-             "error: collection task 1: y entry '1' is not a number"),
+             "error: collection task 1: y must be a 1-D array of numbers, got entry '1'"),
             ([row, {"X": [[1.0, True]], "y": [1.0]}], {},
-             "error: collection task 1: X entry True is not a number"),
+             "error: collection task 1: X must be a 2-D array of numbers, got entry True"),
             ([row, {"X": [[1.0, 0.0]], "y": [False]}], {},
-             "error: collection task 1: y entry False is not a number"),
+             "error: collection task 1: y must be a 1-D array of numbers, got entry False"),
             ([row, row], {"w_star": [1.0, "0"]},
-             "error: collection w_star entry '0' is not a number"),
+             "error: collection w_star must be a 1-D array of numbers, got entry '0'"),
             ([row, row], {"w_star": [True, 0.0]},
-             "error: collection w_star entry True is not a number"),
+             "error: collection w_star must be a 1-D array of numbers, got entry True"),
+            # An integer past the float64 range.
+            ([row, {"X": [[1.0, 10 ** 400]], "y": [1.0]}], {},
+             f"error: collection task 1: X must be within the float64 range, "
+             f"got entry {str(10 ** 400)[:40]}\n"),
+            ([row, {"X": [[1.0, 0.0]], "y": [-10 ** 400]}], {},
+             f"error: collection task 1: y must be within the float64 range, "
+             f"got entry {str(-10 ** 400)[:40]}\n"),
+            ([row, row], {"w_star": [0.0, 10 ** 400]},
+             f"error: collection w_star must be within the float64 range, "
+             f"got entry {str(10 ** 400)[:40]}\n"),
+            # Its least-squares loss, 0.5 * (1e300**2 + 1e300**2), overflows.
+            ([row, {"X": [[1.0, 0.0], [1.0, 0.0]], "y": [1e300, -1e300]}], {},
+             "error: collection task 1: task data too large: the least-squares loss overflows"),
             ([row, {"X": [[1.0, 0.0]], "y": [1.0], "w": [0.0]}], {},
              "error: collection task 1: unknown task fields: ['w']"),
             ([row, row], {"M": 2}, "error: unknown collection file fields: ['M']")):
@@ -723,6 +768,162 @@ def test_bad_collection_file_is_rejected_naming_the_task(tmp_path, capsys, monke
         assert run_cli_csv(tmp_path, "col", cfg)[0] == 1
         assert one_line_error(capsys).startswith(message)
     assert calls == []
+
+
+# Values that a number list or number field of a config or collection file
+# may not hold, or may hold only within its range: integers near 2**53, 2**63
+# and 2**64 or past float64, floats at the ends of float64, the NaN and
+# Infinity literals, other JSON types, and ragged or over-nested lists.
+HOSTILE_VALUES = [2 ** 53 - 1, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64,
+                  2 ** 64 + 1, 10 ** 400, -10 ** 400,
+                  1e308, -1e308, 1.7976931348623157e308, 5e-324, -0.0, math.nan, math.inf,
+                  -math.inf, True, False, "1", None, {}, {"a": [1]},
+                  [], [[]], [[1.0], [1.0, 2.0]], [1.0, [1.0]], [[[1.0]]]]
+HOSTILE_FILE = {"tasks": [{"X": [[1.0, 0.0]], "y": [1.0]},
+                          {"X": [[0.0, 2.0], [1.0, 1.0]], "y": [0.5, 1.0]}],
+                "w_star": [0.5, 0.5]}
+# Tiny configs with every kind of number list and field; "COLLECTION" stands
+# for the collection file's path.
+HOSTILE_TEMPLATES = [
+    base_config(collection={"path": "COLLECTION"}, k_grid=[2], trials=1,
+                schedule={"kind": "custom", "lam": [1.0, 2.0], "eta": [1.0, 0.5]}),
+    base_config(collection={"path": "COLLECTION"}, k_grid=[2], trials=1, scheme="budgeted",
+                schedule={"kind": "custom", "gamma": [0.1, 0.2], "n_steps": [1, 3]}),
+    base_config(k_grid=[2], trials=1, scheme="budgeted",
+                schedule={"kind": "fixed-budget", "gamma": 0.5}),
+    base_config(collection=PAIRS_COLLECTION, k_grid=[2], trials=1, scheme="budgeted",
+                schedule={"kind": "increasing-budget", "n_choice": 2}),
+    base_config(k_grid=[2], trials=1, schedule={"kind": "fixed-coefficient"}),
+]
+
+
+def number_slots(node, path=()):
+    """The paths to every number (not true or false) and list below ``node``."""
+    if path and (isinstance(node, list) or type(node) in (int, float)):
+        yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in children:
+        yield from number_slots(child, path + (key,))
+
+
+@st.composite
+def hostile_inputs(draw):
+    """A template config and the collection file, with one or two numbers or
+    lists replaced by hostile values."""
+    doc = {"config": draw(st.sampled_from(HOSTILE_TEMPLATES)), "file": HOSTILE_FILE}
+    doc = json.loads(json.dumps(doc))  # a deep copy
+    paths = draw(st.lists(st.sampled_from(list(number_slots(doc))), min_size=1, max_size=2,
+                          unique=True))
+    for path in sorted(paths, key=len, reverse=True):  # a list after its entries
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(st.sampled_from(HOSTILE_VALUES))
+    return doc["config"], doc["file"]
+
+
+def with_file(fields):
+    """The collection file with ``fields`` replaced."""
+    return {**HOSTILE_FILE, **fields}
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_inputs())
+# Each ended in a traceback: an OverflowError for a 401-digit integer in a
+# collection file, a TypeError from ln k for a k_grid entry past int64, and a
+# RuntimeWarning (an error under pytest) where a least-squares loss, a
+# generated matrix or its targets overflow.
+@example((HOSTILE_TEMPLATES[0], with_file({"tasks": [{"X": [[10 ** 400, 0.0]], "y": [1.0]}]})))
+@example((HOSTILE_TEMPLATES[1], with_file({"tasks": [{"X": [[1.0, 0.0]], "y": [10 ** 400]}]})))
+@example((HOSTILE_TEMPLATES[0], with_file({"w_star": [0.5, -10 ** 400]})))
+@example(({**HOSTILE_TEMPLATES[4], "k_grid": [2 ** 64]}, HOSTILE_FILE))
+@example(({**HOSTILE_TEMPLATES[2], "k_grid": [10 ** 400]}, HOSTILE_FILE))
+@example((HOSTILE_TEMPLATES[0], with_file({"tasks": [{"X": [[1.0, 0.0], [1.0, 0.0]],
+                                                      "y": [1e300, -1e300]}]})))
+@example(({**HOSTILE_TEMPLATES[4], "collection": {**GAUSSIAN_COLLECTION, "radius": 1e308}},
+          HOSTILE_FILE))
+# At the largest radius the scaled X (seed 1) or the targets (seed 7) overflow.
+@example(({**HOSTILE_TEMPLATES[4], "collection": {**GAUSSIAN_COLLECTION, "seed": 1,
+                                                  "radius": 1.7976931348623157e308}},
+          HOSTILE_FILE))
+@example(({**HOSTILE_TEMPLATES[4], "collection": {**GAUSSIAN_COLLECTION,
+                                                  "radius": 1.7976931348623157e308}},
+          HOSTILE_FILE))
+@example(({**HOSTILE_TEMPLATES[3], "collection": {**PAIRS_COLLECTION,
+                                                  "radius": 1.7976931348623157e308}},
+          HOSTILE_FILE))
+def test_no_json_input_ends_in_a_traceback(inputs):
+    """Whatever a config or collection file holds, ``contreg run`` exits 0, or
+    exits 1 with one ``error:`` line; it never raises."""
+    config, collection = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        col_path, cfg_path = os.path.join(tmp, "col.json"), os.path.join(tmp, "cfg.json")
+        with open(col_path, "w") as fh:
+            json.dump(collection, fh)
+        with open(cfg_path, "w") as fh:
+            fh.write(json.dumps(config).replace('"COLLECTION"', json.dumps(col_path)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "--config", cfg_path, "--out", os.path.join(tmp, "o.csv")])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+
+
+def strict_json(text):
+    """``text`` parsed as JSON that holds no NaN or Infinity."""
+    def reject(name):
+        raise AssertionError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_summaries_of_huge_losses_stay_finite(tmp_path, capsys):
+    """Losses near 1e200, whose squared deviations overflow, still get a
+    finite mean and standard error from ``contreg run`` and ``contreg fit``,
+    and ``fit`` prints strict JSON."""
+    rng = np.random.default_rng(3)
+    col_path = tmp_path / "tasks.json"
+    col_path.write_text(json.dumps({"tasks": [
+        {"X": [rng.standard_normal(3).tolist()], "y": [v]}
+        for v in (rng.uniform(0.5, 2.0, 6) * 1e100).tolist()]}))
+    code, path = run_cli_csv(tmp_path, "huge", base_config(
+        collection={"path": str(col_path)}, k_grid=[2, 4, 8], trials=20))
+    out = capsys.readouterr().out
+    assert code == 0 and "inf" not in out and "nan" not in out, out
+    table = harness.read_csv(path)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(table.avg_loss.std()), "the plain formula no longer overflows"
+    assert cli.main(["fit", str(path)]) == 0
+    points = strict_json(capsys.readouterr().out)["points"]
+    assert len(points) == 3
+    for p in points:
+        assert_exact_within(table.avg_loss[table.k == p["k"]], p["mean"], p["se"])
+
+
+@pytest.mark.parametrize("command", ["fit", "adversarial"])
+def test_json_output_is_strict(tmp_path, capsys, monkeypatch, command):
+    """A NaN or infinity in a report is a one-line error, not JSON output;
+    nothing is written to ``--out``."""
+    out = tmp_path / "report.json"
+    if command == "fit":
+        _, path = run_cli_csv(tmp_path, "rows", base_config(k_grid=[4, 8, 16]))
+        monkeypatch.setattr(harness, "fit_rate", lambda points: harness.RateFit(
+            slope=math.nan, intercept=0.0, residual=0.0, n_points=3))
+        argv = ["fit", str(path)]
+    else:
+        monkeypatch.setattr(harness, "run_seen_task_floor",
+                            lambda *args, **kw: {"passed": True,
+                                                 "empirical_probability": math.inf})
+        argv = ["adversarial", "--scenario", "seen-task", "--k", "16"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert err.count("\n") == 1, err
 
 
 def test_file_that_is_not_json_is_an_error_naming_it(tmp_path, capsys):
@@ -938,19 +1139,19 @@ def test_gaussian_sweep_builds_no_task_objects(tmp_path, monkeypatch):
     assert abs(got.R - want.R) <= np.spacing(1.0)
 
 
-ACCEPTANCE_PAIRS = (("regularized", "fixed-coefficient", None),
-                    ("regularized", "increasing-coefficient", None),
-                    ("budgeted", "fixed-budget", {"gamma": 0.5}),
-                    ("budgeted", "increasing-budget", {"n_choice": 1}),
-                    ("unregularized", "none", None))
+ACCEPTANCE_PAIRS = (("regularized", {"kind": "fixed-coefficient"}),
+                    ("regularized", {"kind": "increasing-coefficient"}),
+                    ("budgeted", {"kind": "fixed-budget", "gamma": 0.5}),
+                    ("budgeted", {"kind": "increasing-budget", "n_choice": 1}),
+                    ("unregularized", {"kind": "none"}))
 
 
-@pytest.mark.parametrize("scheme, kind, params", ACCEPTANCE_PAIRS)
-def test_scheme_runner_probe_is_deterministic(scheme, kind, params):
+@pytest.mark.parametrize("scheme, schedule", ACCEPTANCE_PAIRS,
+                         ids=[f"{scheme}-{sch['kind']}" for scheme, sch in ACCEPTANCE_PAIRS])
+def test_scheme_runner_probe_is_deterministic(scheme, schedule):
     """The adversary probes a learner once, which is exact only because a
     ``scheme_runner`` probe returns the same bytes on every call."""
     col = new_collection([new_task([[1.0, 0.5]], [1.0])])
-    schedule = {**(params or {}), "kind": kind}
     probe = harness.scheme_runner(scheme, schedule)
     runs = [probe(col, 16), probe(col, 16), harness.scheme_runner(scheme, schedule)(col, 16)]
     assert len({w.tobytes() for w in runs}) == 1
@@ -971,23 +1172,22 @@ def test_any_alg_mean_probes_its_learner_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(harness, "scheme_runner", counting_runner)
-    for scheme, kind, params in ACCEPTANCE_PAIRS:
+    for scheme, schedule in ACCEPTANCE_PAIRS:
         calls.clear()
-        harness.run_any_alg_mean(16, trials=10, base_seed=3, scheme=scheme,
-                                 schedule_kind=kind, schedule_params=params)
+        harness.run_any_alg_mean(16, trials=10, base_seed=3, scheme=scheme, schedule=schedule)
         assert calls == [(1, 16)]
 
 
 def test_the_acceptance_pairs_draw_each_k_cell_once(tmp_path, cell_builds):
     """The five pairs of one sweep share its ordering cells, and a pair run on
     shared cells writes the bytes it writes on cells drawn for it alone."""
-    def csv_bytes(scheme, kind, params, fresh):
+    def csv_bytes(scheme, schedule, fresh):
         if fresh:
             orderings._cells.clear()
         cfg = harness.parse_config(base_config(
-            collection=PAIRS_COLLECTION, scheme=scheme,
-            schedule={**(params or {}), "kind": kind}, k_grid=[4, 8, 16], trials=6))
-        path = tmp_path / f"{scheme}-{kind}-{fresh}.csv"
+            collection=PAIRS_COLLECTION, scheme=scheme, schedule=schedule,
+            k_grid=[4, 8, 16], trials=6))
+        path = tmp_path / f"{scheme}-{schedule['kind']}-{fresh}.csv"
         harness.write_csv(harness.run_experiment(cfg), path)
         return path.read_bytes()
 
@@ -1001,9 +1201,8 @@ def test_the_lower_bound_scenarios_share_their_cell(cell_builds):
     """At one k both constructions have k tasks, so the seen-task floor and
     the any-algorithm mean of every acceptance pair draw one cell."""
     harness.run_seen_task_floor(16, trials=20, base_seed=5)
-    for scheme, kind, params in ACCEPTANCE_PAIRS:
-        harness.run_any_alg_mean(16, trials=20, base_seed=5, scheme=scheme,
-                                 schedule_kind=kind, schedule_params=params)
+    for scheme, schedule in ACCEPTANCE_PAIRS:
+        harness.run_any_alg_mean(16, trials=20, base_seed=5, scheme=scheme, schedule=schedule)
     assert cell_builds == [(5, 16, 20)]
 
 

@@ -112,7 +112,7 @@ def test_task_loss_is_half_squared_residual():
 def wide_cell(trials=200, k=16):
     """A sweep-wide cell: 400 Gaussian tasks of 5 rows in d=10, without replacement."""
     col = generate_realizable(d=10, M=400, n=5, radius=1.0, seed=7)
-    idx = sample_orderings("without-replacement", col.M, k, trials, 11)
+    idx, _ = sample_orderings("without-replacement", col.M, k, trials, 11)
     schedule = build_schedule({"kind": "increasing-coefficient"}, col.radius, k)
     (run,) = run_batch(col, [(idx, schedule)], "regularized")
     return col, run
@@ -142,7 +142,7 @@ def test_summarize_batch_weights_repeated_tasks_the_same_across_block_edges():
     col = new_collection([new_task(rng.standard_normal((n, 6)), rng.standard_normal(n))
                           for n in rng.integers(1, 10, 60)], w_star=rng.standard_normal(6))
     k, trials = 40, 150
-    idx = sample_orderings("with-replacement", col.M, k, trials, 5)
+    idx, _ = sample_orderings("with-replacement", col.M, k, trials, 5)
     assert all(len(np.unique(row)) < k for row in idx)
     schedule = build_schedule({"kind": "increasing-coefficient"}, col.radius, k)
     (run,) = run_batch(col, [(idx, schedule)], "regularized")

@@ -38,8 +38,7 @@ def test_determinism_across_calls_and_paths():
 @pytest.mark.parametrize("kind", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
 def test_sample_orderings_match_one_trial_at_a_time(kind):
     seed = 2 ** 63 + 5
-    idx, seeds = sample_orderings(kind, 9, 6, 5, seed, with_seeds=True)
-    assert_array_equal(sample_orderings(kind, 9, 6, 5, seed), idx)
+    idx, seeds = sample_orderings(kind, 9, 6, 5, seed)
     assert idx.shape == (5, 6) and len(seeds) == 5
     # schemes.run_batch steps through the (k, trials) array behind the rows
     # without a copy.
@@ -56,15 +55,14 @@ def test_sample_orderings_match_one_trial_at_a_time(kind):
 def test_a_cell_is_drawn_once_per_base_seed(cell_builds):
     """Runs of a cell of the latest base seed share its arrays; a new base
     seed drops them, so sampling an earlier seed again draws it again."""
-    first = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1, with_seeds=True)
-    again = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1, with_seeds=True)
+    first = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1)
+    again = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1)
     assert all(a is b for a, b in zip(first, again))
-    assert sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1) is first[0]
     sample_orderings(WITH_REPLACEMENT, 9, 6, 4, 1)
     sample_orderings(WITHOUT_REPLACEMENT, 9, 6, 5, 1)
     assert cell_builds == [(1, 6, 5), (1, 6, 4), (1, 6, 5)]
     sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 2)
-    rebuilt = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1, with_seeds=True)
+    rebuilt = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1)
     assert cell_builds[3:] == [(2, 6, 5), (1, 6, 5)]
     for a, b in zip(first, rebuilt):
         assert a is not b and a.tobytes() == b.tobytes()
@@ -98,7 +96,7 @@ def test_vectorized_pass_matches_numpy_per_trial(cell):
     """Every row and fingerprint equals numpy's own per-trial SeedSequence,
     Philox and Generator, which ``sample_ordering`` uses."""
     kind, M, k, trials, seed = cell
-    idx, seeds = sample_orderings(kind, M, k, trials, seed, with_seeds=True)
+    idx, seeds = sample_orderings(kind, M, k, trials, seed)
     assert idx.shape == (trials, k) and idx.dtype == np.int64
     for i in range(trials):
         assert_array_equal(idx[i], sample_ordering(kind, M, k, seed, path=(k, i)))
@@ -122,7 +120,7 @@ def test_a_cell_builds_one_seed_sequence_and_one_generator(kind, M, monkeypatch)
     with monkeypatch.context() as patch:
         for cls in (np.random.SeedSequence, np.random.Philox, np.random.Generator):
             patch.setattr(np.random, cls.__name__, counting(cls))
-        idx, seeds = sample_orderings(kind, M, 9, 40, 2 ** 64 + 1, with_seeds=True)
+        idx, seeds = sample_orderings(kind, M, 9, 40, 2 ** 64 + 1)
     assert sorted(built) == ["Generator", "Philox", "SeedSequence"]
     assert idx.T.flags.c_contiguous
     for i in range(40):
@@ -145,7 +143,7 @@ def test_vectorized_pass_working_set_stays_small(kind):
     cell at k = 256 allocates under 1 MiB at its peak."""
     tracemalloc.start()
     try:
-        idx, _ = sample_orderings(kind, 256, 256, 2000, 7, with_seeds=True)
+        idx, _ = sample_orderings(kind, 256, 256, 2000, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -210,7 +210,8 @@ def test_custom_schedule_validation():
             ({"gamma": [0.1, math.nan], "n_steps": [1, 1]}, "0 < gamma, got nan"),
             ({"gamma": [0.1, 0.1], "n_steps": [1.5, 2.7]}, integers),
             ({"gamma": [0.1, 0.1], "n_steps": np.ones(2)}, integers),
-            ({"gamma": [0.1, 0.1], "n_steps": [1, 2 ** 64]}, "must be 64-bit integers"),
+            ({"gamma": [0.1, 0.1], "n_steps": [1, 2 ** 64]},
+             "n_steps must be within the int64 range"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             custom_schedule(2, **fields)
