@@ -180,6 +180,14 @@ def parse_config(data):
     base_seed = data["base_seed"]
     if base_seed < 0:
         raise ConfigError("base_seed must be a nonnegative integer")
+    # An entry's largest array is its (k, trials) int64 ordering array (its
+    # per-step arrays hold k floats); numpy describes none past np.intp bytes.
+    most = np.iinfo(np.intp).max
+    for k in k_grid:
+        if k * trials * 8 > most:
+            raise ConfigError(f"k_grid entry {k} is too large for trials={trials}: its "
+                              f"(k, trials) ordering array must be at most {most} bytes, "
+                              f"numpy's limit, not {k * trials * 8}")
 
     collection = build_collection(col)
     if data["ordering"] == WITHOUT_REPLACEMENT and k_grid[-1] > collection.M:

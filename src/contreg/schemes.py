@@ -15,9 +15,10 @@ them step for step, which the tests check rather than assume.
 ``run_continual`` applies these literal rules one trial at a time and is the
 reference.  ``run_batch`` is the fast path: every rule is the same affine map
 w' = p + V^T s(xi) V (w - p) in the task's row basis, with the multiplier s
-that ``surrogates.spectral_multiplier`` computes from the step's strengths, so
-it steps all trials of a sweep's (k, schedule) cells together, in blocks of
-steps with one multiplier call per block.  Each step's two inner products are
+that ``surrogates.spectral_multiplier`` computes from the strengths
+``step_strengths`` gives the step (none on a projection step), so it steps
+all trials of a sweep's (k, schedule) cells together, in blocks of steps
+with one multiplier call per block.  Each step's two inner products are
 one BLAS call per trial, never one product over the batch; when every task
 has rank one, as in the acceptance and lower-bound collections, a step is one
 ddot per trial and an elementwise update, bit for bit the same arithmetic.
@@ -87,19 +88,33 @@ class Trajectory:
         return len(self.ordering)
 
 
-def _check_run(collection, idx, schedule, scheme):
-    """Checks shared by both runners; ``idx`` holds 1-based indices, k last."""
+def step_strengths(scheme, schedule, k):
+    """What each step of a k-step run under ``scheme`` reads: ``(t0, strengths)``.
+
+    Steps 1..t0 train to convergence (t0 is 1 under the schedule's
+    ``unregularized_first``, else 0), and each later step t reads
+    ``[a[t - 1] for a in strengths]``: ``strengths`` are the schedule's own
+    read-only arrays that ``READS[scheme]`` names, in ``spectral_multiplier``'s
+    order, and ``()`` under the unregularized scheme.  Both runners read a
+    schedule here alone.
+    """
     if scheme not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme kind: {scheme!r}")
-    k = idx.shape[-1]
-    if idx.size and (idx.min() < 1 or idx.max() > collection.M):
-        raise ValueError(f"ordering entries must lie in [1..{collection.M}]")
-
     missing = [name for name in READS[scheme] if getattr(schedule, name, None) is None]
     if missing:
         raise ValueError(f"scheme {scheme!r} needs a schedule that sets {missing}")
-    if schedule is not None and schedule.k != k:
+    if schedule is None:
+        return 0, ()
+    if schedule.k != k:
         raise ValueError(f"schedule length {schedule.k} != ordering length {k}")
+    return int(schedule.unregularized_first), tuple(getattr(schedule, name)
+                                                    for name in READS[scheme])
+
+
+def _check_run(collection, idx):
+    """The index check shared by both runners; ``idx`` holds 1-based indices."""
+    if idx.size and (idx.min() < 1 or idx.max() > collection.M):
+        raise ValueError(f"ordering entries must lie in [1..{collection.M}]")
 
 
 def _start(collection, w0):
@@ -122,29 +137,25 @@ def run_continual(collection, ordering, schedule, scheme, w0=None):
     """
     idx = np.asarray(ordering, np.int64)
     k = len(idx)
-    _check_run(collection, idx, schedule, scheme)
+    _check_run(collection, idx)
+    t0, strengths = step_strengths(scheme, schedule, k)
     w = _start(collection, w0)
 
-    skip_first = schedule is not None and schedule.unregularized_first
+    literal = {REGULARIZED: regularized_step, BUDGETED: budgeted_step}.get(scheme)
+    surrogate = {IGD_REGULARIZED: build_regularized_surrogate,
+                 IGD_BUDGETED: build_budgeted_surrogate}.get(scheme)
     iterates = np.empty((k + 1, collection.d))
     iterates[0] = w
     for t in range(1, k + 1):
         task = collection.tasks[int(idx[t - 1]) - 1]
-        if scheme == UNREGULARIZED or (t == 1 and skip_first):
+        values = [a[t - 1] for a in strengths]
+        if t <= t0 or not values:
             w = unregularized_step(w, task)
-        elif scheme == REGULARIZED:
-            w = regularized_step(w, task, float(schedule.lam[t - 1]))
-        elif scheme == BUDGETED:
-            w = budgeted_step(w, task, float(schedule.gamma[t - 1]),
-                              int(schedule.n_steps[t - 1]))
-        else:  # IGD_REGULARIZED or IGD_BUDGETED
+        elif literal is not None:
+            w = literal(w, task, *values)
+        else:
             eta = float(schedule.eta[t - 1])
-            if scheme == IGD_REGULARIZED:
-                s = build_regularized_surrogate(task, float(schedule.lam[t - 1]), eta)
-            else:
-                s = build_budgeted_surrogate(task, float(schedule.gamma[t - 1]),
-                                             int(schedule.n_steps[t - 1]), eta)
-            w = igd_step(w, s, eta)
+            w = igd_step(w, surrogate(task, *values, eta), eta)
         iterates[t] = w
 
     iterates.flags.writeable = False
@@ -231,17 +242,18 @@ def run_batch(collection, cells, scheme, w0=None):
     ``cells`` is a list of ``(indices, schedule)`` pairs, one per cell, and
     one BatchRun is returned per cell, in order.  ``indices`` is (trials, k)
     with 1-based task indices, one row per trial; k may differ between cells.
-    Every cell is checked before any cell steps.  A schedule's own strengths
-    were checked when it was built, so the one strength check left is
-    0 < gamma_t R_m^2 < 1 for the budget schemes, over the tasks drawn (an
-    unregularized first step is exempt).  The trials are laid out
-    longest cell first, so the ones still running at step t are a prefix of
-    the batch, and each reads its cell's step-t strengths from a
+    Every cell is checked before any cell steps, and ``step_strengths``
+    decides what each cell's steps read: projection steps 1..t0, then the
+    schedule's strengths.  A schedule's own strengths were checked when it
+    was built, so the one strength check left is 0 < gamma_t R_m^2 < 1 for
+    the budget schemes, over the tasks drawn after step t0.  The trials are
+    laid out longest cell first, so the ones still running at step t are a
+    prefix of the batch, and each reads its cell's step-t strengths from a
     (k_max, cells) table.
 
     The steps run in blocks.  Over a block the set of running cells does
-    not change: a block ends where a cell does, and after the first step
-    under ``unregularized_first``.  A block is also at most
+    not change: a block ends where a cell does, and after the projection
+    step t0 when the cells have one.  A block is also at most
     ``_BLOCK_ELEMS // (trials * q)`` steps long (q the padded basis size),
     so each of its (steps, trials, q) arrays holds about ``_BLOCK_ELEMS``
     floats.  That length is a memory budget fixed in this module, not an
@@ -249,9 +261,8 @@ def run_batch(collection, cells, scheme, w0=None):
     sigma, U^T y and 1/sigma (and the rank mask on a projection block) are
     gathered along the block's (steps, trials) task indices, its strengths
     from the table, and one ``spectral_multiplier`` call gives (g, s) for
-    every step of the block from the strengths the steps carry: the
-    scheme's ``READS``, or none (a projection) under the unregularized
-    scheme and on the first step under ``unregularized_first``.
+    every step of the block from the strengths ``step_strengths`` gives
+    its steps.
 
     Each step then gathers its drawn tasks' row bases (see
     ``TaskCollection.row_bases``) alone, forms the residual coordinates
@@ -283,20 +294,21 @@ def run_batch(collection, cells, scheme, w0=None):
     or which other cells, share the batch.
     """
     cells = [(np.asarray(indices), schedule) for indices, schedule in cells]
-    for indices, schedule in cells:
+    for indices, _ in cells:
         if indices.ndim != 2:
             raise ValueError(f"indices must be (trials, k), got shape {indices.shape}")
-        _check_run(collection, indices, schedule, scheme)
+        _check_run(collection, indices)
+    reads = [step_strengths(scheme, schedule, indices.shape[1]) for indices, schedule in cells]
     w = _start(collection, w0)
 
     rows = collection.row_bases
-    firsts = {schedule is not None and schedule.unregularized_first for _, schedule in cells}
-    t0 = int(any(firsts))
-    if READS[scheme] and len(firsts) > 1:
+    firsts = {t0 for t0, _ in reads}
+    t0 = max(firsts, default=0)
+    if len(firsts) > 1 and reads[0][1]:
         raise ValueError("cells must agree on unregularized_first")
-    if "gamma" in READS[scheme]:
-        for indices, schedule in cells:
-            _check_inner_steps(rows.r2, indices.T[t0:], schedule.gamma[t0:])
+    for (indices, _), (_, strengths) in zip(cells, reads):
+        if len(strengths) == 2:  # (gamma, n_steps)
+            _check_inner_steps(rows.r2, indices.T[t0:], strengths[0][t0:])
     if not cells:
         return []
 
@@ -307,12 +319,11 @@ def run_batch(collection, cells, scheme, w0=None):
     ends = np.cumsum(sizes).tolist()
     cell_of = np.repeat(np.arange(len(cells)), sizes)  # each trial's cell
     k_max = ks[0]
-    tables = []
-    for name in READS[scheme]:
-        table = np.zeros((k_max, len(cells)), getattr(cells[0][1], name).dtype)
-        for j, c in enumerate(ranked):
-            table[:ks[j], j] = getattr(cells[c][1], name)
-        tables.append(table)
+    # One (k_max, cells) table per strength, a column per cell, longest first.
+    tables = [np.zeros((k_max, len(cells)), a.dtype) for a in reads[0][1]]
+    for j, c in enumerate(ranked):
+        for table, a in zip(tables, reads[c][1]):
+            table[:ks[j], j] = a
 
     W = np.tile(w, (ends[-1], 1))
     loss_after = np.zeros(len(W))

@@ -40,7 +40,7 @@ def spectral_multiplier(strengths, sigma, inv_sigma, on_rank=None):
     """(g, s) on each row-basis direction: a step maps the residual
     r = sigma (V w) - U^T y to s * r by moving w by -V^T (g * r), with
     g = (1 - s) / sigma and xi = sigma^2.  The rule is read from ``strengths``,
-    the step strengths the scheme reads (``schemes.READS``), as arrays that
+    what ``schemes.step_strengths`` says the step reads, as arrays that
     broadcast against ``sigma`` or as scalars:
 
     * ``()``: train to convergence, s = 1 - on_rank (0 on the rank, 1 off it);

@@ -116,6 +116,10 @@ BAD_VALUE_CONFIGS += [base_config(k_grid=[k], scheme=scheme, schedule=schedule)
                       for scheme, schedule in (("regularized", {"kind": "fixed-coefficient"}),
                                                ("budgeted", {"kind": "fixed-budget",
                                                              "gamma": 0.5}))]
+# k_grid entries whose (k, trials) ordering array numpy cannot describe: its
+# size in bytes passes np.intp's maximum.
+OVERSIZE_K = (2 ** 63 - 1, 2 ** 62)
+BAD_VALUE_CONFIGS += [base_config(k_grid=[k]) for k in OVERSIZE_K]
 
 
 def test_parse_config_strictness():
@@ -630,6 +634,18 @@ def one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+def test_oversize_k_grid_entry_is_named_before_the_collection_is_built(tmp_path, capsys,
+                                                                     monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the collection was built")
+    monkeypatch.setattr(harness, "build_collection", no_build)
+    path = tmp_path / "big.json"
+    for k in OVERSIZE_K:
+        path.write_text(json.dumps(base_config(k_grid=[k])))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"error: k_grid entry {k} is too large" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize("message", [

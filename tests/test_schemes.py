@@ -5,9 +5,10 @@ from scipy import optimize
 
 from contreg.metrics import average_loss, task_loss
 from contreg.orderings import sample_ordering, stream
-from contreg.schedules import custom_schedule, increasing_budget, increasing_coefficient
-from contreg.schemes import (budgeted_step, igd_step, regularized_step,
-                             run_continual, unregularized_step)
+from contreg.schedules import (build_schedule, custom_schedule, increasing_budget,
+                               increasing_coefficient)
+from contreg.schemes import (READS, budgeted_step, igd_step, regularized_step, run_batch,
+                             run_continual, step_strengths, unregularized_step)
 from contreg.surrogates import build_budgeted_surrogate, build_regularized_surrogate
 from contreg.tasks import generate_realizable, new_task
 
@@ -218,3 +219,73 @@ def test_run_continual_validation():
             run_continual(col, bad, None, "unregularized")
     with pytest.raises(ValueError, match="w0"):
         run_continual(col, order, None, "unregularized", w0=np.zeros(5))
+
+
+ORDER = [1, 2]
+# Each bad input with its runner arguments: (ordering, schedule, scheme, w0).
+BAD_RUNS = {
+    "unknown scheme": (ORDER, None, "cyclic", None),
+    "missing schedule": (ORDER, None, "regularized", None),
+    "missing lam": (ORDER, increasing_budget(1.0, 2, 1), "regularized", None),
+    "missing budget": (ORDER, increasing_coefficient(1.0, 2), "budgeted", None),
+    "length mismatch": (ORDER, increasing_coefficient(1.0, 3), "regularized", None),
+    "index above M": ([1, 5], None, "unregularized", None),
+    "index below 1": ([0, 1], None, "unregularized", None),
+    "bad w0": (ORDER, None, "unregularized", np.zeros(5)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RUNS))
+def test_both_runners_reject_bad_input_alike(case):
+    """``run_batch`` on a one-row cell rejects each bad input with
+    ``run_continual``'s message."""
+    col = generate_realizable(d=3, M=2, n=1, radius=1.0, seed=14)
+    ordering, schedule, scheme, w0 = BAD_RUNS[case]
+    with pytest.raises(ValueError) as literal:
+        run_continual(col, ordering, schedule, scheme, w0=w0)
+    with pytest.raises(ValueError) as batch:
+        run_batch(col, [(np.asarray([ordering]), schedule)], scheme, w0=w0)
+    assert str(batch.value) == str(literal.value)
+
+
+def test_run_batch_rejects_indices_that_are_not_2d():
+    col = generate_realizable(d=3, M=2, n=1, radius=1.0, seed=14)
+    for indices in (np.asarray(ORDER), np.ones((1, 1, 2), np.int64)):
+        with pytest.raises(ValueError, match=r"indices must be \(trials, k\), got shape"):
+            run_batch(col, [(indices, None)], "unregularized")
+
+
+K = 5
+LAM = [0.5, 2.0, 1.0, 3.0, 0.7]
+BUDGET = {"gamma": [0.1, 0.2, 0.3, 0.1, 0.2], "n_steps": [1, 2, 3, 1, 2]}
+# Every scheme and schedule kind pair the README's table allows, plus a
+# custom schedule that sets every strength at once.
+COEFFICIENT_KINDS = ({"kind": "fixed-coefficient"}, {"kind": "increasing-coefficient"},
+                     {"kind": "custom", "lam": LAM})
+BUDGET_KINDS = ({"kind": "fixed-budget", "gamma": 0.5}, {"kind": "increasing-budget"},
+                {"kind": "custom", **BUDGET})
+EVERY_STRENGTH = {"kind": "custom", "lam": LAM, **BUDGET, "eta": [1.0, 2.0, 1.0, 3.0, 1.0]}
+PAIRS = ([(scheme, kind) for scheme in ("regularized", "igd-of-regularized")
+          for kind in COEFFICIENT_KINDS + (EVERY_STRENGTH,)]
+         + [(scheme, kind) for scheme in ("budgeted", "igd-of-budgeted")
+            for kind in BUDGET_KINDS + (EVERY_STRENGTH,)]
+         + [("unregularized", EVERY_STRENGTH)])
+
+
+@pytest.mark.parametrize("first", [False, True])
+@pytest.mark.parametrize("scheme, kind", PAIRS)
+def test_step_strengths_hands_out_the_schedules_arrays(scheme, kind, first):
+    """t0 is the projection prefix; the strengths are the schedule's own
+    read-only arrays, in ``READS`` order, which is ``spectral_multiplier``'s."""
+    schedule = build_schedule({**kind, "unregularized_first": first}, 1.0, K)
+    t0, strengths = step_strengths(scheme, schedule, K)
+    assert t0 == int(first)
+    assert READS[scheme] in ((), ("lam",), ("gamma", "n_steps"))
+    assert len(strengths) == len(READS[scheme])
+    for name, a in zip(READS[scheme], strengths):
+        assert a is getattr(schedule, name)
+        assert not a.flags.writeable and a.shape == (K,)
+
+
+def test_step_strengths_without_a_schedule():
+    assert step_strengths("unregularized", None, K) == (0, ())
