@@ -20,6 +20,7 @@ import sys
 
 from . import harness, verify
 from .harness import ConfigError
+from .orderings import MAX_TRIALS
 from .schedules import KINDS
 from .schemes import SCHEME_KINDS
 
@@ -93,6 +94,12 @@ def _cmd_verify(args):
 
 def _cmd_adversarial(args):
     _check_out(args.out)
+    # The scenario's largest arrays: its (k, trials) int64 orderings and its
+    # (k, 1, 2) float64 task stack.
+    if args.k >= 1:  # the constructions reject smaller k themselves
+        harness.check_fits(8 * args.k * max(args.trials, 2),
+                           f"--k {args.k} is too large for --trials {args.trials}: "
+                           f"its largest array")
     fields = KINDS[args.schedule].required + KINDS[args.schedule].optional
     schedule = {"kind": args.schedule, **{name: getattr(args, name)
                                           for name in ("gamma", "n_choice") if name in fields}}
@@ -102,12 +109,15 @@ def _cmd_adversarial(args):
     return 0 if report["passed"] else 2
 
 
-def _int_at_least(low):
-    """argparse type: an integer >= ``low``, so bad values fail at parse time."""
+def _int_at_least(low, most=None):
+    """argparse type: an integer >= ``low`` (and <= ``most``, if given), so bad
+    values fail at parse time."""
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
@@ -152,7 +162,7 @@ def build_parser():
     p.add_argument("--n-choice", type=int, default=1,
                    help="integer budget for increasing-budget schedules")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=_int_at_least(1), default=2000)
+    p.add_argument("--trials", type=_int_at_least(1, MAX_TRIALS), default=2000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_adversarial)

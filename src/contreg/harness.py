@@ -34,7 +34,7 @@ import numpy as np
 
 from .adversarial import any_alg_lb_collection, seen_task_lb_collection
 from .metrics import reference_solution, summarize_batch
-from .orderings import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, sample_orderings
+from .orderings import MAX_TRIALS, WITH_REPLACEMENT, WITHOUT_REPLACEMENT, sample_orderings
 from .schedules import KINDS, build_schedule
 # run_continual is not called here: the benchmark's tracer reads harness.run_continual.
 from .schemes import READS, run_batch, run_continual
@@ -122,21 +122,37 @@ def _check_schedule(sch, scheme):
 
 
 # A config's collection generator: fields are its config fields ('generator'
-# aside), and build(**fields) makes its collection from them.
-Generator = namedtuple("Generator", "fields build")
+# aside), and build(**fields) makes its collection from them; its float64 task
+# stack takes stack_bytes times the product of the stack fields.
+Generator = namedtuple("Generator", "fields build stack stack_bytes")
 
 GENERATORS = {
-    "gaussian": Generator(("d", "M", "n", "radius", "seed"), generate_realizable),
+    "gaussian": Generator(("d", "M", "n", "radius", "seed"), generate_realizable,
+                          ("M", "n", "d"), 8),
     "aligned-pairs": Generator(("d", "pairs", "angle", "radius", "seed"),
-                               generate_aligned_pairs),
+                               generate_aligned_pairs, ("pairs", "d"), 16),
 }
+
+
+def check_fits(nbytes, what):
+    """Reject an array of ``nbytes`` bytes that the machine's physical memory
+    cannot hold, by a ConfigError that starts with ``what``, before numpy
+    fails on it in its own words."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise ConfigError(f"{what} must be at most the machine's memory, {memory} bytes, "
+                          f"not {nbytes}")
 
 
 def parse_config(data):
     """Check a raw config mapping (unknown fields are errors; the schedule as
-    ``_check_schedule`` says) and build what it names: the collection and one
-    schedule per k.  So every config error is a ConfigError raised here,
-    before any trial is sampled."""
+    ``_check_schedule`` says) and build what it names: the collection, by
+    ``build_collection`` (so a generated one may be the object an earlier
+    config of this process built), and one schedule per k.  So every config
+    error is a ConfigError raised here, before any trial is sampled; a size
+    whose largest array (the task stack, or a k's ordering array) the
+    machine's memory cannot hold is one of them, raised before anything is
+    built."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(data, ["collection", "scheme", "schedule", "ordering",
@@ -157,6 +173,13 @@ def parse_config(data):
         raise ConfigError(f"collection field 'radius' must be > 0, got {col['radius']!r}")
     if "seed" in col and col["seed"] < 0:
         raise ConfigError(f"collection field 'seed' must be >= 0, got {col['seed']!r}")
+    if "path" not in col:
+        names = GENERATORS[gen].stack
+        sizes = [col[name] for name in names]
+        if min(sizes) >= 1:  # the generator rejects smaller sizes itself
+            check_fits(GENERATORS[gen].stack_bytes * math.prod(sizes),
+                       f"collection fields {', '.join(names)} = {sizes}: the float64 "
+                       f"task stack")
 
     scheme, sch = data["scheme"], data["schedule"]
     _check_schedule(sch, scheme)
@@ -175,19 +198,15 @@ def parse_config(data):
 
     _check_types(data, "config")
     trials = data["trials"]
-    if trials < 1:
-        raise ConfigError("trials must be an integer >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must be an integer >= 1 and <= 2**32, got {trials}")
     base_seed = data["base_seed"]
     if base_seed < 0:
         raise ConfigError("base_seed must be a nonnegative integer")
     # An entry's largest array is its (k, trials) int64 ordering array (its
-    # per-step arrays hold k floats); numpy describes none past np.intp bytes.
-    most = np.iinfo(np.intp).max
-    for k in k_grid:
-        if k * trials * 8 > most:
-            raise ConfigError(f"k_grid entry {k} is too large for trials={trials}: its "
-                              f"(k, trials) ordering array must be at most {most} bytes, "
-                              f"numpy's limit, not {k * trials * 8}")
+    # per-step arrays hold k floats).
+    check_fits(8 * k_grid[-1] * trials, f"k_grid entry {k_grid[-1]} is too large for "
+                                        f"trials={trials}: its (k, trials) int64 ordering array")
 
     collection = build_collection(col)
     if data["ordering"] == WITHOUT_REPLACEMENT and k_grid[-1] > collection.M:
@@ -218,12 +237,31 @@ def load_config(path):
     return parse_config(_load_json(path))
 
 
+# The collection of the latest generator spec, by its key.
+_collections = {}
+
+
 def build_collection(spec):
-    """The collection a checked config's collection spec names."""
+    """The collection a checked config's collection spec names.
+
+    A generated collection is a pure function of its spec, so it is built
+    once: the process keeps the collection of the latest generator spec,
+    keyed by the generator's name (named or defaulted) and each field's type
+    and value, and returns that same object to every later call naming the
+    spec.  Its arrays are read-only and its row bases, stacked rows and tasks
+    are built on first use, so every run on the spec shares them too.  A new
+    spec drops the kept collection first.  A ``{"path": ...}`` spec is read
+    and built on every call, since the file can change between calls.
+    """
     if "path" in spec:
         return collection_from_dict(_load_json(spec["path"]))
-    gen = GENERATORS[spec.get("generator", "gaussian")]
-    return gen.build(**{name: spec[name] for name in gen.fields})
+    name = spec.get("generator", "gaussian")
+    gen = GENERATORS[name]
+    key = (name, *((type(spec[field]), spec[field]) for field in gen.fields))
+    if key not in _collections:
+        _collections.clear()
+        _collections[key] = gen.build(**{field: spec[field] for field in gen.fields})
+    return _collections[key]
 
 
 CSV_FIELDS = ("scheme", "schedule", "ordering", "M", "d", "R", "k", "trial",

@@ -39,6 +39,8 @@ import numpy as np
 
 WITH_REPLACEMENT = "with-replacement"
 WITHOUT_REPLACEMENT = "without-replacement"
+# The most trials of one cell: every trial index then hashes as one uint32 word.
+MAX_TRIALS = 2 ** 32
 
 
 def _seed_sequence(seed, path):
@@ -63,7 +65,7 @@ def derived_seed(seed, *path):
     return _fingerprint(_seed_sequence(seed, path))
 
 
-def _checked_sizes(kind, M, k):
+def _checked_sizes(kind, M, k, trials=1):
     if kind not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
         raise ValueError(f"unknown ordering kind: {kind!r}")
     M = int(M)
@@ -72,6 +74,8 @@ def _checked_sizes(kind, M, k):
         raise ValueError("M must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
+    if not 0 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be >= 0 and <= 2**32, got {trials}")
     if kind == WITHOUT_REPLACEMENT and k > M:
         raise ValueError(f"without-replacement needs k <= M, got k={k}, M={M}")
     return M, k
@@ -129,7 +133,7 @@ def _trial_keys(seed, k, trials):
     seq = np.random.SeedSequence(seed, spawn_key=(k,))  # rejects negative seeds
     n_words = max(4, _words(seed)) + _words(k)
     xor = _INIT_A * pow(_MULT_A, 4 * n_words, 2 ** 32) & _MASK32
-    # One word: a (k, trials) int64 array cannot hold 2**32 trials.
+    # One word: sample_orderings takes at most MAX_TRIALS trials.
     i = np.arange(trials, dtype=np.uint32)
     pool = []
     for word in seq.pool.tolist():  # SeedSequence's mix of each pool word with i
@@ -199,9 +203,9 @@ def sample_orderings(kind, M, k, trials, base_seed):
     Both arrays are read-only and shared: every call for a cell of the latest
     base seed returns the ones its first call drew.  The indices are a view
     of a step-major array, the layout ``schemes.run_batch`` steps through, so
-    no copy is made there.
+    no copy is made there.  ``trials`` may be at most ``MAX_TRIALS``.
     """
-    M, k = _checked_sizes(kind, M, k)
+    M, k = _checked_sizes(kind, M, k, trials)
     key = (kind, M, k, int(trials), int(base_seed))
     cell = _cells.get(key)
     if cell is None:

@@ -185,6 +185,8 @@ def increasing_budget(R, k, n_choice=1):
     eta0 = _decaying_steps(R, k, "increasing budget")
     if n_choice < 1:
         raise ValueError("n_choice must be >= 1")
+    if n_choice >= 2 ** 63:  # past the int64 budgets
+        raise ValueError(f"n_choice must be < 2**63, got {n_choice}")
     gamma = eta0 / n_choice
     if np.any(gamma * R * R >= 1) or np.any(gamma <= 0):
         raise ValueError("derived inner step sizes left (0, 1/R^2)")

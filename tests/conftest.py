@@ -3,14 +3,31 @@
 import numpy as np
 import pytest
 
-from contreg import orderings
+from contreg import harness, orderings
 
 
 @pytest.fixture(autouse=True)
-def no_shared_cells():
-    """Every test starts with no ordering cells kept from an earlier test, so
-    that none passes or fails on what another left behind."""
+def no_kept_cells_or_collection():
+    """Every test starts with no ordering cells and no generated collection
+    kept from an earlier test, so that none passes or fails on what another
+    left behind."""
     orderings._cells.clear()
+    harness._collections.clear()
+
+
+@pytest.fixture
+def collection_builds(monkeypatch):
+    """The generator name of every collection ``harness.build_collection``
+    builds from a generator spec while the test runs (a kept collection it
+    returns is not a build)."""
+    builds = []
+    for name, gen in harness.GENERATORS.items():
+        def counting(*args, build=gen.build, name=name, **kwargs):
+            builds.append(name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setitem(harness.GENERATORS, name, gen._replace(build=counting))
+    return builds
 
 
 @pytest.fixture

@@ -116,10 +116,31 @@ BAD_VALUE_CONFIGS += [base_config(k_grid=[k], scheme=scheme, schedule=schedule)
                       for scheme, schedule in (("regularized", {"kind": "fixed-coefficient"}),
                                                ("budgeted", {"kind": "fixed-budget",
                                                              "gamma": 0.5}))]
-# k_grid entries whose (k, trials) ordering array numpy cannot describe: its
-# size in bytes passes np.intp's maximum.
+# k_grid entries whose (k, trials) ordering array no machine's memory holds.
 OVERSIZE_K = (2 ** 63 - 1, 2 ** 62)
 BAD_VALUE_CONFIGS += [base_config(k_grid=[k]) for k in OVERSIZE_K]
+# Sizes past the machine's memory or past the ranges the engine hashes and
+# stores, each named by a one-line error: (config, the error's start).
+OVERSIZE_CONFIGS = [
+    (base_config(k_grid=[2 ** 59], trials=1),
+     f"k_grid entry {2 ** 59} is too large for trials=1: its (k, trials) int64 ordering "
+     f"array must be at most the machine's memory"),
+    (base_config(trials=10 ** 12), "trials must be an integer >= 1 and <= 2**32, "
+                                   "got 1000000000000"),
+    (base_config(trials=2 ** 32 + 1), f"trials must be an integer >= 1 and <= 2**32, "
+                                      f"got {2 ** 32 + 1}"),
+    (base_config(collection={**GAUSSIAN_COLLECTION, "M": 10 ** 15}),
+     f"collection fields M, n, d = [{10 ** 15}, 2, 4]: the float64 task stack must be at "
+     f"most the machine's memory"),
+    (base_config(collection={**PAIRS_COLLECTION, "d": 10 ** 18}),
+     f"collection fields pairs, d = [2, {10 ** 18}]: the float64 task stack must be at "
+     f"most the machine's memory"),
+]
+BAD_VALUE_CONFIGS += [cfg for cfg, _ in OVERSIZE_CONFIGS]
+# An n_choice past the int64 budgets.
+BAD_VALUE_CONFIGS += [base_config(scheme="budgeted", schedule={"kind": "increasing-budget",
+                                                               "n_choice": n})
+                      for n in (2 ** 63, 10 ** 30)]
 
 
 def test_parse_config_strictness():
@@ -646,6 +667,57 @@ def test_oversize_k_grid_entry_is_named_before_the_collection_is_built(tmp_path,
         path.write_text(json.dumps(base_config(k_grid=[k])))
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
         assert f"error: k_grid entry {k} is too large" in one_line_error(capsys)
+
+
+def test_sizes_past_the_machine_memory_are_named_before_anything_is_built(tmp_path, capsys,
+                                                                          monkeypatch):
+    """A size whose largest array (the task stack, a k's ordering array, the
+    scenario's) no machine's memory holds, or a trial count past 2**32, is
+    one error line naming its field, before any collection is built or any
+    ordering drawn.  The scenario runners, called directly, reject such a
+    trial count where the orderings are sampled."""
+    for run in (harness.run_seen_task_floor, harness.run_any_alg_mean):
+        with pytest.raises(ValueError, match=r"trials must be >= 0 and <= 2\*\*32, got"):
+            run(16, 2 ** 32 + 1, 0)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the sizes were checked")
+
+    for name in ("build_collection", "sample_orderings", "seen_task_lb_collection",
+                 "any_alg_lb_collection"):
+        monkeypatch.setattr(harness, name, no_work)
+    path = tmp_path / "big.json"
+    for cfg, message in OVERSIZE_CONFIGS:
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert one_line_error(capsys).startswith(f"error: {message}")
+    adversarial = ["adversarial", "--scenario"]
+    for scenario in ("seen-task", "any-algorithm"):
+        for k, trials in ((10 ** 30, 2000), (10 ** 9, 10 ** 9)):
+            assert cli.main(adversarial + [scenario, "--k", str(k), "--trials", str(trials)]) == 1
+            assert one_line_error(capsys).startswith(
+                f"error: --k {k} is too large for --trials {trials}: its largest array must "
+                f"be at most the machine's memory")
+        assert cli.main(adversarial + [scenario, "--k", "16", "--trials", str(2 ** 32 + 1)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and [line for line in err.splitlines() if "error:" in line] == [
+            f"contreg adversarial: error: argument --trials: must be <= {2 ** 32}, "
+            f"got {2 ** 32 + 1}"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_n_choice_past_int64_is_a_one_line_error(tmp_path, capsys):
+    for n in (2 ** 63, 10 ** 30):
+        cfg = base_config(scheme="budgeted",
+                          schedule={"kind": "increasing-budget", "n_choice": n})
+        assert run_cli_csv(tmp_path, "n", cfg)[0] == 1
+        assert one_line_error(capsys) == (f"error: increasing-budget schedule: n_choice must "
+                                          f"be < 2**63, got {n}\n")
+        for scenario in ("seen-task", "any-algorithm"):
+            assert cli.main(["adversarial", "--scenario", scenario, "--k", "16", "--scheme",
+                             "budgeted", "--schedule", "increasing-budget", "--n-choice",
+                             str(n)]) == 1
+            assert one_line_error(capsys) == f"error: n_choice must be < 2**63, got {n}\n"
 
 
 @pytest.mark.parametrize("message", [
@@ -1211,6 +1283,102 @@ def test_the_acceptance_pairs_draw_each_k_cell_once(tmp_path, cell_builds):
     assert cell_builds == [(99, 4, 6), (99, 8, 6), (99, 16, 6)]
     assert shared == [csv_bytes(*pair, fresh=True) for pair in ACCEPTANCE_PAIRS]
     assert len(cell_builds) == 3 + 3 * len(ACCEPTANCE_PAIRS)
+
+
+def test_a_generator_spec_is_built_once(tmp_path, collection_builds):
+    """Every call naming one generator spec, through parse_config or a whole
+    ``contreg run`` too, returns the collection its first call built; naming
+    the default generator is the same spec."""
+    col = harness.build_collection(GAUSSIAN_COLLECTION)
+    assert harness.build_collection(dict(GAUSSIAN_COLLECTION)) is col
+    assert harness.build_collection({**GAUSSIAN_COLLECTION, "generator": "gaussian"}) is col
+    assert harness.parse_config(base_config()).collection is col
+    assert harness.parse_config(base_config(k_grid=[2, 5], trials=3)).collection is col
+    for name in ("a", "b"):
+        assert run_cli_csv(tmp_path, name, base_config())[0] == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert collection_builds == ["gaussian"]
+
+
+@pytest.mark.parametrize("spec, changes", [
+    (GAUSSIAN_COLLECTION, [("d", 5), ("M", 4), ("n", 3), ("radius", 2.0), ("radius", 1),
+                           ("seed", 8)]),
+    (PAIRS_COLLECTION, [("d", 6), ("pairs", 1), ("angle", 0.2), ("radius", 2.0),
+                        ("radius", 1), ("seed", 8)]),
+], ids=["gaussian", "aligned-pairs"])
+def test_a_changed_field_is_a_new_build(spec, changes, collection_builds):
+    """Any one field changed, in value or in JSON type (radius 1 against
+    1.0), names another spec, built anew."""
+    gen = spec.get("generator", "gaussian")
+    for name, value in changes:
+        collection_builds.clear()
+        col = harness.build_collection(spec)
+        assert harness.build_collection({**spec, name: value}) is not col
+        assert collection_builds == [gen, gen], (name, value)
+
+
+def test_one_generated_collection_is_kept(collection_builds):
+    """Specs A, B, then A build A twice: a new spec drops the kept
+    collection, so the process holds at most one; the rebuild holds the
+    same bits."""
+    a = harness.build_collection(GAUSSIAN_COLLECTION)
+    b = harness.build_collection(PAIRS_COLLECTION)
+    again = harness.build_collection(GAUSSIAN_COLLECTION)
+    assert collection_builds == ["gaussian", "aligned-pairs", "gaussian"]
+    assert b is not a and again is not a and list(harness._collections.values()) == [again]
+    assert again.stacks[0].X.tobytes() == a.stacks[0].X.tobytes()
+
+
+def test_a_collection_file_is_read_on_every_call(tmp_path, collection_builds):
+    """A file can change between two calls naming it, so each call reads it."""
+    path = tmp_path / "col.json"
+    spec = {"path": str(path)}
+    seen = []
+    for X, y in (([[1.0, 0.0]], [1.0]), ([[2.0, 0.0]], [3.0])):
+        path.write_text(json.dumps({"tasks": [{"X": X, "y": y}]}))
+        for col in (harness.build_collection(spec),
+                    harness.parse_config(base_config(collection=spec)).collection):
+            seen.append((col.tasks[0].X.tolist(), col.tasks[0].y.tolist()))
+    assert seen == [([[1.0, 0.0]], [1.0])] * 2 + [([[2.0, 0.0]], [3.0])] * 2
+    assert collection_builds == []
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN_COLLECTION, PAIRS_COLLECTION],
+                         ids=["gaussian", "aligned-pairs"])
+def test_every_array_of_a_kept_collection_is_read_only(spec):
+    """Every run of a spec shares its collection, so none may write to it:
+    its stacks, w_star, row bases, stacked rows and every field of its tasks
+    are read-only."""
+    col = harness.build_collection(spec)
+    arrays = [col.w_star, *col.stacked_rows, *vars(col.row_bases).values()]
+    for stack in col.stacks:
+        arrays += vars(stack).values()
+    for t in col.tasks:
+        V, sigma, target, _, _ = t.row_basis
+        arrays += [t.X, t.y, t.pinv_solution, *t.svd[:3], t.gram, t.xty, t.pinv,
+                   V, sigma, target]
+    assert len(arrays) > 10
+    for a in arrays:
+        assert isinstance(a, np.ndarray) and not a.flags.writeable
+
+
+def test_runs_on_a_kept_collection_write_the_bytes_of_a_fresh_one(tmp_path,
+                                                                   collection_builds):
+    """The five acceptance pairs share one collection, and each writes the
+    CSV bytes it writes on a collection built for it alone."""
+    def csv_bytes(scheme, schedule, fresh):
+        if fresh:
+            harness._collections.clear()
+        cfg = base_config(collection=PAIRS_COLLECTION, scheme=scheme, schedule=schedule,
+                          k_grid=[4, 8, 16], trials=6)
+        code, path = run_cli_csv(tmp_path, f"{scheme}-{schedule['kind']}-{fresh}", cfg)
+        assert code == 0
+        return path.read_bytes()
+
+    kept = [csv_bytes(*pair, fresh=False) for pair in ACCEPTANCE_PAIRS]
+    assert collection_builds == ["aligned-pairs"]
+    assert kept == [csv_bytes(*pair, fresh=True) for pair in ACCEPTANCE_PAIRS]
+    assert collection_builds == ["aligned-pairs"] * (1 + len(ACCEPTANCE_PAIRS))
 
 
 def test_the_lower_bound_scenarios_share_their_cell(cell_builds):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy import stats
 
+from contreg import orderings
 from contreg.orderings import (derived_seed, sample_ordering, sample_orderings, stream,
-                               WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
+                               MAX_TRIALS, WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
 
 
 def test_single_task_collection_is_constant():
@@ -178,6 +179,20 @@ def test_unknown_kind_and_bad_sizes():
         sample_ordering(WITH_REPLACEMENT, 0, 3, seed=0)
     with pytest.raises(ValueError, match="k must be"):
         sample_ordering(WITH_REPLACEMENT, 3, -1, seed=0)
+
+
+@pytest.mark.parametrize("kind", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
+def test_trials_past_2_32_are_rejected_before_any_draw(kind, cell_builds):
+    """Trial indices are hashed as one uint32 word, so 2**32 trials is the
+    most a cell takes: past it an index would wrap onto an earlier trial's
+    seed.  The size check comes before any array is made."""
+    assert np.iinfo(np.uint32).max == MAX_TRIALS - 1 and orderings._words(MAX_TRIALS - 1) == 1
+    assert orderings._words(MAX_TRIALS) == 2
+    for trials in (MAX_TRIALS + 1, 2 ** 64, -1):
+        with pytest.raises(ValueError, match=f"trials must be >= 0 and <= 2\\*\\*32, "
+                                             f"got {trials}"):
+            sample_orderings(kind, 3, 2, trials, 0)
+    assert cell_builds == []
 
 
 def test_zero_length_ordering_allowed():
