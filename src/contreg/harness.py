@@ -16,12 +16,21 @@ A sweep's results travel as one ``ResultTable``, from ``run_experiment``
 through ``write_csv`` and ``read_csv`` to ``aggregate``: the run key is held
 once and every per-row field is a numpy column, so no per-row Python object
 is built between the metric pass and the CSV line.
+
+This is the one module that keeps values between runs, each by ``_keep``
+for its latest group only: the ordering cells of the latest base seed
+(``kept_orderings``), which the five schemes of a sweep and both lower-bound
+scenarios at one k share, and the collection of the latest generator spec
+(``build_collection``), which a sweep's schemes share with its row bases,
+stacked rows and reference solution.  Both are pure functions of their keys,
+so what a run writes does not depend on what an earlier run left kept.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversarial import any_alg_lb_collection, seen_task_lb_collection
-from .metrics import reference_solution, summarize_batch
+from .metrics import summarize_batch
 from .orderings import MAX_TRIALS, WITH_REPLACEMENT, WITHOUT_REPLACEMENT, sample_orderings
 from .schedules import KINDS, build_schedule
 # run_continual is not called here: the benchmark's tracer reads harness.run_continual.
@@ -134,12 +143,23 @@ GENERATORS = {
 }
 
 
+@functools.cache
+def _physical_memory():
+    """The machine's physical memory in bytes, read once, or None where it
+    cannot be read (``os.sysconf`` is Unix-only)."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def check_fits(nbytes, what):
     """Reject an array of ``nbytes`` bytes that the machine's physical memory
     cannot hold, by a ConfigError that starts with ``what``, before numpy
-    fails on it in its own words."""
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > memory:
+    fails on it in its own words.  Where the memory cannot be read, nothing
+    is checked, and an impossible size fails in numpy's MemoryError."""
+    memory = _physical_memory()
+    if memory is not None and nbytes > memory:
         raise ConfigError(f"{what} must be at most the machine's memory, {memory} bytes, "
                           f"not {nbytes}")
 
@@ -149,10 +169,11 @@ def parse_config(data):
     ``_check_schedule`` says) and build what it names: the collection, by
     ``build_collection`` (so a generated one may be the object an earlier
     config of this process built), and one schedule per k.  So every config
-    error is a ConfigError raised here, before any trial is sampled; a size
-    whose largest array (the task stack, or a k's ordering array) the
-    machine's memory cannot hold is one of them, raised before anything is
-    built."""
+    error is a ConfigError raised here, before any trial is sampled.  A size
+    whose largest array the machine's memory cannot hold is one of them: the
+    task stack or a k's ordering array, raised before anything is built, or
+    the iterates of all trials of all k, raised once the collection's d is
+    known."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(data, ["collection", "scheme", "schedule", "ordering",
@@ -209,6 +230,10 @@ def parse_config(data):
                                         f"trials={trials}: its (k, trials) int64 ordering array")
 
     collection = build_collection(col)
+    # run_batch steps every trial of every k together, in one float64 array.
+    check_fits(8 * trials * len(k_grid) * collection.d,
+               f"trials={trials}, len(k_grid)={len(k_grid)} and d={collection.d}: the "
+               f"(trials * len(k_grid), d) float64 iterates")
     if data["ordering"] == WITHOUT_REPLACEMENT and k_grid[-1] > collection.M:
         raise ConfigError(f"without-replacement needs k <= M, got k={k_grid[-1]}, "
                           f"M={collection.M}")
@@ -237,8 +262,21 @@ def load_config(path):
     return parse_config(_load_json(path))
 
 
-# The collection of the latest generator spec, by its key.
+# What the process keeps between runs, as {group: {key: value}} for the
+# latest group: ordering cells by base seed, and a collection by its spec.
+_cells = {}
 _collections = {}
+
+
+def _keep(store, group, make, key=None):
+    """``make()``, made once for ``key`` while ``group`` is the latest group
+    of ``store``: a call of another group drops what ``store`` kept first."""
+    if group not in store:
+        store.clear()
+    values = store.setdefault(group, {})
+    if key not in values:
+        values[key] = make()
+    return values[key]
 
 
 def build_collection(spec):
@@ -248,20 +286,26 @@ def build_collection(spec):
     once: the process keeps the collection of the latest generator spec,
     keyed by the generator's name (named or defaulted) and each field's type
     and value, and returns that same object to every later call naming the
-    spec.  Its arrays are read-only and its row bases, stacked rows and tasks
-    are built on first use, so every run on the spec shares them too.  A new
-    spec drops the kept collection first.  A ``{"path": ...}`` spec is read
-    and built on every call, since the file can change between calls.
+    spec.  Its arrays are read-only and its row bases, stacked rows, tasks
+    and reference solution are built on first use, so every run on the spec
+    shares them too.  A ``{"path": ...}`` spec is read and built on every
+    call, since the file can change between calls.
     """
     if "path" in spec:
         return collection_from_dict(_load_json(spec["path"]))
     name = spec.get("generator", "gaussian")
     gen = GENERATORS[name]
     key = (name, *((type(spec[field]), spec[field]) for field in gen.fields))
-    if key not in _collections:
-        _collections.clear()
-        _collections[key] = gen.build(**{field: spec[field] for field in gen.fields})
-    return _collections[key]
+    return _keep(_collections, key,
+                 lambda: gen.build(**{field: spec[field] for field in gen.fields}))
+
+
+def kept_orderings(kind, M, k, trials, base_seed):
+    """``sample_orderings(kind, M, k, trials, base_seed)``, drawn once per
+    base seed: every run of a cell of the latest base seed gets the read-only
+    arrays its first run drew."""
+    return _keep(_cells, base_seed, lambda: sample_orderings(kind, M, k, trials, base_seed),
+                 key=(kind, M, k, trials))
 
 
 CSV_FIELDS = ("scheme", "schedule", "ordering", "M", "d", "R", "k", "trial",
@@ -333,14 +377,13 @@ def run_experiment(cfg):
     strengths that depend on the tasks drawn for every cell before any trial
     steps."""
     col = cfg.collection
-    w_star = reference_solution(col)
-    drawn = [sample_orderings(cfg.ordering, col.M, k, cfg.trials, cfg.base_seed)
+    drawn = [kept_orderings(cfg.ordering, col.M, k, cfg.trials, cfg.base_seed)
              for k in cfg.k_grid]
     # Overflow shows up as a non-finite result, reported below by trial.
     with np.errstate(over="ignore", invalid="ignore"):
         runs = run_batch(col, [(idx, spec) for (idx, _), spec in zip(drawn, cfg.schedules)],
                          cfg.scheme)
-        recs = [summarize_batch(run, col, w_star) for run in runs]
+        recs = [summarize_batch(run, col) for run in runs]
     table = ResultTable(
         scheme=cfg.scheme, schedule=cfg.kind, ordering=cfg.ordering,
         M=col.M, d=col.d, R=col.radius,
@@ -561,7 +604,7 @@ def _run_scenario(col, w0, k, trials, base_seed, scheme, schedule):
     """MetricsRecord of ``trials`` with-replacement runs of k steps on a
     scenario's collection from the start ``w0``."""
     spec = build_schedule(schedule, col.radius, k)
-    idx, _ = sample_orderings(WITH_REPLACEMENT, col.M, k, trials, base_seed)
+    idx, _ = kept_orderings(WITH_REPLACEMENT, col.M, k, trials, base_seed)
     (run,) = run_batch(col, [(idx, spec)], scheme, w0=w0)
     return summarize_batch(run, col)
 

@@ -1,7 +1,9 @@
 """Evaluation quantities: average loss, seen-task loss, and loss degradation.
 
 Everything here is recomputed in full precision from iterates and task data
-at measurement time; nothing is derived from logged, rounded values.
+at measurement time; nothing is derived from logged, rounded values.  The
+distance to the solution is measured from the collection's own
+``reference_solution``, which the collection solves once and keeps.
 """
 
 from __future__ import annotations
@@ -9,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tasks import min_norm_solution
 
 
 def task_loss(w, task):
@@ -73,24 +73,14 @@ class MetricsRecord:
     dist_to_wstar: float
 
 
-def reference_solution(collection):
-    """The collection's planted solution, else the minimum-norm solution of
-    the stacked system: the ``w_star`` that ``dist_to_wstar`` measures from."""
-    return collection.w_star if collection.w_star is not None else min_norm_solution(collection)
-
-
-def summarize(trajectory, collection, w_star=None):
-    """Final-iterate metrics for a trajectory.
-
-    ``w_star`` defaults to ``reference_solution(collection)``.
-    """
-    w_star = reference_solution(collection) if w_star is None else np.asarray(w_star)
+def summarize(trajectory, collection):
+    """Final-iterate metrics for a trajectory."""
     w = trajectory.iterates[-1]
     return MetricsRecord(
         avg_loss=average_loss(w, collection),
         seen_loss=seen_task_loss(w, collection, trajectory.ordering),
         degradation=loss_degradation(trajectory, collection),
-        dist_to_wstar=float(np.linalg.norm(w - w_star)),
+        dist_to_wstar=float(np.linalg.norm(w - collection.reference_solution)),
     )
 
 
@@ -99,7 +89,7 @@ def summarize(trajectory, collection, w_star=None):
 _BLOCK_ELEMS = 1 << 14
 
 
-def summarize_batch(run, collection, w_star=None):
+def summarize_batch(run, collection):
     """``summarize`` for a ``schemes.BatchRun``: a MetricsRecord of (trials,) arrays.
 
     Trials are scored in fixed-size blocks, so no (trials, M), (trials, rows)
@@ -112,7 +102,6 @@ def summarize_batch(run, collection, w_star=None):
     runs along a trial's own contiguous row, so a trial's values do not
     depend on which other trials share the batch.
     """
-    w_star = reference_solution(collection) if w_star is None else np.asarray(w_star)
     W, order = run.final, run.ordering
     trials, k = order.shape
     if k < 1:
@@ -141,7 +130,7 @@ def summarize_batch(run, collection, w_star=None):
     total *= 0.5
     seen *= 0.5
     seen /= k
-    diff = W - w_star
+    diff = W - collection.reference_solution
     return MetricsRecord(
         avg_loss=total / M,
         seen_loss=seen,

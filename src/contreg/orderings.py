@@ -27,10 +27,9 @@ vectorized pass is tested against, so a numpy release that changed
 ``Generator.integers`` or ``permutation`` would fail that test rather than
 silently move CSV bytes.
 
-A cell is a pure function of its key ``(kind, M, k, trials, base_seed)``, so
-:func:`sample_orderings` draws each cell once: the process keeps the cells of
-the latest base seed and hands every run of a cell the same read-only
-arrays.  A call with a new base seed drops them before it draws.
+Nothing here keeps a value between calls: a cell is a pure function of
+``(kind, M, k, trials, base_seed)``, and ``harness`` keeps the cells its runs
+share.
 """
 
 from __future__ import annotations
@@ -47,22 +46,14 @@ def _seed_sequence(seed, path):
     return np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
 
 
-def _generator(seq):
-    return np.random.Generator(np.random.Philox(seq))
-
-
-def _fingerprint(seq):
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 def stream(seed, *path):
     """Independent generator for (seed, path); same inputs, same stream."""
-    return _generator(_seed_sequence(seed, path))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
 def derived_seed(seed, *path):
     """Stable 64-bit fingerprint of the (seed, path) stream, for logging."""
-    return _fingerprint(_seed_sequence(seed, path))
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
 
 
 def _checked_sizes(kind, M, k, trials=1):
@@ -81,12 +72,6 @@ def _checked_sizes(kind, M, k, trials=1):
     return M, k
 
 
-def _draw(rng, kind, M, k):
-    if kind == WITH_REPLACEMENT:
-        return rng.integers(1, M + 1, size=k)
-    return rng.permutation(M)[:k] + 1
-
-
 def sample_ordering(kind, M, k, seed, path=()):
     """Sample a uniform task ordering of length k over tasks 1..M, as a
     read-only int64 array.
@@ -95,7 +80,9 @@ def sample_ordering(kind, M, k, seed, path=()):
     so concurrent trials never share generator state.
     """
     M, k = _checked_sizes(kind, M, k)
-    idx = np.asarray(_draw(stream(seed, *path), kind, M, k), dtype=np.int64)
+    rng = stream(seed, *path)
+    idx = np.asarray(rng.integers(1, M + 1, size=k) if kind == WITH_REPLACEMENT
+                     else rng.permutation(M)[:k] + 1, dtype=np.int64)
     idx.flags.writeable = False
     return idx
 
@@ -190,36 +177,20 @@ def _bounded(words, M, k):
     return draws.T, rejected
 
 
-# The cells of the latest base seed, by (kind, M, k, trials, base_seed).
-_cells = {}
-
-
 def sample_orderings(kind, M, k, trials, base_seed):
     """Orderings of trials 0..trials-1 of one k-cell, as ``(indices, seeds)``.
 
     ``indices`` is a (trials, k) array of task indices whose row i is
     ``sample_ordering(kind, M, k, base_seed, path=(k, i))``; ``seeds`` is a
     (trials,) uint64 array of each trial's ``derived_seed(base_seed, k, i)``.
-    Both arrays are read-only and shared: every call for a cell of the latest
-    base seed returns the ones its first call drew.  The indices are a view
-    of a step-major array, the layout ``schemes.run_batch`` steps through, so
-    no copy is made there.  ``trials`` may be at most ``MAX_TRIALS``.
+    Both arrays are read-only, and each call draws its own.  The indices are
+    a view of a step-major array, the layout ``schemes.run_batch`` steps
+    through, so no copy is made there.  ``trials`` may be at most
+    ``MAX_TRIALS``.  With replacement, trials are drawn in blocks of about
+    ``_BLOCK_DRAWS`` draws, so the temporaries stay small next to the result.
     """
     M, k = _checked_sizes(kind, M, k, trials)
-    key = (kind, M, k, int(trials), int(base_seed))
-    cell = _cells.get(key)
-    if cell is None:
-        if _cells and next(iter(_cells))[-1] != key[-1]:
-            _cells.clear()
-        cell = _cells[key] = _draw_cell(*key)
-    return cell
-
-
-def _draw_cell(kind, M, k, trials, base_seed):
-    """A cell's read-only (trials, k) indices and (trials,) seeds.  With
-    replacement, trials are drawn in blocks of about ``_BLOCK_DRAWS`` draws,
-    so the temporaries stay small next to the result."""
-    keys = _trial_keys(base_seed, k, trials)
+    keys = _trial_keys(int(base_seed), k, trials)
     rng, rekey = _keyed_generator()
     idx = np.empty((k, trials), np.int64)
     if kind == WITHOUT_REPLACEMENT:

@@ -26,12 +26,6 @@ _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def _rcond(shape):
-    """pinv's rank cutoff relative to sigma_max: singular values at or below
-    max(n, d) * eps * sigma_max count as zero."""
-    return max(shape) * _EPS
-
-
 def _frozen(a, dtype=np.float64):
     a = np.asarray(a, dtype=dtype).copy()
     a.flags.writeable = False
@@ -119,8 +113,9 @@ def _by_value(keys):
 
 def _rank(sigma, shape):
     """Each matrix's rank above pinv's cutoff, from the singular values
-    ``sigma`` (M, q) of a stack of (n, d) = ``shape`` matrices."""
-    return (sigma > _rcond(shape) * sigma.max(axis=1, keepdims=True)).sum(axis=1)
+    ``sigma`` (M, q) of a stack of (n, d) = ``shape`` matrices: singular
+    values at or below max(n, d) * eps * sigma_max count as zero."""
+    return (sigma > max(shape) * _EPS * sigma.max(axis=1, keepdims=True)).sum(axis=1)
 
 
 def _factor(X):
@@ -307,6 +302,13 @@ class TaskCollection:
             for m, t in zip(s.index.tolist(), s.views()):
                 tasks[m] = t
         return tuple(tasks)
+
+    @cached_property
+    def reference_solution(self):
+        """The point ``dist_to_wstar`` measures from: the planted ``w_star``,
+        else the minimum-norm solution of the stacked system (solved on
+        first use, read-only)."""
+        return self.w_star if self.w_star is not None else _frozen(min_norm_solution(self))
 
     @cached_property
     def stacked_rows(self):

@@ -11,7 +11,7 @@ def no_kept_cells_or_collection():
     """Every test starts with no ordering cells and no generated collection
     kept from an earlier test, so that none passes or fails on what another
     left behind."""
-    orderings._cells.clear()
+    harness._cells.clear()
     harness._collections.clear()
 
 
@@ -33,7 +33,8 @@ def collection_builds(monkeypatch):
 @pytest.fixture
 def cell_builds(monkeypatch):
     """The (seed, k, trials) of every ordering cell ``sample_orderings``
-    builds while the test runs: it hashes one cell's trial keys per build."""
+    draws while the test runs, for ``harness.kept_orderings`` or any other
+    caller: it hashes one cell's trial keys per draw."""
     builds = []
     trial_keys = orderings._trial_keys
 

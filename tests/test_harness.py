@@ -21,9 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import loss_scale
-from contreg import adversarial, cli, harness, orderings, schemes, verify
+from contreg import adversarial, cli, harness, schemes, verify
 from contreg.harness import ConfigError
-from contreg.orderings import derived_seed, stream
+from contreg.orderings import derived_seed, stream, WITH_REPLACEMENT, WITHOUT_REPLACEMENT
 from contreg.tasks import RegressionTask, new_collection, new_task, stacked_collection
 
 
@@ -137,6 +137,11 @@ OVERSIZE_CONFIGS = [
      f"most the machine's memory"),
 ]
 BAD_VALUE_CONFIGS += [cfg for cfg, _ in OVERSIZE_CONFIGS]
+# trials * len(k_grid) iterates of length d that no machine's memory holds:
+# 8 * 10**12 bytes, in a config whose other arrays are small.
+OVERSIZE_ITERATES = base_config(collection={**GAUSSIAN_COLLECTION, "d": 10 ** 6, "M": 1,
+                                            "n": 1}, k_grid=[2], trials=10 ** 6)
+BAD_VALUE_CONFIGS.append(OVERSIZE_ITERATES)
 # An n_choice past the int64 budgets.
 BAD_VALUE_CONFIGS += [base_config(scheme="budgeted", schedule={"kind": "increasing-budget",
                                                                "n_choice": n})
@@ -706,6 +711,72 @@ def test_sizes_past_the_machine_memory_are_named_before_anything_is_built(tmp_pa
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_oversize_iterates_are_named_before_any_ordering_is_drawn(tmp_path, capsys,
+                                                                 monkeypatch, cell_builds):
+    """``run_batch`` steps every trial of every k in one (trials * len(k_grid),
+    d) float64 array.  A size whose array no machine's memory holds is one
+    error line naming trials, k_grid and d, once d is known (a collection
+    file's only once it is read) and before any ordering is drawn."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an ordering was drawn before the sizes were checked")
+
+    monkeypatch.setattr(harness, "sample_orderings", no_draw)
+    col_path = tmp_path / "wide.json"
+    col_path.write_text(json.dumps({"tasks": [{"X": [[1.0] * 10 ** 6], "y": [1.0]}]}))
+    path = tmp_path / "big.json"
+    for cfg in (OVERSIZE_ITERATES, {**OVERSIZE_ITERATES, "collection": {"path": str(col_path)}}):
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert one_line_error(capsys).startswith(
+            f"error: trials={10 ** 6}, len(k_grid)=1 and d={10 ** 6}: the (trials * "
+            f"len(k_grid), d) float64 iterates must be at most the machine's memory")
+    assert cell_builds == [] and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("sysconf", [None, ValueError, OSError],
+                         ids=["no-sysconf", "ValueError", "OSError"])
+def test_runs_where_the_machine_memory_cannot_be_read(tmp_path, capsys, monkeypatch, sysconf):
+    """Without ``os.sysconf`` (as on Windows), or where it fails, the size
+    checks are skipped and small runs exit 0.  An impossible size is then left
+    to numpy's MemoryError, which ``test_out_of_memory_is_a_one_line_error``
+    covers."""
+    if sysconf is None:
+        monkeypatch.delattr(os, "sysconf")
+    else:
+        def failing(name, error=sysconf):
+            raise error(name)
+        monkeypatch.setattr(os, "sysconf", failing)
+    harness._physical_memory.cache_clear()
+    try:
+        assert run_cli_csv(tmp_path, "small", base_config())[0] == 0
+        for scenario in ("seen-task", "any-algorithm"):
+            assert cli.main(["adversarial", "--scenario", scenario, "--k", "16",
+                             "--trials", "10"]) == 0
+        assert harness._physical_memory() is None
+    finally:
+        harness._physical_memory.cache_clear()  # read again once os.sysconf is back
+    capsys.readouterr()
+
+
+def test_only_the_harness_keeps_values_between_runs(tmp_path, capsys):
+    """After a ``contreg run`` and a ``contreg adversarial`` in one process, the
+    only module-level dicts, lists or sets of contreg that grew are the
+    harness's kept cells and collection."""
+    def sizes():
+        return {(name, attr): len(value) for name, module in list(sys.modules.items())
+                if name == "contreg" or name.startswith("contreg.")
+                for attr, value in vars(module).items()
+                if not attr.startswith("__") and isinstance(value, (dict, list, set))}
+
+    before = sizes()
+    assert run_cli_csv(tmp_path, "a", base_config())[0] == 0
+    assert cli.main(["adversarial", "--scenario", "seen-task", "--k", "16",
+                     "--trials", "10"]) == 0
+    capsys.readouterr()
+    grew = {key for key, n in sizes().items() if n > before.get(key, 0)}
+    assert grew == {("contreg.harness", "_cells"), ("contreg.harness", "_collections")}
+
+
 def test_n_choice_past_int64_is_a_one_line_error(tmp_path, capsys):
     for n in (2 ** 63, 10 ** 30):
         cfg = base_config(scheme="budgeted",
@@ -1266,12 +1337,28 @@ def test_any_alg_mean_probes_its_learner_once(monkeypatch):
         assert calls == [(1, 16)]
 
 
+def test_a_cell_is_drawn_once_per_base_seed(cell_builds):
+    """Runs of a cell of the latest base seed share its arrays; a new base
+    seed drops them, so sampling an earlier seed again draws it again."""
+    first = harness.kept_orderings(WITH_REPLACEMENT, 9, 6, 5, 1)
+    again = harness.kept_orderings(WITH_REPLACEMENT, 9, 6, 5, 1)
+    assert all(a is b for a, b in zip(first, again))
+    harness.kept_orderings(WITH_REPLACEMENT, 9, 6, 4, 1)
+    harness.kept_orderings(WITHOUT_REPLACEMENT, 9, 6, 5, 1)
+    assert cell_builds == [(1, 6, 5), (1, 6, 4), (1, 6, 5)]
+    harness.kept_orderings(WITH_REPLACEMENT, 9, 6, 5, 2)
+    rebuilt = harness.kept_orderings(WITH_REPLACEMENT, 9, 6, 5, 1)
+    assert cell_builds[3:] == [(2, 6, 5), (1, 6, 5)]
+    for a, b in zip(first, rebuilt):
+        assert a is not b and a.tobytes() == b.tobytes()
+
+
 def test_the_acceptance_pairs_draw_each_k_cell_once(tmp_path, cell_builds):
     """The five pairs of one sweep share its ordering cells, and a pair run on
     shared cells writes the bytes it writes on cells drawn for it alone."""
     def csv_bytes(scheme, schedule, fresh):
         if fresh:
-            orderings._cells.clear()
+            harness._cells.clear()
         cfg = harness.parse_config(base_config(
             collection=PAIRS_COLLECTION, scheme=scheme, schedule=schedule,
             k_grid=[4, 8, 16], trials=6))
@@ -1325,7 +1412,8 @@ def test_one_generated_collection_is_kept(collection_builds):
     b = harness.build_collection(PAIRS_COLLECTION)
     again = harness.build_collection(GAUSSIAN_COLLECTION)
     assert collection_builds == ["gaussian", "aligned-pairs", "gaussian"]
-    assert b is not a and again is not a and list(harness._collections.values()) == [again]
+    kept = [col for values in harness._collections.values() for col in values.values()]
+    assert b is not a and again is not a and kept == [again]
     assert again.stacks[0].X.tobytes() == a.stacks[0].X.tobytes()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import loss_scale
-from contreg import metrics
+from contreg import metrics, tasks
 from contreg.harness import METRIC_NAMES, build_schedule, sample_orderings
 from contreg.metrics import (average_loss, excess_loss, loss_degradation,
                              seen_task_loss, summarize, summarize_batch, task_loss)
@@ -101,6 +101,32 @@ def test_summarize_uses_planted_then_min_norm_solution():
     rec2 = summarize(traj, bare)
     assert rec2.avg_loss == rec.avg_loss
     assert rec2.dist_to_wstar == pytest.approx(rec.dist_to_wstar, abs=1e-9)
+
+
+def test_the_minimum_norm_solution_is_solved_once(monkeypatch):
+    """A collection without w_star solves its minimum-norm solution on first
+    use and keeps it, read-only: summarize and summarize_batch on it solve it
+    once between them and measure from that one point."""
+    solves = []
+    solve = tasks.min_norm_solution
+
+    def counting(col):
+        solves.append(col)
+        return solve(col)
+
+    monkeypatch.setattr(tasks, "min_norm_solution", counting)
+    col = new_collection(generate_realizable(d=4, M=4, n=2, radius=1.0, seed=12).tasks)
+    assert col.w_star is None
+    order = sample_ordering("with-replacement", 4, 10, seed=13)
+    rec = summarize(run_continual(col, order, None, "unregularized"), col)
+    (run,) = run_batch(col, [(order[None], build_schedule({"kind": "none"}, col.radius, 10))],
+                       "unregularized")
+    batch = summarize_batch(run, col)
+    assert solves == [col]
+    assert not col.reference_solution.flags.writeable
+    assert batch.dist_to_wstar[0] == pytest.approx(rec.dist_to_wstar, rel=1e-12)
+    assert rec.dist_to_wstar == pytest.approx(
+        float(np.linalg.norm(run.final[0] - solve(col))), rel=1e-12)
 
 
 def test_task_loss_is_half_squared_residual():

@@ -53,20 +53,17 @@ def test_sample_orderings_match_one_trial_at_a_time(kind):
             shared[0] = 99
 
 
-def test_a_cell_is_drawn_once_per_base_seed(cell_builds):
-    """Runs of a cell of the latest base seed share its arrays; a new base
-    seed drops them, so sampling an earlier seed again draws it again."""
-    first = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1)
-    again = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1)
-    assert all(a is b for a, b in zip(first, again))
-    sample_orderings(WITH_REPLACEMENT, 9, 6, 4, 1)
-    sample_orderings(WITHOUT_REPLACEMENT, 9, 6, 5, 1)
-    assert cell_builds == [(1, 6, 5), (1, 6, 4), (1, 6, 5)]
-    sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 2)
-    rebuilt = sample_orderings(WITH_REPLACEMENT, 9, 6, 5, 1)
-    assert cell_builds[3:] == [(2, 6, 5), (1, 6, 5)]
-    for a, b in zip(first, rebuilt):
-        assert a is not b and a.tobytes() == b.tobytes()
+@pytest.mark.parametrize("kind", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
+def test_sample_orderings_is_a_pure_function(kind, cell_builds):
+    """Each call draws its cell anew: two calls return equal, read-only but
+    distinct arrays, and keep nothing between them."""
+    first = sample_orderings(kind, 9, 6, 5, 1)
+    again = sample_orderings(kind, 9, 6, 5, 1)
+    assert cell_builds == [(1, 6, 5), (1, 6, 5)]
+    for a, b in zip(first, again):
+        assert a is not b and not np.shares_memory(a, b)
+        assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
+        assert not a.flags.writeable and not b.flags.writeable
 
 
 # M values for the with-replacement property: powers of two never reject a
