@@ -2,14 +2,13 @@
 
 from .adversarial import any_alg_lb_collection, seen_task_lb_collection
 from .harness import (ExperimentConfig, RateFit, ResultTable, aggregate, fit_rate,
-                      load_config, parse_config, run_experiment, write_csv)
+                      parse_config, run_experiment, write_csv)
 from .metrics import (MetricsRecord, average_loss, excess_loss, loss_degradation,
                       seen_task_loss, summarize, summarize_batch, task_loss)
 from .orderings import sample_ordering, stream
 from .schedules import (CertificateReport, ScheduleSpec, certificate_check,
                         custom_schedule, fixed_budget, fixed_coefficient,
-                        increasing_budget, increasing_coefficient,
-                        linear_decay_steps)
+                        increasing_budget, increasing_coefficient)
 from .schemes import (BatchRun, Trajectory, budgeted_step, igd_step,
                       regularized_step, run_batch, run_continual,
                       unregularized_step)

@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 
 from . import harness, verify
@@ -23,21 +22,6 @@ from .harness import ConfigError
 from .orderings import MAX_TRIALS
 from .schedules import KINDS
 from .schemes import SCHEME_KINDS
-
-
-def _check_out(path):
-    """Reject an output path that cannot be written, before any work starts:
-    one that is empty, an existing directory, or in a missing directory.
-    None (no path given) passes."""
-    if path is None:
-        return
-    if not path:
-        raise ConfigError(f"output path {path!r} is empty")
-    if os.path.isdir(path):
-        raise ConfigError(f"output path {path!r} is a directory")
-    parent = os.path.dirname(path)
-    if parent and not os.path.isdir(parent):
-        raise ConfigError(f"output path {path!r}: directory {parent!r} does not exist")
 
 
 def _emit_json(report, out):
@@ -52,13 +36,16 @@ def _emit_json(report, out):
 
 
 def _cmd_run(args):
-    cfg = harness.load_config(args.config)
+    # Every output path is checked before the config's collection is built:
+    # --out here, the config's own out by parse_config.
+    harness.check_out(args.out)
+    data = harness.load_json(args.config)
+    if args.out is None and isinstance(data, dict) and "out" not in data:
+        raise ConfigError("no output path: pass --out or set 'out' in the config")
+    cfg = harness.parse_config(data)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, base_seed=args.seed)
     out = cfg.out if args.out is None else args.out
-    if out is None:
-        raise ConfigError("no output path: pass --out or set 'out' in the config")
-    _check_out(out)
     table = harness.run_experiment(cfg)
     harness.write_csv(table, out)
     for k, mean, se, n in harness.aggregate(table):
@@ -68,7 +55,7 @@ def _cmd_run(args):
 
 
 def _cmd_fit(args):
-    _check_out(args.out)
+    harness.check_out(args.out)
     agg = harness.aggregate(harness.read_csv(args.csv), metric=args.metric)
     fit = harness.fit_rate([(k, mean) for k, mean, _, _ in agg])
     summary = {
@@ -93,7 +80,7 @@ def _cmd_verify(args):
 
 
 def _cmd_adversarial(args):
-    _check_out(args.out)
+    harness.check_out(args.out)
     # The scenario's largest arrays: its (k, trials) int64 orderings and its
     # (k, 1, 2) float64 task stack.
     if args.k >= 1:  # the constructions reject smaller k themselves

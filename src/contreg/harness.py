@@ -164,16 +164,32 @@ def check_fits(nbytes, what):
                           f"not {nbytes}")
 
 
+def check_out(path):
+    """Reject an output path that cannot be written, before any work starts:
+    one that is empty, an existing directory, or in a missing directory.
+    None (no path given) passes."""
+    if path is None:
+        return
+    if not path:
+        raise ConfigError(f"output path {path!r} is empty")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(f"output path {path!r}: directory {parent!r} does not exist")
+
+
 def parse_config(data):
     """Check a raw config mapping (unknown fields are errors; the schedule as
     ``_check_schedule`` says) and build what it names: the collection, by
     ``build_collection`` (so a generated one may be the object an earlier
     config of this process built), and one schedule per k.  So every config
-    error is a ConfigError raised here, before any trial is sampled.  A size
-    whose largest array the machine's memory cannot hold is one of them: the
-    task stack or a k's ordering array, raised before anything is built, or
-    the iterates of all trials of all k, raised once the collection's d is
-    known."""
+    error is a ConfigError raised here, before any trial is sampled.  An
+    ``out`` that ``check_out`` rejects is one of them, raised before anything
+    is built, and so is a size whose largest array the machine's memory
+    cannot hold: the task stack or a k's ordering array, raised before
+    anything is built, or the iterates of all trials of all k, raised once
+    the collection's d is known."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(data, ["collection", "scheme", "schedule", "ordering",
@@ -218,6 +234,7 @@ def parse_config(data):
     k_grid = k_grid.tolist()
 
     _check_types(data, "config")
+    check_out(data.get("out"))
     trials = data["trials"]
     if not 1 <= trials <= MAX_TRIALS:
         raise ConfigError(f"trials must be an integer >= 1 and <= 2**32, got {trials}")
@@ -248,7 +265,7 @@ def parse_config(data):
     )
 
 
-def _load_json(path):
+def load_json(path):
     """The JSON document in the file ``path``; a file that is not JSON is a
     ConfigError naming the file."""
     with open(path) as fh:
@@ -256,10 +273,6 @@ def _load_json(path):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"{path}: {exc}") from None
-
-
-def load_config(path):
-    return parse_config(_load_json(path))
 
 
 # What the process keeps between runs, as {group: {key: value}} for the
@@ -292,7 +305,7 @@ def build_collection(spec):
     call, since the file can change between calls.
     """
     if "path" in spec:
-        return collection_from_dict(_load_json(spec["path"]))
+        return collection_from_dict(load_json(spec["path"]))
     name = spec.get("generator", "gaussian")
     gen = GENERATORS[name]
     key = (name, *((type(spec[field]), spec[field]) for field in gen.fields))
@@ -397,8 +410,7 @@ def run_experiment(cfg):
         i = bad[0]
         values = [float(getattr(table, name)[i]) for name in METRIC_NAMES]
         raise ValueError(
-            f"{'non-finite' if not all(map(math.isfinite, values)) else 'negative'} "
-            f"result at k={table.k[i]}, trial={table.trial[i]}, seed={table.seed[i]}: "
+            f"non-finite result at k={table.k[i]}, trial={table.trial[i]}, seed={table.seed[i]}: "
             + ", ".join(f"{name}={v}" for name, v in zip(METRIC_NAMES, values)))
     return table
 

@@ -145,21 +145,15 @@ def _exact_inverse_pairs(eta0):
     return lam.reshape(n, -1)[np.arange(n), first], eta[np.arange(n), first // width]
 
 
-def _linear_decay(eta, k):
-    """eta * (k - t + 2) / (k + 1) for t = 1..k: the one decay formula, shared
-    by the increasing schedules and ``linear_decay_steps``."""
-    t = np.arange(1, k + 1)
-    return eta * (k - t + 2) / (k + 1)
-
-
 def _decaying_steps(R, k, what):
     """The increasing schedules' steps (3 / (13 R^2)) * (k - t + 2) / (k + 1),
     t = 1..k, after checking k >= 2 (``what`` names the schedule) and R."""
     if k < 2:
         raise ValueError(f"{what} needs k >= 2, got {k}")
     _check_radius(R)
+    t = np.arange(1, k + 1)
     # Keep (13 R) R: 13 (R R) can round differently and change every output bit.
-    return _linear_decay(3.0 / (13.0 * R * R), k)
+    return 3.0 / (13.0 * R * R) * (k - t + 2) / (k + 1)
 
 
 def increasing_coefficient(R, k):
@@ -188,8 +182,6 @@ def increasing_budget(R, k, n_choice=1):
     if n_choice >= 2 ** 63:  # past the int64 budgets
         raise ValueError(f"n_choice must be < 2**63, got {n_choice}")
     gamma = eta0 / n_choice
-    if np.any(gamma * R * R >= 1) or np.any(gamma <= 0):
-        raise ValueError("derived inner step sizes left (0, 1/R^2)")
     # eta is stored as the rounded product, so eta_t / (gamma_t * N_t) == 1
     # bit-exactly (one ulp from the closed form at most).
     eta = gamma * n_choice
@@ -197,15 +189,13 @@ def increasing_budget(R, k, n_choice=1):
                         n_steps=_frozen(np.full(k, n_choice), np.int64), eta=_frozen(eta))
 
 
-def custom_schedule(k, lam=None, gamma=None, n_steps=None, eta=None,
-                    unregularized_first=False):
+def custom_schedule(k, lam=None, gamma=None, n_steps=None, eta=None):
     """Escape hatch for explicit per-step strengths (eta defaults to ones), each
     read by ``tasks.json_numbers`` (``n_steps`` as integers)."""
     k = int(k)
     arrays = {name: json_numbers(v, 1, name, integral=name == "n_steps") for name, v in
               dict(lam=lam, gamma=gamma, n_steps=n_steps, eta=eta).items() if v is not None}
-    return ScheduleSpec(k=k, eta=arrays.pop("eta", _frozen(np.ones(k))),
-                        unregularized_first=bool(unregularized_first), **arrays)
+    return ScheduleSpec(k=k, eta=arrays.pop("eta", _frozen(np.ones(k))), **arrays)
 
 
 # A config's schedule kind: build(R, k, **fields) makes its schedule (None for
@@ -237,24 +227,6 @@ def build_schedule(schedule, R, k):
     first = fields.pop("unregularized_first", False)
     spec = kind.build(R=R, k=k, **fields)
     return replace(spec, unregularized_first=True) if first else spec
-
-
-def linear_decay_steps(eta, k, beta):
-    """Step sizes eta * (k - t + 2) / (k + 1) for t = 1..k.
-
-    Requires eta <= 3 / (13 * beta); larger base steps void the last-iterate
-    guarantee this sequence is built for.
-    """
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if eta > 3.0 / (13.0 * beta):
-        raise ValueError(f"eta={eta} exceeds 3/(13*beta)={3.0 / (13.0 * beta)}")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    return _frozen(_linear_decay(eta, k))
 
 
 @dataclass(frozen=True, eq=False)

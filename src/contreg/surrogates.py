@@ -138,7 +138,7 @@ def build_budgeted_surrogate(task, gamma, n_steps, eta):
                       float(eta) / (float(gamma) * n_steps))
 
 
-def build_spectral_surrogate(task, g: Callable, eta, gprime0=None):
+def build_spectral_surrogate(task, g: Callable, gprime0=None):
     """Surrogate from an arbitrary scalar map applied to the Gram eigenvalues.
 
     The caller asserts g is nondecreasing and concave on [0, R_m^2] with
@@ -147,7 +147,6 @@ def build_spectral_surrogate(task, g: Callable, eta, gprime0=None):
     """
     if abs(float(g(0.0))) > 1e-10:
         raise ValueError("spectral map must vanish at zero")
-    check_step(eta)
     sigma = task.row_basis[1]
     return _surrogate(task, np.asarray(g(sigma * sigma), dtype=np.float64), SPECTRAL,
                       1.0 / gprime0 if gprime0 else None)

@@ -98,11 +98,6 @@ class RegressionTask:
                 0.5 * float(off_range @ off_range))
 
 
-def _stack(arrays):
-    """``np.stack`` of equal-shape arrays, as one concatenate."""
-    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
-
-
 def _by_value(keys):
     """``(value, index)`` per distinct value in the int array ``keys``; the
     index is a slice when all keys agree, so what it selects is a view."""
@@ -395,10 +390,10 @@ def new_collection(tasks, w_star=None):
         index, group = zip(*group)
         U, sigma, Vt, rank = zip(*(t.svd for t in group))
         stacks.append(TaskStack(
-            index=np.array(index), X=_stack([t.X for t in group]),
-            y=_stack([t.y for t in group]), U=_stack(U), sigma=_stack(sigma),
-            Vt=_stack(Vt), rank=np.array(rank),
-            pinv_solution=_stack([t.pinv_solution for t in group]),
+            index=np.array(index), X=np.stack([t.X for t in group]),
+            y=np.stack([t.y for t in group]), U=np.stack(U), sigma=np.stack(sigma),
+            Vt=np.stack(Vt), rank=np.array(rank),
+            pinv_solution=np.stack([t.pinv_solution for t in group]),
             min_loss=np.array([t.min_loss for t in group])))
     return _stacked_collection(stacks, w_star)
 
@@ -510,5 +505,5 @@ def collection_from_dict(data):
     stacks = []
     for group in shapes.values():
         index, X, y = zip(*group)
-        stacks.append(_build_stack(_stack(X), _stack(y), index))
+        stacks.append(_build_stack(np.stack(X), np.stack(y), index))
     return _stacked_collection(stacks, w_star)

@@ -125,7 +125,7 @@ def gradient_error(seed, draws):
     kinds = (
         build_regularized_surrogate(task, 2.0, 0.7),
         build_budgeted_surrogate(task, gamma, 4, 0.7),
-        build_spectral_surrogate(task, budgeted_spectral_map(gamma, 2, 1.3), 1.3),
+        build_spectral_surrogate(task, budgeted_spectral_map(gamma, 2, 1.3)),
         from_matrix(np.diag([0.5, 1.0, 2.0, 0.1, 3.0, 0.0]), np.arange(d, dtype=float)),
     )
     rng = stream(seed, 9)
@@ -220,7 +220,7 @@ def _suite_schedules(_seed):
                               all(b > a for a, b in zip(stars, stars[1:])),
                               f"n_star over gamma grid: {[f'{s:.2f}' for s in stars]}"))
 
-    steps = sched_mod.linear_decay_steps(3.0 / 13.0, 12, 1.0)
+    steps = sched_mod.increasing_budget(1.0, 12).eta
     ok = (abs(steps[0] - 3.0 / 13.0) < 1e-15
           and abs(steps[-1] - 2 * (3.0 / 13.0) / 13.0) < 1e-15)
     checks.append(CheckResult("linear decay endpoints", ok,

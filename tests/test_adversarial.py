@@ -75,6 +75,8 @@ def test_any_alg_validation():
         any_alg_lb_collection(1, 2, probe)
     with pytest.raises(ValueError, match="length-2"):
         any_alg_lb_collection(4, 2, lambda col, k: np.zeros(3))
+    with pytest.raises(ValueError, match="d >= 2"):
+        any_alg_lb_collection(4, 1, probe)
 
 
 def assert_same_as_distinct_copies(col):

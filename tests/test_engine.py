@@ -21,6 +21,7 @@ a consistent target y = X v, for which that term vanishes.
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,10 +100,10 @@ def two_scale_matrix(rng, d, cutoff_side=None, ratio=None):
 
 def schedule_for(rng, k, radius, first):
     r2 = radius ** 2 if radius > 0 else 1.0
-    return custom_schedule(
+    return replace(custom_schedule(
         k, lam=np.exp(rng.uniform(np.log(0.1), np.log(100.0), k)),
         gamma=rng.uniform(0.05, 0.95, k) / r2, n_steps=rng.integers(1, 7, k),
-        eta=rng.uniform(0.1, 3.0, k), unregularized_first=first)
+        eta=rng.uniform(0.1, 3.0, k)), unregularized_first=first)
 
 
 def close(a, b, scale):
@@ -324,7 +325,7 @@ def test_trial_values_do_not_depend_on_the_batch(monkeypatch):
     idx = cells[-1][0]
     gamma = np.full(5, 0.1 / col.radius ** 2)
     gamma[2] = 1.5 / col.tasks[idx[0, 2] - 1].spectral_norm ** 2
-    bad = custom_schedule(5, gamma=gamma, n_steps=[1] * 5, unregularized_first=True)
+    bad = replace(custom_schedule(5, gamma=gamma, n_steps=[1] * 5), unregularized_first=True)
     with pytest.raises(ValueError, match=r"0 < gamma \* R_m\^2 < 1"):
         run_batch(col, cells[:-1] + [(idx, bad)], "budgeted")
     assert stepped == []

@@ -150,6 +150,15 @@ BAD_VALUE_CONFIGS += [base_config(scheme="budgeted", schedule={"kind": "increasi
 
 def test_parse_config_strictness():
     harness.parse_config(base_config())  # sanity: valid config parses
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
+        harness.parse_config([base_config()])
+    with pytest.raises(ConfigError, match="collection must be an object"):
+        harness.parse_config(base_config(collection=[GAUSSIAN_COLLECTION]))
+    with pytest.raises(ConfigError, match="unknown collection generator: 'uniform'"):
+        harness.parse_config(base_config(collection={**GAUSSIAN_COLLECTION,
+                                                     "generator": "uniform"}))
+    with pytest.raises(ConfigError, match="schedule must be an object with a 'kind' field"):
+        harness.parse_config(base_config(schedule="increasing-coefficient"))
     with pytest.raises(ConfigError, match="unknown config fields"):
         harness.parse_config(base_config(typo_field=1))
     with pytest.raises(ConfigError, match="missing config fields"):
@@ -580,6 +589,52 @@ def test_cli_validation_errors(tmp_path, capsys, monkeypatch):
     assert not config_out.exists()
 
 
+def test_run_checks_every_output_path_before_the_collection_is_built(tmp_path, capsys,
+                                                                     collection_builds):
+    """A bad --out, a bad config out (even one that --out overrides) and no
+    output path at all are each one error line, exit 1, before anything is
+    built."""
+    cfg_path, good = tmp_path / "cfg.json", str(tmp_path / "x.csv")
+    missing = str(tmp_path / "missing" / "x.csv")
+    in_missing = (f"output path {missing!r}: directory {str(tmp_path / 'missing')!r} "
+                  f"does not exist")
+    for cfg, argv, message in (
+            (base_config(), ["--out", missing], in_missing),
+            (base_config(out=missing), [], in_missing),
+            (base_config(out=missing), ["--out", good], in_missing),
+            (base_config(), [], "no output path: pass --out or set 'out' in the config"),
+            ([base_config()], [], "config must be a JSON object")):
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path), *argv]) == 1, (cfg, argv)
+        assert one_line_error(capsys) == f"error: {message}\n"
+    assert collection_builds == []
+    assert not os.path.exists(good)
+
+
+def test_check_failures_exit_2(tmp_path, capsys, monkeypatch):
+    """A suite check or a scenario claim that fails is exit code 2: verify
+    prints the check's [FAIL] line, and adversarial still writes its report."""
+    monkeypatch.setattr(verify, "certificate_failures", lambda: [(7, 0.5)])
+    assert cli.main(["verify", "--suite", "certificate"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["[FAIL] weight certificate nonnegative with c_k >= eta/k for k in 2..500, "
+                   "beta in {0.5, 1, 4}: failures: [(7, 0.5)]", "suite certificate: FAIL"]
+
+    seen_task = harness.seen_task_lb_collection
+
+    def from_the_solution(k):  # no trial sees a loss, so the floor cannot hold
+        col, _ = seen_task(k)
+        return col, col.w_star
+
+    monkeypatch.setattr(harness, "seen_task_lb_collection", from_the_solution)
+    report_path = tmp_path / "report.json"
+    assert cli.main(["adversarial", "--scenario", "seen-task", "--k", "16", "--trials", "50",
+                     "--out", str(report_path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False and report["empirical_probability"] == 0.0
+    assert json.loads(report_path.read_text()) == report
+
+
 def test_cli_adversarial(tmp_path, capsys):
     code = cli.main(["adversarial", "--scenario", "seen-task", "--k", "16",
                      "--trials", "100", "--seed", "1"])
@@ -922,7 +977,15 @@ def test_bad_collection_file_is_rejected_naming_the_task(tmp_path, capsys, monke
              "error: collection task 1: task data too large: the least-squares loss overflows"),
             ([row, {"X": [[1.0, 0.0]], "y": [1.0], "w": [0.0]}], {},
              "error: collection task 1: unknown task fields: ['w']"),
-            ([row, row], {"M": 2}, "error: unknown collection file fields: ['M']")):
+            ([row, row], {"M": 2}, "error: unknown collection file fields: ['M']"),
+            ([row, [[1.0, 0.0]]], {},
+             "error: collection task 1 must be an object with 'X' and 'y'"),
+            ([row, {"X": [[]], "y": [1.0]}], {},
+             "error: collection task 1: X must be at least 1x1, got shape (1, 0)"),
+            ([row, row], {"w_star": [1.0, 0.0, 0.0]}, "error: w_star must have length 2"),
+            # All-zero tasks: R = 0, which no schedule can scale to.
+            ([{"X": [[0.0, 0.0]], "y": [0.0]}] * 2, {},
+             "error: increasing-coefficient schedule: R must be positive")):
         col_path.write_text(json.dumps({"tasks": tasks, **fields}))
         assert run_cli_csv(tmp_path, "col", cfg)[0] == 1
         assert one_line_error(capsys).startswith(message)

@@ -10,7 +10,7 @@ from contreg.metrics import (average_loss, excess_loss, loss_degradation,
                              seen_task_loss, summarize, summarize_batch, task_loss)
 from contreg.orderings import sample_ordering, stream
 from contreg.schedules import custom_schedule
-from contreg.schemes import BatchRun, run_batch, run_continual
+from contreg.schemes import BatchRun, Trajectory, run_batch, run_continual
 from contreg.tasks import generate_realizable, new_collection, new_task
 
 
@@ -62,6 +62,9 @@ def test_degradation_zero_at_single_step():
     col = generate_realizable(d=3, M=2, n=1, radius=1.0, seed=9)
     traj = run_continual(col, [2], custom_schedule(1, lam=[1.0]), "regularized")
     assert loss_degradation(traj, col) == pytest.approx(0.0, abs=1e-18)
+    with pytest.raises(ValueError, match="degradation needs at least one step"):
+        loss_degradation(Trajectory(iterates=np.zeros((1, 3)),
+                                    ordering=np.zeros(0, np.int64)), col)
 
 
 def test_degradation_equals_seen_loss_for_projections():
@@ -222,6 +225,9 @@ def test_summarize_batch_adds_nothing_for_unequal_row_counts():
         with pytest.raises(ValueError, match=r"ordering entries must lie in \[1\.\.2\]"):
             summarize_batch(BatchRun(final=np.ones((2, 1)), ordering=np.array([[1], [bad]]),
                                      loss_after_sum=np.zeros(2)), col)
+    with pytest.raises(ValueError, match="degradation needs at least one step"):
+        summarize_batch(BatchRun(final=np.ones((2, 1)), ordering=np.ones((2, 0), np.int64),
+                                 loss_after_sum=np.zeros(2)), col)
 
 
 def test_summarize_batch_working_set_stays_small():

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from contreg import schedules
 from contreg.schedules import (certificate_check, custom_schedule, fixed_budget,
                                fixed_coefficient, increasing_budget,
-                               increasing_coefficient, linear_decay_steps)
+                               increasing_coefficient)
 
 
 def test_fixed_coefficient_formula():
@@ -80,6 +80,8 @@ def test_increasing_coefficient_values():
     assert np.all(spec.lam * spec.eta == 1.0)
     with pytest.raises(ValueError):
         increasing_coefficient(1.0, 1)
+    with pytest.raises(ValueError, match="R must be positive"):
+        increasing_coefficient(0.0, 10)
 
 
 def scalar_inverse_pairs(eta0):
@@ -138,18 +140,6 @@ def test_increasing_budget_values():
         increasing_budget(1.0, 10, 0)
 
 
-def test_linear_decay_steps():
-    eta = 3.0 / 13.0
-    steps = linear_decay_steps(eta, 12, 1.0)
-    assert steps[0] == pytest.approx(eta)  # (k-1+2)/(k+1) = 1 at t=1
-    assert steps[-1] == pytest.approx(2 * eta / 13.0)
-    assert len(steps) == 12
-    with pytest.raises(ValueError, match="exceeds"):
-        linear_decay_steps(0.3, 12, 1.0)
-    with pytest.raises(ValueError):
-        linear_decay_steps(-0.1, 12, 1.0)
-
-
 def test_certificate_hand_checked_example():
     rep = certificate_check(5, 1.0, 3.0 / 13.0)
     # c_k = eta_k v_k^2 (1 - a1 beta eta_k) with eta_5 = 3/65 and v_5 = 1.2
@@ -176,6 +166,10 @@ def test_certificate_rejects_large_steps():
         certificate_check(5, 1.0, 3.0 / 13.0, a1=2.0)  # threshold shrinks with a1
     with pytest.raises(ValueError):
         certificate_check(1, 1.0, 0.1)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        certificate_check(5, 0.0, 0.1)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        certificate_check(5, 1.0, 0.0)
 
 
 def test_certificate_grid_sample():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -182,7 +184,7 @@ def test_unregularized_first_flag():
     col = generate_realizable(d=4, M=2, n=1, radius=1.0, seed=12)
     k = 3
     order = [1, 2, 1]
-    sched = custom_schedule(k, lam=np.full(k, 5.0), unregularized_first=True)
+    sched = replace(custom_schedule(k, lam=np.full(k, 5.0)), unregularized_first=True)
     traj = run_continual(col, order, sched, "regularized")
     first = unregularized_step(np.zeros(4), col.tasks[0])
     assert_allclose(traj.iterates[1], first, atol=1e-14)

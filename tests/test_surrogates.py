@@ -107,7 +107,7 @@ def test_budgeted_surrogate_validation():
 
 def test_spectral_identity_map_reproduces_gram():
     t = new_task([[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0])
-    s = build_spectral_surrogate(t, lambda xi: xi, eta=1.0)
+    s = build_spectral_surrogate(t, lambda xi: xi)
     assert_allclose(s.A, t.X.T @ t.X, atol=1e-12)
     assert s.beta == pytest.approx(4.0)
 
@@ -119,19 +119,19 @@ def test_spectral_builder_reproduces_dedicated_builders():
         lam = float(rng.uniform(0.1, 10.0))
         eta = float(rng.uniform(0.1, 3.0))
         a = build_regularized_surrogate(t, lam, eta)
-        b = build_spectral_surrogate(t, regularized_spectral_map(lam, eta), eta)
+        b = build_spectral_surrogate(t, regularized_spectral_map(lam, eta))
         assert np.abs(a.A - b.A).max() <= 1e-10
         if t.spectral_norm > 0:
             gamma = 0.5 / t.spectral_norm ** 2
             a = build_budgeted_surrogate(t, gamma, 3, eta)
-            b = build_spectral_surrogate(t, budgeted_spectral_map(gamma, 3, eta), eta)
+            b = build_spectral_surrogate(t, budgeted_spectral_map(gamma, 3, eta))
             assert np.abs(a.A - b.A).max() <= 1e-10
 
 
 def test_spectral_must_vanish_at_zero():
     t = new_task([[1.0]], [2.0])
     with pytest.raises(ValueError, match="vanish"):
-        build_spectral_surrogate(t, lambda xi: xi + 1e-9, eta=1.0)
+        build_spectral_surrogate(t, lambda xi: xi + 1e-9)
 
 
 def test_value_and_grad_hand_arithmetic():
@@ -284,11 +284,11 @@ def test_sandwich_rejects_verbatim_kind():
 
 def test_spectral_sandwich_uses_supplied_slope():
     t = new_task([[1.0]], [2.0])
-    s = build_spectral_surrogate(t, regularized_spectral_map(1.0, 1.0), 1.0,
+    s = build_spectral_surrogate(t, regularized_spectral_map(1.0, 1.0),
                                  gprime0=1.0)  # g_r'(0) = 1/(eta*lam) = 1
     rep = sandwich_check(s, t, np.array([0.0]))
     assert rep.lower_ok and rep.upper_ok
-    s = build_spectral_surrogate(t, regularized_spectral_map(1.0, 1.0), 1.0)
+    s = build_spectral_surrogate(t, regularized_spectral_map(1.0, 1.0))
     with pytest.raises(ValueError, match="spectral"):
         sandwich_check(s, t, np.array([0.0]))
 
@@ -315,6 +315,10 @@ def test_from_matrix_validation():
         from_matrix([[0.0, 1.0], [0.0, 0.0]], np.zeros(2))
     with pytest.raises(ValueError, match="semi-definite"):
         from_matrix([[-1.0]], np.zeros(1))
+    with pytest.raises(ValueError, match=r"A must be square, got shape \(1, 2\)"):
+        from_matrix([[1.0, 0.0]], np.zeros(2))
+    with pytest.raises(ValueError, match="anchor length must match A"):
+        from_matrix([[1.0]], np.zeros(2))
     s = from_matrix([[2.0]], [1.0])
     assert s.kind == "verbatim"
     assert s.beta == pytest.approx(2.0)

@@ -58,6 +58,8 @@ def test_new_task_validation():
         new_task([[1.0]], [np.inf])
     with pytest.raises(ValueError):
         new_task([1.0, 2.0], [1.0])  # not 2-D
+    with pytest.raises(ValueError, match=r"X must be at least 1x1, got shape \(2, 0\)"):
+        new_task(np.zeros((2, 0)), [1.0, 2.0])
 
 
 def test_radius_examples():
@@ -229,6 +231,8 @@ def test_generator_validation():
         generate_realizable(d=0, M=1, n=1, radius=1.0, seed=0)
     with pytest.raises(ValueError):
         generate_realizable(d=2, M=0, n=1, radius=1.0, seed=0)
+    with pytest.raises(ValueError, match="w_star must have length 2"):
+        generate_realizable(d=2, M=1, n=1, radius=1.0, seed=0, w_star=np.zeros(3))
 
 
 def test_generator_accepts_planted_solution():
@@ -256,6 +260,8 @@ def test_aligned_pairs_validation():
         generate_aligned_pairs(pairs=5, angle=0.1, d=9)
     with pytest.raises(ValueError, match="angle"):
         generate_aligned_pairs(pairs=1, angle=0.0, d=2)
+    with pytest.raises(ValueError, match="need at least one pair"):
+        generate_aligned_pairs(pairs=0, angle=0.1, d=2)
 
 
 def test_min_norm_solution_recovers_plant_when_determined():
