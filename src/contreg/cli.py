@@ -87,9 +87,12 @@ def _cmd_adversarial(args):
         harness.check_fits(8 * args.k * max(args.trials, 2),
                            f"--k {args.k} is too large for --trials {args.trials}: "
                            f"its largest array")
-    fields = KINDS[args.schedule].required + KINDS[args.schedule].optional
-    schedule = {"kind": args.schedule, **{name: getattr(args, name)
-                                          for name in ("gamma", "n_choice") if name in fields}}
+    # A flag given to a schedule that does not take it is an unknown schedule
+    # field, which the scenario runner rejects as it would in a config.
+    schedule = {"kind": args.schedule, **{name: value for name, value in (
+        ("gamma", args.gamma), ("n_choice", args.n_choice)) if value is not None}}
+    if args.schedule == "fixed-budget":
+        schedule.setdefault("gamma", 0.5)
     run = harness.run_seen_task_floor if args.scenario == "seen-task" else harness.run_any_alg_mean
     report = run(args.k, args.trials, args.seed, scheme=args.scheme, schedule=schedule)
     _emit_json(report, args.out)
@@ -144,10 +147,10 @@ def build_parser():
     # Custom schedules need per-step arrays, which this command cannot take.
     p.add_argument("--schedule", default="increasing-coefficient",
                    choices=[kind for kind in KINDS if kind != "custom"])
-    p.add_argument("--gamma", type=float, default=0.5,
-                   help="inner step size for fixed-budget schedules")
-    p.add_argument("--n-choice", type=int, default=1,
-                   help="integer budget for increasing-budget schedules")
+    p.add_argument("--gamma", type=float,
+                   help="inner step size for fixed-budget schedules (default 0.5)")
+    p.add_argument("--n-choice", type=int,
+                   help="integer budget for increasing-budget schedules (default 1)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=_int_at_least(1, MAX_TRIALS), default=2000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)

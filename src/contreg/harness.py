@@ -75,8 +75,7 @@ _INT, _REAL = ((int,), "an integer"), ((int, float), "a finite number")
 _FIELD_TYPES = {**dict.fromkeys(("d", "M", "n", "pairs", "seed", "n_choice", "trials",
                                  "base_seed"), _INT),
                 **dict.fromkeys(("radius", "angle", "gamma"), _REAL),
-                "path": ((str,), "a string"), "out": ((str,), "a string"),
-                "unregularized_first": ((bool,), "true or false")}
+                "path": ((str,), "a string"), "out": ((str,), "a string")}
 
 
 def _check_types(fields, where, skip=()):
@@ -247,6 +246,10 @@ def parse_config(data):
                                         f"trials={trials}: its (k, trials) int64 ordering array")
 
     collection = build_collection(col)
+    # A CSV row's R must be > 0 for read_csv, whatever the scheme and schedule.
+    if not collection.radius > 0:
+        raise ConfigError(f"collection R must be > 0, got {collection.radius}: "
+                          f"every task is zero")
     # run_batch steps every trial of every k together, in one float64 array.
     check_fits(8 * trials * len(k_grid) * collection.d,
                f"trials={trials}, len(k_grid)={len(k_grid)} and d={collection.d}: the "

@@ -14,7 +14,7 @@ argument relies on.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class ScheduleSpec:
     lam: np.ndarray | None = None
     gamma: np.ndarray | None = None
     n_steps: np.ndarray | None = None
-    unregularized_first: bool = False
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -202,8 +201,7 @@ def custom_schedule(k, lam=None, gamma=None, n_steps=None, eta=None):
 # 'none', which runs without one); strengths names the arrays that schedule
 # sets (None for 'custom', which sets the arrays it is given); required and
 # optional are its config fields besides 'kind'.
-Kind = namedtuple("Kind", "build strengths required optional",
-                  defaults=((), ("unregularized_first",)))
+Kind = namedtuple("Kind", "build strengths required optional", defaults=((), ()))
 
 
 KINDS = {
@@ -211,10 +209,10 @@ KINDS = {
     "fixed-budget": Kind(fixed_budget, ("gamma", "n_steps"), required=("gamma",)),
     "increasing-coefficient": Kind(increasing_coefficient, ("lam",)),
     "increasing-budget": Kind(increasing_budget, ("gamma", "n_steps"),
-                              optional=("n_choice", "unregularized_first")),
+                              optional=("n_choice",)),
     "custom": Kind(lambda R, k, **arrays: custom_schedule(k, **arrays), None,
-                   optional=("lam", "gamma", "n_steps", "eta", "unregularized_first")),
-    "none": Kind(None, (), optional=()),
+                   optional=("lam", "gamma", "n_steps", "eta")),
+    "none": Kind(None, ()),
 }
 
 
@@ -224,9 +222,7 @@ def build_schedule(schedule, R, k):
     if kind.build is None:
         return None
     fields = {name: schedule[name] for name in kind.required + kind.optional if name in schedule}
-    first = fields.pop("unregularized_first", False)
-    spec = kind.build(R=R, k=k, **fields)
-    return replace(spec, unregularized_first=True) if first else spec
+    return kind.build(R=R, k=k, **fields)
 
 
 @dataclass(frozen=True, eq=False)

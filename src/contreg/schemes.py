@@ -16,10 +16,10 @@ them step for step, which the tests check rather than assume.
 reference.  ``run_batch`` is the fast path: every rule is the same affine map
 w' = p + V^T s(xi) V (w - p) in the task's row basis, with the multiplier s
 that ``surrogates.spectral_multiplier`` computes from the strengths
-``step_strengths`` gives the step (none on a projection step), so it steps
-all trials of a sweep's (k, schedule) cells together, in blocks of steps
-with one multiplier call per block.  Each step's two inner products are
-one BLAS call per trial, never one product over the batch; when every task
+``step_strengths`` gives the step (none under the unregularized scheme), so
+it steps all trials of a sweep's (k, schedule) cells together, in blocks of
+steps with one multiplier call per block.  Each step's two inner products
+are one BLAS call per trial, never one product over the batch; when every task
 has rank one, as in the acceptance and lower-bound collections, a step is one
 ddot per trial and an elementwise update, bit for bit the same arithmetic.
 The block length is a fixed memory budget, not an option, and results are
@@ -89,13 +89,12 @@ class Trajectory:
 
 
 def step_strengths(scheme, schedule, k):
-    """What each step of a k-step run under ``scheme`` reads: ``(t0, strengths)``.
+    """The strengths each step of a k-step run under ``scheme`` reads.
 
-    Steps 1..t0 train to convergence (t0 is 1 under the schedule's
-    ``unregularized_first``, else 0), and each later step t reads
-    ``[a[t - 1] for a in strengths]``: ``strengths`` are the schedule's own
-    read-only arrays that ``READS[scheme]`` names, in ``spectral_multiplier``'s
-    order, and ``()`` under the unregularized scheme.  Both runners read a
+    Step t reads ``[a[t - 1] for a in strengths]``: ``strengths`` are the
+    schedule's own read-only arrays that ``READS[scheme]`` names, in
+    ``spectral_multiplier``'s order, and ``()`` under the unregularized
+    scheme, whose every step trains to convergence.  Both runners read a
     schedule here alone.
     """
     if scheme not in SCHEME_KINDS:
@@ -104,11 +103,10 @@ def step_strengths(scheme, schedule, k):
     if missing:
         raise ValueError(f"scheme {scheme!r} needs a schedule that sets {missing}")
     if schedule is None:
-        return 0, ()
+        return ()
     if schedule.k != k:
         raise ValueError(f"schedule length {schedule.k} != ordering length {k}")
-    return int(schedule.unregularized_first), tuple(getattr(schedule, name)
-                                                    for name in READS[scheme])
+    return tuple(getattr(schedule, name) for name in READS[scheme])
 
 
 def _check_run(collection, idx):
@@ -138,7 +136,7 @@ def run_continual(collection, ordering, schedule, scheme, w0=None):
     idx = np.asarray(ordering, np.int64)
     k = len(idx)
     _check_run(collection, idx)
-    t0, strengths = step_strengths(scheme, schedule, k)
+    strengths = step_strengths(scheme, schedule, k)
     w = _start(collection, w0)
 
     literal = {REGULARIZED: regularized_step, BUDGETED: budgeted_step}.get(scheme)
@@ -149,7 +147,7 @@ def run_continual(collection, ordering, schedule, scheme, w0=None):
     for t in range(1, k + 1):
         task = collection.tasks[int(idx[t - 1]) - 1]
         values = [a[t - 1] for a in strengths]
-        if t <= t0 or not values:
+        if not values:
             w = unregularized_step(w, task)
         elif literal is not None:
             w = literal(w, task, *values)
@@ -195,8 +193,8 @@ def _check_inner_steps(r2, drawn, gamma):
 def _step_block(rows, W, loss_after, m_idx, strengths):
     """Take a block of steps: ``m_idx`` (steps, trials) holds the 0-based
     tasks drawn and ``strengths`` the block's strengths, arrays that
-    broadcast against (steps, trials, q), or none on a projection block.
-    ``W`` and ``loss_after`` are updated in place."""
+    broadcast against (steps, trials, q), or none under the unregularized
+    scheme.  ``W`` and ``loss_after`` are updated in place."""
     sigma, target = rows.sigma[m_idx], rows.target[m_idx]
     g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma[m_idx],
                                None if strengths else rows.on_rank[m_idx])
@@ -243,26 +241,24 @@ def run_batch(collection, cells, scheme, w0=None):
     one BatchRun is returned per cell, in order.  ``indices`` is (trials, k)
     with 1-based task indices, one row per trial; k may differ between cells.
     Every cell is checked before any cell steps, and ``step_strengths``
-    decides what each cell's steps read: projection steps 1..t0, then the
-    schedule's strengths.  A schedule's own strengths were checked when it
-    was built, so the one strength check left is 0 < gamma_t R_m^2 < 1 for
-    the budget schemes, over the tasks drawn after step t0.  The trials are
-    laid out longest cell first, so the ones still running at step t are a
-    prefix of the batch, and each reads its cell's step-t strengths from a
-    (k_max, cells) table.
+    decides what each cell's steps read.  A schedule's own strengths were
+    checked when it was built, so the one strength check left is
+    0 < gamma_t R_m^2 < 1 for the budget schemes, over every task drawn.
+    The trials are laid out longest cell first, so the ones still running at
+    step t are a prefix of the batch, and each reads its cell's step-t
+    strengths from a (k_max, cells) table.
 
     The steps run in blocks.  Over a block the set of running cells does
-    not change: a block ends where a cell does, and after the projection
-    step t0 when the cells have one.  A block is also at most
+    not change: a block ends where a cell does.  A block is also at most
     ``_BLOCK_ELEMS // (trials * q)`` steps long (q the padded basis size),
     so each of its (steps, trials, q) arrays holds about ``_BLOCK_ELEMS``
     floats.  That length is a memory budget fixed in this module, not an
     option, and no result depends on it.  Once per block, the drawn tasks'
-    sigma, U^T y and 1/sigma (and the rank mask on a projection block) are
-    gathered along the block's (steps, trials) task indices, its strengths
-    from the table, and one ``spectral_multiplier`` call gives (g, s) for
-    every step of the block from the strengths ``step_strengths`` gives
-    its steps.
+    sigma, U^T y and 1/sigma (and the rank mask under the unregularized
+    scheme) are gathered along the block's (steps, trials) task indices, its
+    strengths from the table, and one ``spectral_multiplier`` call gives
+    (g, s) for every step of the block from the strengths ``step_strengths``
+    gives its steps.
 
     Each step then gathers its drawn tasks' row bases (see
     ``TaskCollection.row_bases``) alone, forms the residual coordinates
@@ -302,13 +298,9 @@ def run_batch(collection, cells, scheme, w0=None):
     w = _start(collection, w0)
 
     rows = collection.row_bases
-    firsts = {t0 for t0, _ in reads}
-    t0 = max(firsts, default=0)
-    if len(firsts) > 1 and reads[0][1]:
-        raise ValueError("cells must agree on unregularized_first")
-    for (indices, _), (_, strengths) in zip(cells, reads):
+    for (indices, _), strengths in zip(cells, reads):
         if len(strengths) == 2:  # (gamma, n_steps)
-            _check_inner_steps(rows.r2, indices.T[t0:], strengths[0][t0:])
+            _check_inner_steps(rows.r2, indices.T, strengths[0])
     if not cells:
         return []
 
@@ -320,9 +312,9 @@ def run_batch(collection, cells, scheme, w0=None):
     cell_of = np.repeat(np.arange(len(cells)), sizes)  # each trial's cell
     k_max = ks[0]
     # One (k_max, cells) table per strength, a column per cell, longest first.
-    tables = [np.zeros((k_max, len(cells)), a.dtype) for a in reads[0][1]]
+    tables = [np.zeros((k_max, len(cells)), a.dtype) for a in reads[0]]
     for j, c in enumerate(ranked):
-        for table, a in zip(tables, reads[c][1]):
+        for table, a in zip(tables, reads[c]):
             table[:ks[j], j] = a
 
     W = np.tile(w, (ends[-1], 1))
@@ -333,14 +325,13 @@ def run_batch(collection, cells, scheme, w0=None):
         while ks[active - 1] <= t:
             active -= 1
         n = ends[active - 1]
-        # A block ends where a cell does, and after the projection step t0.
-        stop = min(t + max(1, _BLOCK_ELEMS // max(n * q, 1)), ks[active - 1],
-                   t0 if t < t0 else k_max)
+        # A block ends where a cell does.
+        stop = min(t + max(1, _BLOCK_ELEMS // max(n * q, 1)), ks[active - 1])
         m_idx = np.concatenate([order[t:stop] for order in steps[:active]], axis=1)
         m_idx -= 1
         # A lone cell's strengths are a (steps, 1, 1) view rather than a gather.
         pick = cell_of[:n] if active > 1 else slice(1)
-        strengths = [table[t:stop, pick, None] for table in tables] if t >= t0 else []
+        strengths = [table[t:stop, pick, None] for table in tables]
         _step_block(rows, W[:n], loss_after[:n], m_idx, strengths)
         t = stop
 

@@ -398,27 +398,22 @@ def new_collection(tasks, w_star=None):
     return _stacked_collection(stacks, w_star)
 
 
-def generate_realizable(d, M, n, radius, seed, w_star=None):
+def generate_realizable(d, M, n, radius, seed):
     """Deterministically generate a jointly realizable Gaussian collection:
     M tasks of n rows in dimension d, solved exactly by one vector.
 
-    ``w_star`` may be supplied; otherwise it is drawn from the stream
-    ``seed``.  The M unscaled (n, d) matrices are drawn as one stack and
-    decomposed by one batched SVD.  With ``radius`` > 0 and a draw not all
-    zero, X and sigma are then scaled by c = radius / max_m sigma_max(X_m),
-    keeping U and V: these factors are the collection's, so R is ``radius``
-    within an ulp and no matrix is decomposed twice.  Targets are built after
-    rescaling, keeping realizability exact.
+    The planted solution ``w_star`` is drawn from the stream ``seed``, and
+    after it the M unscaled (n, d) matrices, as one stack decomposed by one
+    batched SVD.  With ``radius`` > 0 and a draw not all zero, X and sigma
+    are then scaled by c = radius / max_m sigma_max(X_m), keeping U and V:
+    these factors are the collection's, so R is ``radius`` within an ulp and
+    no matrix is decomposed twice.  Targets are built after rescaling,
+    keeping realizability exact.
     """
     if d < 1 or M < 1 or n < 1:
         raise ValueError("d, M and n must all be >= 1")
     rng = stream(seed)
-    if w_star is None:
-        w_star = rng.standard_normal(d)
-    else:
-        w_star = np.asarray(w_star, dtype=np.float64)
-        if w_star.shape != (d,):
-            raise ValueError(f"w_star must have length {d}")
+    w_star = rng.standard_normal(d)
     # One draw of M matrices reads the stream as M draws of one would.
     mats = rng.standard_normal((M, n, d))
     U, sigma, Vt = np.linalg.svd(mats, full_matrices=False)

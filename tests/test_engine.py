@@ -21,7 +21,6 @@ a consistent target y = X v, for which that term vanishes.
 
 import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,12 +97,12 @@ def two_scale_matrix(rng, d, cutoff_side=None, ratio=None):
     return X
 
 
-def schedule_for(rng, k, radius, first):
+def schedule_for(rng, k, radius):
     r2 = radius ** 2 if radius > 0 else 1.0
-    return replace(custom_schedule(
+    return custom_schedule(
         k, lam=np.exp(rng.uniform(np.log(0.1), np.log(100.0), k)),
         gamma=rng.uniform(0.05, 0.95, k) / r2, n_steps=rng.integers(1, 7, k),
-        eta=rng.uniform(0.1, 3.0, k)), unregularized_first=first)
+        eta=rng.uniform(0.1, 3.0, k))
 
 
 def close(a, b, scale):
@@ -143,17 +142,16 @@ def scheme_and_shapes(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), scheme_shapes=scheme_and_shapes(),
-       first=st.booleans(), start=st.booleans(), k=st.integers(1, 30),
-       trials=st.integers(1, 4))
-def test_batch_matches_literal_rules(seed, scheme_shapes, first, start, k, trials):
+       start=st.booleans(), k=st.integers(1, 30), trials=st.integers(1, 4))
+def test_batch_matches_literal_rules(seed, scheme_shapes, start, k, trials):
     scheme, shapes = scheme_shapes
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 7))
     col = new_collection([make_task(rng, shape, d, consistent=scheme not in NO_PINV
                                     and shape == "near-cutoff-below")
                           for shape in shapes], w_star=rng.standard_normal(d))
-    schedule = schedule_for(rng, k, col.radius, first)
-    if scheme == "unregularized" and not first:
+    schedule = schedule_for(rng, k, col.radius)
+    if scheme == "unregularized":
         schedule = None
     w0 = rng.standard_normal(d) * 3.0 if start else None
     idx = rng.integers(1, col.M + 1, size=(trials, k))
@@ -166,7 +164,7 @@ def test_one_dimensional_tasks_match_literal_rules():
                           new_task([[-1.3], [0.4]], [0.5, -1.0])], w_star=[1.5])
     idx = rng.integers(1, 4, size=(3, 20))
     for scheme in SCHEME_KINDS:
-        assert_matches_literal(col, idx, schedule_for(rng, 20, col.radius, False), scheme,
+        assert_matches_literal(col, idx, schedule_for(rng, 20, col.radius), scheme,
                                w0=np.array([2.0]))
 
 
@@ -185,7 +183,7 @@ def test_anchor_just_above_the_cutoff_does_not_leak():
     col = new_collection([task, make_task(rng, "wide", 3)], w_star=np.ones(3))
     idx = rng.integers(1, 3, size=(3, 12))
     for scheme in NO_PINV:
-        assert_matches_literal(col, idx, schedule_for(rng, 12, col.radius, False), scheme)
+        assert_matches_literal(col, idx, schedule_for(rng, 12, col.radius), scheme)
 
 
 def stacked_matmul_block(rows, W, loss_after, m_idx, strengths):
@@ -242,30 +240,29 @@ def test_rank_one_branch_is_the_stacked_matmul_arithmetic(monkeypatch, tmp_path)
     for col, starts in rank_one_collections(tmp_path):
         assert col.row_bases.V.shape[1] == 1
         idx = rng.integers(1, col.M + 1, size=(4, k))
-        if col.M == 2:  # the overflow collection: trial 0 never draws task 2
+        if col.M == 2:  # the overflow collection: only the later trials draw task 2
             idx[0] = 1
-            idx[1:, 3] = 2
+            idx[1:, 0] = 2
         for scheme in SCHEME_KINDS:
-            for first in (False, True):
-                schedule = schedule_for(rng, k, col.radius, first)
-                if scheme == "unregularized" and not first:
-                    schedule = None
-                for w0 in starts:
-                    for trials in (idx[:1], idx):
-                        cells = [(trials, schedule)]
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            with monkeypatch.context() as patch:
-                                patch.setattr(np, "matmul", None)  # the branch makes none
-                                (got,) = run_batch(col, cells, scheme, w0=w0)
-                            with monkeypatch.context() as patch:
-                                patch.setattr(schemes, "_step_block", stacked_matmul_block)
-                                (want,) = run_batch(col, cells, scheme, w0=w0)
-                        for name in ("final", "loss_after_sum"):
-                            a, b = getattr(got, name), getattr(want, name)
-                            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), \
-                                (scheme, first, name)
-        if col.M == 2:
-            assert np.isfinite(got.final[0]).all() and np.isnan(got.final[1:]).any()
+            schedule = schedule_for(rng, k, col.radius)
+            if scheme == "unregularized":
+                schedule = None
+            for w0 in starts:
+                for trials in (idx[:1], idx):
+                    cells = [(trials, schedule)]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        with monkeypatch.context() as patch:
+                            patch.setattr(np, "matmul", None)  # the branch makes none
+                            (got,) = run_batch(col, cells, scheme, w0=w0)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(schemes, "_step_block", stacked_matmul_block)
+                            (want,) = run_batch(col, cells, scheme, w0=w0)
+                    for name in ("final", "loss_after_sum"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), \
+                            (scheme, name)
+            if col.M == 2:
+                assert np.isfinite(got.final[0]).all() and np.isnan(got.final[1:]).all()
 
 
 def assert_same_trials(col, got, want, rows=slice(None)):
@@ -295,50 +292,44 @@ def test_trial_values_do_not_depend_on_the_batch(monkeypatch):
         # 9 trials of the k = 40 cell are left, so it ends mid-block; and every
         # step between two cell ends in one block.
         budgets = (1, 3 * 9 * q, 40 * 21 * q + 1)
-        for first in (False, True):
-            cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
-                      schedule_for(rng, k, col.radius, first)) for k, trials in grid]
-            for scheme in SCHEME_KINDS:
-                together = run_batch(col, cells, scheme)
-                for (idx, schedule), run in zip(cells, together):
-                    assert run.ordering is idx
-                    (alone,) = run_batch(col, [(idx, schedule)], scheme)
-                    assert_same_trials(col, run, alone)
-                idx, schedule = cells[1]
-                for rows in ([0], [0, 1, 2], [8, 3]):
-                    (part,) = run_batch(col, [(idx[rows], schedule)], scheme)
-                    assert_same_trials(col, part, together[1], rows)
-                for budget in budgets:
-                    with monkeypatch.context() as patch:
-                        patch.setattr(schemes, "_BLOCK_ELEMS", budget)
-                        for run, want in zip(run_batch(col, cells, scheme), together):
-                            assert_same_trials(col, run, want)
+        cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
+                  schedule_for(rng, k, col.radius)) for k, trials in grid]
+        for scheme in SCHEME_KINDS:
+            together = run_batch(col, cells, scheme)
+            for (idx, schedule), run in zip(cells, together):
+                assert run.ordering is idx
+                (alone,) = run_batch(col, [(idx, schedule)], scheme)
+                assert_same_trials(col, run, alone)
+            idx, schedule = cells[1]
+            for rows in ([0], [0, 1, 2], [8, 3]):
+                (part,) = run_batch(col, [(idx[rows], schedule)], scheme)
+                assert_same_trials(col, part, together[1], rows)
+            for budget in budgets:
+                with monkeypatch.context() as patch:
+                    patch.setattr(schemes, "_BLOCK_ELEMS", budget)
+                    for run, want in zip(run_batch(col, cells, scheme), together):
+                        assert_same_trials(col, run, want)
 
-    with pytest.raises(ValueError, match="cells must agree on unregularized_first"):
-        run_batch(col, [cells[0], (cells[0][0], schedule_for(rng, 3, col.radius, False))],
-                  "regularized")
-
-    # A drawn task's 0 < gamma R_m^2 < 1 error in the last cell (at step 3,
-    # past the exempt first step) is raised before any cell steps.
+    # A drawn task's 0 < gamma R_m^2 < 1 error in the last cell (at step 3)
+    # is raised before any cell steps.
     stepped = []
     monkeypatch.setattr(schemes, "spectral_multiplier", lambda *args: stepped.append(args))
     idx = cells[-1][0]
     gamma = np.full(5, 0.1 / col.radius ** 2)
     gamma[2] = 1.5 / col.tasks[idx[0, 2] - 1].spectral_norm ** 2
-    bad = replace(custom_schedule(5, gamma=gamma, n_steps=[1] * 5), unregularized_first=True)
+    bad = custom_schedule(5, gamma=gamma, n_steps=[1] * 5)
     with pytest.raises(ValueError, match=r"0 < gamma \* R_m\^2 < 1"):
         run_batch(col, cells[:-1] + [(idx, bad)], "budgeted")
     assert stepped == []
 
 
 def test_run_batch_steps_through_one_multiplier_call(monkeypatch):
-    """Every scheme, with and without an unregularized first step, takes each
-    block of steps through one ``spectral_multiplier`` call on (steps, trials,
-    q) arrays, also on one-row tasks (q = 1, the rank-one branch).  The calls
-    cover steps 0..k_max-1 once, in order; a block never spans a cell's end or
-    the projection step; a projection step gets no strengths and every other
-    step the scheme's ``READS``.  Under the default budget these small cells
-    take one call per span between two cuts."""
+    """Every scheme takes each block of steps through one
+    ``spectral_multiplier`` call on (steps, trials, q) arrays, also on one-row
+    tasks (q = 1, the rank-one branch).  The calls cover steps 0..k_max-1
+    once, in order; a block never spans a cell's end; every step gets the
+    scheme's ``READS``.  Under the default budget these small cells take one
+    call per span between two cuts."""
     rng = np.random.default_rng(8)
     wide = new_collection([make_task(rng, "wide", 4) for _ in range(3)])
     rng_one = np.random.default_rng(9)
@@ -356,30 +347,28 @@ def test_run_batch_steps_through_one_multiplier_call(monkeypatch):
     grid = ((5, 2), (9, 3))
     for col, rng in ((wide, rng), (rank_one, rng_one)):
         q = col.row_bases.V.shape[1]
-        for first in (False, True):
-            cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
-                      schedule_for(rng, k, col.radius, first)) for k, trials in grid]
-            cuts = [0, 5, 9] if not first else [0, 1, 5, 9]
-            for scheme in SCHEME_KINDS:
-                for budget in (1, schemes._BLOCK_ELEMS):
-                    calls.clear()
-                    with monkeypatch.context() as patch:
-                        patch.setattr(schemes, "_BLOCK_ELEMS", budget)
-                        run_batch(col, cells, scheme)
-                    a = 0
-                    for reads, (steps, trials, width) in calls:
-                        b = a + steps
-                        assert steps >= 1 and width == q
-                        assert trials == sum(n for k, n in grid if k > a)
-                        assert not any(a < cut < b for cut in cuts), (a, b)
-                        projection = scheme == "unregularized" or (first and a == 0)
-                        assert reads == (0 if projection else len(schemes.READS[scheme]))
-                        a = b
-                    assert a == 9
-                    if budget == 1:
-                        assert len(calls) == 9
-                    else:
-                        assert len(calls) == len(cuts) - 1
+        cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
+                  schedule_for(rng, k, col.radius)) for k, trials in grid]
+        cuts = [0, 5, 9]
+        for scheme in SCHEME_KINDS:
+            for budget in (1, schemes._BLOCK_ELEMS):
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(schemes, "_BLOCK_ELEMS", budget)
+                    run_batch(col, cells, scheme)
+                a = 0
+                for reads, (steps, trials, width) in calls:
+                    b = a + steps
+                    assert steps >= 1 and width == q
+                    assert trials == sum(n for k, n in grid if k > a)
+                    assert not any(a < cut < b for cut in cuts), (a, b)
+                    assert reads == len(schemes.READS[scheme])
+                    a = b
+                assert a == 9
+                if budget == 1:
+                    assert len(calls) == 9
+                else:
+                    assert len(calls) == len(cuts) - 1
 
 
 def test_run_batch_working_set_stays_small():

@@ -64,8 +64,6 @@ MISTYPED_CONFIGS = [
     base_config(k_grid=[4, True]),
     base_config(out=7),
     base_config(scheme="budgeted", schedule={"kind": "increasing-budget", "n_choice": 1.5}),
-    base_config(schedule={"kind": "increasing-coefficient", "unregularized_first": "no"}),
-    base_config(schedule={"kind": "increasing-coefficient", "unregularized_first": 1}),
     base_config(schedule={"kind": ["none"]}),
     base_config(scheme=["regularized"]),
 ]
@@ -94,7 +92,6 @@ MISMATCHED_CONFIGS = [
     base_config(scheme="unregularized", schedule={"kind": "increasing-coefficient"}),
     base_config(scheme="unregularized", k_grid=[3], schedule={"kind": "custom", "lam": [1] * 3}),
     base_config(scheme="unregularized", schedule={"kind": "fixed-budget", "gamma": 5}),
-    base_config(scheme="unregularized", schedule={"kind": "none", "unregularized_first": True}),
     base_config(scheme="regularized", schedule={"kind": "none"}),
     base_config(scheme="regularized", schedule={"kind": "fixed-budget", "gamma": 0.5}),
     base_config(scheme="igd-of-regularized", schedule={"kind": "increasing-budget"}),
@@ -170,6 +167,16 @@ def test_parse_config_strictness():
     with pytest.raises(ConfigError, match="unknown schedule fields"):
         harness.parse_config(base_config(
             schedule={"kind": "increasing-coefficient", "gamma": 0.5}))
+    # No schedule kind takes a flag that makes a step other than its scheme's.
+    for scheme, schedule in (("regularized", {"kind": "increasing-coefficient"}),
+                             ("budgeted", {"kind": "custom", "gamma": [0.5] * 4,
+                                           "n_steps": [1] * 4}),
+                             ("unregularized", {"kind": "none"})):
+        for flag in (True, "no", 1):
+            with pytest.raises(ConfigError, match=r"unknown schedule fields for .*"
+                                                  r"\['unregularized_first'\]"):
+                harness.parse_config(base_config(
+                    scheme=scheme, schedule={**schedule, "unregularized_first": flag}))
     with pytest.raises(ConfigError, match="needs 'gamma'"):
         harness.parse_config(base_config(schedule={"kind": "fixed-budget"}))
     with pytest.raises(ConfigError, match="unknown scheme"):
@@ -192,11 +199,10 @@ def test_parse_config_strictness():
     for name, value in (("seed", -1), ("radius", -5)):
         with pytest.raises(ConfigError, match=f"collection field '{name}' must be"):
             harness.parse_config(base_config(collection={**GAUSSIAN_COLLECTION, name: value}))
-    # A custom schedule's strengths are arrays; well-typed flags still parse.
+    # A custom schedule's strengths are arrays, gamma's too.
     harness.parse_config(base_config(scheme="budgeted",
                                      schedule={"kind": "custom", "gamma": [0.5] * 4,
-                                               "n_steps": [1] * 4,
-                                               "unregularized_first": True}))
+                                               "n_steps": [1] * 4}))
     harness.parse_config(base_config(collection={**PAIRS_COLLECTION, "radius": 2}))
 
 
@@ -645,8 +651,11 @@ def test_cli_adversarial(tmp_path, capsys):
 
 
 def test_cli_adversarial_rejects_a_schedule_its_scheme_does_not_read(monkeypatch, capsys):
+    """A scheme paired with a schedule it does not read, or a schedule flag
+    given to a schedule that does not take it, is one error line, before the
+    scenario is built."""
     def no_work(*args, **kwargs):
-        raise AssertionError("the scenario was built before the pairing was checked")
+        raise AssertionError("the scenario was built before the schedule was checked")
 
     monkeypatch.setattr(harness, "seen_task_lb_collection", no_work)
     monkeypatch.setattr(harness, "any_alg_lb_collection", no_work)
@@ -655,10 +664,24 @@ def test_cli_adversarial_rejects_a_schedule_its_scheme_does_not_read(monkeypatch
             ("increasing-coefficient", "fixed-coefficient", "fixed-budget")):
         if scheme == "budgeted" and schedule == "fixed-budget":
             continue
+        gamma = ("--gamma", "5") if schedule == "fixed-budget" else ()
         code = cli.main(["adversarial", "--scenario", scenario, "--k", "16", "--scheme", scheme,
-                         "--schedule", schedule, "--gamma", "5"])
+                         "--schedule", schedule, *gamma])
         assert code == 1
         assert f"scheme {scheme!r} cannot run a {schedule!r}" in one_line_error(capsys)
+    for scenario, (scheme, schedule, flag, value) in itertools.product(
+            ("seen-task", "any-algorithm"),
+            (("budgeted", "increasing-budget", "--gamma", "0.3"),
+             ("budgeted", "fixed-budget", "--n-choice", "2"),
+             ("regularized", "increasing-coefficient", "--gamma", "0.5"),
+             ("regularized", "fixed-coefficient", "--n-choice", "1"),
+             ("unregularized", "none", "--gamma", "0.5"))):
+        code = cli.main(["adversarial", "--scenario", scenario, "--k", "16", "--scheme", scheme,
+                         "--schedule", schedule, flag, value])
+        assert code == 1
+        field = flag[2:].replace("-", "_")
+        assert f"unknown schedule fields for {schedule!r} with scheme {scheme!r}: " \
+               f"['{field}']" in one_line_error(capsys)
 
 
 def test_cli_adversarial_rejects_a_vanishing_gamma(capsys):
@@ -928,7 +951,9 @@ def test_bad_collection_file_is_rejected_naming_the_task(tmp_path, capsys, monke
     col_path = tmp_path / "tasks.json"
     cfg = base_config(collection={"path": str(col_path)})
     row, square = {"X": [[1.0, 0.0]], "y": [1.0]}, {"X": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 1.0]}
-    for tasks, fields, message in (
+    zero = {"X": [[0.0, 0.0]], "y": [0.0]}
+    # Each case may override config fields, by its fourth entry.
+    for tasks, fields, message, *overrides in (
             ([row, row], {"w_star": [float("nan"), 0.0]},
              "error: w_star contains non-finite entries"),
             ([row, square], {"w_star": [1.0, float("-inf")]},
@@ -983,11 +1008,15 @@ def test_bad_collection_file_is_rejected_naming_the_task(tmp_path, capsys, monke
             ([row, {"X": [[]], "y": [1.0]}], {},
              "error: collection task 1: X must be at least 1x1, got shape (1, 0)"),
             ([row, row], {"w_star": [1.0, 0.0, 0.0]}, "error: w_star must have length 2"),
-            # All-zero tasks: R = 0, which no schedule can scale to.
-            ([{"X": [[0.0, 0.0]], "y": [0.0]}] * 2, {},
-             "error: increasing-coefficient schedule: R must be positive")):
+            # All-zero tasks: R = 0, which a CSV row may not hold, under
+            # every scheme and schedule kind.
+            ([zero, zero], {}, "error: collection R must be > 0, got 0.0: every task is zero"),
+            ([zero, zero], {}, "error: collection R must be > 0, got 0.0: every task is zero",
+             {"scheme": "unregularized", "schedule": {"kind": "none"}}),
+            ([zero, zero], {}, "error: collection R must be > 0, got 0.0: every task is zero",
+             {"k_grid": [2], "schedule": {"kind": "custom", "lam": [1.0, 2.0]}})):
         col_path.write_text(json.dumps({"tasks": tasks, **fields}))
-        assert run_cli_csv(tmp_path, "col", cfg)[0] == 1
+        assert run_cli_csv(tmp_path, "col", {**cfg, **dict(*overrides)})[0] == 1
         assert one_line_error(capsys).startswith(message)
     assert calls == []
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -180,18 +178,6 @@ def test_distance_to_solution_non_increasing_under_regularized():
         assert np.all(np.diff(dist) <= 1e-12 * (1 + dist[:-1]))
 
 
-def test_unregularized_first_flag():
-    col = generate_realizable(d=4, M=2, n=1, radius=1.0, seed=12)
-    k = 3
-    order = [1, 2, 1]
-    sched = replace(custom_schedule(k, lam=np.full(k, 5.0)), unregularized_first=True)
-    traj = run_continual(col, order, sched, "regularized")
-    first = unregularized_step(np.zeros(4), col.tasks[0])
-    assert_allclose(traj.iterates[1], first, atol=1e-14)
-    later = regularized_step(first, col.tasks[1], 5.0)
-    assert_allclose(traj.iterates[2], later, atol=1e-14)
-
-
 def test_regularized_step_never_raises_its_task_loss():
     col = generate_realizable(d=3, M=2, n=1, radius=1.0, seed=13)
     k = 4
@@ -274,14 +260,12 @@ PAIRS = ([(scheme, kind) for scheme in ("regularized", "igd-of-regularized")
          + [("unregularized", EVERY_STRENGTH)])
 
 
-@pytest.mark.parametrize("first", [False, True])
 @pytest.mark.parametrize("scheme, kind", PAIRS)
-def test_step_strengths_hands_out_the_schedules_arrays(scheme, kind, first):
-    """t0 is the projection prefix; the strengths are the schedule's own
-    read-only arrays, in ``READS`` order, which is ``spectral_multiplier``'s."""
-    schedule = build_schedule({**kind, "unregularized_first": first}, 1.0, K)
-    t0, strengths = step_strengths(scheme, schedule, K)
-    assert t0 == int(first)
+def test_step_strengths_hands_out_the_schedules_arrays(scheme, kind):
+    """The strengths are the schedule's own read-only arrays, in ``READS``
+    order, which is ``spectral_multiplier``'s."""
+    schedule = build_schedule(kind, 1.0, K)
+    strengths = step_strengths(scheme, schedule, K)
     assert READS[scheme] in ((), ("lam",), ("gamma", "n_steps"))
     assert len(strengths) == len(READS[scheme])
     for name, a in zip(READS[scheme], strengths):
@@ -290,4 +274,4 @@ def test_step_strengths_hands_out_the_schedules_arrays(scheme, kind, first):
 
 
 def test_step_strengths_without_a_schedule():
-    assert step_strengths("unregularized", None, K) == (0, ())
+    assert step_strengths("unregularized", None, K) == ()

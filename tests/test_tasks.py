@@ -231,16 +231,6 @@ def test_generator_validation():
         generate_realizable(d=0, M=1, n=1, radius=1.0, seed=0)
     with pytest.raises(ValueError):
         generate_realizable(d=2, M=0, n=1, radius=1.0, seed=0)
-    with pytest.raises(ValueError, match="w_star must have length 2"):
-        generate_realizable(d=2, M=1, n=1, radius=1.0, seed=0, w_star=np.zeros(3))
-
-
-def test_generator_accepts_planted_solution():
-    w = np.array([1.0, -2.0, 0.5])
-    col = generate_realizable(d=3, M=2, n=2, radius=1.0, seed=5, w_star=w)
-    assert_array_equal(col.w_star, w)
-    for t in col.tasks:
-        assert np.linalg.norm(t.X @ w - t.y) == 0.0
 
 
 def test_aligned_pairs_geometry():
