@@ -260,11 +260,17 @@ PAIRS = ([(scheme, kind) for scheme in ("regularized", "igd-of-regularized")
          + [("unregularized", EVERY_STRENGTH)])
 
 
+@pytest.mark.parametrize("longer", [False, True])
 @pytest.mark.parametrize("scheme, kind", PAIRS)
-def test_step_strengths_hands_out_the_schedules_arrays(scheme, kind):
+def test_step_strengths_hands_out_the_schedules_arrays(scheme, kind, longer):
     """The strengths are the schedule's own read-only arrays, in ``READS``
-    order, which is ``spectral_multiplier``'s."""
+    order, which is ``spectral_multiplier``'s, one entry per step: every
+    pair refuses an ordering longer than its schedule."""
     schedule = build_schedule(kind, 1.0, K)
+    if longer:
+        with pytest.raises(ValueError, match=f"schedule length {K} != ordering length {K + 1}"):
+            step_strengths(scheme, schedule, K + 1)
+        return
     strengths = step_strengths(scheme, schedule, K)
     assert READS[scheme] in ((), ("lam",), ("gamma", "n_steps"))
     assert len(strengths) == len(READS[scheme])
