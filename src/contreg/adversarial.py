@@ -16,12 +16,12 @@ import numpy as np
 from .tasks import stacked_collection
 
 
-def seen_task_lb_collection(k, d=2):
+def seen_task_lb_collection(k):
     """``(collection, w0)``: a collection forcing seen-task loss >= 1/(144 k)
     with constant probability from the start w0 = e_1.
 
-    k-1 replicas of the row e_2 (target 0) plus one row
-    x = (sqrt(1 - alpha^2), alpha, 0, ...) with alpha = sqrt(1/2), target 0.
+    Two-dimensional: k-1 replicas of the row e_2 (target 0) plus one row
+    x = (sqrt(1 - alpha^2), alpha) with alpha = sqrt(1/2), target 0.
     Uniform with-replacement sampling over the k tasks then encounters the
     x-row once with probability bounded away from zero, and a proximally
     anchored solver started at e_1 is left with either a lingering x-residual
@@ -31,19 +31,17 @@ def seen_task_lb_collection(k, d=2):
     k = int(k)
     if k < 9:
         raise ValueError(f"construction needs k >= 9, got {k}")
-    if d < 2:
-        raise ValueError("construction needs d >= 2")
     alpha = np.sqrt(0.5)
-    rows = np.zeros((k, 1, d))
+    rows = np.zeros((k, 1, 2))
     rows[:-1, 0, 1] = 1.0
-    rows[-1, 0, :2] = np.sqrt(1.0 - alpha ** 2), alpha
-    w0 = np.zeros(d)
-    w0[0] = 1.0
-    return stacked_collection(rows, np.zeros((k, 1)), w_star=np.zeros(d)), w0
+    rows[-1, 0] = np.sqrt(1.0 - alpha ** 2), alpha
+    w0 = np.array([1.0, 0.0])
+    return stacked_collection(rows, np.zeros((k, 1)), w_star=np.zeros(2)), w0
 
 
-def any_alg_lb_collection(k, d, probe):
-    """Collection on which any fixed learner loses >= Omega(1/k) on average.
+def any_alg_lb_collection(k, probe):
+    """Two-dimensional collection on which any fixed learner loses >= Omega(1/k)
+    on average.
 
     The adversary first watches the learner on k uniform draws from k
     replicas of (e_1, 0), which can only be that task k times: the ``probe``
@@ -59,21 +57,17 @@ def any_alg_lb_collection(k, d, probe):
     k = int(k)
     if k < 2:
         raise ValueError(f"construction needs k >= 2, got {k}")
-    if d < 2:
-        raise ValueError("construction needs d >= 2")
 
-    rows = np.zeros((k, 1, d))
+    rows = np.zeros((k, 1, 2))
     rows[:-1, 0, 0] = 1.0
     # rows[:1] is the one task (e_1, 0) the probe trains on.
     w = np.asarray(probe(stacked_collection(rows[:1], np.zeros((1, 1))), k),
                    dtype=np.float64)
-    if w.shape != (d,):
-        raise ValueError(f"probe must return a length-{d} vector, got {w.shape}")
+    if w.shape != (2,):
+        raise ValueError(f"probe must return a length-2 vector, got {w.shape}")
     a = 1.0 if w[1] <= 0 else -1.0
 
     rows[-1, 0, 1] = 1.0
     targets = np.zeros((k, 1))
     targets[-1] = a
-    w_star = np.zeros(d)
-    w_star[1] = a
-    return stacked_collection(rows, targets, w_star=w_star)
+    return stacked_collection(rows, targets, w_star=np.array([0.0, a]))

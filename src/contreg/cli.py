@@ -89,9 +89,10 @@ def _cmd_adversarial(args):
                            f"its largest array")
     # A flag given to a schedule that does not take it is an unknown schedule
     # field, which the scenario runner rejects as it would in a config.
-    schedule = {"kind": args.schedule, **{name: value for name, value in (
+    kind = args.schedule or harness.default_kind(args.scheme)
+    schedule = {"kind": kind, **{name: value for name, value in (
         ("gamma", args.gamma), ("n_choice", args.n_choice)) if value is not None}}
-    if args.schedule == "fixed-budget":
+    if kind == "fixed-budget":
         schedule.setdefault("gamma", 0.5)
     run = harness.run_seen_task_floor if args.scenario == "seen-task" else harness.run_any_alg_mean
     report = run(args.k, args.trials, args.seed, scheme=args.scheme, schedule=schedule)
@@ -145,8 +146,9 @@ def build_parser():
                    choices=["seen-task", "any-algorithm"])
     p.add_argument("--scheme", default="regularized", choices=SCHEME_KINDS)
     # Custom schedules need per-step arrays, which this command cannot take.
-    p.add_argument("--schedule", default="increasing-coefficient",
-                   choices=[kind for kind in KINDS if kind != "custom"])
+    p.add_argument("--schedule", choices=[kind for kind in KINDS if kind != "custom"],
+                   help="default: increasing-coefficient for the coefficient schemes, "
+                        "increasing-budget for the budget schemes, none for unregularized")
     p.add_argument("--gamma", type=float,
                    help="inner step size for fixed-budget schedules (default 0.5)")
     p.add_argument("--n-choice", type=int,

@@ -101,10 +101,14 @@ def _require_keys(d, required, optional, where):
         raise ConfigError(f"missing {where} fields: {sorted(missing)}")
 
 
-def _check_schedule(sch, scheme):
-    """Check a schedule dict against its ``schedules.KINDS`` entry and ``schemes.READS``."""
+def _check_scheme(scheme):
     if not isinstance(scheme, str) or scheme not in READS:
         raise ConfigError(f"unknown scheme kind: {scheme!r}")
+
+
+def _check_schedule(sch, scheme):
+    """Check a schedule dict against its ``schedules.KINDS`` entry and ``schemes.READS``."""
+    _check_scheme(scheme)
     if not isinstance(sch, dict) or "kind" not in sch:
         raise ConfigError("schedule must be an object with a 'kind' field")
     kind = sch["kind"]
@@ -486,36 +490,43 @@ def read_csv(path):
     its line: a header or field count not of the schema, a field that does
     not parse, a value out of range (k >= 1; trial, seed >= 0; M, d >= 1; R
     finite and > 0; the metrics as ``run_experiment`` checks them), rows of
-    more than one sweep, or a repeated (k, trial).  Of the rows that do not
+    more than one sweep, or a repeated (k, trial).  A line that ``csv``
+    cannot split (a field past its size limit) does not parse; bytes that
+    are not UTF-8 raise ValueError naming the file.  Of the rows that do not
     parse or are out of range, the first in the file is reported.  The sweep
     check comes before the repeat check, since rows of two sweeps share
     (k, trial) pairs.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != list(CSV_FIELDS):
-            raise ValueError(f"{path}, line 1: header is not {','.join(CSV_FIELDS)}")
         keys = {}  # a run key's fields as read -> the run key
         rows, lines = [], []
         first_line = {}  # (k, trial) -> the line it first appears on
         repeat = unparsed = None
-        for rec in reader:
-            try:
-                if len(rec) != len(CSV_FIELDS):
-                    raise ValueError(f"expected {len(CSV_FIELDS)} fields, got {len(rec)}")
-                fields = tuple(rec[:6])
-                if fields not in keys:
-                    keys[fields] = _parse_run_key(fields)
-                row = (int(rec[6]), int(rec[7]), int(rec[8]), float(rec[9]),
-                       float(rec[10]), float(rec[11]), float(rec[12]))
-            except ValueError as exc:
-                unparsed = (reader.line_num, exc)
-                break
-            rows.append(row)
-            lines.append(reader.line_num)
-            line = first_line.setdefault(row[:2], reader.line_num)
-            if repeat is None and line != reader.line_num:
-                repeat = (reader.line_num, *row[:2], line)
+        try:
+            if next(reader, None) != list(CSV_FIELDS):
+                raise ValueError(f"{path}, line 1: header is not {','.join(CSV_FIELDS)}")
+            for rec in reader:
+                try:
+                    if len(rec) != len(CSV_FIELDS):
+                        raise ValueError(f"expected {len(CSV_FIELDS)} fields, got {len(rec)}")
+                    fields = tuple(rec[:6])
+                    if fields not in keys:
+                        keys[fields] = _parse_run_key(fields)
+                    row = (int(rec[6]), int(rec[7]), int(rec[8]), float(rec[9]),
+                           float(rec[10]), float(rec[11]), float(rec[12]))
+                except ValueError as exc:
+                    unparsed = (reader.line_num, exc)
+                    break
+                rows.append(row)
+                lines.append(reader.line_num)
+                line = first_line.setdefault(row[:2], reader.line_num)
+                if repeat is None and line != reader.line_num:
+                    repeat = (reader.line_num, *row[:2], line)
+        except csv.Error as exc:  # the line reader.line_num does not split
+            unparsed = (reader.line_num, exc)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     # The first bad line in file order: an out-of-range row before the line
     # that did not parse, if any.
     columns = list(zip(*rows))
@@ -624,11 +635,23 @@ def _run_scenario(col, w0, k, trials, base_seed, scheme, schedule):
     return summarize_batch(run, col)
 
 
+# The schedule kind a scenario runs when none is given, by the strengths its
+# scheme reads: the increasing kind that sets them, or 'none'.
+_DEFAULT_KINDS = {("lam",): "increasing-coefficient",
+                  ("gamma", "n_steps"): "increasing-budget", (): "none"}
+
+
+def default_kind(scheme):
+    """The schedule kind a scenario runs under ``scheme`` when none is given."""
+    _check_scheme(scheme)
+    return _DEFAULT_KINDS[READS[scheme]]
+
+
 def run_seen_task_floor(k, trials, base_seed, scheme="regularized", schedule=None):
     """Empirical Pr[seen-task loss >= 1/(144 k)] on the hard seen-task collection,
     started at its w0; the claim is that it is at least 0.15.  ``schedule`` is
-    a config's schedule dict (increasing-coefficient if None)."""
-    schedule = {"kind": "increasing-coefficient"} if schedule is None else schedule
+    a config's schedule dict (``{"kind": default_kind(scheme)}`` if None)."""
+    schedule = {"kind": default_kind(scheme)} if schedule is None else schedule
     _check_schedule(schedule, scheme)  # before the collection is built
     col, w0 = seen_task_lb_collection(k)
     rec = _run_scenario(col, w0, k, trials, base_seed, scheme, schedule)
@@ -643,9 +666,9 @@ def run_any_alg_mean(k, trials, base_seed, scheme="regularized", schedule=None):
     """Mean excess average loss on the adversarial collection built against the
     scheme, started at 0; the claim is that it is at least 1/(64 k).
     ``schedule`` is as for ``run_seen_task_floor``."""
-    schedule = {"kind": "increasing-coefficient"} if schedule is None else schedule
+    schedule = {"kind": default_kind(scheme)} if schedule is None else schedule
     _check_schedule(schedule, scheme)  # before the learner is probed
-    col = any_alg_lb_collection(k, 2, scheme_runner(scheme, schedule))
+    col = any_alg_lb_collection(k, scheme_runner(scheme, schedule))
     rec = _run_scenario(col, None, k, trials, base_seed, scheme, schedule)
     # The collection's rows are e_1 and e_2 with targets 0 and a, so its
     # planted a * e_2 has zero loss and the excess is the average loss itself.

@@ -80,11 +80,9 @@ def fixed_coefficient(R, k):
     if k < 2:
         raise ValueError(f"fixed coefficient needs k >= 2, got {k}")
     r2 = _check_radius(R)
-    clamped = np.log(k) <= 1.0
-    lam = LAMBDA_CLAMP_FACTOR * r2 if clamped else r2 * (np.log(k) - 1.0)
+    lam = LAMBDA_CLAMP_FACTOR * r2 if np.log(k) <= 1.0 else r2 * (np.log(k) - 1.0)
     eta = np.ones(k)
-    return ScheduleSpec(k=k, lam=_frozen(np.full(k, lam)), eta=_frozen(eta),
-                        meta={"clamped": bool(clamped)})
+    return ScheduleSpec(k=k, lam=_frozen(np.full(k, lam)), eta=_frozen(eta))
 
 
 def fixed_budget(R, gamma, k):
@@ -230,16 +228,12 @@ class CertificateReport:
     """Numeric check of the weight recursion behind the decaying-step bound.
 
     With eta_t = eta * (k - t + 1) / k and the weight sequence v_t, the
-    combination c_t = eta_t v_t^2 - a1 beta eta_t^2 v_t^2
-    - (1 + a2 eta_t beta) (v_t - v_{t-1}) sum_{s>=t} eta_s v_s must stay
+    combination c_t = eta_t v_t^2 - beta eta_t^2 v_t^2
+    - (1 + eta_t beta) (v_t - v_{t-1}) sum_{s>=t} eta_s v_s must stay
     nonnegative, with c_k >= eta / k.
     """
 
-    k: int
-    beta: float
     eta: float
-    a1: float
-    a2: float
     v: np.ndarray
     eta_t: np.ndarray
     c: np.ndarray
@@ -248,15 +242,18 @@ class CertificateReport:
     passed: bool
 
 
-def certificate_check(k, beta, eta, a1=1.0, a2=1.0):
+def certificate_check(k, beta, eta):
+    """The ``CertificateReport`` at k, beta and eta <= 3 / (13 beta), the bound
+    3 / ((8 a1 + 5 a2) beta) at a1 = a2 = 1: the increasing schedules' first
+    step 3 / (13 R^2) at beta = R^2."""
     k = int(k)
     if k < 2:
         raise ValueError(f"certificate needs k >= 2, got {k}")
     if not beta > 0:
         raise ValueError("beta must be positive")
-    limit = 3.0 / ((8.0 * a1 + 5.0 * a2) * beta)
+    limit = 3.0 / (13.0 * beta)
     if eta > limit:
-        raise ValueError(f"eta={eta} exceeds 3/((8*a1+5*a2)*beta)={limit}")
+        raise ValueError(f"eta={eta} exceeds 3/(13*beta)={limit}")
     if not eta > 0:
         raise ValueError("eta must be positive")
 
@@ -271,13 +268,11 @@ def certificate_check(k, beta, eta, a1=1.0, a2=1.0):
     prod = eta_t * v[1:]
     suffix = np.cumsum(prod[::-1])[::-1]
     c = (eta_t * v[1:] ** 2
-         - a1 * beta * eta_t ** 2 * v[1:] ** 2
-         - (1.0 + a2 * eta_t * beta) * (v[1:] - v[:-1]) * suffix)
+         - beta * eta_t ** 2 * v[1:] ** 2
+         - (1.0 + eta_t * beta) * (v[1:] - v[:-1]) * suffix)
 
     min_c = float(c.min())
     c_k = float(c[-1])
     passed = bool(min_c >= -1e-12 and c_k >= eta / k - 1e-12)
-    return CertificateReport(k=k, beta=float(beta), eta=float(eta),
-                             a1=float(a1), a2=float(a2),
-                             v=_frozen(v), eta_t=_frozen(eta_t), c=_frozen(c),
+    return CertificateReport(eta=float(eta), v=_frozen(v), eta_t=_frozen(eta_t), c=_frozen(c),
                              min_c=min_c, c_k=c_k, passed=passed)

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surrogates import (BUDGETED, REGULARIZED, build_budgeted_surrogate,
-                         build_regularized_surrogate, check_budget, check_coefficient,
-                         check_step, spectral_multiplier)
+from .surrogates import (build_budgeted_surrogate, build_regularized_surrogate,
+                         check_budget, check_coefficient, check_step, spectral_multiplier)
 
+REGULARIZED = "regularized"
+BUDGETED = "budgeted"
 UNREGULARIZED = "unregularized"
 IGD_REGULARIZED = "igd-of-regularized"
 IGD_BUDGETED = "igd-of-budgeted"

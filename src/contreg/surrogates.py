@@ -18,11 +18,6 @@ import numpy as np
 
 from .metrics import excess_loss
 
-REGULARIZED = "regularized"
-BUDGETED = "budgeted"
-SPECTRAL = "spectral"
-VERBATIM = "verbatim"
-
 
 @dataclass(frozen=True, eq=False)
 class SurrogateQuadratic:
@@ -32,7 +27,6 @@ class SurrogateQuadratic:
     A: np.ndarray
     anchor: np.ndarray
     beta: float
-    kind: str
     lower: float | None
 
 
@@ -104,7 +98,7 @@ def check_budget(gamma, n_steps, r2):
     return n_steps
 
 
-def _surrogate(task, gain, kind, lower):
+def _surrogate(task, gain, lower):
     """A = V^T diag(gain) V on the task's row basis (0 off the row space);
     beta is the gain at sigma_max = R_m, or 0 on a zero task."""
     V = task.row_basis[0]
@@ -112,8 +106,7 @@ def _surrogate(task, gain, kind, lower):
     A = 0.5 * (A + A.T)  # re-symmetrize after the congruence
     A.flags.writeable = False
     beta = float(gain[0]) if gain.size else 0.0
-    return SurrogateQuadratic(A=A, anchor=task.pinv_solution, beta=beta, kind=kind,
-                              lower=lower)
+    return SurrogateQuadratic(A=A, anchor=task.pinv_solution, beta=beta, lower=lower)
 
 
 def _multiplier_gain(task, strengths, eta):
@@ -127,29 +120,27 @@ def _multiplier_gain(task, strengths, eta):
 def build_regularized_surrogate(task, lam, eta):
     """Surrogate whose eta-step equals one full ridge-anchored task update."""
     check_coefficient(lam)
-    return _surrogate(task, _multiplier_gain(task, (lam,), eta), REGULARIZED,
-                      float(lam) * float(eta))
+    return _surrogate(task, _multiplier_gain(task, (lam,), eta), float(lam) * float(eta))
 
 
 def build_budgeted_surrogate(task, gamma, n_steps, eta):
     """Surrogate whose eta-step equals n_steps plain gradient steps of size gamma."""
     n_steps = check_budget(gamma, n_steps, task.spectral_norm ** 2)
-    return _surrogate(task, _multiplier_gain(task, (gamma, n_steps), eta), BUDGETED,
+    return _surrogate(task, _multiplier_gain(task, (gamma, n_steps), eta),
                       float(eta) / (float(gamma) * n_steps))
 
 
-def build_spectral_surrogate(task, g: Callable, gprime0=None):
-    """Surrogate from an arbitrary scalar map applied to the Gram eigenvalues.
+def build_spectral_surrogate(task, g: Callable):
+    """Surrogate from an arbitrary scalar map applied to the Gram eigenvalues
+    (no excess-loss constants).
 
     The caller asserts g is nondecreasing and concave on [0, R_m^2] with
-    g'(0) > 0; only g(0) = 0 is checked here.  ``gprime0``, when supplied,
-    enables the two-sided excess-loss comparison for this surrogate.
+    g'(0) > 0; only g(0) = 0 is checked here.
     """
     if abs(float(g(0.0))) > 1e-10:
         raise ValueError("spectral map must vanish at zero")
     sigma = task.row_basis[1]
-    return _surrogate(task, np.asarray(g(sigma * sigma), dtype=np.float64), SPECTRAL,
-                      1.0 / gprime0 if gprime0 else None)
+    return _surrogate(task, np.asarray(g(sigma * sigma), dtype=np.float64), None)
 
 
 def from_matrix(A, anchor):
@@ -170,8 +161,7 @@ def from_matrix(A, anchor):
     A.flags.writeable = False
     anchor = anchor.copy()
     anchor.flags.writeable = False
-    return SurrogateQuadratic(A=A, anchor=anchor, beta=float(eigs.max()),
-                              kind=VERBATIM, lower=None)
+    return SurrogateQuadratic(A=A, anchor=anchor, beta=float(eigs.max()), lower=None)
 
 
 def value_and_grad(surrogate, w):
@@ -193,20 +183,18 @@ class SandwichReport:
     upper: float
     lower_ok: bool
     upper_ok: bool
-    tol: float
 
 
-def sandwich_check(surrogate, task, w, collection_radius=None):
-    """Check c_low * f(w) <= L(w) - min_loss <= (R^2 / beta) * f(w).
-
-    The upper constant uses the task's own spectral norm by default (tighter);
-    pass ``collection_radius`` to use the collection-level radius instead.
-    """
+def sandwich_check(surrogate, task, w):
+    """Check c_low * f(w) <= L(w) - min_loss <= (R_m^2 / beta) * f(w), with
+    R_m the task's own spectral norm.  Only the regularized and budgeted
+    builders give a surrogate the lower constant c_low."""
     if surrogate.lower is None:
-        raise ValueError(f"no excess-loss constants defined for kind {surrogate.kind!r}")
+        raise ValueError("no excess-loss constants defined for this surrogate: only the "
+                         "regularized and budgeted builders define them")
     value, _ = value_and_grad(surrogate, w)
     excess = excess_loss(w, task)
-    r = collection_radius if collection_radius is not None else task.spectral_norm
+    r = task.spectral_norm
     upper = (r * r / surrogate.beta) * value if surrogate.beta > 0 else 0.0
     lower = surrogate.lower * value
     tol = 1e-9 * (1.0 + excess)
@@ -214,5 +202,4 @@ def sandwich_check(surrogate, task, w, collection_radius=None):
         lower=lower, excess=excess, upper=upper,
         lower_ok=bool(lower <= excess + tol),
         upper_ok=bool(excess <= upper + tol),
-        tol=tol,
     )

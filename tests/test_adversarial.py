@@ -10,7 +10,7 @@ from contreg.tasks import TaskStack, new_collection, new_task
 
 
 def test_seen_task_collection_structure():
-    col, w0 = seen_task_lb_collection(9, d=2)
+    col, w0 = seen_task_lb_collection(9)
     assert col.M == 9
     # eight identical replicas plus one rotated row
     first = col.tasks[0].X
@@ -27,20 +27,19 @@ def test_seen_task_collection_structure():
 def test_seen_task_collection_validation():
     with pytest.raises(ValueError, match="k >= 9"):
         seen_task_lb_collection(8)
-    with pytest.raises(ValueError, match="d >= 2"):
-        seen_task_lb_collection(9, d=1)
 
 
-def test_seen_task_collection_higher_dimension():
-    col, w0 = seen_task_lb_collection(12, d=5)
-    assert col.d == 5
-    assert_array_equal(w0, [1.0, 0.0, 0.0, 0.0, 0.0])
-    assert np.all(col.tasks[0].X[0, 2:] == 0)
+def test_seen_task_collection_is_two_dimensional():
+    col, w0 = seen_task_lb_collection(12)
+    assert col.d == 2 and col.M == 12
+    assert_array_equal(w0, [1.0, 0.0])
+    for task in col.tasks[:-1]:
+        assert_array_equal(task.X, [[0.0, 1.0]])
 
 
 def test_any_alg_adversary_sign_against_constant_probe():
     # a probe that always answers zero has second coordinate <= 0 surely
-    col = any_alg_lb_collection(4, 2, lambda col, k: np.zeros(2))
+    col = any_alg_lb_collection(4, lambda col, k: np.zeros(2))
     assert col.M == 4
     assert_allclose(col.w_star, [0.0, 1.0])
     assert np.linalg.norm(col.w_star) == pytest.approx(1.0)
@@ -49,7 +48,7 @@ def test_any_alg_adversary_sign_against_constant_probe():
 
 
 def test_any_alg_adversary_flips_for_positive_probe():
-    col = any_alg_lb_collection(4, 2, lambda col, k: np.array([0.0, 2.0]))
+    col = any_alg_lb_collection(4, lambda col, k: np.array([0.0, 2.0]))
     assert_allclose(col.w_star, [0.0, -1.0])
     assert average_loss(col.w_star, col) == 0.0
 
@@ -63,20 +62,18 @@ def test_any_alg_probe_receives_replicas():
         seen["k"], seen["M"] = k, col.M
         (task,) = col.tasks
         seen["task"] = (task.X.tolist(), task.y.tolist())
-        return np.zeros(3)
+        return np.zeros(2)
 
-    any_alg_lb_collection(6, 3, probe)
-    assert seen == {"k": 6, "M": 1, "task": ([[1.0, 0.0, 0.0]], [0.0])}
+    any_alg_lb_collection(6, probe)
+    assert seen == {"k": 6, "M": 1, "task": ([[1.0, 0.0]], [0.0])}
 
 
 def test_any_alg_validation():
     probe = lambda col, k: np.zeros(2)
     with pytest.raises(ValueError, match="k >= 2"):
-        any_alg_lb_collection(1, 2, probe)
+        any_alg_lb_collection(1, probe)
     with pytest.raises(ValueError, match="length-2"):
-        any_alg_lb_collection(4, 2, lambda col, k: np.zeros(3))
-    with pytest.raises(ValueError, match="d >= 2"):
-        any_alg_lb_collection(4, 1, probe)
+        any_alg_lb_collection(4, lambda col, k: np.zeros(3))
 
 
 def assert_same_as_distinct_copies(col):
@@ -94,8 +91,8 @@ def assert_same_as_distinct_copies(col):
 
 @pytest.mark.parametrize("k", [16, 64])
 def test_scenario_replicas_match_distinct_copies(k):
-    for col in (seen_task_lb_collection(k, d=3)[0],
-                any_alg_lb_collection(k, 3, lambda col, kk: np.zeros(3))):
+    for col in (seen_task_lb_collection(k)[0],
+                any_alg_lb_collection(k, lambda col, kk: np.zeros(2))):
         assert len(col.stacks) == 1
         X, y = col.stacks[0].X, col.stacks[0].y
         assert (X[:-1] == X[0]).all() and (y[:-1] == y[0]).all()

@@ -209,8 +209,8 @@ def rank_one_collections(tmp_path):
     rng = np.random.default_rng(12)
     hard = build_collection({"generator": "aligned-pairs", "d": 20, "pairs": 5,
                              "angle": 0.04, "radius": 1.0, "seed": 11})
-    seen, _ = seen_task_lb_collection(16, d=3)
-    any_alg = any_alg_lb_collection(16, 3, lambda col, k: np.array([0.5, 0.25, 0.0]))
+    seen, _ = seen_task_lb_collection(16)
+    any_alg = any_alg_lb_collection(16, lambda col, k: np.array([0.5, 0.25]))
     path = tmp_path / "rows.json"
     row = {"X": [[0.6, -0.8, 0.0]], "y": [1.5]}
     path.write_text(json.dumps({"tasks": [row, {"X": [[0.0, 0.0, 0.0]], "y": [2.0]}, row,

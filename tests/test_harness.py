@@ -518,6 +518,10 @@ def test_cli_validation_errors(tmp_path, capsys, monkeypatch):
     for path, where in ((missing_column, "line 1"), (short_row, "line 3")):
         assert cli.main(["fit", str(path)]) == 1
         assert f"{path}, {where}:" in one_line_error(capsys)
+    not_utf8 = tmp_path / "not_utf8.csv"
+    not_utf8.write_bytes(lines[0].encode() + b"\xff" + lines[1].encode())
+    assert cli.main(["fit", str(not_utf8)]) == 1
+    assert one_line_error(capsys).startswith(f"error: {not_utf8}: 'utf-8' codec can't decode")
 
     def with_field(name, value, at=(2,)):  # ``at`` counts lines from the header, 0
         out = list(lines)
@@ -648,6 +652,22 @@ def test_cli_adversarial(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
     assert report["threshold"] == pytest.approx(1.0 / (144 * 16))
+
+
+@pytest.mark.parametrize("scheme", schemes.SCHEME_KINDS)
+def test_cli_adversarial_defaults_to_the_schedule_its_scheme_reads(scheme, capsys):
+    """Without --schedule, a scheme runs the increasing schedule that sets the
+    strengths it reads, or 'none' under the unregularized scheme."""
+    kind = {"regularized": "increasing-coefficient",
+            "igd-of-regularized": "increasing-coefficient",
+            "budgeted": "increasing-budget", "igd-of-budgeted": "increasing-budget",
+            "unregularized": "none"}[scheme]
+    for scenario in ("seen-task", "any-algorithm"):
+        code = cli.main(["adversarial", "--scenario", scenario, "--k", "16", "--trials", "50",
+                         "--scheme", scheme])
+        captured = capsys.readouterr()
+        assert code in (0, 2), captured.err
+        assert json.loads(captured.out)["schedule"] == kind
 
 
 def test_cli_adversarial_rejects_a_schedule_its_scheme_does_not_read(monkeypatch, capsys):
@@ -1239,7 +1259,10 @@ def test_read_csv_reports_the_first_bad_line_in_file_order(tmp_path):
                     ("dist_to_wstar", "-0.5", "dist_to_wstar must be finite and >= 0, got -0.5")]
     unparsable = [("trial", "x", "invalid literal for int() with base 10: 'x'"),
                   ("R", "-1", "R must be finite and > 0, got -1.0"),
-                  ("scheme", "a,b", "expected 13 fields, got 14")]
+                  ("scheme", "a,b", "expected 13 fields, got 14"),
+                  # csv cannot split a line with a field past its size limit.
+                  ("scheme", "x" * (csv.field_size_limit() + 1),
+                   f"field larger than field limit ({csv.field_size_limit()})")]
     path = tmp_path / "bad.csv"
     for (name, value, message), (other, bad, other_message) in itertools.product(
             out_of_range, unparsable):

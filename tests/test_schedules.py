@@ -19,13 +19,11 @@ def test_fixed_coefficient_formula():
     spec = fixed_coefficient(1.0, 3)
     assert spec.lam[0] == pytest.approx(math.log(3) - 1.0)
     assert spec.lam[0] == pytest.approx(0.09861228866810978)
-    assert not spec.meta["clamped"]
 
 
 def test_fixed_coefficient_clamp_at_short_horizons():
     spec = fixed_coefficient(1.0, 2)  # ln 2 < 1, formula would go nonpositive
     assert spec.lam[0] == pytest.approx(1e-6)
-    assert spec.meta["clamped"]
     spec = fixed_coefficient(2.0, 2)
     assert spec.lam[0] == pytest.approx(4e-6)
     with pytest.raises(ValueError):
@@ -162,8 +160,10 @@ def test_certificate_weight_sequence_shape():
 def test_certificate_rejects_large_steps():
     with pytest.raises(ValueError, match="exceeds"):
         certificate_check(5, 1.0, 0.5)
+    # The limit is the increasing schedules' first step 3 / (13 R^2) at beta = R^2.
+    assert certificate_check(5, 1.0, 3.0 / 13.0).passed
     with pytest.raises(ValueError, match="exceeds"):
-        certificate_check(5, 1.0, 3.0 / 13.0, a1=2.0)  # threshold shrinks with a1
+        certificate_check(5, 1.0, np.nextafter(3.0 / 13.0, 1.0))
     with pytest.raises(ValueError):
         certificate_check(1, 1.0, 0.1)
     with pytest.raises(ValueError, match="beta must be positive"):
