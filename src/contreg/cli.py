@@ -61,10 +61,7 @@ def _cmd_fit(args):
     summary = {
         "metric": args.metric,
         "points": [{"k": k, "mean": mean, "se": se, "n": n} for k, mean, se, n in agg],
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "n_points": fit.n_points,
+        **dataclasses.asdict(fit),
     }
     _emit_json(summary, args.out)
     return 0

@@ -249,7 +249,10 @@ def parse_config(data):
     check_fits(8 * k_grid[-1] * trials, f"k_grid entry {k_grid[-1]} is too large for "
                                         f"trials={trials}: its (k, trials) int64 ordering array")
 
-    collection = build_collection(col)
+    try:
+        collection = build_collection(col)
+    except ValueError as exc:  # the generator's or the collection file's own check
+        raise ConfigError(str(exc)) from None
     # A CSV row's R must be > 0 for read_csv, whatever the scheme and schedule.
     if not collection.radius > 0:
         raise ConfigError(f"collection R must be > 0, got {collection.radius}: "
@@ -491,42 +494,51 @@ def read_csv(path):
     not parse, a value out of range (k >= 1; trial, seed >= 0; M, d >= 1; R
     finite and > 0; the metrics as ``run_experiment`` checks them), rows of
     more than one sweep, or a repeated (k, trial).  A line that ``csv``
-    cannot split (a field past its size limit) does not parse; bytes that
-    are not UTF-8 raise ValueError naming the file.  Of the rows that do not
-    parse or are out of range, the first in the file is reported.  The sweep
-    check comes before the repeat check, since rows of two sweeps share
-    (k, trial) pairs.
+    cannot split (a field past its size limit) does not parse.  A byte that
+    is not UTF-8 is reported at once, by its line and its offset in the file:
+    every line is decoded before any is parsed.  Of the rows that do not parse or are
+    out of range, the first in the file is reported.  The sweep check comes
+    before the repeat check, since rows of two sweeps share (k, trial) pairs.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        keys = {}  # a run key's fields as read -> the run key
-        rows, lines = [], []
-        first_line = {}  # (k, trial) -> the line it first appears on
-        repeat = unparsed = None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # Split where ``csv`` splits a file's lines ("\r\n", "\r" or "\n"), so
+    # its line numbers hold; each line is decoded once.
+    decoded, offset = [], 0
+    for raw in data.splitlines(keepends=True):
         try:
-            if next(reader, None) != list(CSV_FIELDS):
-                raise ValueError(f"{path}, line 1: header is not {','.join(CSV_FIELDS)}")
-            for rec in reader:
-                try:
-                    if len(rec) != len(CSV_FIELDS):
-                        raise ValueError(f"expected {len(CSV_FIELDS)} fields, got {len(rec)}")
-                    fields = tuple(rec[:6])
-                    if fields not in keys:
-                        keys[fields] = _parse_run_key(fields)
-                    row = (int(rec[6]), int(rec[7]), int(rec[8]), float(rec[9]),
-                           float(rec[10]), float(rec[11]), float(rec[12]))
-                except ValueError as exc:
-                    unparsed = (reader.line_num, exc)
-                    break
-                rows.append(row)
-                lines.append(reader.line_num)
-                line = first_line.setdefault(row[:2], reader.line_num)
-                if repeat is None and line != reader.line_num:
-                    repeat = (reader.line_num, *row[:2], line)
-        except csv.Error as exc:  # the line reader.line_num does not split
-            unparsed = (reader.line_num, exc)
+            decoded.append(raw.decode())
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}, line {len(decoded) + 1}: byte {raw[exc.start]:#04x} at "
+                             f"offset {offset + exc.start} is not UTF-8") from None
+        offset += len(raw)
+    reader = csv.reader(decoded)
+    keys = {}  # a run key's fields as read -> the run key
+    rows, lines = [], []
+    first_line = {}  # (k, trial) -> the line it first appears on
+    repeat = unparsed = None
+    try:
+        if next(reader, None) != list(CSV_FIELDS):
+            raise ValueError(f"{path}, line 1: header is not {','.join(CSV_FIELDS)}")
+        for rec in reader:
+            try:
+                if len(rec) != len(CSV_FIELDS):
+                    raise ValueError(f"expected {len(CSV_FIELDS)} fields, got {len(rec)}")
+                fields = tuple(rec[:6])
+                if fields not in keys:
+                    keys[fields] = _parse_run_key(fields)
+                row = (int(rec[6]), int(rec[7]), int(rec[8]), float(rec[9]),
+                       float(rec[10]), float(rec[11]), float(rec[12]))
+            except ValueError as exc:
+                unparsed = (reader.line_num, exc)
+                break
+            rows.append(row)
+            lines.append(reader.line_num)
+            line = first_line.setdefault(row[:2], reader.line_num)
+            if repeat is None and line != reader.line_num:
+                repeat = (reader.line_num, *row[:2], line)
+    except csv.Error as exc:  # the line reader.line_num does not split
+        unparsed = (reader.line_num, exc)
     # The first bad line in file order: an out-of-range row before the line
     # that did not parse, if any.
     columns = list(zip(*rows))

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .orderings import check_indices
+
 
 def task_loss(w, task):
     """Squared-error loss 0.5 * ||X w - y||^2 on a single task."""
@@ -40,8 +42,7 @@ def seen_task_loss(w, collection, prefix):
     idx = np.asarray(prefix, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("seen-task loss needs a nonempty ordering prefix")
-    if idx.min() < 1 or idx.max() > collection.M:
-        raise ValueError(f"prefix entries must lie in [1..{collection.M}]")
+    check_indices(idx, collection.M)
     uniq, counts = np.unique(idx, return_counts=True)
     total = sum(int(c) * task_loss(w, collection.tasks[m - 1])
                 for m, c in zip(uniq, counts))
@@ -107,8 +108,7 @@ def summarize_batch(run, collection):
     if k < 1:
         raise ValueError("degradation needs at least one step")
     M = collection.M
-    if order.size and (order.min() < 1 or order.max() > M):  # else bincount miscounts
-        raise ValueError(f"ordering entries must lie in [1..{M}]")
+    check_indices(order, M)  # else bincount miscounts
     X, y, task = collection.stacked_rows
     block = max(1, _BLOCK_ELEMS // max(len(y), k))
     total = np.empty(trials)

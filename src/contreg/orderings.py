@@ -1,8 +1,9 @@
 """Task orderings with deterministic, splittable seeding.
 
 An ordering tau_1..tau_k is a plain read-only int64 array of 1-based task
-indices in [1..M]; the runners in ``schemes`` take any index sequence and
-check its range against the collection.
+indices in [1..M]; the runners in ``schemes`` take any index sequence, and
+:func:`check_indices` is the one check of that range, for the runners and
+the metrics alike.
 
 All randomness in this package flows through :func:`stream`, a Philox4x64
 counter-based bit generator keyed by
@@ -54,6 +55,12 @@ def stream(seed, *path):
 def derived_seed(seed, *path):
     """Stable 64-bit fingerprint of the (seed, path) stream, for logging."""
     return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+
+
+def check_indices(idx, M):
+    """Reject an index array with an entry outside [1..M] (an empty one passes)."""
+    if idx.size and (idx.min() < 1 or idx.max() > M):
+        raise ValueError(f"ordering entries must lie in [1..{M}]")
 
 
 def _checked_sizes(kind, M, k, trials=1):

@@ -14,7 +14,7 @@ argument relies on.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class ScheduleSpec:
     lam: np.ndarray | None = None
     gamma: np.ndarray | None = None
     n_steps: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.lam is None and self.gamma is None:
@@ -85,13 +84,9 @@ def fixed_coefficient(R, k):
     return ScheduleSpec(k=k, lam=_frozen(np.full(k, lam)), eta=_frozen(eta))
 
 
-def fixed_budget(R, gamma, k):
-    """Horizon-tuned constant budget; realized smoothness targets 1/ln k.
-
-    The exact budget N = ln(1 - 1/ln k) / ln(1 - gamma R^2) is generally not
-    an integer; it is recorded in ``meta['n_star']`` and rounded to the
-    nearest integer with floor 1.
-    """
+def exact_budget(R, gamma, k):
+    """The fixed budget's real-valued N = ln(1 - 1/ln k) / ln(1 - gamma R^2),
+    which lands the realized smoothness on 1/ln k."""
     k = int(k)
     r2 = _check_radius(R)
     if not (0 < gamma * r2 < 1):
@@ -103,12 +98,16 @@ def fixed_budget(R, gamma, k):
         raise ValueError(f"gamma * R^2 must be above 2**-54, got {gamma * r2} (gamma={gamma}): "
                          "1 - gamma * R^2 rounds to 1, so the budget ln(1 - 1/ln k) / "
                          "ln(1 - gamma * R^2) divides by zero")
-    n_star = np.log(1.0 - 1.0 / np.log(k)) / denom
-    n = max(1, round(n_star))
-    eta = np.ones(k)
+    return float(np.log(1.0 - 1.0 / np.log(k)) / denom)
+
+
+def fixed_budget(R, gamma, k):
+    """Horizon-tuned constant budget: ``exact_budget`` rounded to the nearest
+    integer, with floor 1."""
+    k = int(k)
+    n = max(1, round(exact_budget(R, gamma, k)))
     return ScheduleSpec(k=k, gamma=_frozen(np.full(k, gamma)),
-                        n_steps=_frozen(np.full(k, n), np.int64), eta=_frozen(eta),
-                        meta={"n_star": float(n_star)})
+                        n_steps=_frozen(np.full(k, n), np.int64), eta=_frozen(np.ones(k)))
 
 
 def _neighbors(x, width):
@@ -210,15 +209,13 @@ KINDS = {
                               optional=("n_choice",)),
     "custom": Kind(lambda R, k, **arrays: custom_schedule(k, **arrays), None,
                    optional=("lam", "gamma", "n_steps", "eta")),
-    "none": Kind(None, ()),
+    "none": Kind(lambda R, k: None, ()),
 }
 
 
 def build_schedule(schedule, R, k):
     """The ScheduleSpec (None for kind 'none') a config's schedule dict gives at R and k."""
     kind = KINDS[schedule["kind"]]
-    if kind.build is None:
-        return None
     fields = {name: schedule[name] for name in kind.required + kind.optional if name in schedule}
     return kind.build(R=R, k=k, **fields)
 

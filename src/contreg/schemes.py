@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .orderings import check_indices
 from .surrogates import (build_budgeted_surrogate, build_regularized_surrogate,
                          check_budget, check_coefficient, check_step, spectral_multiplier)
 
@@ -110,12 +111,6 @@ def step_strengths(scheme, schedule, k):
     return tuple(getattr(schedule, name) for name in READS[scheme])
 
 
-def _check_run(collection, idx):
-    """The index check shared by both runners; ``idx`` holds 1-based indices."""
-    if idx.size and (idx.min() < 1 or idx.max() > collection.M):
-        raise ValueError(f"ordering entries must lie in [1..{collection.M}]")
-
-
 def _start(collection, w0):
     if w0 is None:
         return np.zeros(collection.d)
@@ -136,7 +131,7 @@ def run_continual(collection, ordering, schedule, scheme, w0=None):
     """
     idx = np.asarray(ordering, np.int64)
     k = len(idx)
-    _check_run(collection, idx)
+    check_indices(idx, collection.M)
     strengths = step_strengths(scheme, schedule, k)
     w = _start(collection, w0)
 
@@ -294,7 +289,7 @@ def run_batch(collection, cells, scheme, w0=None):
     for indices, _ in cells:
         if indices.ndim != 2:
             raise ValueError(f"indices must be (trials, k), got shape {indices.shape}")
-        _check_run(collection, indices)
+        check_indices(indices, collection.M)
     reads = [step_strengths(scheme, schedule, indices.shape[1]) for indices, schedule in cells]
     w = _start(collection, w0)
 

@@ -57,7 +57,7 @@ def spectral_multiplier(strengths, sigma, inv_sigma, on_rank=None):
 
 def regularized_spectral_map(lam, eta):
     """Scalar map xi -> (1/eta) * xi / (xi + lam) applied to Gram eigenvalues: the
-    paper's form, kept only as a reference for criterion 9 and the tests."""
+    paper's form, kept only as a reference for the tests."""
     return lambda xi: (xi / (xi + lam)) / eta
 
 

@@ -521,7 +521,8 @@ def test_cli_validation_errors(tmp_path, capsys, monkeypatch):
     not_utf8 = tmp_path / "not_utf8.csv"
     not_utf8.write_bytes(lines[0].encode() + b"\xff" + lines[1].encode())
     assert cli.main(["fit", str(not_utf8)]) == 1
-    assert one_line_error(capsys).startswith(f"error: {not_utf8}: 'utf-8' codec can't decode")
+    assert one_line_error(capsys) == (f"error: {not_utf8}, line 2: byte 0xff at offset "
+                                      f"{len(lines[0])} is not UTF-8\n")
 
     def with_field(name, value, at=(2,)):  # ``at`` counts lines from the header, 0
         out = list(lines)
@@ -1278,6 +1279,41 @@ def test_read_csv_reports_the_first_bad_line_in_file_order(tmp_path):
     path.write_text(head + edit(edit(rows[0], "avg_loss", "nan"), "trial", "-1"))
     with pytest.raises(ValueError, match=r"line 2: trial must be >= 0 and < 2\*\*63, got -1$"):
         harness.read_csv(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_late_byte_that_is_not_utf8_is_named_by_line_and_offset(tmp_path, capsys, end):
+    """A byte that is not UTF-8 after 1001 good lines is one error line naming
+    its line and its offset in the file (not its place in a chunk of the
+    file), with lines ended as ``csv`` ends them."""
+    good = tmp_path / "good.csv"
+    harness.write_csv(harness.run_experiment(harness.parse_config(
+        base_config(k_grid=[4, 8], trials=500))), good)
+    lines = [line[:-1] + end for line in good.read_text().splitlines(True)]
+    assert len(lines) == 1001
+    prefix = "".join(lines).encode()
+    late = tmp_path / "late.csv"
+    late.write_bytes(prefix + b"\xff" + lines[1].encode())
+    assert cli.main(["fit", str(late)]) == 1
+    assert one_line_error(capsys) == (f"error: {late}, line 1002: byte 0xff at offset "
+                                      f"{len(prefix)} is not UTF-8\n")
+
+
+# "TASKS" stands for the path of a collection file with a bad task.
+@pytest.mark.parametrize("collection, message", [
+    ({**PAIRS_COLLECTION, "d": 3}, "d must be >= 4 to hold 2 disjoint planes"),
+    ({"path": "TASKS"}, "collection task 0: y must be a 1-D array of numbers, got entry True"),
+], ids=["aligned-pairs-too-narrow", "file-with-a-bad-task"])
+def test_collection_build_errors_are_config_errors(tmp_path, collection, message):
+    """A collection that its generator or its file's reader rejects is a
+    ConfigError from ``parse_config``, in the build's own words."""
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps({"tasks": [{"X": [[1.0]], "y": [True]}]}))
+    if "path" in collection:
+        collection = {"path": str(tasks)}
+    with pytest.raises(ConfigError) as err:
+        harness.parse_config(base_config(collection=collection))
+    assert str(err.value) == message
 
 
 def test_overflowing_radius_is_rejected_before_work(tmp_path, capsys, monkeypatch):

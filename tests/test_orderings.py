@@ -8,8 +8,11 @@ from numpy.testing import assert_array_equal
 from scipy import stats
 
 from contreg import orderings
+from contreg.metrics import seen_task_loss, summarize_batch
 from contreg.orderings import (derived_seed, sample_ordering, sample_orderings, stream,
                                MAX_TRIALS, WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
+from contreg.schemes import BatchRun, run_batch, run_continual
+from contreg.tasks import generate_realizable
 
 
 def test_single_task_collection_is_constant():
@@ -195,3 +198,25 @@ def test_trials_past_2_32_are_rejected_before_any_draw(kind, cell_builds):
 def test_zero_length_ordering_allowed():
     o = sample_ordering(WITH_REPLACEMENT, 3, 0, seed=0)
     assert len(o) == 0
+
+
+# Every caller of the ordering range rule, each taking a (1, k) index array.
+RANGE_RULE_CALLS = {
+    "run_continual": lambda col, idx: run_continual(col, idx[0], None, "unregularized"),
+    "run_batch": lambda col, idx: run_batch(col, [(idx, None)], "unregularized"),
+    "summarize_batch": lambda col, idx: summarize_batch(
+        BatchRun(final=np.zeros((1, col.d)), ordering=idx, loss_after_sum=np.zeros(1)), col),
+    "seen_task_loss": lambda col, idx: seen_task_loss(np.zeros(col.d), col, idx[0]),
+}
+
+
+@pytest.mark.parametrize("bad", [0, 5], ids=["zero", "past-M"])
+@pytest.mark.parametrize("caller", list(RANGE_RULE_CALLS))
+def test_one_range_rule(caller, bad):
+    """The runners and the metrics reject an index outside [1..M] by the one
+    rule, ``check_indices``, in its words."""
+    col = generate_realizable(d=3, M=4, n=2, radius=1.0, seed=0)
+    call = RANGE_RULE_CALLS[caller]
+    call(col, np.array([[1, 4, 2]]))  # in range: no error
+    with pytest.raises(ValueError, match=r"^ordering entries must lie in \[1\.\.4\]$"):
+        call(col, np.array([[1, bad, 2]]))

@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from contreg import schedules
-from contreg.schedules import (certificate_check, custom_schedule, fixed_budget,
-                               fixed_coefficient, increasing_budget,
+from contreg.schedules import (certificate_check, custom_schedule, exact_budget,
+                               fixed_budget, fixed_coefficient, increasing_budget,
                                increasing_coefficient)
 
 
@@ -42,20 +42,20 @@ def test_fixed_coefficient_smoothness_identity():
 def test_fixed_budget_formula_evaluation():
     spec = fixed_budget(1.0, 0.5, 8)
     expected = math.log(1.0 - 1.0 / math.log(8)) / math.log(0.5)
-    assert spec.meta["n_star"] == pytest.approx(expected)
-    assert spec.meta["n_star"] == pytest.approx(0.945911, abs=1e-6)
+    assert exact_budget(1.0, 0.5, 8) == pytest.approx(expected)
+    assert exact_budget(1.0, 0.5, 8) == pytest.approx(0.945911, abs=1e-6)
     assert spec.n_steps[0] == 1
 
     spec = fixed_budget(1.0, 0.5, 3)
     expected = math.log(1.0 - 1.0 / math.log(3)) / math.log(0.5)
-    assert spec.meta["n_star"] == pytest.approx(expected)
+    assert exact_budget(1.0, 0.5, 3) == pytest.approx(expected)
     # formula evaluation gives 3.47777..., which rounds to 3
-    assert spec.meta["n_star"] == pytest.approx(3.47777108360498, rel=1e-12)
+    assert exact_budget(1.0, 0.5, 3) == pytest.approx(3.47777108360498, rel=1e-12)
     assert spec.n_steps[0] == 3
 
 
 def test_fixed_budget_exact_count_grows_as_step_shrinks():
-    stars = [fixed_budget(1.0, g, 20).meta["n_star"]
+    stars = [exact_budget(1.0, g, 20)
              for g in (0.5, 0.2, 0.1, 0.05, 0.01, 0.001)]
     assert all(b > a for a, b in zip(stars, stars[1:]))
 
