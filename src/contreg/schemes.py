@@ -186,38 +186,41 @@ def _check_inner_steps(r2, drawn, gamma):
         check_budget(worst[m + 1], 1, r2[m])  # raises the literal rules' error
 
 
-def _step_block(rows, W, loss_after, m_idx, strengths):
+def _step_block(rows, W, loss_after, m_idx, strengths, negative_zero):
     """Take a block of steps: ``m_idx`` (steps, trials) holds the 0-based
     tasks drawn and ``strengths`` the block's strengths, arrays that
     broadcast against (steps, trials, q), or none under the unregularized
-    scheme.  ``W`` and ``loss_after`` are updated in place."""
+    scheme.  ``negative_zero`` says whether the start holds a -0.0.  ``W``
+    and ``loss_after`` are updated in place."""
     sigma, target = rows.sigma[m_idx], rows.target[m_idx]
     g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma[m_idx],
                                None if strengths else rows.on_rank[m_idx])
+    # Each step leaves its residual r in ``target`` (its spent U^T y).
     if rows.V.shape[1] == 1:
         # Rank-one rows: the stacked matmuls' arithmetic without their two
-        # calls per trial (see ``run_batch``), in one (trials, d) buffer.
+        # calls per trial (see ``run_batch``), in buffers of the block.
         V1, v = rows.V[:, 0], np.empty_like(W)
-        for m, sigma_t, r, g_t, s_t in zip(m_idx, sigma[..., 0], target[..., 0],
-                                           g[..., 0], s[..., 0]):
+        vw, gr = np.empty(len(W)), np.empty((len(W), 1))
+        for m, sigma_t, r, g_t in zip(m_idx, sigma[..., 0], target[..., 0], g[..., 0]):
             # mode="raise" would copy through a buffer; m is already in range.
             V1.take(m, axis=0, out=v, mode="clip")
-            vw = np.vecdot(v, W)  # one ddot per trial, the call the (1, d) matmul makes
+            np.vecdot(v, W, out=vw)  # one ddot per trial, the call the (1, d) matmul makes
             vw *= sigma_t
-            np.subtract(vw, r, out=r)  # r is the spent U^T y
-            np.multiply((g_t * r)[:, None], v, out=v)
-            v += 0.0  # a zero product is +0.0, as in the matmul's sum from 0
+            np.subtract(vw, r, out=r)
+            np.multiply(g_t, r, out=gr[:, 0])
+            v *= gr
+            if negative_zero:
+                v += 0.0  # a zero product is +0.0, as in the matmul's sum from 0
             W -= v
-            np.multiply(s_t, r, out=sigma_t)
     else:
-        for m, sigma_t, target_t, g_t, s_t in zip(m_idx, sigma, target, g, s):
+        for m, sigma_t, r, g_t in zip(m_idx, sigma, target, g):
             V = rows.V[m]
             # Stacked matmuls: one BLAS gemv per trial, (q, d) by w, then g * r by (q, d).
-            r = np.matmul(V, W[:, :, None])[:, :, 0]
-            r *= sigma_t
-            r -= target_t
+            vw = np.matmul(V, W[:, :, None])[:, :, 0]
+            vw *= sigma_t
+            np.subtract(vw, r, out=r)
             W -= np.matmul((g_t * r)[:, None, :], V)[:, 0]
-            np.multiply(s_t, r, out=sigma_t)  # sigma_t is spent: keep s * r there
+    np.multiply(s, target, out=sigma)  # every step's s * r; sigma is spent
     sigma *= sigma
     for loss in rows.rest[m_idx] + 0.5 * sigma.sum(axis=2):  # one add per step, in order
         loss_after += loss
@@ -226,7 +229,7 @@ def _step_block(rows, W, loss_after, m_idx, strengths):
 # Steps per block of ``run_batch``: enough that each (steps, trials, q)
 # array of the block holds about this many float64s.  With no (trials, q, d)
 # product per step, 2048 keeps the sweep-hard grid under 320 KiB: its
-# rank-one steps peak at 314,683 B (budgeted, tracemalloc).
+# rank-one steps peak at 318,123 B (budgeted, tracemalloc).
 _BLOCK_ELEMS = 2048
 
 
@@ -260,6 +263,8 @@ def run_batch(collection, cells, scheme, w0=None):
     ``TaskCollection.row_bases``) alone, forms the residual coordinates
     r = sigma * (V w) - U^T y and applies w <- w - V^T (g * r), which maps
     r to s(xi) * r, i.e. w' = p + V^T s(xi) V (w - p) with p = X^+ y.
+    Each step leaves its r in place of the block's gathered U^T y, so one
+    multiply after the block's steps forms every step's s * r.
     Both products are stacked matmuls, so numpy makes one BLAS call per
     trial on that trial's (q, d) basis, and no (trials, q, d) product is
     formed.  Padded basis rows are zero, so they leave w unchanged.
@@ -272,9 +277,13 @@ def run_batch(collection, cells, scheme, w0=None):
     (g * r) v.  The bits are the stacked matmuls': numpy's matmul computes
     a (1, d) by (d, 1) product with the same ddot call, and each entry of a
     (1, 1) by (1, d) product is one multiply added to +0.0, which the branch
-    repeats by adding 0.0 (it turns a -0.0 product into +0.0, which matters
-    only where w holds -0.0).  What the branch saves is the second per-trial
-    BLAS call, gemm-sized for one multiply per entry.
+    repeats by adding 0.0 when the start holds a -0.0.  Elsewhere that add
+    changes no bit: it turns a -0.0 product into +0.0, and w - 0.0 and
+    w - (-0.0) differ only where w is -0.0, but a subtraction gives -0.0 only
+    from w = -0.0 (x - x, +0 - (+0) and +0 - (-0) are all +0.0), so a start
+    without a -0.0 never gets one.  What the branch saves is the second
+    per-trial BLAS call, gemm-sized for one multiply per entry; its per-step
+    buffers are allocated once per block.
 
     Only the (trials, d) iterates are kept.  The loss each trial needs for
     degradation, rest + 0.5 * ||s * r||^2 just after each step, is formed
@@ -314,6 +323,8 @@ def run_batch(collection, cells, scheme, w0=None):
             table[:ks[j], j] = a
 
     W = np.tile(w, (ends[-1], 1))
+    # Only a start that holds a -0.0 can ever hold one (see the docstring).
+    negative_zero = bool(np.signbit(w[w == 0]).any())
     loss_after = np.zeros(len(W))
     q = rows.V.shape[1]  # 0 when every task is zero
     t, active = 0, len(cells)
@@ -328,7 +339,7 @@ def run_batch(collection, cells, scheme, w0=None):
         # A lone cell's strengths are a (steps, 1, 1) view rather than a gather.
         pick = cell_of[:n] if active > 1 else slice(1)
         strengths = [table[t:stop, pick, None] for table in tables]
-        _step_block(rows, W[:n], loss_after[:n], m_idx, strengths)
+        _step_block(rows, W[:n], loss_after[:n], m_idx, strengths, negative_zero)
         t = stop
 
     runs = [None] * len(cells)

@@ -55,12 +55,6 @@ def spectral_multiplier(strengths, sigma, inv_sigma, on_rank=None):
     return -np.expm1(log_s) * inv_sigma, np.exp(log_s)
 
 
-def regularized_spectral_map(lam, eta):
-    """Scalar map xi -> (1/eta) * xi / (xi + lam) applied to Gram eigenvalues: the
-    paper's form, kept only as a reference for the tests."""
-    return lambda xi: (xi / (xi + lam)) / eta
-
-
 def budgeted_spectral_map(gamma, n_steps, eta):
     """Scalar map xi -> (1/eta) * (1 - (1 - gamma*xi)^n) applied to Gram eigenvalues:
     the paper's form, kept only as a reference for criterion 9 and the tests."""

@@ -24,7 +24,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import loss_scale
@@ -186,9 +186,10 @@ def test_anchor_just_above_the_cutoff_does_not_leak():
         assert_matches_literal(col, idx, schedule_for(rng, 12, col.radius), scheme)
 
 
-def stacked_matmul_block(rows, W, loss_after, m_idx, strengths):
+def stacked_matmul_block(rows, W, loss_after, m_idx, strengths, negative_zero):
     """``schemes._step_block`` before its rank-one branch: two stacked matmuls
-    per step whatever the basis size, the arithmetic that branch keeps."""
+    per step whatever the basis size, the arithmetic that branch keeps.
+    ``negative_zero`` is not read: a matmul's sums start from +0.0."""
     sigma, target = rows.sigma[m_idx], rows.target[m_idx]
     g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma[m_idx],
                                None if strengths else rows.on_rank[m_idx])
@@ -263,6 +264,51 @@ def test_rank_one_branch_is_the_stacked_matmul_arithmetic(monkeypatch, tmp_path)
                             (scheme, name)
             if col.M == 2:
                 assert np.isfinite(got.final[0]).all() and np.isnan(got.final[1:]).all()
+
+
+@st.composite
+def integer_rank_one_runs(draw):
+    """Integer one-row tasks, among them a zero row, duplicated rows and rows
+    with zero entries, so that residuals cancel exactly to +0.0 or -0.0; an
+    integer start whose zero entries may be -0.0; a scheme, its schedule and
+    the trials' orderings."""
+    d = draw(st.integers(2, 4))
+    entries = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    rows = draw(st.lists(entries, min_size=1, max_size=3))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))  # duplicated rows
+    if draw(st.booleans()):
+        rows.append([0] * d)
+    assume(any(any(row) for row in rows))  # not every task zero, so q = 1
+    col = new_collection([new_task([row], [draw(st.integers(-2, 2))]) for row in rows])
+    w0 = np.array(draw(entries), dtype=np.float64)
+    negative = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    w0[negative & (w0 == 0)] = -0.0
+    scheme = draw(st.sampled_from(SCHEME_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 10))
+    schedule = None if scheme == "unregularized" else schedule_for(rng, k, col.radius)
+    idx = rng.integers(1, col.M + 1, size=(draw(st.integers(1, 3)), k))
+    return col, w0, scheme, schedule, idx
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=integer_rank_one_runs())
+def test_rank_one_branch_keeps_signed_zeros(run):
+    """The rank-one branch adds 0.0 to its products only when the start holds
+    a -0.0: from any start its finals and after-step loss sums are the
+    stacked matmuls' bit for bit (as uint64), and from a start without a
+    -0.0 no final entry is -0.0."""
+    col, w0, scheme, schedule, idx = run
+    assert col.row_bases.V.shape[1] == 1
+    (got,) = run_batch(col, [(idx, schedule)], scheme, w0=w0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schemes, "_step_block", stacked_matmul_block)
+        (want,) = run_batch(col, [(idx, schedule)], scheme, w0=w0)
+    for name in ("final", "loss_after_sum"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    if not np.signbit(w0[w0 == 0]).any():
+        assert not np.signbit(got.final[got.final == 0]).any()
 
 
 def assert_same_trials(col, got, want, rows=slice(None)):

@@ -9,8 +9,7 @@ from numpy.testing import assert_allclose
 from contreg.orderings import stream
 from contreg.surrogates import (budgeted_spectral_map, build_budgeted_surrogate,
                                 build_regularized_surrogate,
-                                build_spectral_surrogate, from_matrix,
-                                regularized_spectral_map, sandwich_check,
+                                build_spectral_surrogate, from_matrix, sandwich_check,
                                 spectral_multiplier, value_and_grad)
 from contreg.tasks import generate_realizable, new_task
 
@@ -27,6 +26,12 @@ def power_oracle_budgeted(task, gamma, n, eta):
     d = task.d
     G = task.X.T @ task.X
     return (np.eye(d) - np.linalg.matrix_power(np.eye(d) - gamma * G, n)) / eta
+
+
+def regularized_spectral_map(lam, eta):
+    """Scalar map xi -> (1/eta) * xi / (xi + lam) applied to Gram eigenvalues:
+    the paper's form."""
+    return lambda xi: (xi / (xi + lam)) / eta
 
 
 EPS = float(np.finfo(np.float64).eps)
