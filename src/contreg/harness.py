@@ -1,9 +1,11 @@
 """Experiment harness: configs, Monte Carlo sweeps, CSV output, rate fits and
 the lower-bound scenario runners.  The verification suites are in ``verify``.
 
-Every run here, the adversary's probe of a learner included, steps on
-``schemes.run_batch``; the literal update rules run only in ``verify`` and the
-tests.  Each scenario runner states the claim it checks (threshold, floor).
+Every run here steps on ``schemes.run_batch``, and so does the adversary's
+probe of a learner unless its start already solves the probe's tasks, as
+``scheme_runner`` says; the literal update rules run only in ``verify`` and
+the tests.  Each scenario runner states the claim it checks (threshold,
+floor).
 
 A sweep is fully determined by its config: trial (k, i) draws its ordering
 from the stream ``(base_seed, k, i)``, the trials of all k-cells are stepped
@@ -20,10 +22,14 @@ is built between the metric pass and the CSV line.
 This is the one module that keeps values between runs, each by ``_keep``
 for its latest group only: the ordering cells of the latest base seed
 (``kept_orderings``), which the five schemes of a sweep and both lower-bound
-scenarios at one k share, and the collection of the latest generator spec
-(``build_collection``), which a sweep's schemes share with its row bases,
-stacked rows and reference solution.  Both are pure functions of their keys,
-so what a run writes does not depend on what an earlier run left kept.
+scenarios at one k share, and in ``_collections`` either the collection of
+the latest generator spec (``build_collection``), which a sweep's schemes
+share with its row bases, stacked rows and reference solution, or the
+lower-bound scenarios' collections, as one group that a generator spec
+evicts and that evicts it: the seen-task collection and its read-only start
+by k, the any-algorithm collection by k and the adversary's sign, and the
+probe's one-task collection.  All are pure functions of their keys, so what
+a run writes does not depend on what an earlier run left kept.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversarial import any_alg_lb_collection, seen_task_lb_collection
+from .adversarial import (any_alg_collection, any_alg_probe_collection, any_alg_sign,
+                          seen_task_lb_collection)
 from .metrics import summarize_batch
 from .orderings import MAX_TRIALS, WITH_REPLACEMENT, WITHOUT_REPLACEMENT, sample_orderings
 from .schedules import KINDS, build_schedule
@@ -286,9 +293,11 @@ def load_json(path):
 
 
 # What the process keeps between runs, as {group: {key: value}} for the
-# latest group: ordering cells by base seed, and a collection by its spec.
+# latest group: ordering cells by base seed, and a collection by its spec, or
+# the lower-bound scenarios' collections in the one group _SCENARIOS.
 _cells = {}
 _collections = {}
+_SCENARIOS = "scenarios"
 
 
 def _keep(store, group, make, key=None):
@@ -628,10 +637,19 @@ def fit_rate(points):
 def scheme_runner(scheme, schedule):
     """Deterministic probe ``probe(collection, k)``: runs a scheme with a schedule
     dict on the collection's first task k times, as one ``run_batch`` trial, and
-    returns w_k.  A budgeted step costs the same for any inner budget N."""
+    returns w_k.  A budgeted step costs the same for any inner budget N.
+
+    When every target of the collection is zero, as on the any-algorithm
+    probe's (e_1, 0), the start w = 0 solves every task exactly and the probe
+    returns it without stepping (its schedule is still built and checked):
+    each step's residual r is then a zero, its update V^T (g r) a zero, and
+    +0.0 minus a zero of either sign is +0.0, so ``run_batch`` would return
+    the same bits."""
 
     def probe(col, k):
         spec = build_schedule(schedule, col.radius, k)
+        if not any(s.y.any() for s in col.stacks):
+            return np.zeros(col.d)
         (run,) = run_batch(col, [(np.ones((1, k), np.int64), spec)], scheme)
         return run.final[0]
 
@@ -665,7 +683,8 @@ def run_seen_task_floor(k, trials, base_seed, scheme="regularized", schedule=Non
     a config's schedule dict (``{"kind": default_kind(scheme)}`` if None)."""
     schedule = {"kind": default_kind(scheme)} if schedule is None else schedule
     _check_schedule(schedule, scheme)  # before the collection is built
-    col, w0 = seen_task_lb_collection(k)
+    col, w0 = _keep(_collections, _SCENARIOS, lambda: seen_task_lb_collection(k),
+                    key=("seen-task", k))
     rec = _run_scenario(col, w0, k, trials, base_seed, scheme, schedule)
     threshold, floor = 1.0 / (144.0 * k), 0.15
     prob = int(np.count_nonzero(rec.seen_loss >= threshold)) / trials
@@ -680,7 +699,10 @@ def run_any_alg_mean(k, trials, base_seed, scheme="regularized", schedule=None):
     ``schedule`` is as for ``run_seen_task_floor``."""
     schedule = {"kind": default_kind(scheme)} if schedule is None else schedule
     _check_schedule(schedule, scheme)  # before the learner is probed
-    col = any_alg_lb_collection(k, scheme_runner(scheme, schedule))
+    probed = _keep(_collections, _SCENARIOS, any_alg_probe_collection, key="probe")
+    sign = any_alg_sign(k, scheme_runner(scheme, schedule), probed)
+    col = _keep(_collections, _SCENARIOS, lambda: any_alg_collection(k, sign),
+                key=("any-algorithm", k, sign))
     rec = _run_scenario(col, None, k, trials, base_seed, scheme, schedule)
     # The collection's rows are e_1 and e_2 with targets 0 and a, so its
     # planted a * e_2 has zero loss and the excess is the average loss itself.

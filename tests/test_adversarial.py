@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from contreg.adversarial import any_alg_lb_collection, seen_task_lb_collection
+from contreg.adversarial import (any_alg_collection, any_alg_lb_collection,
+                                 seen_task_lb_collection)
 from contreg.metrics import average_loss
 from contreg.tasks import TaskStack, new_collection, new_task
 
@@ -22,6 +23,7 @@ def test_seen_task_collection_structure():
     assert average_loss(np.zeros(2), col) == 0.0
     assert_allclose(col.w_star, np.zeros(2))
     assert_array_equal(w0, [1.0, 0.0])
+    assert not w0.flags.writeable  # a kept collection's callers share it
 
 
 def test_seen_task_collection_validation():
@@ -74,6 +76,10 @@ def test_any_alg_validation():
         any_alg_lb_collection(1, probe)
     with pytest.raises(ValueError, match="length-2"):
         any_alg_lb_collection(4, lambda col, k: np.zeros(3))
+    with pytest.raises(ValueError, match="k >= 2"):
+        any_alg_collection(1, 1.0)
+    with pytest.raises(ValueError, match="sign must be 1 or -1"):
+        any_alg_collection(4, 0.0)
 
 
 def assert_same_as_distinct_copies(col):

@@ -678,8 +678,8 @@ def test_cli_adversarial_rejects_a_schedule_its_scheme_does_not_read(monkeypatch
     def no_work(*args, **kwargs):
         raise AssertionError("the scenario was built before the schedule was checked")
 
-    monkeypatch.setattr(harness, "seen_task_lb_collection", no_work)
-    monkeypatch.setattr(harness, "any_alg_lb_collection", no_work)
+    for name in ("seen_task_lb_collection", "any_alg_probe_collection", "any_alg_collection"):
+        monkeypatch.setattr(harness, name, no_work)
     for scenario, scheme, schedule in itertools.product(
             ("seen-task", "any-algorithm"), ("unregularized", "budgeted"),
             ("increasing-coefficient", "fixed-coefficient", "fixed-budget")):
@@ -788,7 +788,7 @@ def test_sizes_past_the_machine_memory_are_named_before_anything_is_built(tmp_pa
         raise AssertionError("work started before the sizes were checked")
 
     for name in ("build_collection", "sample_orderings", "seen_task_lb_collection",
-                 "any_alg_lb_collection"):
+                 "any_alg_probe_collection", "any_alg_collection"):
         monkeypatch.setattr(harness, name, no_work)
     path = tmp_path / "big.json"
     for cfg, message in OVERSIZE_CONFIGS:
@@ -858,9 +858,9 @@ def test_runs_where_the_machine_memory_cannot_be_read(tmp_path, capsys, monkeypa
 
 
 def test_only_the_harness_keeps_values_between_runs(tmp_path, capsys):
-    """After a ``contreg run`` and a ``contreg adversarial`` in one process, the
-    only module-level dicts, lists or sets of contreg that grew are the
-    harness's kept cells and collection."""
+    """After a ``contreg run`` and a ``contreg adversarial`` call of each
+    scenario in one process, the only module-level dicts, lists or sets of
+    contreg that grew are the harness's kept cells and collections."""
     def sizes():
         return {(name, attr): len(value) for name, module in list(sys.modules.items())
                 if name == "contreg" or name.startswith("contreg.")
@@ -869,8 +869,9 @@ def test_only_the_harness_keeps_values_between_runs(tmp_path, capsys):
 
     before = sizes()
     assert run_cli_csv(tmp_path, "a", base_config())[0] == 0
-    assert cli.main(["adversarial", "--scenario", "seen-task", "--k", "16",
-                     "--trials", "10"]) == 0
+    for scenario in ("seen-task", "any-algorithm"):
+        assert cli.main(["adversarial", "--scenario", scenario, "--k", "16",
+                         "--trials", "10"]) == 0
     capsys.readouterr()
     grew = {key for key, n in sizes().items() if n > before.get(key, 0)}
     assert grew == {("contreg.harness", "_cells"), ("contreg.harness", "_collections")}
@@ -1468,6 +1469,51 @@ def test_scheme_runner_probe_is_deterministic(scheme, schedule):
     assert runs[0].any()
 
 
+PROBE_PAIRS = ACCEPTANCE_PAIRS + (("igd-of-regularized", {"kind": "fixed-coefficient"}),
+                                  ("igd-of-budgeted", {"kind": "fixed-budget", "gamma": 0.5}))
+
+
+def stepped_probe(scheme, schedule, col, k):
+    """What a ``scheme_runner`` probe computes by stepping: one ``run_batch``
+    trial of k steps on the collection's first task, from w = 0."""
+    spec = harness.build_schedule(schedule, col.radius, k)
+    (run,) = schemes.run_batch(col, [(np.ones((1, k), np.int64), spec)], scheme)
+    return run.final[0]
+
+
+@pytest.mark.parametrize("scheme, schedule", PROBE_PAIRS,
+                         ids=[f"{scheme}-{sch['kind']}" for scheme, sch in PROBE_PAIRS])
+def test_probe_shortcut_is_the_stepped_bytes(monkeypatch, scheme, schedule):
+    """On the any-algorithm probe's task (e_1, 0) the start w = 0 already
+    solves it, so a ``scheme_runner`` probe returns the start without calling
+    ``run_batch``: the bytes of stepping the trial.  Its schedule is still
+    built, so a k the schedule rejects fails as before.  A task with a
+    nonzero target still steps, to the same bytes."""
+    stepped = []
+
+    def counting(*args, **kwargs):
+        stepped.append(args[1][0][0].shape)
+        return schemes.run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_batch", counting)
+    probe = harness.scheme_runner(scheme, schedule)
+    solved = adversarial.any_alg_probe_collection()
+    for k in (2, 16, 64, 256):
+        try:
+            want = stepped_probe(scheme, schedule, solved, k)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                probe(solved, k)
+            continue
+        got = probe(solved, k)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert stepped == []
+    col = new_collection([new_task([[1.0, 0.5]], [1.0])])
+    got = probe(col, 16)
+    assert stepped == [(1, 16)]
+    assert got.tobytes() == stepped_probe(scheme, schedule, col, 16).tobytes()
+
+
 def test_any_alg_mean_probes_its_learner_once(monkeypatch):
     calls = []
     runner = harness.scheme_runner
@@ -1629,10 +1675,58 @@ def test_the_lower_bound_scenarios_share_their_cell(cell_builds):
     assert cell_builds == [(5, 16, 20)]
 
 
+def test_kept_scenario_collections_change_no_report(monkeypatch, collection_builds):
+    """Criterion 7's sequence and then the seen-task floor at three k write
+    the same reports whether each call builds its collections or finds them
+    kept.  Kept, the scenarios build each seen-task collection once per k,
+    each any-algorithm collection once per (k, sign) and the probe's
+    one-task collection once, as one group; a generator spec evicts it."""
+    builds = []
+    for name in ("seen_task_lb_collection", "any_alg_collection", "any_alg_probe_collection"):
+        def counting(*args, build=getattr(harness, name), name=name):
+            builds.append((name, *args))
+            return build(*args)
+
+        monkeypatch.setattr(harness, name, counting)
+
+    def reports(fresh):
+        out = []
+        for scheme, schedule in ACCEPTANCE_PAIRS:
+            for k in (16, 64):
+                if fresh:
+                    harness._collections.clear()
+                out.append(harness.run_any_alg_mean(k, trials=20, base_seed=7, scheme=scheme,
+                                                    schedule=schedule))
+        for k in (16, 64, 256):
+            if fresh:
+                harness._collections.clear()
+            out.append(harness.run_seen_task_floor(k, trials=20, base_seed=7))
+        return json.dumps(out)
+
+    fresh = reports(fresh=True)
+    assert len(builds) == 2 * 10 + 3
+    builds.clear()
+    harness._collections.clear()
+    assert reports(fresh=False) == fresh
+    assert builds == [("any_alg_probe_collection",), ("any_alg_collection", 16, 1.0),
+                      ("any_alg_collection", 64, 1.0), ("seen_task_lb_collection", 16),
+                      ("seen_task_lb_collection", 64), ("seen_task_lb_collection", 256)]
+    assert list(harness._collections) == [harness._SCENARIOS]
+
+    builds.clear()
+    harness.build_collection(GAUSSIAN_COLLECTION)
+    assert harness._SCENARIOS not in harness._collections
+    harness.run_seen_task_floor(16, trials=20, base_seed=7)
+    harness.build_collection(GAUSSIAN_COLLECTION)
+    assert builds == [("seen_task_lb_collection", 16)]
+    assert collection_builds == ["gaussian", "gaussian"]
+
+
 def test_adversarial_never_runs_the_literal_rules(monkeypatch, capsys):
-    """Both scenarios, the any-algorithm probe included, step on ``run_batch``,
-    whose budgeted step costs the same for any inner budget N; the literal
-    rules, whose ``budgeted_step`` loops N times, are the tests' oracle."""
+    """Both scenarios step on ``run_batch`` (the any-algorithm probe returns
+    its start, which solves the probe's task), whose budgeted step costs the
+    same for any inner budget N; the literal rules, whose ``budgeted_step``
+    loops N times, are the tests' oracle."""
     def literal(*args, **kwargs):
         raise AssertionError("a literal update rule ran")
 
@@ -1663,16 +1757,17 @@ def test_scenario_reports_state_their_claims(monkeypatch, k):
     built = []
 
     def recording(*args):
-        built.append(adversarial.any_alg_lb_collection(*args))
+        built.append(adversarial.any_alg_collection(*args))
         return built[-1]
 
-    monkeypatch.setattr(harness, "any_alg_lb_collection", recording)
+    monkeypatch.setattr(harness, "any_alg_collection", recording)
     # The learner's second coordinate (None: the scheme's own probe, which
     # stays at 0) and the sign the adversary answers it with.
     for second, sign in ((None, 1.0), (0.0, 1.0), (-2.0, 1.0), (2.0, -1.0)):
         if second is not None:
             monkeypatch.setattr(harness, "scheme_runner",
                                 lambda *args: lambda col, kk: np.array([0.0, second]))
+        harness._collections.clear()  # so that each run builds the collection it reports on
         rep = harness.run_any_alg_mean(k, trials=50, base_seed=1)
         assert rep["threshold"] == 1.0 / (64 * k)
         assert rep["adversary_sign"] == built[-1].w_star[1] == sign
