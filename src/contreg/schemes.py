@@ -191,10 +191,12 @@ def _step_block(rows, W, loss_after, m_idx, strengths, negative_zero):
     tasks drawn and ``strengths`` the block's strengths, arrays that
     broadcast against (steps, trials, q), or none under the unregularized
     scheme.  ``negative_zero`` says whether the start holds a -0.0.  ``W``
-    and ``loss_after`` are updated in place."""
-    sigma, target = rows.sigma[m_idx], rows.target[m_idx]
-    g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma[m_idx],
-                               None if strengths else rows.on_rank[m_idx])
+    and ``loss_after`` are updated in place.  Every gather is an
+    ``ndarray.take`` along the indexed axis, which copies the elements
+    advanced indexing would (see ``run_batch``)."""
+    sigma, target = rows.sigma.take(m_idx, axis=0), rows.target.take(m_idx, axis=0)
+    g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma.take(m_idx, axis=0),
+                               None if strengths else rows.on_rank.take(m_idx, axis=0))
     # Each step leaves its residual r in ``target`` (its spent U^T y).
     if rows.V.shape[1] == 1:
         # Rank-one rows: the stacked matmuls' arithmetic without their two
@@ -214,7 +216,7 @@ def _step_block(rows, W, loss_after, m_idx, strengths, negative_zero):
             W -= v
     else:
         for m, sigma_t, r, g_t in zip(m_idx, sigma, target, g):
-            V = rows.V[m]
+            V = rows.V.take(m, axis=0)
             # Stacked matmuls: one BLAS gemv per trial, (q, d) by w, then g * r by (q, d).
             vw = np.matmul(V, W[:, :, None])[:, :, 0]
             vw *= sigma_t
@@ -222,14 +224,19 @@ def _step_block(rows, W, loss_after, m_idx, strengths, negative_zero):
             W -= np.matmul((g_t * r)[:, None, :], V)[:, 0]
     np.multiply(s, target, out=sigma)  # every step's s * r; sigma is spent
     sigma *= sigma
-    for loss in rows.rest[m_idx] + 0.5 * sigma.sum(axis=2):  # one add per step, in order
+    # rest + 0.5 * ||s * r||^2, in place; one row is its own sum (see ``run_batch``).
+    sq = sigma[..., 0] if sigma.shape[2] == 1 else sigma.sum(axis=2)
+    sq *= 0.5
+    sq += rows.rest.take(m_idx)
+    for loss in sq:  # one add per step, in order
         loss_after += loss
 
 
 # Steps per block of ``run_batch``: enough that each (steps, trials, q)
 # array of the block holds about this many float64s.  With no (trials, q, d)
 # product per step, 2048 keeps the sweep-hard grid under 320 KiB: its
-# rank-one steps peak at 318,123 B (budgeted, tracemalloc).
+# rank-one steps peak at 303,275 B (budgeted) and 245,875 B (regularized),
+# by tracemalloc.
 _BLOCK_ELEMS = 2048
 
 
@@ -255,9 +262,14 @@ def run_batch(collection, cells, scheme, w0=None):
     option, and no result depends on it.  Once per block, the drawn tasks'
     sigma, U^T y and 1/sigma (and the rank mask under the unregularized
     scheme) are gathered along the block's (steps, trials) task indices, its
-    strengths from the table, and one ``spectral_multiplier`` call gives
-    (g, s) for every step of the block from the strengths ``step_strengths``
-    gives its steps.
+    strengths from the table (a view when one cell is left), and one
+    ``spectral_multiplier`` call gives (g, s) for every step of the block
+    from the strengths ``step_strengths`` gives its steps.  Every gather,
+    these and each step's row bases, is an ``ndarray.take`` along the
+    indexed axis: it copies the elements advanced indexing would, with no
+    arithmetic, so the bits are the same, at about a third of indexing's
+    fixed cost per call.  With thousands of trials a block is one step
+    long, so that cost is paid on every step.
 
     Each step then gathers its drawn tasks' row bases (see
     ``TaskCollection.row_bases``) alone, forms the residual coordinates
@@ -287,7 +299,11 @@ def run_batch(collection, cells, scheme, w0=None):
 
     Only the (trials, d) iterates are kept.  The loss each trial needs for
     degradation, rest + 0.5 * ||s * r||^2 just after each step, is formed
-    once per block and added to the trial's running sum one step at a time,
+    once per block, in place as 0.5 * ||s * r||^2 + rest, the same bits
+    since IEEE addition commutes.  When q = 1 the squared norm is the one
+    square itself, not a sum: a sum over one element returns it, except
+    that it would turn a -0.0 into +0.0, and a square is never -0.0.  Each
+    loss is added to the trial's running sum one step at a time,
     in step order: a numpy sum over the block's steps could pair the terms
     (it does for a single trial), and the sum would then depend on the
     block length.  Every operation acts row by row, and no product spans
@@ -337,8 +353,10 @@ def run_batch(collection, cells, scheme, w0=None):
         m_idx = np.concatenate([order[t:stop] for order in steps[:active]], axis=1)
         m_idx -= 1
         # A lone cell's strengths are a (steps, 1, 1) view rather than a gather.
-        pick = cell_of[:n] if active > 1 else slice(1)
-        strengths = [table[t:stop, pick, None] for table in tables]
+        if active > 1:
+            strengths = [table[t:stop].take(cell_of[:n], axis=1)[..., None] for table in tables]
+        else:
+            strengths = [table[t:stop, :1, None] for table in tables]
         _step_block(rows, W[:n], loss_after[:n], m_idx, strengths, negative_zero)
         t = stop
 

@@ -311,6 +311,52 @@ def test_rank_one_branch_keeps_signed_zeros(run):
         assert not np.signbit(got.final[got.final == 0]).any()
 
 
+def test_multi_row_branch_is_the_stacked_matmul_arithmetic(monkeypatch, tmp_path):
+    """Bit for bit (finals and after-step loss sums as uint64), every scheme
+    steps tasks of several rows as the stacked matmuls do: on the sweep-wide
+    Gaussian collection, and on a file collection of one- to three-row tasks
+    (so that most basis rows are padding) with a zero task and a
+    rank-deficient one.  Each cell's reference runs alone, so it reads its
+    strengths through the lone-cell view; the engine runs one cell and then
+    several together, one step per block and under the default budget, from
+    a zero start and random starts with and without a -0.0."""
+    rng = np.random.default_rng(14)
+    wide = build_collection({"d": 10, "M": 400, "n": 5, "radius": 1.0, "seed": 7})
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"tasks": [
+        {"X": [[0.6, -0.8, 0.0, 1.0], [1.0, 2.0, 0.0, -1.0], [0.5, 0.5, 0.5, 0.5]],
+         "y": [1.0, 0.5, -0.25]},
+        {"X": [[0.0, 0.0, 0.0, 0.0]], "y": [2.0]},
+        {"X": [[0.0, 2.0, -1.0, 0.5]], "y": [-0.5]},
+        {"X": [[1.0, 1.0, 0.0, 0.0], [2.0, 2.0, 0.0, 0.0]], "y": [0.3, -0.3]}]}))
+    mixed = build_collection({"path": str(path)})
+    for col in (wide, mixed):
+        assert col.row_bases.V.shape[1] > 1
+        signed = rng.standard_normal(col.d)
+        signed[::2] = -0.0
+        for scheme in SCHEME_KINDS:
+            cells = [(rng.integers(1, col.M + 1, size=(trials, k)),
+                      None if scheme == "unregularized" else schedule_for(rng, k, col.radius))
+                     for k, trials in ((4, 3), (9, 2), (16, 5))]
+            for w0 in (None, rng.standard_normal(col.d), signed):
+                want = []
+                for cell in cells:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(schemes, "_step_block", stacked_matmul_block)
+                        want += run_batch(col, [cell], scheme, w0=w0)
+                for budget in (1, schemes._BLOCK_ELEMS):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(schemes, "_BLOCK_ELEMS", budget)
+                        patch.setattr(np, "vecdot", None)  # the rank-one branch's call
+                        got = run_batch(col, cells[:1], scheme, w0=w0)
+                        got += run_batch(col, cells, scheme, w0=w0)
+                    for a, b in zip(got, want[:1] + want):
+                        for name in ("final", "loss_after_sum"):
+                            assert np.array_equal(getattr(a, name).view(np.uint64),
+                                                  getattr(b, name).view(np.uint64)), \
+                                (scheme, budget, name)
+
+
 def assert_same_trials(col, got, want, rows=slice(None)):
     """``got`` holds bit for bit the values of rows ``rows`` of ``want``."""
     assert np.array_equal(got.final, want.final[rows])
