@@ -113,6 +113,11 @@ def _check_scheme(scheme):
         raise ConfigError(f"unknown scheme kind: {scheme!r}")
 
 
+def _check_trials(trials):
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must be an integer >= 1 and <= 2**32, got {trials}")
+
+
 def _check_schedule(sch, scheme):
     """Check a schedule dict against its ``schedules.KINDS`` entry and ``schemes.READS``."""
     _check_scheme(scheme)
@@ -246,8 +251,7 @@ def parse_config(data):
     _check_types(data, "config")
     check_out(data.get("out"))
     trials = data["trials"]
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ConfigError(f"trials must be an integer >= 1 and <= 2**32, got {trials}")
+    _check_trials(trials)
     base_seed = data["base_seed"]
     if base_seed < 0:
         raise ConfigError("base_seed must be a nonnegative integer")
@@ -681,6 +685,7 @@ def run_seen_task_floor(k, trials, base_seed, scheme="regularized", schedule=Non
     """Empirical Pr[seen-task loss >= 1/(144 k)] on the hard seen-task collection,
     started at its w0; the claim is that it is at least 0.15.  ``schedule`` is
     a config's schedule dict (``{"kind": default_kind(scheme)}`` if None)."""
+    _check_trials(trials)
     schedule = {"kind": default_kind(scheme)} if schedule is None else schedule
     _check_schedule(schedule, scheme)  # before the collection is built
     col, w0 = _keep(_collections, _SCENARIOS, lambda: seen_task_lb_collection(k),
@@ -697,6 +702,7 @@ def run_any_alg_mean(k, trials, base_seed, scheme="regularized", schedule=None):
     """Mean excess average loss on the adversarial collection built against the
     scheme, started at 0; the claim is that it is at least 1/(64 k).
     ``schedule`` is as for ``run_seen_task_floor``."""
+    _check_trials(trials)
     schedule = {"kind": default_kind(scheme)} if schedule is None else schedule
     _check_schedule(schedule, scheme)  # before the learner is probed
     probed = _keep(_collections, _SCENARIOS, any_alg_probe_collection, key="probe")

@@ -112,9 +112,12 @@ def step_strengths(scheme, schedule, k):
 
 
 def _start(collection, w0):
+    """The start both runners step from: a new array in which every -0.0 of
+    ``w0`` is +0.0.  Under round-to-nearest a subtraction gives -0.0 only as
+    (-0.0) - (+0.0), so no step from it makes a -0.0."""
     if w0 is None:
         return np.zeros(collection.d)
-    w = np.asarray(w0, dtype=np.float64).copy()
+    w = np.asarray(w0, dtype=np.float64) + 0.0
     if w.shape != (collection.d,):
         raise ValueError(f"w0 must have length {collection.d}")
     return w
@@ -186,13 +189,12 @@ def _check_inner_steps(r2, drawn, gamma):
         check_budget(worst[m + 1], 1, r2[m])  # raises the literal rules' error
 
 
-def _step_block(rows, W, loss_after, m_idx, strengths, negative_zero):
+def _step_block(rows, W, loss_after, m_idx, strengths):
     """Take a block of steps: ``m_idx`` (steps, trials) holds the 0-based
     tasks drawn and ``strengths`` the block's strengths, arrays that
     broadcast against (steps, trials, q), or none under the unregularized
-    scheme.  ``negative_zero`` says whether the start holds a -0.0.  ``W``
-    and ``loss_after`` are updated in place.  Every gather is an
-    ``ndarray.take`` along the indexed axis, which copies the elements
+    scheme.  ``W`` and ``loss_after`` are updated in place.  Every gather
+    is an ``ndarray.take`` along the indexed axis, which copies the elements
     advanced indexing would (see ``run_batch``)."""
     sigma, target = rows.sigma.take(m_idx, axis=0), rows.target.take(m_idx, axis=0)
     g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma.take(m_idx, axis=0),
@@ -211,8 +213,6 @@ def _step_block(rows, W, loss_after, m_idx, strengths, negative_zero):
             np.subtract(vw, r, out=r)
             np.multiply(g_t, r, out=gr[:, 0])
             v *= gr
-            if negative_zero:
-                v += 0.0  # a zero product is +0.0, as in the matmul's sum from 0
             W -= v
     else:
         for m, sigma_t, r, g_t in zip(m_idx, sigma, target, g):
@@ -288,14 +288,11 @@ def run_batch(collection, cells, scheme, w0=None):
     one ddot per trial, and applies the update as the elementwise product
     (g * r) v.  The bits are the stacked matmuls': numpy's matmul computes
     a (1, d) by (d, 1) product with the same ddot call, and each entry of a
-    (1, 1) by (1, d) product is one multiply added to +0.0, which the branch
-    repeats by adding 0.0 when the start holds a -0.0.  Elsewhere that add
-    changes no bit: it turns a -0.0 product into +0.0, and w - 0.0 and
-    w - (-0.0) differ only where w is -0.0, but a subtraction gives -0.0 only
-    from w = -0.0 (x - x, +0 - (+0) and +0 - (-0) are all +0.0), so a start
-    without a -0.0 never gets one.  What the branch saves is the second
-    per-trial BLAS call, gemm-sized for one multiply per entry; its per-step
-    buffers are allocated once per block.
+    (1, 1) by (1, d) product is one multiply added to +0.0, which moves no
+    bit of w: subtracting -0.0 rather than +0.0 differs only where w is
+    -0.0, and no run holds one (see ``_start``).  What the branch saves is
+    the second per-trial BLAS call, gemm-sized for one multiply per entry;
+    its per-step buffers are allocated once per block.
 
     Only the (trials, d) iterates are kept.  The loss each trial needs for
     degradation, rest + 0.5 * ||s * r||^2 just after each step, is formed
@@ -339,8 +336,6 @@ def run_batch(collection, cells, scheme, w0=None):
             table[:ks[j], j] = a
 
     W = np.tile(w, (ends[-1], 1))
-    # Only a start that holds a -0.0 can ever hold one (see the docstring).
-    negative_zero = bool(np.signbit(w[w == 0]).any())
     loss_after = np.zeros(len(W))
     q = rows.V.shape[1]  # 0 when every task is zero
     t, active = 0, len(cells)
@@ -357,7 +352,7 @@ def run_batch(collection, cells, scheme, w0=None):
             strengths = [table[t:stop].take(cell_of[:n], axis=1)[..., None] for table in tables]
         else:
             strengths = [table[t:stop, :1, None] for table in tables]
-        _step_block(rows, W[:n], loss_after[:n], m_idx, strengths, negative_zero)
+        _step_block(rows, W[:n], loss_after[:n], m_idx, strengths)
         t = stop
 
     runs = [None] * len(cells)

@@ -4,10 +4,10 @@ A collection holds its tasks as stacks, one ``TaskStack`` per task shape: the
 tasks' data, thin SVD factors, pinv ranks, X^+ y and minimum losses as
 stacked arrays, which the engine's row bases and the metric pass read
 directly.  Each generator is a plain function of its config fields that
-returns its collection.  The generators, ``stacked_collection`` and
-collection files build the stacks with one batched SVD per stack;
-``new_collection`` copies the fields of the task objects it is given into
-stacks.  ``RegressionTask``s, read-only views of a stack, are made only when
+returns its collection.  Every stack is made by ``_build_stack``: the
+generators, ``stacked_collection`` and collection files decompose it by one
+batched SVD, and ``new_collection`` hands it the task objects' own SVD
+factors.  ``RegressionTask``s, read-only views of a stack, are made only when
 ``TaskCollection.tasks`` is first read (by the literal update rules, the
 verification suites and the tests).
 """
@@ -378,24 +378,27 @@ def stacked_collection(X, y, w_star=None):
     return _stacked_collection([_build_stack(X, y)], w_star)
 
 
-def new_collection(tasks, w_star=None):
-    """A collection of the given task objects: their fields are copied into one
-    stack per task shape, in order of first appearance (a task listed twice
-    is two rows of its stack)."""
+def _shape_stacks(tasks):
+    """One ``_build_stack`` per task shape, in order of first appearance,
+    from ``(X, y, svd)`` triples, ``svd`` a task's thin SVD factors
+    ``(U, sigma, Vt)`` or None; task i's errors are named by i."""
     shapes = {}
-    for m, t in enumerate(tasks):
-        shapes.setdefault(t.X.shape, []).append((m, t))
+    for i, (X, y, svd) in enumerate(tasks):
+        shapes.setdefault(X.shape, []).append((i, X, y, svd))
     stacks = []
     for group in shapes.values():
-        index, group = zip(*group)
-        U, sigma, Vt, rank = zip(*(t.svd for t in group))
-        stacks.append(TaskStack(
-            index=np.array(index), X=np.stack([t.X for t in group]),
-            y=np.stack([t.y for t in group]), U=np.stack(U), sigma=np.stack(sigma),
-            Vt=np.stack(Vt), rank=np.array(rank),
-            pinv_solution=np.stack([t.pinv_solution for t in group]),
-            min_loss=np.array([t.min_loss for t in group])))
-    return _stacked_collection(stacks, w_star)
+        index, X, y, svd = zip(*group)
+        factors = None if svd[0] is None else [np.stack(f) for f in zip(*svd)]
+        stacks.append(_build_stack(np.stack(X), np.stack(y), index, svd=factors))
+    return stacks
+
+
+def new_collection(tasks, w_star=None):
+    """A collection of the given task objects, rebuilt from their data and
+    SVD factors as one stack per task shape, in order of first appearance (a
+    task listed twice is two rows of its stack); no task is decomposed
+    again."""
+    return _stacked_collection(_shape_stacks((t.X, t.y, t.svd[:3]) for t in tasks), w_star)
 
 
 def generate_realizable(d, M, n, radius, seed):
@@ -483,22 +486,17 @@ def collection_from_dict(data):
     unknown = set(data) - {"tasks", "w_star"}
     if unknown:
         raise ValueError(f"unknown collection file fields: {sorted(unknown)}")
-    shapes = {}
+    tasks = []
     for i, item in enumerate(data["tasks"]):
         if not isinstance(item, dict) or not {"X", "y"} <= set(item):
             raise ValueError(f"collection task {i} must be an object with 'X' and 'y'")
         try:
             if len(item) > 2:
                 raise ValueError(f"unknown task fields: {sorted(set(item) - {'X', 'y'})}")
-            X, y = _task_arrays(item["X"], item["y"])
+            tasks.append((*_task_arrays(item["X"], item["y"]), None))
         except ValueError as exc:
             raise ValueError(f"collection task {i}: {exc}") from None
-        shapes.setdefault(X.shape, []).append((i, X, y))
     w_star = data.get("w_star")
     if w_star is not None:
         w_star = json_numbers(w_star, 1, "collection w_star")
-    stacks = []
-    for group in shapes.values():
-        index, X, y = zip(*group)
-        stacks.append(_build_stack(np.stack(X), np.stack(y), index))
-    return _stacked_collection(stacks, w_star)
+    return _stacked_collection(_shape_stacks(tasks), w_star)

@@ -186,10 +186,9 @@ def test_anchor_just_above_the_cutoff_does_not_leak():
         assert_matches_literal(col, idx, schedule_for(rng, 12, col.radius), scheme)
 
 
-def stacked_matmul_block(rows, W, loss_after, m_idx, strengths, negative_zero):
+def stacked_matmul_block(rows, W, loss_after, m_idx, strengths):
     """``schemes._step_block`` before its rank-one branch: two stacked matmuls
-    per step whatever the basis size, the arithmetic that branch keeps.
-    ``negative_zero`` is not read: a matmul's sums start from +0.0."""
+    per step whatever the basis size, the arithmetic that branch keeps."""
     sigma, target = rows.sigma[m_idx], rows.target[m_idx]
     g, s = spectral_multiplier(strengths, sigma, rows.inv_sigma[m_idx],
                                None if strengths else rows.on_rank[m_idx])
@@ -223,7 +222,7 @@ def rank_one_collections(tmp_path):
 
     def starts(d):
         w0 = rng.standard_normal(d)
-        w0[::2] = -0.0  # kept by a step only if its zero products are +0.0
+        w0[::2] = -0.0  # made +0.0 by the runners' start
         return (None, w0)
 
     return [(col, starts(col.d)) for col in (hard, seen, any_alg, from_file)] + [
@@ -291,13 +290,19 @@ def integer_rank_one_runs(draw):
     return col, w0, scheme, schedule, idx
 
 
+def has_minus_zero(a):
+    return bool(np.signbit(a[a == 0]).any())
+
+
 @settings(max_examples=200, deadline=None)
 @given(run=integer_rank_one_runs())
 def test_rank_one_branch_keeps_signed_zeros(run):
-    """The rank-one branch adds 0.0 to its products only when the start holds
-    a -0.0: from any start its finals and after-step loss sums are the
-    stacked matmuls' bit for bit (as uint64), and from a start without a
-    -0.0 no final entry is -0.0."""
+    """From any start, a -0.0 among its entries included, the rank-one
+    branch's finals and after-step loss sums are the stacked matmuls' bit for
+    bit (as uint64), and no final entry is -0.0.  Nor is any entry of
+    ``run_continual``'s start, or of its iterates under the literal rules
+    that subtract from w: the regularized rule is an LU solve instead, which
+    can return a -0.0 (from w = 0 on the task ([1, 2], 0), for one)."""
     col, w0, scheme, schedule, idx = run
     assert col.row_bases.V.shape[1] == 1
     (got,) = run_batch(col, [(idx, schedule)], scheme, w0=w0)
@@ -307,8 +312,10 @@ def test_rank_one_branch_keeps_signed_zeros(run):
     for name in ("final", "loss_after_sum"):
         a, b = getattr(got, name), getattr(want, name)
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
-    if not np.signbit(w0[w0 == 0]).any():
-        assert not np.signbit(got.final[got.final == 0]).any()
+    assert not has_minus_zero(got.final)
+    for order in idx:
+        iterates = run_continual(col, order, schedule, scheme, w0).iterates
+        assert not has_minus_zero(iterates[:1] if scheme == "regularized" else iterates)
 
 
 def test_multi_row_branch_is_the_stacked_matmul_arithmetic(monkeypatch, tmp_path):
@@ -319,7 +326,8 @@ def test_multi_row_branch_is_the_stacked_matmul_arithmetic(monkeypatch, tmp_path
     rank-deficient one.  Each cell's reference runs alone, so it reads its
     strengths through the lone-cell view; the engine runs one cell and then
     several together, one step per block and under the default budget, from
-    a zero start and random starts with and without a -0.0."""
+    a zero start and random starts with and without a -0.0; no final entry
+    is -0.0."""
     rng = np.random.default_rng(14)
     wide = build_collection({"d": 10, "M": 400, "n": 5, "radius": 1.0, "seed": 7})
     path = tmp_path / "mixed.json"
@@ -355,6 +363,7 @@ def test_multi_row_branch_is_the_stacked_matmul_arithmetic(monkeypatch, tmp_path
                             assert np.array_equal(getattr(a, name).view(np.uint64),
                                                   getattr(b, name).view(np.uint64)), \
                                 (scheme, budget, name)
+                        assert not has_minus_zero(a.final), (scheme, budget)
 
 
 def assert_same_trials(col, got, want, rows=slice(None)):

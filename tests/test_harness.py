@@ -705,6 +705,26 @@ def test_cli_adversarial_rejects_a_schedule_its_scheme_does_not_read(monkeypatch
                f"['{field}']" in one_line_error(capsys)
 
 
+def test_scenario_runners_reject_a_trial_count_before_any_work(monkeypatch,
+                                                              collection_builds, cell_builds):
+    """Both scenario runners check ``trials`` as a config does, before any
+    collection is built, any learner probed or any ordering drawn: 0 trials
+    would divide by zero (seen-task) or average nothing (any-algorithm)."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the trial count was checked")
+
+    for name in ("seen_task_lb_collection", "any_alg_probe_collection", "any_alg_collection",
+                 "any_alg_sign"):
+        monkeypatch.setattr(harness, name, no_work)
+    for run in (harness.run_seen_task_floor, harness.run_any_alg_mean):
+        for trials in (0, 2 ** 32 + 1):
+            with pytest.raises(ConfigError) as err:
+                run(16, trials, 1)
+            assert str(err.value) == ("trials must be an integer >= 1 and <= 2**32, "
+                                      f"got {trials}")
+    assert collection_builds == [] and cell_builds == [] and harness._collections == {}
+
+
 def test_cli_adversarial_rejects_a_vanishing_gamma(capsys):
     for scenario in ("seen-task", "any-algorithm"):
         code = cli.main(["adversarial", "--scenario", scenario, "--k", "16", "--scheme",
@@ -779,9 +799,10 @@ def test_sizes_past_the_machine_memory_are_named_before_anything_is_built(tmp_pa
     scenario's) no machine's memory holds, or a trial count past 2**32, is
     one error line naming its field, before any collection is built or any
     ordering drawn.  The scenario runners, called directly, reject such a
-    trial count where the orderings are sampled."""
+    trial count as a config does."""
     for run in (harness.run_seen_task_floor, harness.run_any_alg_mean):
-        with pytest.raises(ValueError, match=r"trials must be >= 0 and <= 2\*\*32, got"):
+        with pytest.raises(ConfigError, match=r"trials must be an integer >= 1 and "
+                                              r"<= 2\*\*32, got"):
             run(16, 2 ** 32 + 1, 0)
 
     def no_work(*args, **kwargs):
