@@ -36,21 +36,15 @@ def _emit_json(report, out):
 
 
 def _cmd_run(args):
-    # Every output path is checked before the config's collection is built:
-    # --out here, the config's own out by parse_config.
-    harness.check_out(args.out)
-    data = harness.load_json(args.config)
-    if args.out is None and isinstance(data, dict) and "out" not in data:
-        raise ConfigError("no output path: pass --out or set 'out' in the config")
-    cfg = harness.parse_config(data)
+    harness.check_out(args.out)  # before the config's collection is built
+    cfg = harness.parse_config(harness.load_json(args.config))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, base_seed=args.seed)
-    out = cfg.out if args.out is None else args.out
     table = harness.run_experiment(cfg)
-    harness.write_csv(table, out)
+    harness.write_csv(table, args.out)
     for k, mean, se, n in harness.aggregate(table):
         print(f"k={k:6d}  mean avg_loss = {mean:.6e} +/- {se:.2e}  (n={n})")
-    print(f"wrote {len(table)} rows to {out}")
+    print(f"wrote {len(table)} rows to {args.out}")
     return 0
 
 
@@ -120,7 +114,7 @@ def build_parser():
 
     p = sub.add_parser("run", help="run a configured Monte Carlo sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", help="CSV output path (overrides config)")
+    p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--seed", type=_int_at_least(0), help="override the config base seed")
     # Accepted for old command lines and ignored: a sweep's cells are stepped
     # together, so there are no cells left to spread over threads.

@@ -74,7 +74,6 @@ class ExperimentConfig:
     k_grid: tuple
     trials: int
     base_seed: int
-    out: str | None = None
 
 
 # Typed config fields, wherever they appear: JSON type(s) and how to name them.
@@ -82,7 +81,7 @@ _INT, _REAL = ((int,), "an integer"), ((int, float), "a finite number")
 _FIELD_TYPES = {**dict.fromkeys(("d", "M", "n", "pairs", "seed", "n_choice", "trials",
                                  "base_seed"), _INT),
                 **dict.fromkeys(("radius", "angle", "gamma"), _REAL),
-                "path": ((str,), "a string"), "out": ((str,), "a string")}
+                "path": ((str,), "a string")}
 
 
 def _check_types(fields, where, skip=()):
@@ -199,16 +198,15 @@ def parse_config(data):
     ``_check_schedule`` says) and build what it names: the collection, by
     ``build_collection`` (so a generated one may be the object an earlier
     config of this process built), and one schedule per k.  So every config
-    error is a ConfigError raised here, before any trial is sampled.  An
-    ``out`` that ``check_out`` rejects is one of them, raised before anything
-    is built, and so is a size whose largest array the machine's memory
-    cannot hold: the task stack or a k's ordering array, raised before
-    anything is built, or the iterates of all trials of all k, raised once
-    the collection's d is known."""
+    error is a ConfigError raised here, before any trial is sampled.  A size
+    whose largest array the machine's memory cannot hold is one of them: the
+    task stack or a k's ordering array, raised before anything is built, or
+    the iterates of all trials of all k, raised once the collection's d is
+    known."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(data, ["collection", "scheme", "schedule", "ordering",
-                         "k_grid", "trials", "base_seed"], ["out"], "config")
+                         "k_grid", "trials", "base_seed"], [], "config")
 
     col = data["collection"]
     if not isinstance(col, dict):
@@ -249,7 +247,6 @@ def parse_config(data):
     k_grid = k_grid.tolist()
 
     _check_types(data, "config")
-    check_out(data.get("out"))
     trials = data["trials"]
     _check_trials(trials)
     base_seed = data["base_seed"]
@@ -281,17 +278,26 @@ def parse_config(data):
         raise ConfigError(f"{sch['kind']} schedule: {exc}") from None
     return ExperimentConfig(
         collection=collection, scheme=scheme, kind=sch["kind"], schedules=schedules,
-        ordering=data["ordering"], k_grid=tuple(k_grid), trials=trials,
-        base_seed=base_seed, out=data.get("out"),
-    )
+        ordering=data["ordering"], k_grid=tuple(k_grid), trials=trials, base_seed=base_seed)
+
+
+def _unique_keys(pairs):
+    """A JSON object's dict, or ValueError for a key it repeats (``json``
+    would keep the key's last value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def load_json(path):
-    """The JSON document in the file ``path``; a file that is not JSON is a
-    ConfigError naming the file."""
+    """The JSON document in the file ``path``; a file that is not JSON, or
+    that repeats a key within an object, is a ConfigError naming the file."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"{path}: {exc}") from None
 

@@ -185,12 +185,14 @@ def increasing_budget(R, k, n_choice=1):
                         n_steps=_frozen(np.full(k, n_choice), np.int64), eta=_frozen(eta))
 
 
-def custom_schedule(k, lam=None, gamma=None, n_steps=None, eta=None):
-    """Escape hatch for explicit per-step strengths (eta defaults to ones), each
-    read by ``tasks.json_numbers`` (``n_steps`` as integers)."""
+def custom_schedule(k, **arrays):
+    """Escape hatch for explicit per-step strengths: ``arrays`` among ``lam``,
+    ``gamma``, ``n_steps`` and ``eta`` (ones when not given), each read by
+    ``tasks.json_numbers`` (``n_steps`` as integers), so a None is rejected
+    as any other value that is not an array of numbers."""
     k = int(k)
-    arrays = {name: json_numbers(v, 1, name, integral=name == "n_steps") for name, v in
-              dict(lam=lam, gamma=gamma, n_steps=n_steps, eta=eta).items() if v is not None}
+    arrays = {name: json_numbers(v, 1, name, integral=name == "n_steps")
+              for name, v in arrays.items()}
     return ScheduleSpec(k=k, eta=arrays.pop("eta", _frozen(np.ones(k))), **arrays)
 
 

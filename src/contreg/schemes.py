@@ -51,8 +51,9 @@ SCHEME_KINDS = tuple(READS)
 def regularized_step(w, task, lam):
     """Minimize the task loss plus (lam/2) * ||w' - w||^2 in closed form."""
     check_coefficient(lam)
-    lhs = task.gram + lam * np.eye(task.d)
-    return np.linalg.solve(lhs, task.xty + lam * np.asarray(w, dtype=np.float64))
+    X, y = task.X, task.y
+    lhs = X.T @ X + lam * np.eye(task.d)
+    return np.linalg.solve(lhs, X.T @ y + lam * np.asarray(w, dtype=np.float64))
 
 
 def budgeted_step(w, task, gamma, n_steps):

@@ -34,7 +34,7 @@ def _frozen(a, dtype=np.float64):
 
 @dataclass(frozen=True, eq=False)
 class RegressionTask:
-    """One linear regression task with cached least-squares quantities.
+    """One linear regression task: its data and its one SVD.
 
     ``svd`` is the thin SVD ``(U, sigma, Vt, r)``, r the rank above pinv's
     cutoff, and the task's only decomposition: ``pinv_solution`` (X^+ y),
@@ -58,14 +58,6 @@ class RegressionTask:
     @property
     def spectral_norm(self):
         return float(self.svd[1][0])
-
-    @cached_property
-    def gram(self):
-        return _frozen(self.X.T @ self.X)
-
-    @cached_property
-    def xty(self):
-        return _frozen(self.X.T @ self.y)
 
     @cached_property
     def pinv(self):
@@ -496,7 +488,5 @@ def collection_from_dict(data):
             tasks.append((*_task_arrays(item["X"], item["y"]), None))
         except ValueError as exc:
             raise ValueError(f"collection task {i}: {exc}") from None
-    w_star = data.get("w_star")
-    if w_star is not None:
-        w_star = json_numbers(w_star, 1, "collection w_star")
+    w_star = json_numbers(data["w_star"], 1, "collection w_star") if "w_star" in data else None
     return _stacked_collection(_shape_stacks(tasks), w_star)

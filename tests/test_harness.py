@@ -62,7 +62,6 @@ MISTYPED_CONFIGS = [
     base_config(trials=2.0),
     base_config(base_seed=False),
     base_config(k_grid=[4, True]),
-    base_config(out=7),
     base_config(scheme="budgeted", schedule={"kind": "increasing-budget", "n_choice": 1.5}),
     base_config(schedule={"kind": ["none"]}),
     base_config(scheme=["regularized"]),
@@ -580,44 +579,39 @@ def test_cli_validation_errors(tmp_path, capsys, monkeypatch):
         raise AssertionError("an ordering was sampled before the output path was checked")
 
     monkeypatch.setattr(harness, "sample_orderings", no_sampling)
-    config_out = tmp_path / "config_out.csv"
     missing = str(tmp_path / "missing" / "x.csv")
     bad_outs = (("", "output path '' is empty"),
                 (str(tmp_path), f"output path {str(tmp_path)!r} is a directory"),
                 (missing, f"output path {missing!r}: directory "
                           f"{str(tmp_path / 'missing')!r} does not exist"))
-    with_out = tmp_path / "with_out.json"
-    with_out.write_text(json.dumps(base_config(out=str(config_out))))
     for out, message in bad_outs:
-        bad.write_text(json.dumps(base_config(out=out)))
-        for argv in (["run", "--config", str(bad)],
-                     ["run", "--config", str(with_out), "--out", out],
+        for argv in (["run", "--config", str(good_cfg), "--out", out],
                      ["fit", str(good), "--out", out],
                      adversarial + ["seen-task", "--out", out],
                      adversarial + ["any-algorithm", "--out", out]):
             assert cli.main(argv) == 1, argv
             assert one_line_error(capsys) == f"error: {message}\n", argv
-    assert not config_out.exists()
 
 
 def test_run_checks_every_output_path_before_the_collection_is_built(tmp_path, capsys,
                                                                      collection_builds):
-    """A bad --out, a bad config out (even one that --out overrides) and no
-    output path at all are each one error line, exit 1, before anything is
-    built."""
+    """A bad --out and a config that carries an ``out`` are each one error
+    line, exit 1, and no --out at all is a usage error, exit 1, all before
+    anything is built."""
     cfg_path, good = tmp_path / "cfg.json", str(tmp_path / "x.csv")
     missing = str(tmp_path / "missing" / "x.csv")
     in_missing = (f"output path {missing!r}: directory {str(tmp_path / 'missing')!r} "
                   f"does not exist")
     for cfg, argv, message in (
             (base_config(), ["--out", missing], in_missing),
-            (base_config(out=missing), [], in_missing),
-            (base_config(out=missing), ["--out", good], in_missing),
-            (base_config(), [], "no output path: pass --out or set 'out' in the config"),
-            ([base_config()], [], "config must be a JSON object")):
+            (base_config(out=good), ["--out", good], "unknown config fields: ['out']"),
+            ([base_config()], ["--out", good], "config must be a JSON object")):
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["run", "--config", str(cfg_path), *argv]) == 1, (cfg, argv)
         assert one_line_error(capsys) == f"error: {message}\n"
+    cfg_path.write_text(json.dumps(base_config()))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert "the following arguments are required: --out" in capsys.readouterr().err
     assert collection_builds == []
     assert not os.path.exists(good)
 
@@ -1236,6 +1230,60 @@ def test_file_that_is_not_json_is_an_error_naming_it(tmp_path, capsys):
     assert not (tmp_path / "a.csv").exists() and not (tmp_path / "col.csv").exists()
 
 
+def test_a_repeated_json_key_is_an_error_naming_it(tmp_path, capsys, collection_builds,
+                                                  cell_builds):
+    """A key repeated within one object of a config or a collection file is a
+    one-line error, exit 1, naming the file and the key, before anything is
+    built or drawn: JSON itself would keep the key's last value."""
+    cfg_path, col_path = tmp_path / "cfg.json", tmp_path / "tasks.json"
+    col_path.write_text('{"tasks": [{"X": [[1.0]], "y": [1.0]}, '
+                        '{"X": [[2.0]], "y": [1.0], "y": [2.0]}]}')
+    config = json.dumps(base_config())
+    for text, path, key in (
+            (config.replace('"trials": 2', '"trials": 5, "trials": 7'), cfg_path, "trials"),
+            (config.replace('"seed": 7', '"seed": 7, "seed": 8'), cfg_path, "seed"),
+            (config.replace('"kind": "increasing-coefficient"',
+                            '"kind": "increasing-coefficient", "kind": "fixed-coefficient"'),
+             cfg_path, "kind"),
+            (json.dumps(base_config(collection={"path": str(col_path)})), col_path, "y")):
+        cfg_path.write_text(text)
+        assert cli.main(["run", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "a.csv")]) == 1, text
+        assert one_line_error(capsys) == f"error: {path}: repeated key {key!r}\n"
+    assert collection_builds == [] and cell_builds == []
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_a_null_array_is_rejected_by_name(tmp_path, capsys, cell_builds):
+    """A collection file's w_star and a custom schedule's arrays are read
+    whenever their key is present, so a null is rejected by name as any other
+    value that is not an array of numbers; only an absent eta is all ones."""
+    col_path = tmp_path / "tasks.json"
+    col_path.write_text(json.dumps({"tasks": [{"X": [[1.0, 0.0]], "y": [1.0]}],
+                                    "w_star": None}))
+    numbers = "must be a 1-D array of numbers, got None"
+    for cfg, message in (
+            (base_config(collection={"path": str(col_path)}), f"collection w_star {numbers}"),
+            (base_config(scheme="igd-of-regularized", k_grid=[3],
+                         schedule={"kind": "custom", "lam": [1.0] * 3, "eta": None}),
+             f"custom schedule: eta {numbers}"),
+            (base_config(k_grid=[3], schedule={"kind": "custom", "lam": None}),
+             f"custom schedule: lam {numbers}"),
+            (base_config(scheme="budgeted", k_grid=[3],
+                         schedule={"kind": "custom", "gamma": None, "n_steps": [1] * 3}),
+             f"custom schedule: gamma {numbers}"),
+            (base_config(scheme="budgeted", k_grid=[3],
+                         schedule={"kind": "custom", "gamma": [0.1] * 3, "n_steps": None}),
+             "custom schedule: n_steps must be a 1-D array of integers, got None")):
+        code, path = run_cli_csv(tmp_path, "null", cfg)
+        assert code == 1 and not path.exists(), cfg
+        assert one_line_error(capsys) == f"error: {message}\n"
+    assert cell_builds == []
+    cfg = base_config(scheme="igd-of-regularized", k_grid=[3],
+                      schedule={"kind": "custom", "lam": [1.0] * 3})
+    assert harness.parse_config(cfg).schedules[0].eta.tolist() == [1.0] * 3
+
+
 def test_non_finite_result_names_its_trial(tmp_path, capsys):
     col_path = tmp_path / "col.json"
     cfg = base_config(collection={"path": str(col_path)}, scheme="unregularized",
@@ -1661,7 +1709,7 @@ def test_every_array_of_a_kept_collection_is_read_only(spec):
         arrays += vars(stack).values()
     for t in col.tasks:
         V, sigma, target, _, _ = t.row_basis
-        arrays += [t.X, t.y, t.pinv_solution, *t.svd[:3], t.gram, t.xty, t.pinv,
+        arrays += [t.X, t.y, t.pinv_solution, *t.svd[:3], t.pinv,
                    V, sigma, target]
     assert len(arrays) > 10
     for a in arrays:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -53,6 +55,22 @@ def test_regularized_step_fixed_points_and_freeze():
     assert np.abs(out).max() <= 3e-12
     with pytest.raises(ValueError):
         regularized_step(np.array([0.0]), t, 0.0)
+
+
+def test_literal_rules_read_only_the_plain_task_attributes():
+    """The literal rules read a task's X, y, d, spectral_norm and pinv alone,
+    the attributes a task built with plain numpy also has: each rule's step
+    on a namespace holding only copies of those is the same bits."""
+    rng = np.random.default_rng(5)
+    for n in (2, 7):
+        col = generate_realizable(d=5, M=3, n=n, radius=1.0, seed=n)
+        for task in col.tasks:
+            plain = SimpleNamespace(X=task.X.copy(), y=task.y.copy(), d=task.d,
+                                    spectral_norm=task.spectral_norm, pinv=task.pinv.copy())
+            w = rng.standard_normal(task.d)
+            for step, args in ((regularized_step, (0.7,)), (budgeted_step, (0.5, 3)),
+                               (unregularized_step, ())):
+                assert step(w, task, *args).tobytes() == step(w, plain, *args).tobytes()
 
 
 def test_budgeted_step_manual_gradients():
