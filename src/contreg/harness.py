@@ -399,12 +399,11 @@ def _first_bad_row(columns):
     for (name, low, high), c in zip(_INT_RANGES, columns):
         checks.append(((c < low) | (c >= high), name,
                        f"must be >= {low} and < 2**{high.bit_length() - 1}", c))
-    metrics = dict(zip(METRIC_NAMES, columns[3:]))
-    for name in ("avg_loss", "seen_loss", "dist_to_wstar"):
-        c = metrics[name]
-        checks.append((~((c >= 0) & (c < math.inf)), name, "must be finite and >= 0", c))
-    c = metrics["degradation"]
-    checks.append((~np.isfinite(c), "degradation", "must be finite", c))
+    for name, c in zip(METRIC_NAMES, columns[3:]):
+        if name == "degradation":
+            checks.append((~np.isfinite(c), name, "must be finite", c))
+        else:
+            checks.append((~((c >= 0) & (c < math.inf)), name, "must be finite and >= 0", c))
     bad = np.logical_or.reduce([mask for mask, *_ in checks])
     if not bad.any():
         return None

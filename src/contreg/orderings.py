@@ -17,12 +17,13 @@ e.g. ``stream(base_seed, k, trial)``.
 ``SeedSequence`` or a generator per trial.  It hashes every trial's
 ``SeedSequence(seed, spawn_key=(k, i))`` at once with array arithmetic over
 the trial axis, from numpy's own pool for ``(seed, spawn_key=(k,))``, which
-gives each trial's Philox key and its ``derived_seed`` fingerprint.  One
-numpy Philox is then keyed for each trial in turn: with replacement, its raw
-words go through ``Generator.integers``' 32-bit Lemire step vectorized over
-a block of trials, and a trial Lemire would reject (or any trial when
-M > 2**32) calls ``Generator.integers`` on it; without replacement, it
-shuffles one buffer of 1..M, as ``permutation`` does.  :func:`sample_ordering`
+gives each trial's Philox key and its fingerprint, the first uint64 word of
+``SeedSequence(seed, spawn_key=(k, i)).generate_state``.  One numpy Philox
+is then keyed for each trial in turn: with replacement, its raw words go
+through ``Generator.integers``' 32-bit Lemire step vectorized over a block
+of trials, and a trial Lemire would reject (or any trial when M > 2**32)
+calls ``Generator.integers`` on it; without replacement, it shuffles one
+buffer of 1..M, as ``permutation`` does.  :func:`sample_ordering`
 stays on numpy's ``SeedSequence`` and ``Generator``; it is the oracle the
 vectorized pass is tested against, so a numpy release that changed
 ``Generator.integers`` or ``permutation`` would fail that test rather than
@@ -50,11 +51,6 @@ def _seed_sequence(seed, path):
 def stream(seed, *path):
     """Independent generator for (seed, path); same inputs, same stream."""
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
-
-
-def derived_seed(seed, *path):
-    """Stable 64-bit fingerprint of the (seed, path) stream, for logging."""
-    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
 
 
 def check_indices(idx, M):
@@ -189,7 +185,8 @@ def sample_orderings(kind, M, k, trials, base_seed):
 
     ``indices`` is a (trials, k) array of task indices whose row i is
     ``sample_ordering(kind, M, k, base_seed, path=(k, i))``; ``seeds`` is a
-    (trials,) uint64 array of each trial's ``derived_seed(base_seed, k, i)``.
+    (trials,) uint64 array of each trial's fingerprint, the first uint64 word
+    of ``SeedSequence(base_seed, spawn_key=(k, i)).generate_state``.
     Both arrays are read-only, and each call draws its own.  The indices are
     a view of a step-major array, the layout ``schemes.run_batch`` steps
     through, so no copy is made there.  ``trials`` may be at most

@@ -38,7 +38,8 @@ class RegressionTask:
 
     ``svd`` is the thin SVD ``(U, sigma, Vt, r)``, r the rank above pinv's
     cutoff, and the task's only decomposition: ``pinv_solution`` (X^+ y),
-    ``spectral_norm``, ``pinv`` and ``row_basis`` are all read from it.
+    ``spectral_norm``, ``pinv`` (for the literal unregularized rule) and
+    ``row_basis`` (for the surrogates) are all read from it.
     ``min_loss`` is 0.5 * ||X pinv_solution - y||^2.  One task of a
     ``TaskStack`` (see ``TaskStack.views``): its array fields are read-only
     views of the stacked arrays.  Immutable after construction and safe to
@@ -69,25 +70,12 @@ class RegressionTask:
 
     @cached_property
     def row_basis(self):
-        """Row-space basis from the SVD X = U diag(sigma) V.
-
-        Returns ``(V, sigma, target, rank, rest)`` over the directions with a
-        normal nonzero singular value: ``V`` has orthonormal rows, ``target``
-        is U^T y, so the residual of w along direction j is
-        sigma_j (V w)_j - target_j; ``rank`` counts the leading directions
-        above ``pinv``'s cutoff (those the projection acts on); ``rest`` is the
-        loss no w can remove, 0.5 * ||y - U U^T y||^2.  ``V`` and ``sigma`` are
-        views of ``svd``.  ``rest`` is taken here rather than from
-        ``min_loss``: when a singular value sits just above the cutoff,
-        rounding in the SVD spreads X^+ y's huge component into the other
-        directions, and ``min_loss`` with it.
-        """
-        U, sigma, Vt, r = self.svd
+        """Row-space basis ``(V, sigma)`` from the SVD X = U diag(sigma) V,
+        over the directions with a normal nonzero singular value: ``V`` has
+        orthonormal rows.  Both are views of ``svd``."""
+        _, sigma, Vt, _ = self.svd
         q = int(np.count_nonzero(sigma > _TINY))
-        target = U[:, :q].T @ self.y
-        off_range = self.y - U[:, :q] @ target
-        return (Vt[:q], sigma[:q], _frozen(target), min(q, r),
-                0.5 * float(off_range @ off_range))
+        return Vt[:q], sigma[:q]
 
 
 def _by_value(keys):
@@ -246,7 +234,8 @@ def new_task(X, y):
 
 @dataclass(frozen=True, eq=False)
 class RowBases:
-    """Every task's ``row_basis`` zero-padded to the largest size and stacked.
+    """Every task's ``row_basis`` and the engine's data along it, zero-padded
+    to the largest size and stacked (see ``TaskCollection.row_bases``).
 
     Padded rows of ``V`` and their other entries are 0, so every update leaves
     the iterate unchanged along them.
@@ -257,7 +246,7 @@ class RowBases:
     target: np.ndarray     # (M, q_max) U^T y
     inv_sigma: np.ndarray  # (M, q_max) 1 / sigma
     on_rank: np.ndarray    # (M, q_max) 1.0 above pinv's cutoff, else 0.0
-    rest: np.ndarray       # (M,)
+    rest: np.ndarray       # (M,) 0.5 * ||y - U U^T y||^2
     r2: np.ndarray         # (M,) squared spectral norms R_m^2
 
 
@@ -319,8 +308,16 @@ class TaskCollection:
     @cached_property
     def row_bases(self):
         """Every task's ``row_basis``, zero-padded and stacked (built on first
-        use) from the stacks: U^T y and ``rest`` come from one stacked matmul
-        per stack and basis size."""
+        use) from the stacks, with what the engine reads beside it: ``target``
+        is U^T y over the same directions, so the residual of w along
+        direction j is sigma_j (V w)_j - target_j; ``on_rank`` marks the
+        leading directions above pinv's cutoff (those the projection acts
+        on); ``rest`` is the loss no w can remove, 0.5 * ||y - U U^T y||^2.
+        U^T y and ``rest`` come from one stacked matmul per stack and basis
+        size.  ``rest`` is taken from U rather than from ``min_loss``: when a
+        singular value sits just above the cutoff, rounding in the SVD
+        spreads X^+ y's huge component into the other directions, and
+        ``min_loss`` with it."""
         q = [(s.sigma > _TINY).sum(axis=1) for s in self.stacks]
         shape = (self.M, max(int(qs.max()) for qs in q))
         V = np.zeros(shape + (self.d,))
@@ -459,18 +456,10 @@ def min_norm_solution(collection):
     return _min_norm_lstsq(*_factor(X[None]), y[None])[0]
 
 
-def collection_to_dict(collection):
-    """JSON-ready representation (matrices as nested lists)."""
-    out = {
-        "tasks": [{"X": t.X.tolist(), "y": t.y.tolist()} for t in collection.tasks],
-    }
-    if collection.w_star is not None:
-        out["w_star"] = collection.w_star.tolist()
-    return out
-
-
 def collection_from_dict(data):
-    """Inverse of ``collection_to_dict``; malformed input (unknown fields and
+    """The collection of a collection file's parsed JSON, ``{"tasks": [{"X":
+    rows, "y": targets}, ...], "w_star": optional}``, with ``X`` a list of
+    rows and ``y`` a list of targets.  Malformed input (unknown fields and
     entries that are not numbers included) raises ValueError, naming the task
     at fault.  Tasks of one shape are built as one stack."""
     if not isinstance(data, dict) or not isinstance(data.get("tasks"), list):

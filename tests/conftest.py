@@ -55,3 +55,11 @@ def loss_scale(col, rho):
     to this scale."""
     y_max = max(float(np.linalg.norm(t.y)) for t in col.tasks)
     return 0.5 * (col.radius * rho + y_max) ** 2
+
+
+def derived_seed(seed, *path):
+    """The fingerprint ``sample_orderings`` reports for the (seed, path)
+    stream: the first uint64 word of ``SeedSequence(seed,
+    spawn_key=path).generate_state``, as a Python int."""
+    sequence = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
+    return int(sequence.generate_state(1, np.uint64)[0])

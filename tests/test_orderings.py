@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy import stats
 
+from conftest import derived_seed
 from contreg import orderings
 from contreg.metrics import seen_task_loss, summarize_batch
-from contreg.orderings import (derived_seed, sample_ordering, sample_orderings, stream,
-                               MAX_TRIALS, WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
+from contreg.orderings import (sample_ordering, sample_orderings, stream, MAX_TRIALS,
+                               WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
 from contreg.schemes import BatchRun, run_batch, run_continual
 from contreg.tasks import generate_realizable
 

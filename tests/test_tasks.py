@@ -359,18 +359,25 @@ def test_stacked_collection_matches_per_matrix_numpy(stack):
 
 
 def per_task_row_bases(col):
-    """Every task's row_basis, zero-padded and stacked one task at a time."""
-    bases = [t.row_basis for t in col.tasks]
-    shape = (col.M, max(len(sigma) for _, sigma, _, _, _ in bases))
+    """Every task's row_basis, zero-padded and stacked one task at a time,
+    with its U^T y, rank and rest loss 0.5 * ||y - U U^T y||^2 formed from
+    its own SVD factors and y."""
+    shape = (col.M, max(len(t.row_basis[1]) for t in col.tasks))
     V = np.zeros(shape + (col.d,))
     sigma, target, inv_sigma, on_rank = (np.zeros(shape) for _ in range(4))
-    for m, (Vm, sm, tm, rank, _) in enumerate(bases):
+    rest = np.empty(col.M)
+    for m, t in enumerate(col.tasks):
+        Vm, sm = t.row_basis
+        U, _, _, r = t.svd
         q = len(sm)
+        tm = U[:, :q].T @ t.y
+        off_range = t.y - U[:, :q] @ tm
         V[m, :q], sigma[m, :q], target[m, :q] = Vm, sm, tm
         inv_sigma[m, :q] = 1.0 / sm
-        on_rank[m, :rank] = 1.0
+        on_rank[m, :min(q, r)] = 1.0
+        rest[m] = 0.5 * float(off_range @ off_range)
     return {"V": V, "sigma": sigma, "target": target, "inv_sigma": inv_sigma,
-            "on_rank": on_rank, "rest": np.array([rest for *_, rest in bases]),
+            "on_rank": on_rank, "rest": rest,
             "r2": np.square([t.spectral_norm for t in col.tasks])}
 
 
