@@ -40,6 +40,7 @@ import functools
 import io
 import json
 import math
+import numbers
 import os
 import secrets
 from collections import namedtuple
@@ -112,9 +113,16 @@ def _check_scheme(scheme):
         raise ConfigError(f"unknown scheme kind: {scheme!r}")
 
 
-def _check_trials(trials):
-    if not 1 <= trials <= MAX_TRIALS:
+def _integral(value):
+    """``json_numbers``' integer rule: an ``Integral`` that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_trials_and_seed(trials, base_seed):
+    if not _integral(trials) or not 1 <= trials <= MAX_TRIALS:
         raise ConfigError(f"trials must be an integer >= 1 and <= 2**32, got {trials}")
+    if not _integral(base_seed) or base_seed < 0:
+        raise ConfigError(f"base_seed must be a nonnegative integer, got {base_seed!r:.40}")
 
 
 def _check_schedule(sch, scheme):
@@ -142,6 +150,14 @@ def _check_schedule(sch, scheme):
                           f"got {sets}")
     # A custom schedule's gamma is a per-step array, checked when it is built.
     _check_types(sch, "schedule", skip=("gamma",) if entry.strengths is None else ())
+
+
+def _schedule(sch, radius, k):
+    """``build_schedule(sch, radius, k)``, its error a ConfigError naming the kind."""
+    try:
+        return build_schedule(sch, radius, k)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{sch['kind']} schedule: {exc}") from None
 
 
 # A config's collection generator: fields are its config fields ('generator'
@@ -247,11 +263,8 @@ def parse_config(data):
     k_grid = k_grid.tolist()
 
     _check_types(data, "config")
-    trials = data["trials"]
-    _check_trials(trials)
-    base_seed = data["base_seed"]
-    if base_seed < 0:
-        raise ConfigError("base_seed must be a nonnegative integer")
+    trials, base_seed = data["trials"], data["base_seed"]
+    _check_trials_and_seed(trials, base_seed)
     # An entry's largest array is its (k, trials) int64 ordering array (its
     # per-step arrays hold k floats).
     check_fits(8 * k_grid[-1] * trials, f"k_grid entry {k_grid[-1]} is too large for "
@@ -272,10 +285,7 @@ def parse_config(data):
     if data["ordering"] == WITHOUT_REPLACEMENT and k_grid[-1] > collection.M:
         raise ConfigError(f"without-replacement needs k <= M, got k={k_grid[-1]}, "
                           f"M={collection.M}")
-    try:
-        schedules = tuple(build_schedule(sch, collection.radius, k) for k in k_grid)
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"{sch['kind']} schedule: {exc}") from None
+    schedules = tuple(_schedule(sch, collection.radius, k) for k in k_grid)
     return ExperimentConfig(
         collection=collection, scheme=scheme, kind=sch["kind"], schedules=schedules,
         ordering=data["ordering"], k_grid=tuple(k_grid), trials=trials, base_seed=base_seed)
@@ -656,7 +666,7 @@ def scheme_runner(scheme, schedule):
     the same bits."""
 
     def probe(col, k):
-        spec = build_schedule(schedule, col.radius, k)
+        spec = _schedule(schedule, col.radius, k)
         if not any(s.y.any() for s in col.stacks):
             return np.zeros(col.d)
         (run,) = run_batch(col, [(np.ones((1, k), np.int64), spec)], scheme)
@@ -668,7 +678,7 @@ def scheme_runner(scheme, schedule):
 def _run_scenario(col, w0, k, trials, base_seed, scheme, schedule):
     """MetricsRecord of ``trials`` with-replacement runs of k steps on a
     scenario's collection from the start ``w0``."""
-    spec = build_schedule(schedule, col.radius, k)
+    spec = _schedule(schedule, col.radius, k)
     idx, _ = kept_orderings(WITH_REPLACEMENT, col.M, k, trials, base_seed)
     (run,) = run_batch(col, [(idx, spec)], scheme, w0=w0)
     return summarize_batch(run, col)
@@ -690,7 +700,7 @@ def run_seen_task_floor(k, trials, base_seed, scheme="regularized", schedule=Non
     """Empirical Pr[seen-task loss >= 1/(144 k)] on the hard seen-task collection,
     started at its w0; the claim is that it is at least 0.15.  ``schedule`` is
     a config's schedule dict (``{"kind": default_kind(scheme)}`` if None)."""
-    _check_trials(trials)
+    _check_trials_and_seed(trials, base_seed)
     schedule = {"kind": default_kind(scheme)} if schedule is None else schedule
     _check_schedule(schedule, scheme)  # before the collection is built
     col, w0 = _keep(_collections, _SCENARIOS, lambda: seen_task_lb_collection(k),
@@ -707,7 +717,7 @@ def run_any_alg_mean(k, trials, base_seed, scheme="regularized", schedule=None):
     """Mean excess average loss on the adversarial collection built against the
     scheme, started at 0; the claim is that it is at least 1/(64 k).
     ``schedule`` is as for ``run_seen_task_floor``."""
-    _check_trials(trials)
+    _check_trials_and_seed(trials, base_seed)
     schedule = {"kind": default_kind(scheme)} if schedule is None else schedule
     _check_schedule(schedule, scheme)  # before the learner is probed
     probed = _keep(_collections, _SCENARIOS, any_alg_probe_collection, key="probe")

@@ -44,13 +44,10 @@ WITHOUT_REPLACEMENT = "without-replacement"
 MAX_TRIALS = 2 ** 32
 
 
-def _seed_sequence(seed, path):
-    return np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
-
-
 def stream(seed, *path):
     """Independent generator for (seed, path); same inputs, same stream."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))))
 
 
 def check_indices(idx, M):

@@ -235,7 +235,6 @@ class CertificateReport:
     eta: float
     v: np.ndarray
     eta_t: np.ndarray
-    c: np.ndarray
     min_c: float
     c_k: float
     passed: bool
@@ -273,5 +272,5 @@ def certificate_check(k, beta, eta):
     min_c = float(c.min())
     c_k = float(c[-1])
     passed = bool(min_c >= -1e-12 and c_k >= eta / k - 1e-12)
-    return CertificateReport(eta=float(eta), v=_frozen(v), eta_t=_frozen(eta_t), c=_frozen(c),
-                             min_c=min_c, c_k=c_k, passed=passed)
+    return CertificateReport(eta=float(eta), v=_frozen(v), eta_t=_frozen(eta_t), min_c=min_c,
+                             c_k=c_k, passed=passed)

@@ -36,15 +36,9 @@ from .orderings import check_indices
 from .surrogates import (build_budgeted_surrogate, build_regularized_surrogate,
                          check_budget, check_coefficient, check_step, spectral_multiplier)
 
-REGULARIZED = "regularized"
-BUDGETED = "budgeted"
-UNREGULARIZED = "unregularized"
-IGD_REGULARIZED = "igd-of-regularized"
-IGD_BUDGETED = "igd-of-budgeted"
-
 # The strengths each scheme reads from its schedule.
-READS = {REGULARIZED: ("lam",), BUDGETED: ("gamma", "n_steps"), UNREGULARIZED: (),
-         IGD_REGULARIZED: ("lam",), IGD_BUDGETED: ("gamma", "n_steps")}
+READS = {"regularized": ("lam",), "budgeted": ("gamma", "n_steps"), "unregularized": (),
+         "igd-of-regularized": ("lam",), "igd-of-budgeted": ("gamma", "n_steps")}
 SCHEME_KINDS = tuple(READS)
 
 
@@ -139,9 +133,9 @@ def run_continual(collection, ordering, schedule, scheme, w0=None):
     strengths = step_strengths(scheme, schedule, k)
     w = _start(collection, w0)
 
-    literal = {REGULARIZED: regularized_step, BUDGETED: budgeted_step}.get(scheme)
-    surrogate = {IGD_REGULARIZED: build_regularized_surrogate,
-                 IGD_BUDGETED: build_budgeted_surrogate}.get(scheme)
+    literal = {"regularized": regularized_step, "budgeted": budgeted_step}.get(scheme)
+    surrogate = {"igd-of-regularized": build_regularized_surrogate,
+                 "igd-of-budgeted": build_budgeted_surrogate}.get(scheme)
     iterates = np.empty((k + 1, collection.d))
     iterates[0] = w
     for t in range(1, k + 1):

@@ -475,17 +475,22 @@ BENCH_ONLY = {"adversarial.any_alg_lb_collection", "tasks.new_collection",
 
 def test_the_package_defines_only_what_it_uses():
     """Every top-level function or class of a ``src/contreg`` module is named
-    in the package (as a name, an attribute or an import), not counting
-    ``__init__``'s exports: oracles that only the tests run live in
-    ``tests/``.  The exceptions are ``BENCH_ONLY``, which must still be
-    defined and unused, so that the list cannot go stale."""
+    in the package (as a name, an attribute or an import): oracles that only
+    the tests run live in ``tests/``.  The exceptions are ``BENCH_ONLY``,
+    which must still be defined and unused, so that the list cannot go
+    stale.  ``__init__`` binds nothing but ``__version__``, so no flat
+    re-export can name a function for the package."""
     package = os.path.dirname(harness.__file__)
     defined, named = set(), set()
     for file in os.listdir(package):
-        if not file.endswith(".py") or file == "__init__.py":
+        if not file.endswith(".py"):
             continue
         with open(os.path.join(package, file)) as fh:
             tree = ast.parse(fh.read())
+        if file == "__init__.py":  # its docstring, then ``__version__ = ...`` alone
+            rest = tree.body[1:]
+            assert ast.get_docstring(tree) and len(rest) == 1, ast.unparse(tree)
+            assert [ast.unparse(target) for target in rest[0].targets] == ["__version__"]
         defined.update(f"{file[:-3]}.{node.name}" for node in tree.body
                        if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
         for node in ast.walk(tree):
@@ -501,11 +506,16 @@ def test_the_package_defines_only_what_it_uses():
 
 
 def test_seed_override(tmp_path):
-    cfg = harness.parse_config(base_config())
-    other = dataclasses.replace(cfg, base_seed=100)
-    a = harness.run_experiment(cfg)
-    b = harness.run_experiment(other)
-    assert (a.seed != b.seed).any()
+    """``contreg run --seed S`` writes the bytes of the same config with
+    ``"base_seed": S``, and another seed writes other bytes."""
+    cfg = base_config(k_grid=[4, 8], trials=3)
+    code, overridden = run_cli_csv(tmp_path, "override", cfg, "--seed", "5")
+    assert code == 0
+    code, direct = run_cli_csv(tmp_path, "direct", {**cfg, "base_seed": 5})
+    assert code == 0
+    code, own = run_cli_csv(tmp_path, "own", cfg)
+    assert code == 0
+    assert overridden.read_bytes() == direct.read_bytes() != own.read_bytes()
 
 
 def test_cli_run_fit_verify(tmp_path):
@@ -736,9 +746,12 @@ def test_cli_adversarial_rejects_a_schedule_its_scheme_does_not_read(monkeypatch
 
 def test_scenario_runners_reject_a_trial_count_before_any_work(monkeypatch,
                                                               collection_builds, cell_builds):
-    """Both scenario runners check ``trials`` as a config does, before any
-    collection is built, any learner probed or any ordering drawn: 0 trials
-    would divide by zero (seen-task) or average nothing (any-algorithm)."""
+    """Both scenario runners check ``trials`` and ``base_seed`` as a config
+    does, before any collection is built, any learner probed or any ordering
+    drawn: 0 trials would divide by zero (seen-task) or average nothing
+    (any-algorithm), a negative seed fails inside numpy, and a float or bool
+    seed would run as the integer it truncates to.  A bool is no integer, as
+    in ``json_numbers``."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the trial count was checked")
 
@@ -746,12 +759,19 @@ def test_scenario_runners_reject_a_trial_count_before_any_work(monkeypatch,
                  "any_alg_sign"):
         monkeypatch.setattr(harness, name, no_work)
     for run in (harness.run_seen_task_floor, harness.run_any_alg_mean):
-        for trials in (0, 2 ** 32 + 1):
+        for trials in (0, 2 ** 32 + 1, 5.5, True, "5"):
             with pytest.raises(ConfigError) as err:
                 run(16, trials, 1)
             assert str(err.value) == ("trials must be an integer >= 1 and <= 2**32, "
                                       f"got {trials}")
+        for base_seed in (-1, 1.9, True, None):
+            with pytest.raises(ConfigError) as err:
+                run(16, 5, base_seed)
+            assert str(err.value) == f"base_seed must be a nonnegative integer, got {base_seed}"
     assert collection_builds == [] and cell_builds == [] and harness._collections == {}
+    with pytest.raises(ConfigError) as err:
+        harness.parse_config(base_config(base_seed=-1))
+    assert str(err.value) == "base_seed must be a nonnegative integer, got -1"
 
 
 def test_cli_adversarial_rejects_a_vanishing_gamma(capsys):
@@ -938,7 +958,8 @@ def test_n_choice_past_int64_is_a_one_line_error(tmp_path, capsys):
             assert cli.main(["adversarial", "--scenario", scenario, "--k", "16", "--scheme",
                              "budgeted", "--schedule", "increasing-budget", "--n-choice",
                              str(n)]) == 1
-            assert one_line_error(capsys) == f"error: n_choice must be < 2**63, got {n}\n"
+            assert one_line_error(capsys) == (f"error: increasing-budget schedule: n_choice "
+                                              f"must be < 2**63, got {n}\n")
 
 
 @pytest.mark.parametrize("message", [
